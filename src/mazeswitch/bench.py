@@ -67,6 +67,13 @@ class SuiteConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if not self.sizes:
+            raise ValueError("sizes must not be empty")
+        bad = [n for n in self.sizes if n < 8 or n % 2]
+        if bad:
+            raise ValueError(f"maze sizes must be even and at least 8, got {bad}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if self.mazes_per_size < 1:
             raise ValueError("mazes_per_size must be at least 1")
         unknown = [v for v in self.variants if v not in VARIANTS]

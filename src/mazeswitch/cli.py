@@ -105,9 +105,18 @@ def _merge_suite_options(args, fill_default_sizes: bool = True) -> dict:
     return merged
 
 
+def _suite_config(**kwargs) -> SuiteConfig:
+    """Build the suite, or exit with status 2 and one line on bad values."""
+    try:
+        return SuiteConfig(**kwargs)
+    except ValueError as exc:
+        print(f"mazeswitch: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_run(args) -> int:
     opts = _merge_suite_options(args)
-    suite = SuiteConfig(
+    suite = _suite_config(
         sizes=opts["sizes"],
         mazes_per_size=opts["mazes"],
         variants=opts["variants"],
@@ -142,7 +151,7 @@ def _write_qtable_dumps(logs, directory: Path) -> None:
 def _cmd_ablate(args) -> int:
     opts = _merge_suite_options(args, fill_default_sizes=False)
     sizes = opts["sizes"] if opts["sizes"] is not None else (args.size,)
-    suite = SuiteConfig(
+    suite = _suite_config(
         sizes=sizes,
         mazes_per_size=opts["mazes"],
         variants=("spiral", "spiral_conv", "spiral_rl"),

@@ -12,6 +12,18 @@ target cell and its four in-bounds neighbours are always carved open.
 All randomness comes from one SplitMix64 stream, so ``(n, seed)`` pins
 the layout bit for bit.
 
+Besides the read-only ``walls`` array, every grid holds one padded flat
+byte layout, ``MazeGrid.cells``, that the sensor, the carver and the
+connectivity search all read. It is ``n + 2`` bytes wide and ``n + 4``
+rows tall: one column of padding on each side, two rows above and below.
+Each byte is 0 (open), 1 (wall) or 2 (outside the grid), and cell
+``(x, y)`` sits at index ``i = (x + 2) * (n + 2) + y + 1``. Its E/S/W/N
+neighbours are ``i + 1``, ``i + (n + 2)``, ``i - 1`` and ``i - (n + 2)``,
+so a step from any cell of the grid lands on a valid byte without a
+bounds check. The double rows keep the carver's two-cell room strides in
+the buffer as well; a two-cell step west from column 0 lands on the
+previous row's right padding.
+
 Text form (``save_maze``/``load_maze`` round-trip exactly)::
 
     n seed
@@ -42,13 +54,16 @@ DIRECTION_VECTORS = {EAST: (0, 1), SOUTH: (1, 0), WEST: (0, -1), NORTH: (-1, 0)}
 
 BRAID_PROBABILITY = 0.10
 
-_PROBE_OFFSETS = {(0, 0), (0, 1), (1, 0), (0, -1), (-1, 0)}
+OPEN, WALL, OUTSIDE = 0, 1, 2  # bytes of the padded layout
 
 
 class Probe(Enum):
     PASSABLE = "passable"
     BLOCKED = "blocked"
     OUT_OF_BOUNDS = "out_of_bounds"
+
+
+_PROBE_OF_BYTE = (Probe.PASSABLE, Probe.BLOCKED, Probe.OUT_OF_BOUNDS)
 
 
 class MazeConfigError(ValueError):
@@ -67,12 +82,33 @@ class MazeGrid:
     walls: np.ndarray  # bool, shape (n, n), True = blocked
     target: Position
     seed: int
+    stride: int = field(init=False, repr=False)  # n + 2, the padded row width
+    cells: bytes = field(init=False, repr=False)  # padded flat layout
 
-    def in_bounds(self, x: int, y: int) -> bool:
-        return 0 <= x < self.n and 0 <= y < self.n
+    def __post_init__(self):
+        n = self.n
+        if self.walls.shape != (n, n):
+            raise MazeConfigError(f"walls must have shape ({n}, {n}), got {self.walls.shape}")
+        tx, ty = self.target
+        if not (0 <= tx < n and 0 <= ty < n):
+            raise MazeConfigError(f"target {self.target} is off the {n}x{n} grid")
+        self.stride = n + 2
+        self.cells = bytes(_pad(self.walls))
+
+    def index(self, x: int, y: int) -> int:
+        """Flat index of grid cell ``(x, y)`` in ``cells``."""
+        return (x + 2) * self.stride + y + 1
 
     def layout_hash(self) -> str:
         return hashlib.sha256(self.walls.tobytes()).hexdigest()
+
+
+def _pad(walls: np.ndarray) -> bytearray:
+    """The padded flat layout of an ``(n, n)`` wall array."""
+    n = len(walls)
+    padded = np.full((n + 4, n + 2), OUTSIDE, dtype=np.uint8)
+    padded[2:-2, 1:-1] = walls
+    return bytearray(padded.tobytes())
 
 
 def probe(maze: MazeGrid, frm: Position, neighbor: Position) -> Probe:
@@ -81,13 +117,12 @@ def probe(maze: MazeGrid, frm: Position, neighbor: Position) -> Probe:
     Only the occupied cell itself or one of its four neighbours may be
     probed; anything else is a programming error and raises.
     """
-    dx = neighbor[0] - frm[0]
-    dy = neighbor[1] - frm[1]
-    if (dx, dy) not in _PROBE_OFFSETS:
+    x, y = neighbor
+    if abs(x - frm[0]) + abs(y - frm[1]) > 1:
         raise ValueError(f"non-local probe from {frm} to {neighbor}")
-    if not maze.in_bounds(neighbor[0], neighbor[1]):
+    if not (0 <= x < maze.n and 0 <= y < maze.n):
         return Probe.OUT_OF_BOUNDS
-    return Probe.BLOCKED if maze.walls[neighbor] else Probe.PASSABLE
+    return _PROBE_OF_BYTE[maze.cells[maze.index(x, y)]]
 
 
 def manhattan(a: Position, b: Position) -> int:
@@ -127,13 +162,35 @@ class KnowledgeMap:
                 self.revision += 1
 
     def observe_surroundings(self, maze: MazeGrid, pos: Position) -> None:
-        """Probe the occupied cell and its four neighbours."""
-        self.note(pos, probe(maze, pos, pos))
+        """Probe the occupied cell and its four neighbours.
+
+        Learns the same facts in the same order (self, E, S, W, N) as
+        noting ``probe`` of each cell, read straight from the padded
+        layout. ``pos`` must be on the grid: off it, a padded index
+        would alias another cell.
+        """
         x, y = pos
-        for heading in HEADINGS:
-            dx, dy = DIRECTION_VECTORS[heading]
-            cell = (x + dx, y + dy)
-            self.note(cell, probe(maze, pos, cell))
+        n = maze.n
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValueError(f"cannot sense from off-grid position {pos}")
+        cells = maze.cells
+        w = maze.stride
+        i = (x + 2) * w + y + 1
+        free = self.known_free
+        walls = self.known_walls
+        before = len(free) + len(walls)
+        for cell, byte in (
+            (pos, cells[i]),
+            ((x, y + 1), cells[i + 1]),
+            ((x + 1, y), cells[i + w]),
+            ((x, y - 1), cells[i - 1]),
+            ((x - 1, y), cells[i - w]),
+        ):
+            if byte == OPEN:
+                free.add(cell)
+            elif byte == WALL:
+                walls.add(cell)
+        self.revision += len(free) + len(walls) - before
 
     def record(self, pos: Position, memory: str, sample_stride: int) -> bool:
         """Mark ``pos`` visited; returns True if it was a first visit."""
@@ -163,41 +220,38 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
         raise MazeConfigError(f"maze size must be even, got {n}")
 
     rng = SplitMix64(seed)
-    walls = np.ones((n, n), dtype=bool)
+    w = n + 2
+    steps = (1, w, -1, -w)  # E, S, W, N: HEADINGS order
+    cells = _pad(np.ones((n, n), dtype=bool))
 
-    # Depth-first backtracker over rooms at even coordinates.
-    walls[0, 0] = False
-    stack = [(0, 0)]
-    seen = {(0, 0)}
+    # Depth-first backtracker over rooms at even coordinates. A room is
+    # still a wall exactly until it is visited, and a room stride off the
+    # grid lands on padding, so one byte says "unvisited room".
+    origin = 2 * w + 1
+    cells[origin] = OPEN
+    stack = [origin]
     while stack:
-        x, y = stack[-1]
-        candidates = []
-        for heading in HEADINGS:
-            dx, dy = DIRECTION_VECTORS[heading]
-            room = (x + 2 * dx, y + 2 * dy)
-            if 0 <= room[0] < n and 0 <= room[1] < n and room not in seen:
-                candidates.append((heading, room))
+        i = stack[-1]
+        candidates = [d for d in steps if cells[i + 2 * d] == WALL]
         if not candidates:
             stack.pop()
             continue
-        heading, room = candidates[rng.randbelow(len(candidates))]
-        dx, dy = DIRECTION_VECTORS[heading]
-        walls[x + dx, y + dy] = False
-        walls[room] = False
-        seen.add(room)
-        stack.append(room)
+        d = candidates[rng.randbelow(len(candidates))]
+        cells[i + d] = OPEN
+        cells[i + 2 * d] = OPEN
+        stack.append(i + 2 * d)
 
-    _braid_dead_ends(walls, n, rng)
+    _braid_dead_ends(cells, n, rng)
 
     # The target area is always open, whatever the carving did.
     target = (n // 2, n // 2)
-    walls[target] = False
-    for heading in HEADINGS:
-        dx, dy = DIRECTION_VECTORS[heading]
-        cx, cy = target[0] + dx, target[1] + dy
-        if 0 <= cx < n and 0 <= cy < n:
-            walls[cx, cy] = False
+    t = origin + target[0] * w + target[1]
+    cells[t] = OPEN
+    for d in steps:
+        if cells[t + d] == WALL:
+            cells[t + d] = OPEN
 
+    walls = np.frombuffer(cells, dtype=np.uint8).reshape(n + 4, w)[2:-2, 1:-1] == WALL
     walls.flags.writeable = False
     grid = MazeGrid(n=n, walls=walls, target=target, seed=seed)
     if not _connected(grid, (0, 0), target):
@@ -205,86 +259,67 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
     return grid
 
 
-def _braid_dead_ends(walls: np.ndarray, n: int, rng: SplitMix64) -> None:
+def _braid_dead_ends(cells: bytearray, n: int, rng: SplitMix64) -> None:
     """Open the far wall behind some dead-end rooms, creating loops.
 
-    Dead ends are detected on a snapshot of the carved maze, then each one
-    independently braids with probability BRAID_PROBABILITY. The opened
-    wall prefers the direction opposite the room's single opening.
+    Works in place on the padded layout. Dead ends are detected on a
+    snapshot of the carved maze, then each one independently braids with
+    probability BRAID_PROBABILITY. The opened wall prefers the direction
+    opposite the room's single opening.
     """
+    w = n + 2
+    steps = (1, w, -1, -w)
     dead_ends = []
     for x in range(0, n, 2):
-        for y in range(0, n, 2):
-            open_dirs = [
-                h
-                for h in HEADINGS
-                if 0 <= x + DIRECTION_VECTORS[h][0] < n
-                and 0 <= y + DIRECTION_VECTORS[h][1] < n
-                and not walls[x + DIRECTION_VECTORS[h][0], y + DIRECTION_VECTORS[h][1]]
-            ]
-            if len(open_dirs) == 1:
-                dead_ends.append(((x, y), open_dirs[0]))
+        first = (x + 2) * w + 1
+        for i in range(first, first + n, 2):
+            open_steps = [d for d in steps if cells[i + d] == OPEN]
+            if len(open_steps) == 1:
+                dead_ends.append((i, open_steps[0]))
 
-    opposite = {EAST: WEST, WEST: EAST, NORTH: SOUTH, SOUTH: NORTH}
-    for (x, y), open_dir in dead_ends:
+    for i, open_step in dead_ends:
         if rng.random() >= BRAID_PROBABILITY:
             continue
-        candidates = []
-        for h in HEADINGS:
-            dx, dy = DIRECTION_VECTORS[h]
-            wall = (x + dx, y + dy)
-            beyond = (x + 2 * dx, y + 2 * dy)
-            if (
-                0 <= beyond[0] < n
-                and 0 <= beyond[1] < n
-                and walls[wall]
-                and not walls[beyond]
-            ):
-                candidates.append(h)
+        candidates = [d for d in steps if cells[i + d] == WALL and cells[i + 2 * d] == OPEN]
         if not candidates:
             continue
-        pick = opposite[open_dir] if opposite[open_dir] in candidates else candidates[0]
-        dx, dy = DIRECTION_VECTORS[pick]
-        walls[x + dx, y + dy] = False
+        pick = -open_step if -open_step in candidates else candidates[0]
+        cells[i + pick] = OPEN
 
 
 def _connected(maze: MazeGrid, a: Position, b: Position) -> bool:
-    if maze.walls[a] or maze.walls[b]:
+    cells = maze.cells
+    w = maze.stride
+    start, goal = maze.index(*a), maze.index(*b)
+    if cells[start] != OPEN or cells[goal] != OPEN:
         return False
-    frontier = deque([a])
-    seen = {a}
+    seen = bytearray(len(cells))
+    seen[start] = 1
+    frontier = deque([start])
     while frontier:
-        x, y = frontier.popleft()
-        if (x, y) == b:
+        i = frontier.popleft()
+        if i == goal:
             return True
-        for heading in HEADINGS:
-            dx, dy = DIRECTION_VECTORS[heading]
-            cell = (x + dx, y + dy)
-            if (
-                maze.in_bounds(cell[0], cell[1])
-                and not maze.walls[cell]
-                and cell not in seen
-            ):
-                seen.add(cell)
-                frontier.append(cell)
+        for j in (i + 1, i + w, i - 1, i - w):
+            if cells[j] == OPEN and not seen[j]:
+                seen[j] = 1
+                frontier.append(j)
     return False
 
 
+_GLYPHS = bytes.maketrans(bytes([OPEN, WALL]), b".#")
+
+
 def to_text(maze: MazeGrid) -> str:
-    lines = [f"{maze.n} {maze.seed}"]
-    for x in range(maze.n):
-        row = []
-        for y in range(maze.n):
-            if (x, y) == (0, 0):
-                row.append("S")
-            elif (x, y) == maze.target:
-                row.append("T")
-            elif maze.walls[x, y]:
-                row.append("#")
-            else:
-                row.append(".")
-        lines.append("".join(row))
-    return "\n".join(lines) + "\n"
+    n = maze.n
+    rows = [
+        bytearray(maze.cells[maze.index(x, 0) : maze.index(x, n)].translate(_GLYPHS))
+        for x in range(n)
+    ]
+    tx, ty = maze.target
+    rows[tx][ty] = ord("T")
+    rows[0][0] = ord("S")
+    return "\n".join([f"{n} {maze.seed}"] + [row.decode() for row in rows]) + "\n"
 
 
 def from_text(text: str) -> MazeGrid:
@@ -302,19 +337,16 @@ def from_text(text: str) -> MazeGrid:
     if len(body) != n:
         raise MazeFormatError(f"expected {n} rows, got {len(body)}")
 
-    walls = np.zeros((n, n), dtype=bool)
     start_seen = target_seen = None
     for x, row in enumerate(body):
         if len(row) != n:
             raise MazeFormatError(f"row {x} has length {len(row)}, expected {n}")
         for y, ch in enumerate(row):
-            if ch == "#":
-                walls[x, y] = True
-            elif ch == "S":
+            if ch == "S":
                 start_seen = (x, y)
             elif ch == "T":
                 target_seen = (x, y)
-            elif ch != ".":
+            elif ch not in "#.":
                 raise MazeFormatError(f"unknown cell character {ch!r} at ({x}, {y})")
     if start_seen != (0, 0):
         raise MazeFormatError(f"start marker must sit at (0, 0), found {start_seen}")
@@ -322,6 +354,7 @@ def from_text(text: str) -> MazeGrid:
         raise MazeFormatError(
             f"target marker must sit at ({n // 2}, {n // 2}), found {target_seen}"
         )
+    walls = np.array([[ch == "#" for ch in row] for row in body], dtype=bool).reshape(n, n)
     walls.flags.writeable = False
     return MazeGrid(n=n, walls=walls, target=target_seen, seed=seed)
 

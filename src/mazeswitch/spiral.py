@@ -122,7 +122,7 @@ class SpiralState:
     detour_stale: int = 0
     detour_seen: set = field(default_factory=set)
     mopping: bool = False
-    escape_path: list = field(default_factory=list)
+    escape_path: deque = field(default_factory=deque)
 
 
 def record_visit(state: SpiralState, knowledge: KnowledgeMap, pos: Position) -> KnowledgeMap:
@@ -225,7 +225,7 @@ def _arrive(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> None
 
 def _escape_step(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> None:
     """Walk one cell along a committed path through known-free cells."""
-    nxt = state.escape_path.pop(0)
+    nxt = state.escape_path.popleft()
     state.heading = _STEP_TO_HEADING[(nxt[0] - state.pos[0], nxt[1] - state.pos[1])]
     state.pos = nxt
     _arrive(state, maze, knowledge)
@@ -235,10 +235,10 @@ def _escape_step(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) ->
         state.next_idx = ring_index(maze.n, state.layer, state.pos) + 1
 
 
-def _path_to_nearest_unvisited(pos: Position, knowledge: KnowledgeMap) -> list | None:
+def _path_to_nearest_unvisited(pos: Position, knowledge: KnowledgeMap) -> deque | None:
     """Shortest path over known-free cells to the nearest unvisited one.
 
-    Returns the list of cells to step onto (excluding ``pos``), or None
+    Returns the cells to step onto in order (excluding ``pos``), or None
     when every known-free cell has been visited already. Intermediate
     cells of the returned path are always previously visited, so exactly
     one new cell is covered per escape.
@@ -250,12 +250,11 @@ def _path_to_nearest_unvisited(pos: Position, knowledge: KnowledgeMap) -> list |
     while frontier:
         cell = frontier.popleft()
         if cell not in visited:
-            path = [cell]
+            path = deque()
             while parents[cell] is not None:
+                path.appendleft(cell)
                 cell = parents[cell]
-                path.append(cell)
-            path.reverse()
-            return path[1:]
+            return path
         x, y = cell
         for heading in HEADINGS:
             dx, dy = DIRECTION_VECTORS[heading]

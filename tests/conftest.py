@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mazeswitch.grid import MazeGrid
+from mazeswitch.grid import MazeGrid, Probe
 
 ACCEPTANCE_RESULTS = []
 
@@ -29,6 +29,32 @@ def open_grid():
         return MazeGrid(n=n, walls=walls, target=target or (n // 2, n // 2), seed=0)
 
     return make
+
+
+def reference_observe(knowledge, maze, pos):
+    """Independent sensor: the occupied cell, then E, S, W, N.
+
+    Reads ``maze.walls`` with explicit bounds checks and makes one
+    ``note`` call per cell, the contract ``observe_surroundings`` keeps.
+    """
+    x, y = pos
+    for cell in (pos, (x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+        if not (0 <= cell[0] < maze.n and 0 <= cell[1] < maze.n):
+            result = Probe.OUT_OF_BOUNDS
+        elif maze.walls[cell]:
+            result = Probe.BLOCKED
+        else:
+            result = Probe.PASSABLE
+        knowledge.note(cell, result)
+
+
+def sealed_pocket_grid():
+    """8x8 grid of walls with only the start and the target open."""
+    walls = np.ones((8, 8), dtype=bool)
+    walls[0, 0] = False
+    walls[4, 4] = False
+    walls.flags.writeable = False
+    return MazeGrid(n=8, walls=walls, target=(4, 4), seed=0)
 
 
 def bfs_distance(maze, a, b):

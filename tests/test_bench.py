@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -108,6 +109,38 @@ class TestParallelism:
         ]
 
 
+class TestGoldenRecords:
+    """The exact record stream of two fixed suites, pinned by sha256.
+
+    The values were measured once and must never be regenerated to make
+    a change pass: a mismatch means episodes or record bytes changed.
+    """
+
+    @pytest.mark.parametrize(
+        "suite, digest",
+        [
+            (
+                SuiteConfig(sizes=(16, 32), mazes_per_size=10),
+                "f641a95ba8907e731972f91ee7f4d17047be840644b6ca51a77f49a3191fb7fc",
+            ),
+            (
+                SuiteConfig(
+                    sizes=(64,),
+                    mazes_per_size=10,
+                    variants=("spiral", "spiral_conv", "spiral_rl"),
+                ),
+                "cc69de1ce914178c994dbb4cbdc141180f2fbbc7c629bb10752db1e070be1267",
+            ),
+        ],
+        ids=["small-all-variants", "64-ablation-variants"],
+    )
+    def test_record_stream_digest(self, suite, digest, tmp_path):
+        _, logs = run_suite(suite)
+        path = tmp_path / "episodes.jsonl"
+        write_records(logs, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 class TestAblation:
     def test_baseline_row_zero_and_deltas_consistent(self):
         rows, logs = ablation(SuiteConfig(sizes=(32,), mazes_per_size=4))
@@ -192,3 +225,23 @@ class TestSuiteConfigValidation:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             SuiteConfig(variants=("warp",))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sizes": ()},
+            {"sizes": (15,)},
+            {"sizes": (16, 33)},
+            {"sizes": (6,)},
+            {"sizes": (0,)},
+            {"sizes": (-8,)},
+            {"jobs": 0},
+            {"jobs": -3},
+        ],
+    )
+    def test_rejects_bad_sizes_and_jobs(self, kwargs):
+        with pytest.raises(ValueError):
+            SuiteConfig(**kwargs)
+
+    def test_accepts_smallest_size_and_one_job(self):
+        assert SuiteConfig(sizes=(8,), jobs=1).sizes == (8,)

@@ -171,3 +171,30 @@ class TestAblate:
         rows = json.loads((out / "ablation.json").read_text())
         assert [r["variant"] for r in rows] == ["spiral", "spiral_conv", "spiral_rl"]
         assert rows[0]["delta_pct"] == 0.0
+
+
+class TestSuiteArgumentErrors:
+    @pytest.mark.parametrize("command", [["run"], ["ablate", "--size", "16"]])
+    @pytest.mark.parametrize(
+        "bad",
+        [["--jobs", "0"], ["--jobs", "-3"], ["--sizes", "15"], ["--sizes", "6"], ["--sizes", ","]],
+        ids=["jobs0", "jobs-3", "odd-size", "small-size", "no-sizes"],
+    )
+    def test_one_line_and_exit_status_2(self, command, bad, tmp_path, capsys):
+        out = tmp_path / "results"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + ["--mazes", "1", "--out", str(out)] + bad)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("mazeswitch: error: ")
+        assert not out.exists()
+
+    def test_bad_jobs_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "suite.ini"
+        cfg.write_text("[suite]\nsizes = 16\nmazes = 1\njobs = 0\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "jobs" in capsys.readouterr().err

@@ -1,12 +1,14 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mazeswitch.grid import (
     KnowledgeMap,
     MazeConfigError,
     MazeFormatError,
+    MazeGrid,
     Probe,
     coverage_percent,
     from_text,
@@ -15,7 +17,7 @@ from mazeswitch.grid import (
     probe,
     to_text,
 )
-from conftest import bfs_distance
+from conftest import bfs_distance, reference_observe, sealed_pocket_grid
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,6 +97,81 @@ class TestProbe:
         maze = generate_maze(16, 1)
         with pytest.raises(ValueError):
             probe(maze, (fx, fy), (fx + dx, fy + dy))
+
+
+def _assert_sensor_matches_reference(maze, positions):
+    k = KnowledgeMap()
+    ref = KnowledgeMap()
+    for pos in positions:
+        k.observe_surroundings(maze, pos)
+        reference_observe(ref, maze, pos)
+        assert k.known_walls == ref.known_walls
+        assert k.known_free == ref.known_free
+        assert k.revision == ref.revision
+
+
+class TestSensorMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half=st.integers(4, 32),
+        seed=st.integers(-(2**63), 2**64 - 1),
+        data=st.data(),
+    )
+    def test_generated_mazes(self, half, seed, data):
+        maze = generate_maze(2 * half, seed)
+        open_cells = [
+            (x, y) for x in range(maze.n) for y in range(maze.n) if not maze.walls[x, y]
+        ]
+        positions = data.draw(st.lists(st.sampled_from(open_cells), min_size=1, max_size=40))
+        _assert_sensor_matches_reference(maze, positions)
+
+    def test_every_cell_of_hand_built_grids(self, open_grid):
+        for maze in (open_grid(8), open_grid(9, target=(0, 8)), sealed_pocket_grid()):
+            cells = [(x, y) for x in range(maze.n) for y in range(maze.n)]
+            _assert_sensor_matches_reference(maze, cells + cells[::-1])
+
+    def test_probe_off_grid_neighbours_of_border_cells(self, open_grid):
+        for maze in (open_grid(8), sealed_pocket_grid(), generate_maze(16, -5)):
+            n = maze.n
+            border = [(x, y) for x in range(n) for y in range(n) if {x, y} & {0, n - 1}]
+            for x, y in border:
+                for cell in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+                    if not (0 <= cell[0] < n and 0 <= cell[1] < n):
+                        assert probe(maze, (x, y), cell) is Probe.OUT_OF_BOUNDS
+
+    @pytest.mark.parametrize(
+        "frm, cell",
+        [
+            ((-3, 2), (-3, 3)),
+            ((-2, 5), (-2, 5)),
+            ((2, -3), (2, -2)),
+            ((9, 4), (10, 4)),
+            ((20, 20), (20, 21)),
+        ],
+    )
+    def test_probe_far_off_grid_is_out_of_bounds(self, open_grid, frm, cell):
+        assert probe(open_grid(8), frm, cell) is Probe.OUT_OF_BOUNDS
+
+    @pytest.mark.parametrize(
+        "pos", [(-1, 0), (0, -1), (8, 0), (0, 8), (-1, -1), (8, 8), (-2, 5), (3, 9), (100, 3)]
+    )
+    def test_sensing_off_grid_raises(self, open_grid, pos):
+        k = KnowledgeMap()
+        with pytest.raises(ValueError):
+            k.observe_surroundings(open_grid(8), pos)
+        assert not k.known_free and not k.known_walls and k.revision == 0
+
+
+class TestHandBuiltGrid:
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 9), (9, 8), (64,)])
+    def test_rejects_walls_of_wrong_shape(self, shape):
+        with pytest.raises(MazeConfigError):
+            MazeGrid(n=8, walls=np.zeros(shape, dtype=bool), target=(4, 4), seed=0)
+
+    @pytest.mark.parametrize("target", [(8, 4), (4, 8), (-1, 4), (4, -1), (8, 8)])
+    def test_rejects_target_off_grid(self, target):
+        with pytest.raises(MazeConfigError):
+            MazeGrid(n=8, walls=np.zeros((8, 8), dtype=bool), target=target, seed=0)
 
 
 class TestManhattan:

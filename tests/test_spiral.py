@@ -1,11 +1,9 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mazeswitch.grid import (
     KnowledgeMap,
-    MazeGrid,
     coverage_percent,
     generate_maze,
     manhattan,
@@ -22,7 +20,7 @@ from mazeswitch.spiral import (
     ring_length,
     spiral_next,
 )
-from conftest import bfs_reachable
+from conftest import bfs_reachable, sealed_pocket_grid
 
 DATA = Path(__file__).parent / "data"
 
@@ -161,11 +159,7 @@ class TestMazeSpiral:
         assert len(k_samp.sampled_history) <= len(k_full.sampled_history)
 
     def test_stuck_in_sealed_pocket(self):
-        walls = np.ones((8, 8), dtype=bool)
-        walls[0, 0] = False  # sealed start
-        walls[4, 4] = False
-        walls.flags.writeable = False
-        maze = MazeGrid(n=8, walls=walls, target=(4, 4), seed=0)
+        maze = sealed_pocket_grid()
         knowledge = KnowledgeMap()
         state = SpiralState()
         record_visit(state, knowledge, (0, 0))
