@@ -17,7 +17,7 @@ walls = np.zeros((6, 6), dtype=bool)
 walls.flags.writeable = False
 open_grid = MazeGrid(n=6, walls=walls, target=(3, 3), seed=0)
 
-knowledge = KnowledgeMap()
+knowledge = KnowledgeMap(6)
 state = SpiralState()
 record_visit(state, knowledge, (0, 0))
 knowledge.observe_surroundings(open_grid, (0, 0))
@@ -31,7 +31,7 @@ print(f"covered {knowledge.visited_count}/36 cells in {len(trace) - 1} moves\n")
 # On a real maze the ring route is constantly interrupted; detours keep
 # coverage growing anyway.
 maze = generate_maze(16, seed=1)
-knowledge = KnowledgeMap()
+knowledge = KnowledgeMap(maze.n)
 state = SpiralState()
 record_visit(state, knowledge, (0, 0))
 knowledge.observe_surroundings(maze, (0, 0))

@@ -6,11 +6,11 @@ agent records it, replans from where it stands, and tries again. Every
 replan adds at least one wall to its map, so the loop always terminates.
 """
 
-from mazeswitch import KnowledgeMap, generate_maze
+from mazeswitch import KnowledgeMap, Probe, generate_maze
 from mazeswitch.pathfind import StepOutcome, astar_plan, follow_plan
 
 maze = generate_maze(16, seed=1)
-knowledge = KnowledgeMap()
+knowledge = KnowledgeMap(maze.n)
 knowledge.observe_surroundings(maze, (0, 0))
 
 pos = (0, 0)
@@ -35,9 +35,10 @@ while pos != maze.target:
 print(f"\narrived in {moves} moves with {replans} replans")
 
 # With full knowledge the plan is a true shortest path.
-full = KnowledgeMap()
-full.known_walls = {
-    (x, y) for x in range(maze.n) for y in range(maze.n) if maze.walls[x, y]
-}
+full = KnowledgeMap(maze.n)
+for x in range(maze.n):
+    for y in range(maze.n):
+        if maze.walls[x, y]:
+            full.note((x, y), Probe.BLOCKED)
 best = astar_plan((0, 0), maze.target, full, maze.n)
 print(f"shortest path with full knowledge: {best.cost} moves")

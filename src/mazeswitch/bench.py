@@ -35,8 +35,8 @@ from .episode import (
     SUCCESS,
     VARIANT_ORDER,
     VARIANTS,
+    record_to_json,
     run_episode,
-    to_record,
 )
 
 RL_SEED_SALT = 0x51
@@ -265,7 +265,7 @@ def write_records(logs: list, path) -> None:
     try:
         with path.open("w") as fh:
             for log in logs:
-                fh.write(json.dumps(to_record(log), sort_keys=True, separators=(",", ":")))
+                fh.write(record_to_json(log))
                 fh.write("\n")
     except OSError as exc:
         raise RuntimeError(f"cannot write episode records to {path}") from exc

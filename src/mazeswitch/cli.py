@@ -182,21 +182,27 @@ def _cmd_replay(args) -> int:
         if not 1 <= args.line <= len(lines):
             raise SystemExit(f"--line must be in 1..{len(lines)}")
         lines = [lines[args.line - 1]]
-    mismatches = 0
+    failures = 0
     for idx, line in lines:
-        logged = json.loads(line)
-        fresh = to_record(run_episode(config_from_record(logged)))
+        try:
+            logged = json.loads(line)
+            cfg = config_from_record(logged)
+        except ValueError as exc:  # malformed JSON or config
+            failures += 1
+            print(f"record {idx}: ERROR {exc}")
+            continue
+        fresh = to_record(run_episode(cfg))
         if fresh == logged:
             print(f"record {idx}: identical")
             continue
-        mismatches += 1
+        failures += 1
         diff_keys = sorted(
             key
             for key in set(logged) | set(fresh)
             if logged.get(key) != fresh.get(key)
         )
         print(f"record {idx}: MISMATCH in fields {diff_keys}")
-    return 1 if mismatches else 0
+    return 1 if failures else 0
 
 
 def _cmd_gen_maze(args) -> int:
@@ -237,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     abl_p.add_argument("--seed", type=int, default=None)
     abl_p.add_argument("--jobs", type=int, default=None)
     abl_p.add_argument("--out", default=None)
-    abl_p.add_argument("--long", action="store_true", help=argparse.SUPPRESS)
     abl_p.add_argument("--config", default=None)
     abl_p.set_defaults(func=_cmd_ablate)
 

@@ -101,6 +101,8 @@ class EpisodeConfig:
     decision_period: int = DEFAULT_DECISION_PERIOD
 
     def __post_init__(self):
+        if self.n < 8 or self.n % 2:
+            raise ValueError(f"maze size must be even and at least 8, got {self.n}")
         if self.step_limit is not None and self.step_limit <= 0:
             raise ValueError("step_limit must be positive")
         if self.decision_period <= 0:
@@ -143,7 +145,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     target = maze.target
     learning = cfg.variant.convergence == "rl"
 
-    knowledge = KnowledgeMap()
+    knowledge = KnowledgeMap(n)
     state = SpiralState(
         memory=FULL_MEMORY if cfg.variant.base == "spiral" else SENTINEL,
         sample_stride=DEFAULT_SAMPLE_STRIDE,
@@ -301,12 +303,27 @@ def record_to_json(log: EpisodeLog) -> str:
     return json.dumps(to_record(log), sort_keys=True, separators=(",", ":"))
 
 
+_CONFIG_KEYS = ("n", "maze_seed", "variant", "rl_seed", "step_limit", "decision_period")
+
+
 def config_from_record(record: dict) -> EpisodeConfig:
-    cfg = record["config"]
+    """The config an episode record was run with; ValueError if malformed."""
+    cfg = record.get("config") if isinstance(record, dict) else None
+    if not isinstance(cfg, dict):
+        raise ValueError("record has no config object")
+    missing = [key for key in _CONFIG_KEYS if key not in cfg]
+    if missing:
+        raise ValueError(f"config is missing {missing}")
+    variant = cfg["variant"]
+    if not isinstance(variant, str) or variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    not_int = [key for key in _CONFIG_KEYS if key != "variant" and type(cfg[key]) is not int]
+    if not_int:
+        raise ValueError(f"config values must be integers: {not_int}")
     return EpisodeConfig(
         n=cfg["n"],
         maze_seed=cfg["maze_seed"],
-        variant=VARIANTS[cfg["variant"]],
+        variant=VARIANTS[variant],
         rl_seed=cfg["rl_seed"],
         step_limit=cfg["step_limit"],
         decision_period=cfg["decision_period"],

@@ -24,6 +24,15 @@ bounds check. The double rows keep the carver's two-cell room strides in
 the buffer as well; a two-cell step west from column 0 lands on the
 previous row's right padding.
 
+The agent's knowledge, ``KnowledgeMap.known``, is a second buffer in the
+same geometry, so one index names a cell in both. Its grid bytes start
+as 3 (unknown) and take the maze's byte, 0 (open) or 1 (wall), once the
+sensor or a probe reports the cell; its padding is 2 (outside) from the
+start. A parallel ``visited_mask`` holds 1 at every occupied cell. The
+walker, the escape search and A* read neighbours at the same four
+offsets and need no bounds check: a padding byte is never open and
+never unknown.
+
 Text form (``save_maze``/``load_maze`` round-trip exactly)::
 
     n seed
@@ -55,6 +64,7 @@ DIRECTION_VECTORS = {EAST: (0, 1), SOUTH: (1, 0), WEST: (0, -1), NORTH: (-1, 0)}
 BRAID_PROBABILITY = 0.10
 
 OPEN, WALL, OUTSIDE = 0, 1, 2  # bytes of the padded layout
+UNKNOWN = 3  # knowledge byte of a grid cell not yet sensed
 
 
 class Probe(Enum):
@@ -104,7 +114,7 @@ class MazeGrid:
 
 
 def _pad(walls: np.ndarray) -> bytearray:
-    """The padded flat layout of an ``(n, n)`` wall array."""
+    """The padded flat layout of an ``(n, n)`` array of cell bytes."""
     n = len(walls)
     padded = np.full((n + 4, n + 2), OUTSIDE, dtype=np.uint8)
     padded[2:-2, 1:-1] = walls
@@ -131,73 +141,113 @@ def manhattan(a: Position, b: Position) -> int:
 
 @dataclass
 class KnowledgeMap:
-    """What the agent has learned so far from local probes.
+    """What the agent has learned so far from local probes, on an ``n x n`` grid.
 
-    ``visited`` holds every cell the agent has occupied; coverage is its
-    cardinality, so revisits never inflate it. ``sampled_history`` is the
-    stored visit history: every first visit in full-memory mode, every
-    ``stride``-th first visit in sentinel mode. The history is record
-    keeping only and never feeds back into control decisions.
+    ``known`` is the padded flat layout of ``MazeGrid.cells`` (same
+    geometry and indices) holding the agent's view: OPEN, WALL or
+    UNKNOWN for grid cells, OUTSIDE for the padding. A fixed maze never
+    contradicts itself, so the first fact learned about a cell stands.
+    ``visited_mask`` is 1 at every cell the agent has occupied, and
+    ``visited_count`` is its population: coverage counts distinct cells,
+    so revisits never inflate it. ``sampled_history`` is the stored
+    visit history: every first visit in full-memory mode, every
+    ``sample_stride``-th first visit in sentinel mode. The history is
+    record keeping only and never feeds back into control decisions.
     """
 
-    known_walls: set = field(default_factory=set)
-    known_free: set = field(default_factory=set)
-    visited: set = field(default_factory=set)
-    sampled_history: list = field(default_factory=list)
-    revision: int = 0
+    n: int
+    stride: int = field(init=False, repr=False)  # n + 2, the padded row width
+    known: bytearray = field(init=False, repr=False)
+    visited_mask: bytearray = field(init=False, repr=False)
+    visited_count: int = field(init=False, default=0)
+    sampled_history: list = field(init=False, default_factory=list)
+    offsets: dict = field(init=False, repr=False)  # heading -> index step
+
+    def __post_init__(self):
+        n = self.n
+        self.stride = w = n + 2
+        self.offsets = {EAST: 1, SOUTH: w, WEST: -1, NORTH: -w}
+        self.known = _pad(np.full((n, n), UNKNOWN, dtype=np.uint8))
+        self.visited_mask = bytearray(len(self.known))
+
+    def index(self, x: int, y: int) -> int:
+        """Flat index of grid cell ``(x, y)``; raises if it is off the grid."""
+        if not (0 <= x < self.n and 0 <= y < self.n):
+            raise ValueError(f"cell {(x, y)} is off the {self.n}x{self.n} grid")
+        return (x + 2) * self.stride + y + 1
+
+    def cell(self, i: int) -> Position:
+        """Grid cell ``(x, y)`` at flat index ``i``; inverse of ``index``."""
+        x, y = divmod(i, self.stride)
+        return (x - 2, y - 1)
+
+    def _cells(self, layout: bytearray, byte: int) -> set:
+        return {self.cell(i) for i, b in enumerate(layout) if b == byte}
 
     @property
-    def visited_count(self) -> int:
-        return len(self.visited)
+    def known_free(self) -> set:
+        """Cells known to be open (a fresh set; for inspection and tests)."""
+        return self._cells(self.known, OPEN)
+
+    @property
+    def known_walls(self) -> set:
+        """Cells known to be walls (a fresh set; for inspection and tests)."""
+        return self._cells(self.known, WALL)
+
+    @property
+    def visited(self) -> set:
+        """Cells the agent has occupied (a fresh set; for inspection and tests)."""
+        return self._cells(self.visited_mask, 1)
+
+    @property
+    def revision(self) -> int:
+        """Number of grid cells with a known fact; grows with each new fact."""
+        known = self.known
+        return len(known) - known.count(UNKNOWN) - known.count(OUTSIDE)
 
     def note(self, cell: Position, result: Probe) -> None:
         """Record one probe result. Out-of-bounds probes carry no cell fact."""
-        if result is Probe.PASSABLE:
-            if cell not in self.known_free:
-                self.known_free.add(cell)
-                self.revision += 1
-        elif result is Probe.BLOCKED:
-            if cell not in self.known_walls:
-                self.known_walls.add(cell)
-                self.revision += 1
+        if result is Probe.OUT_OF_BOUNDS:
+            return
+        i = self.index(*cell)
+        if self.known[i] == UNKNOWN:
+            self.known[i] = OPEN if result is Probe.PASSABLE else WALL
 
     def observe_surroundings(self, maze: MazeGrid, pos: Position) -> None:
         """Probe the occupied cell and its four neighbours.
 
-        Learns the same facts in the same order (self, E, S, W, N) as
-        noting ``probe`` of each cell, read straight from the padded
-        layout. ``pos`` must be on the grid: off it, a padded index
-        would alias another cell.
+        Learns the same facts (self, E, S, W, N) as noting ``probe`` of
+        each cell, by copying the maze's bytes into the cells still
+        unknown. The padding is OUTSIDE in both layouts, so off-grid
+        neighbours are never copied. ``pos`` must be on the grid: off
+        it, a padded index would alias another cell.
         """
         x, y = pos
-        n = maze.n
+        n = self.n
+        if maze.n != n:
+            raise ValueError(f"sensing a {maze.n}x{maze.n} maze into a {n}x{n} map")
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"cannot sense from off-grid position {pos}")
         cells = maze.cells
-        w = maze.stride
+        known = self.known
+        w = self.stride
         i = (x + 2) * w + y + 1
-        free = self.known_free
-        walls = self.known_walls
-        before = len(free) + len(walls)
-        for cell, byte in (
-            (pos, cells[i]),
-            ((x, y + 1), cells[i + 1]),
-            ((x + 1, y), cells[i + w]),
-            ((x, y - 1), cells[i - 1]),
-            ((x - 1, y), cells[i - w]),
-        ):
-            if byte == OPEN:
-                free.add(cell)
-            elif byte == WALL:
-                walls.add(cell)
-        self.revision += len(free) + len(walls) - before
+        for j in (i, i + 1, i + w, i - 1, i - w):
+            if known[j] == UNKNOWN:
+                known[j] = cells[j]
 
     def record(self, pos: Position, memory: str, sample_stride: int) -> bool:
         """Mark ``pos`` visited; returns True if it was a first visit."""
-        if pos in self.visited:
+        x, y = pos
+        n = self.n
+        if not (0 <= x < n and 0 <= y < n):  # ``index``, inlined: once per step
+            raise ValueError(f"cannot visit off-grid position {pos}")
+        i = (x + 2) * self.stride + y + 1
+        if self.visited_mask[i]:
             return False
-        ordinal = len(self.visited)
-        self.visited.add(pos)
+        ordinal = self.visited_count
+        self.visited_mask[i] = 1
+        self.visited_count = ordinal + 1
         if memory == "full" or ordinal % sample_stride == 0:
             self.sampled_history.append(pos)
         return True

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .grid import (
-    DIRECTION_VECTORS,
-    HEADINGS,
+    OUTSIDE,
+    WALL,
     KnowledgeMap,
     MazeGrid,
     Position,
@@ -42,14 +42,11 @@ class StepOutcome(Enum):
 class Plan:
     """Waypoints from the current cell to the target, inclusive.
 
-    ``cursor`` marks the waypoint the agent currently stands on;
-    ``planned_over`` records the knowledge revision the plan was built
-    against.
+    ``cursor`` marks the waypoint the agent currently stands on.
     """
 
     waypoints: list
     cost: int
-    planned_over: int
     cursor: int = 0
 
 
@@ -58,47 +55,55 @@ def astar_plan(
 ) -> Plan | None:
     """Shortest path over the optimistic planning graph, or None.
 
-    None is only possible when the target itself is a known wall, which
-    generated mazes never allow.
+    Searches flat indices of ``knowledge.known``: a cell is blocked when
+    it is a known wall or outside the grid (the padding). Heap entries
+    are ``(f, h, counter, index)``. None is only possible when the
+    target itself is a known wall, which generated mazes never allow.
     """
-    if start in knowledge.known_walls:
+    if n != knowledge.n:
+        raise ValueError(f"planning on {n}x{n} with a {knowledge.n}x{knowledge.n} map")
+    known = knowledge.known
+    s = knowledge.index(*start)
+    t = knowledge.index(*target)
+    if known[s] == WALL:
         raise ValueError(f"cannot plan from a known wall at {start}")
-    if start == target:
-        return Plan([start], 0, knowledge.revision)
+    if s == t:
+        return Plan([start], 0)
 
-    walls = knowledge.known_walls
+    w = knowledge.stride
+    # Padded coordinates of the target; Manhattan distance is shift-invariant.
+    tx, ty = divmod(t, w)
     h0 = manhattan(start, target)
-    frontier = [(h0, h0, 0, start)]
+    frontier = [(h0, h0, 0, s)]
     came_from = {}
-    g_score = {start: 0}
+    g_score = {s: 0}
     closed = set()
     counter = 1
 
     while frontier:
-        _, _, _, cell = heapq.heappop(frontier)
-        if cell == target:
-            waypoints = [cell]
-            while cell in came_from:
-                cell = came_from[cell]
-                waypoints.append(cell)
+        i = heapq.heappop(frontier)[3]
+        if i == t:
+            waypoints = [target]
+            while i in came_from:
+                i = came_from[i]
+                waypoints.append(knowledge.cell(i))
             waypoints.reverse()
-            return Plan(waypoints, len(waypoints) - 1, knowledge.revision)
-        if cell in closed:
+            return Plan(waypoints, len(waypoints) - 1)
+        if i in closed:
             continue
-        closed.add(cell)
-        g_next = g_score[cell] + 1
-        x, y = cell
-        for heading in HEADINGS:
-            dx, dy = DIRECTION_VECTORS[heading]
-            nbr = (x + dx, y + dy)
-            if not (0 <= nbr[0] < n and 0 <= nbr[1] < n) or nbr in walls:
+        closed.add(i)
+        g_next = g_score[i] + 1
+        for j in (i + 1, i + w, i - 1, i - w):
+            b = known[j]
+            if b == WALL or b == OUTSIDE:
                 continue
-            if nbr in g_score and g_score[nbr] <= g_next:
+            if j in g_score and g_score[j] <= g_next:
                 continue
-            g_score[nbr] = g_next
-            came_from[nbr] = cell
-            h = manhattan(nbr, target)
-            heapq.heappush(frontier, (g_next + h, h, counter, nbr))
+            g_score[j] = g_next
+            came_from[j] = i
+            x, y = divmod(j, w)
+            h = abs(x - tx) + abs(y - ty)
+            heapq.heappush(frontier, (g_next + h, h, counter, j))
             counter += 1
     return None
 

@@ -33,6 +33,7 @@ from .grid import (
     DIRECTION_VECTORS,
     EAST,
     HEADINGS,
+    OPEN,
     KnowledgeMap,
     MazeGrid,
     Position,
@@ -53,6 +54,9 @@ _TURN_LEFT = {v: k for k, v in _TURN_RIGHT.items()}
 _OPPOSITE = {"E": "W", "W": "E", "N": "S", "S": "N"}
 
 _STEP_TO_HEADING = {v: k for k, v in DIRECTION_VECTORS.items()}
+
+# Wall-following preference from each heading: right, straight, left, back.
+_FOLLOW_ORDER = {h: (_TURN_RIGHT[h], h, _TURN_LEFT[h], _OPPOSITE[h]) for h in HEADINGS}
 
 
 class SpiralStuck(RuntimeError):
@@ -141,8 +145,10 @@ def spiral_next(
     """Advance the walker one cell and return (new position, state).
 
     On arrival the walker records the visit and senses all four
-    neighbours into ``knowledge``. Raises SpiralStuck when every
-    neighbour is blocked, which cannot happen on a connected maze.
+    neighbours into ``knowledge``; the starting cell must have been
+    sensed the same way before the first call. Raises SpiralStuck when
+    no neighbour is known to be passable, which cannot happen on a
+    connected maze.
     """
     n = maze.n
 
@@ -162,7 +168,7 @@ def spiral_next(
         path = _path_to_nearest_unvisited(state.pos, knowledge)
         if path is None:
             # Reachable component fully visited; keep moving regardless.
-            _wall_follow_move(state, maze, knowledge)
+            _wall_follow_move(state, knowledge)
             _arrive(state, maze, knowledge)
             return state.pos, state
         state.escape_path = path
@@ -174,9 +180,7 @@ def spiral_next(
         approach = _STEP_TO_HEADING[
             (pending[0] - state.pos[0], pending[1] - state.pos[1])
         ]
-        result = probe(maze, state.pos, pending)
-        knowledge.note(pending, result)
-        if result is Probe.PASSABLE:
+        if probe(maze, state.pos, pending) is Probe.PASSABLE:
             state.pos = pending
             state.heading = approach
             state.next_idx += 1
@@ -190,7 +194,7 @@ def spiral_next(
         state.detour_seen = set()
         state.heading = _TURN_LEFT[approach]
 
-    fresh = _wall_follow_move(state, maze, knowledge)
+    fresh = _wall_follow_move(state, knowledge)
     _arrive(state, maze, knowledge)
     state.detour_stale = 0 if fresh else state.detour_stale + 1
 
@@ -238,51 +242,49 @@ def _escape_step(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) ->
 def _path_to_nearest_unvisited(pos: Position, knowledge: KnowledgeMap) -> deque | None:
     """Shortest path over known-free cells to the nearest unvisited one.
 
-    Returns the cells to step onto in order (excluding ``pos``), or None
-    when every known-free cell has been visited already. Intermediate
-    cells of the returned path are always previously visited, so exactly
-    one new cell is covered per escape.
+    Breadth-first over flat indices, expanding E, S, W, N. Returns the
+    cells to step onto in order (excluding ``pos``), or None when every
+    known-free cell has been visited already. Intermediate cells of the
+    returned path are always previously visited, so exactly one new cell
+    is covered per escape.
     """
-    free = knowledge.known_free
-    visited = knowledge.visited
-    parents = {pos: None}
-    frontier = deque([pos])
+    known = knowledge.known
+    visited = knowledge.visited_mask
+    w = knowledge.stride
+    start = knowledge.index(*pos)
+    parents = {start: start}
+    frontier = deque([start])
     while frontier:
-        cell = frontier.popleft()
-        if cell not in visited:
+        i = frontier.popleft()
+        if not visited[i]:
             path = deque()
-            while parents[cell] is not None:
-                path.appendleft(cell)
-                cell = parents[cell]
+            while i != start:
+                path.appendleft(knowledge.cell(i))
+                i = parents[i]
             return path
-        x, y = cell
-        for heading in HEADINGS:
-            dx, dy = DIRECTION_VECTORS[heading]
-            nbr = (x + dx, y + dy)
-            if nbr in free and nbr not in parents:
-                parents[nbr] = cell
-                frontier.append(nbr)
+        for j in (i + 1, i + w, i - 1, i - w):
+            if known[j] == OPEN and j not in parents:
+                parents[j] = i
+                frontier.append(j)
     return None
 
 
-def _wall_follow_move(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> bool:
+def _wall_follow_move(state: SpiralState, knowledge: KnowledgeMap) -> bool:
     """Right-hand rule: prefer right turn, then straight, left, back.
 
-    Returns True when the cell stepped onto had never been visited.
+    Chooses from the four neighbour facts the sensor recorded on arrival
+    at ``state.pos``, so it probes nothing itself. Returns True when the
+    cell stepped onto had never been visited.
     """
     x, y = state.pos
-    for heading in (
-        _TURN_RIGHT[state.heading],
-        state.heading,
-        _TURN_LEFT[state.heading],
-        _OPPOSITE[state.heading],
-    ):
-        dx, dy = DIRECTION_VECTORS[heading]
-        cell = (x + dx, y + dy)
-        result = probe(maze, state.pos, cell)
-        knowledge.note(cell, result)
-        if result is Probe.PASSABLE:
-            state.pos = cell
+    i = (x + 2) * knowledge.stride + y + 1  # knowledge.index, inlined: once per step
+    known = knowledge.known
+    offsets = knowledge.offsets
+    for heading in _FOLLOW_ORDER[state.heading]:
+        j = i + offsets[heading]
+        if known[j] == OPEN:
+            dx, dy = DIRECTION_VECTORS[heading]
+            state.pos = (x + dx, y + dy)
             state.heading = heading
-            return cell not in knowledge.visited
-    raise SpiralStuck(f"no passable neighbour at {state.pos}")
+            return not knowledge.visited_mask[j]
+    raise SpiralStuck(f"no passable neighbour known at {state.pos}")

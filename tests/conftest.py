@@ -99,3 +99,30 @@ def bfs_reachable(maze, start=(0, 0)):
                 seen.add(nbr)
                 queue.append(nbr)
     return seen
+
+
+def reference_escape_path(pos, free, visited):
+    """Independent escape search over ``(x, y)`` tuple sets.
+
+    Breadth-first from ``pos`` through the cells in ``free``, expanding
+    E, S, W, N; returns the cells after ``pos`` up to the first cell not
+    in ``visited``, or None when there is none.
+    """
+    from collections import deque
+
+    parents = {pos: None}
+    queue = deque([pos])
+    while queue:
+        cell = queue.popleft()
+        if cell not in visited:
+            path = []
+            while parents[cell] is not None:
+                path.append(cell)
+                cell = parents[cell]
+            return path[::-1]
+        x, y = cell
+        for nbr in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+            if nbr in free and nbr not in parents:
+                parents[nbr] = cell
+                queue.append(nbr)
+    return None

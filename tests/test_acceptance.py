@@ -14,7 +14,7 @@ import pytest
 
 from mazeswitch.bench import SuiteConfig, run_suite
 from mazeswitch.episode import SUCCESS, VARIANTS, EpisodeConfig, record_to_json, run_episode
-from mazeswitch.grid import KnowledgeMap, generate_maze
+from mazeswitch.grid import KnowledgeMap, Probe, generate_maze
 from mazeswitch.pathfind import astar_plan
 from mazeswitch.qlearn import (
     N_ACTIONS,
@@ -151,10 +151,11 @@ def test_criterion_6_astar_matches_bfs_oracle():
     for n in (16, 32):
         for seed in range(BASE_SEED, BASE_SEED + 25):
             maze = generate_maze(n, seed)
-            knowledge = KnowledgeMap()
-            knowledge.known_walls = {
-                (x, y) for x in range(n) for y in range(n) if maze.walls[x, y]
-            }
+            knowledge = KnowledgeMap(n)
+            for x in range(n):
+                for y in range(n):
+                    if maze.walls[x, y]:
+                        knowledge.note((x, y), Probe.BLOCKED)
             plan = astar_plan((0, 0), maze.target, knowledge, n)
             oracle = bfs_distance(maze, (0, 0), maze.target)
             if plan is None or plan.cost != oracle:

@@ -159,6 +159,53 @@ class TestReplay:
         assert printed.strip() == "record 2: identical"
 
 
+    def test_bad_lines_are_reported_and_the_rest_replay(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        run_cli(
+            ["run", "--sizes", "16", "--mazes", "2", "--variants", "spiral",
+             "--seed", "0", "--out", str(out)]
+        )
+        capsys.readouterr()
+        good = (out / "episodes.jsonl").read_text().splitlines()
+        unknown = json.loads(good[0])
+        unknown["config"]["variant"] = "zigzag"
+        odd = json.loads(good[0])
+        odd["config"]["n"] = 15
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(
+            "\n".join(
+                [
+                    good[0],
+                    '{"config": {"n": 16',
+                    json.dumps(unknown),
+                    '{"config":{"n":16}}',
+                    json.dumps(odd),
+                    "[1, 2]",
+                    good[1],
+                ]
+            )
+            + "\n"
+        )
+        code = run_cli(["replay", str(path)])
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert printed[0] == "record 1: identical"
+        assert printed[1].startswith("record 2: ERROR ")
+        assert printed[2].startswith("record 3: ERROR unknown variant 'zigzag'")
+        assert printed[3].startswith("record 4: ERROR config is missing ")
+        assert "maze_seed" in printed[3]
+        assert printed[4].startswith("record 5: ERROR maze size must be even")
+        assert printed[5] == "record 6: ERROR record has no config object"
+        assert printed[6] == "record 7: identical"
+        assert len(printed) == 7
+
+    def test_only_errors_still_exit_nonzero(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("not json\n")
+        assert run_cli(["replay", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("record 1: ERROR ")
+
+
 class TestAblate:
     def test_prints_table_and_writes_outputs(self, tmp_path, capsys):
         out = tmp_path / "abl"
@@ -171,6 +218,12 @@ class TestAblate:
         rows = json.loads((out / "ablation.json").read_text())
         assert [r["variant"] for r in rows] == ["spiral", "spiral_conv", "spiral_rl"]
         assert rows[0]["delta_pct"] == 0.0
+
+    def test_long_flag_is_not_accepted(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["ablate", "--size", "16", "--long"])
+        assert exc.value.code == 2
+        assert "--long" in capsys.readouterr().err
 
 
 class TestSuiteArgumentErrors:

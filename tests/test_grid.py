@@ -100,8 +100,8 @@ class TestProbe:
 
 
 def _assert_sensor_matches_reference(maze, positions):
-    k = KnowledgeMap()
-    ref = KnowledgeMap()
+    k = KnowledgeMap(maze.n)
+    ref = KnowledgeMap(maze.n)
     for pos in positions:
         k.observe_surroundings(maze, pos)
         reference_observe(ref, maze, pos)
@@ -156,7 +156,7 @@ class TestSensorMatchesReference:
         "pos", [(-1, 0), (0, -1), (8, 0), (0, 8), (-1, -1), (8, 8), (-2, 5), (3, 9), (100, 3)]
     )
     def test_sensing_off_grid_raises(self, open_grid, pos):
-        k = KnowledgeMap()
+        k = KnowledgeMap(8)
         with pytest.raises(ValueError):
             k.observe_surroundings(open_grid(8), pos)
         assert not k.known_free and not k.known_walls and k.revision == 0
@@ -192,23 +192,25 @@ class TestManhattan:
 
 class TestCoveragePercent:
     def test_zero(self):
-        assert coverage_percent(KnowledgeMap(), 16) == 0.0
+        assert coverage_percent(KnowledgeMap(16), 16) == 0.0
 
     def test_full(self):
-        k = KnowledgeMap()
-        k.visited = {(x, y) for x in range(16) for y in range(16)}
+        k = KnowledgeMap(16)
+        for cell in [(x, y) for x in range(16) for y in range(16)]:
+            k.record(cell, "full", 1)
         assert coverage_percent(k, 16) == 100.0
 
     def test_half(self):
-        k = KnowledgeMap()
-        k.visited = {(i // 16, i % 16) for i in range(128)}
+        k = KnowledgeMap(16)
+        for cell in [(i // 16, i % 16) for i in range(128)]:
+            k.record(cell, "full", 1)
         assert coverage_percent(k, 16) == 50.0
 
 
 class TestKnowledgeMap:
     def test_walls_and_free_disjoint(self):
         maze = generate_maze(16, 3)
-        k = KnowledgeMap()
+        k = KnowledgeMap(16)
         for x in range(16):
             for y in range(16):
                 if not maze.walls[x, y]:
@@ -217,11 +219,31 @@ class TestKnowledgeMap:
 
     def test_revision_bumps_on_new_facts_only(self):
         maze = generate_maze(16, 1)
-        k = KnowledgeMap()
+        k = KnowledgeMap(16)
         k.observe_surroundings(maze, (0, 0))
         rev = k.revision
         k.observe_surroundings(maze, (0, 0))
         assert k.revision == rev
+
+    def test_first_fact_about_a_cell_stands(self):
+        k = KnowledgeMap(8)
+        k.note((2, 3), Probe.BLOCKED)
+        k.note((2, 3), Probe.PASSABLE)
+        k.note((9, 3), Probe.OUT_OF_BOUNDS)
+        assert k.known_walls == {(2, 3)} and not k.known_free and k.revision == 1
+
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, 8), (8, 8), (3, -2)])
+    def test_off_grid_cells_are_rejected(self, cell):
+        k = KnowledgeMap(8)
+        with pytest.raises(ValueError):
+            k.note(cell, Probe.PASSABLE)
+        with pytest.raises(ValueError):
+            k.record(cell, "full", 1)
+        assert k.revision == 0 and k.visited_count == 0 and not k.visited
+
+    def test_sensing_a_maze_of_another_size_raises(self):
+        with pytest.raises(ValueError):
+            KnowledgeMap(8).observe_surroundings(generate_maze(16, 1), (0, 0))
 
 
 class TestTextFormat:

@@ -1,31 +1,29 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mazeswitch.grid import KnowledgeMap, generate_maze, manhattan, trajectory_from_text
+from mazeswitch.grid import KnowledgeMap, Probe, generate_maze, manhattan, trajectory_from_text
 from mazeswitch.pathfind import StepOutcome, astar_plan, follow_plan, plan_to_text
 from conftest import bfs_distance
 
 
 def full_knowledge(maze):
     """Knowledge map that already knows every wall; planning oracle setup."""
-    k = KnowledgeMap()
-    k.known_walls = {
-        (x, y) for x in range(maze.n) for y in range(maze.n) if maze.walls[x, y]
-    }
-    k.known_free = {
-        (x, y) for x in range(maze.n) for y in range(maze.n) if not maze.walls[x, y]
-    }
+    k = KnowledgeMap(maze.n)
+    for x in range(maze.n):
+        for y in range(maze.n):
+            k.note((x, y), Probe.BLOCKED if maze.walls[x, y] else Probe.PASSABLE)
     return k
 
 
 class TestAstarPlan:
     def test_open_graph_meets_manhattan_bound(self):
-        plan = astar_plan((0, 0), (3, 3), KnowledgeMap(), 4)
+        plan = astar_plan((0, 0), (3, 3), KnowledgeMap(4), 4)
         assert plan.cost == 6
         assert plan.waypoints[0] == (0, 0)
         assert plan.waypoints[-1] == (3, 3)
 
     def test_start_equals_target(self):
-        plan = astar_plan((2, 2), (2, 2), KnowledgeMap(), 8)
+        plan = astar_plan((2, 2), (2, 2), KnowledgeMap(8), 8)
         assert plan.cost == 0
         assert plan.waypoints == [(2, 2)]
 
@@ -40,6 +38,24 @@ class TestAstarPlan:
             maze = generate_maze(n, seed)
             plan = astar_plan((0, 0), maze.target, full_knowledge(maze), n)
             assert plan.cost == bfs_distance(maze, (0, 0), maze.target), (n, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        half=st.integers(4, 32),
+        seed=st.integers(-(2**63), 2**64 - 1),
+        data=st.data(),
+    )
+    def test_full_knowledge_cost_equals_bfs_oracle(self, half, seed, data):
+        maze = generate_maze(2 * half, seed)
+        open_cells = [
+            (x, y) for x in range(maze.n) for y in range(maze.n) if not maze.walls[x, y]
+        ]
+        start = data.draw(st.sampled_from(open_cells))
+        plan = astar_plan(start, maze.target, full_knowledge(maze), maze.n)
+        oracle = bfs_distance(maze, start, maze.target)
+        assert (plan is None) == (oracle is None)
+        if plan is not None:
+            assert plan.cost == oracle
 
     def test_cost_never_below_manhattan(self):
         maze = generate_maze(16, 4)
@@ -67,27 +83,29 @@ class TestAstarPlan:
         )
 
     def test_no_path_when_target_sealed(self):
-        k = KnowledgeMap()
-        k.known_walls = {(1, 1), (2, 1)}
+        k = KnowledgeMap(4)
+        for cell in ((1, 1), (2, 1)):
+            k.note(cell, Probe.BLOCKED)
         assert astar_plan((0, 0), (3, 3), k, 4) is not None  # routes around
-        k.known_walls = {(2, 3), (3, 2)}  # box the target corner
+        for cell in ((2, 3), (3, 2)):  # box the target corner
+            k.note(cell, Probe.BLOCKED)
         assert astar_plan((0, 0), (3, 3), k, 4) is None
 
     def test_planning_from_known_wall_rejected(self):
-        k = KnowledgeMap()
-        k.known_walls = {(0, 0)}
+        k = KnowledgeMap(4)
+        k.note((0, 0), Probe.BLOCKED)
         with pytest.raises(ValueError):
             astar_plan((0, 0), (3, 3), k, 4)
 
     def test_plan_dump_round_trips_waypoints(self):
-        plan = astar_plan((0, 0), (3, 3), KnowledgeMap(), 4)
+        plan = astar_plan((0, 0), (3, 3), KnowledgeMap(4), 4)
         assert trajectory_from_text(plan_to_text(plan)) == plan.waypoints
 
 
 class TestFollowPlan:
     def test_advances_on_passable(self, open_grid):
         maze = open_grid(8)
-        k = KnowledgeMap()
+        k = KnowledgeMap(8)
         plan = astar_plan((0, 0), (4, 4), k, 8)
         pos, outcome = follow_plan(plan, maze, k)
         assert outcome is StepOutcome.ADVANCED
@@ -95,7 +113,7 @@ class TestFollowPlan:
 
     def test_blocked_waypoint_triggers_replan(self):
         maze = generate_maze(16, 1)
-        k = KnowledgeMap()  # knows nothing: optimistic plan will hit walls
+        k = KnowledgeMap(maze.n)  # knows nothing: optimistic plan will hit walls
         plan = astar_plan((0, 0), maze.target, k, maze.n)
         blocked_at = None
         for _ in range(plan.cost):
@@ -109,7 +127,7 @@ class TestFollowPlan:
 
     def test_arrives_at_target(self, open_grid):
         maze = open_grid(8)
-        k = KnowledgeMap()
+        k = KnowledgeMap(8)
         plan = astar_plan((0, 0), (0, 2), k, 8)
         follow_plan(plan, maze, k)
         pos, outcome = follow_plan(plan, maze, k)
@@ -119,7 +137,7 @@ class TestFollowPlan:
     def test_replan_loop_terminates_and_arrives(self):
         # Walk the full replanning loop with zero prior knowledge.
         maze = generate_maze(16, 1)
-        k = KnowledgeMap()
+        k = KnowledgeMap(maze.n)
         k.observe_surroundings(maze, (0, 0))
         pos = (0, 0)
         moves = 0
@@ -142,7 +160,7 @@ class TestFollowPlan:
 
     def test_never_moves_onto_wall(self):
         maze = generate_maze(16, 6)
-        k = KnowledgeMap()
+        k = KnowledgeMap(maze.n)
         k.observe_surroundings(maze, (0, 0))
         pos = (0, 0)
         for _ in range(500):

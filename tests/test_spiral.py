@@ -1,9 +1,15 @@
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mazeswitch.grid import (
+    OPEN,
+    UNKNOWN,
+    WALL,
     KnowledgeMap,
+    Probe,
     coverage_percent,
     generate_maze,
     manhattan,
@@ -20,14 +26,15 @@ from mazeswitch.spiral import (
     ring_length,
     spiral_next,
 )
-from conftest import bfs_reachable, sealed_pocket_grid
+from mazeswitch.spiral import _path_to_nearest_unvisited
+from conftest import bfs_reachable, reference_escape_path, sealed_pocket_grid
 
 DATA = Path(__file__).parent / "data"
 
 
 def walk(maze, steps, memory="full", stride=4):
     """Drive the spiral and return (trajectory, state, knowledge)."""
-    knowledge = KnowledgeMap()
+    knowledge = KnowledgeMap(maze.n)
     state = SpiralState(memory=memory, sample_stride=stride)
     record_visit(state, knowledge, (0, 0))
     knowledge.observe_surroundings(maze, (0, 0))
@@ -85,7 +92,7 @@ class TestOpenGridSpiral:
 
 class TestRecordVisit:
     def test_full_memory_keeps_every_first_visit(self):
-        k = KnowledgeMap()
+        k = KnowledgeMap(16)
         state = SpiralState()
         for i in range(10):
             record_visit(state, k, (0, i))
@@ -93,7 +100,7 @@ class TestRecordVisit:
         assert k.visited_count == 10
 
     def test_sentinel_stride_subsamples_history(self):
-        k = KnowledgeMap()
+        k = KnowledgeMap(16)
         state = SpiralState(memory=SENTINEL, sample_stride=4)
         for i in range(10):
             record_visit(state, k, (0, i))
@@ -101,7 +108,7 @@ class TestRecordVisit:
         assert k.sampled_history == [(0, 0), (0, 4), (0, 8)]
 
     def test_revisit_changes_nothing(self):
-        k = KnowledgeMap()
+        k = KnowledgeMap(16)
         state = SpiralState()
         record_visit(state, k, (0, 0))
         record_visit(state, k, (0, 0))
@@ -113,7 +120,7 @@ class TestMazeSpiral:
     def test_reaches_all_reachable_cells_16_seed1(self):
         maze = generate_maze(16, 1)
         reachable = bfs_reachable(maze)
-        knowledge = KnowledgeMap()
+        knowledge = KnowledgeMap(maze.n)
         state = SpiralState()
         record_visit(state, knowledge, (0, 0))
         knowledge.observe_surroundings(maze, (0, 0))
@@ -139,7 +146,7 @@ class TestMazeSpiral:
 
     def test_coverage_monotone(self):
         maze = generate_maze(16, 2)
-        knowledge = KnowledgeMap()
+        knowledge = KnowledgeMap(maze.n)
         state = SpiralState()
         record_visit(state, knowledge, (0, 0))
         knowledge.observe_surroundings(maze, (0, 0))
@@ -160,8 +167,64 @@ class TestMazeSpiral:
 
     def test_stuck_in_sealed_pocket(self):
         maze = sealed_pocket_grid()
-        knowledge = KnowledgeMap()
+        knowledge = KnowledgeMap(maze.n)
         state = SpiralState()
         record_visit(state, knowledge, (0, 0))
         with pytest.raises(SpiralStuck):
+            spiral_next(state, maze, knowledge)
+
+
+MAZE_SIZES = st.integers(4, 32).map(lambda half: 2 * half)
+SEEDS = st.integers(-(2**63), 2**64 - 1)
+
+
+class TestFlatSearchesMatchReferences:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=MAZE_SIZES,
+        seed=SEEDS,
+        known_share=st.floats(0.2, 1.0),
+        visited_share=st.floats(0.0, 1.0),
+        pick=st.integers(0, 2**32 - 1),
+    )
+    def test_escape_path_matches_reference(self, n, seed, known_share, visited_share, pick):
+        maze = generate_maze(n, seed)
+        rng = random.Random(pick)
+        knowledge = KnowledgeMap(n)
+        free, visited = {(0, 0)}, {(0, 0)}
+        knowledge.note((0, 0), Probe.PASSABLE)
+        knowledge.record((0, 0), "full", 1)
+        for x in range(n):
+            for y in range(n):
+                if (x, y) == (0, 0) or rng.random() >= known_share:
+                    continue
+                if maze.walls[x, y]:
+                    knowledge.note((x, y), Probe.BLOCKED)
+                    continue
+                knowledge.note((x, y), Probe.PASSABLE)
+                free.add((x, y))
+                if rng.random() < visited_share:
+                    knowledge.record((x, y), "full", 1)
+                    visited.add((x, y))
+        for pos in rng.sample(sorted(visited), min(len(visited), 40)):
+            path = _path_to_nearest_unvisited(pos, knowledge)
+            expected = reference_escape_path(pos, free, visited)
+            assert (None if path is None else list(path)) == expected, pos
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=MAZE_SIZES, seed=SEEDS, steps=st.integers(1, 3000))
+    def test_walker_knows_its_neighbours_before_each_move(self, n, seed, steps):
+        maze = generate_maze(n, seed)
+        knowledge = KnowledgeMap(n)
+        state = SpiralState()
+        record_visit(state, knowledge, (0, 0))
+        knowledge.observe_surroundings(maze, (0, 0))
+        for _ in range(min(steps, 2 * n * n)):
+            x, y = state.pos
+            assert not maze.walls[x, y]
+            for cell in ((x, y), (x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
+                if 0 <= cell[0] < n and 0 <= cell[1] < n:
+                    fact = knowledge.known[knowledge.index(*cell)]
+                    assert fact != UNKNOWN, (state.pos, cell)
+                    assert fact == (WALL if maze.walls[cell] else OPEN), (state.pos, cell)
             spiral_next(state, maze, knowledge)
