@@ -8,7 +8,7 @@ cells it has stood on.
 
 from mazeswitch import KnowledgeMap, coverage_percent, generate_maze
 from mazeswitch.grid import MazeGrid
-from mazeswitch.spiral import SpiralState, record_visit, spiral_next
+from mazeswitch.spiral import SpiralState, spiral_next
 
 import numpy as np
 
@@ -19,8 +19,7 @@ open_grid = MazeGrid(n=6, walls=walls, target=(3, 3), seed=0)
 
 knowledge = KnowledgeMap(6)
 state = SpiralState()
-record_visit(state, knowledge, (0, 0))
-knowledge.observe_surroundings(open_grid, (0, 0))
+knowledge.arrive(open_grid, (0, 0))
 trace = [(0, 0)]
 for _ in range(35):
     pos, state = spiral_next(state, open_grid, knowledge)
@@ -33,8 +32,7 @@ print(f"covered {knowledge.visited_count}/36 cells in {len(trace) - 1} moves\n")
 maze = generate_maze(16, seed=1)
 knowledge = KnowledgeMap(maze.n)
 state = SpiralState()
-record_visit(state, knowledge, (0, 0))
-knowledge.observe_surroundings(maze, (0, 0))
+knowledge.arrive(maze, (0, 0))
 for step in range(1, 4 * 16 * 16 + 1):
     spiral_next(state, maze, knowledge)
     if step % 64 == 0:

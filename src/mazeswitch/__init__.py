@@ -17,13 +17,11 @@ from .grid import (
     coverage_percent,
     from_text,
     generate_maze,
-    load_maze,
     manhattan,
     probe,
-    save_maze,
     to_text,
 )
-from .spiral import SpiralState, record_visit, spiral_next
+from .spiral import SpiralState, spiral_next
 from .pathfind import Plan, StepOutcome, astar_plan, follow_plan
 from .qlearn import (
     QTable,
@@ -40,7 +38,6 @@ from .episode import (
     EpisodeLog,
     VARIANTS,
     VariantSpec,
-    metrics,
     run_episode,
 )
 from .bench import SuiteConfig, SuiteReport, ablation, run_suite
@@ -52,13 +49,10 @@ __all__ = [
     "coverage_percent",
     "from_text",
     "generate_maze",
-    "load_maze",
     "manhattan",
     "probe",
-    "save_maze",
     "to_text",
     "SpiralState",
-    "record_visit",
     "spiral_next",
     "Plan",
     "StepOutcome",
@@ -76,7 +70,6 @@ __all__ = [
     "EpisodeLog",
     "VARIANTS",
     "VariantSpec",
-    "metrics",
     "run_episode",
     "SuiteConfig",
     "SuiteReport",

@@ -26,7 +26,7 @@ import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -80,15 +80,6 @@ class SuiteConfig:
         if unknown:
             raise ValueError(f"unknown variants: {unknown}")
 
-    def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "mazes_per_size": self.mazes_per_size,
-            "variants": list(self.variants),
-            "base_seed": self.base_seed,
-            "jobs": self.jobs,
-        }
-
 
 @dataclass
 class VariantRow:
@@ -103,20 +94,6 @@ class VariantRow:
     switch_coverage_hist: list  # 10 decile bins of coverage at switch
     threshold_hist: dict  # threshold -> selection count, learning variants only
 
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "variant": self.variant,
-            "mean_steps": self.mean_steps,
-            "median_steps": self.median_steps,
-            "min_steps": self.min_steps,
-            "max_steps": self.max_steps,
-            "stddev": self.stddev,
-            "success_rate": self.success_rate,
-            "switch_coverage_hist": self.switch_coverage_hist,
-            "threshold_hist": {str(k): v for k, v in self.threshold_hist.items()},
-        }
-
 
 @dataclass
 class SuiteReport:
@@ -128,12 +105,6 @@ class SuiteReport:
             if r.size == size and r.variant == variant:
                 return r
         raise KeyError(f"no row for size {size}, variant {variant}")
-
-    def to_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "rows": [r.to_dict() for r in self.rows],
-        }
 
 
 def rl_seed_for(suite: SuiteConfig, variant_name: str) -> int:
@@ -176,7 +147,7 @@ def run_suite(suite: SuiteConfig) -> tuple[SuiteReport, list]:
     report = SuiteReport(
         rows=aggregate(suite, logs),
         provenance={
-            "config": suite.to_dict(),
+            "config": asdict(suite),
             "version": __version__,
             "wall_clock_seconds": elapsed,  # informational, hardware-bound
         },
@@ -333,7 +304,7 @@ def read_report_csv(path) -> list:
 def write_report_json(report: SuiteReport, path) -> None:
     path = Path(path)
     try:
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise RuntimeError(f"cannot write report JSON to {path}") from exc
 
@@ -344,15 +315,6 @@ def read_report_json(path) -> dict:
         return json.loads(path.read_text())
     except OSError as exc:
         raise RuntimeError(f"cannot read report JSON from {path}") from exc
-
-
-def report_emit(report: SuiteReport, fmt: str, path) -> None:
-    if fmt == "csv":
-        write_report_csv(report, path)
-    elif fmt == "json":
-        write_report_json(report, path)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def format_report(report: SuiteReport) -> str:

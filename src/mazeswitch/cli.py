@@ -8,9 +8,10 @@ Subcommands::
     mazeswitch gen-maze  emit a maze in the text format
 
 ``run`` and ``ablate`` accept ``--config FILE``, an INI-style key=value
-file with a ``[suite]`` section mirroring the flags (sizes, mazes,
-variants, seed, jobs, out, long). Flags given on the command line
-override the file.
+file with a ``[suite]`` section whose keys are the subcommand's flag
+names (``long = true`` sets ``run --long``). The section is parsed as
+those flags, so a bad value or a key the subcommand has no flag for is
+a usage error, and flags given on the command line override the file.
 """
 
 from __future__ import annotations
@@ -57,76 +58,66 @@ def _parse_variants(text: str) -> tuple:
     return names
 
 
-def _load_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise SystemExit(f"config file not found: {path}")
-    if not parser.has_section("suite"):
-        raise SystemExit(f"config file {path} has no [suite] section")
-    section = parser["suite"]
-    values = {}
-    if "sizes" in section:
-        values["sizes"] = _parse_sizes(section["sizes"])
-    if "mazes" in section:
-        values["mazes"] = section.getint("mazes")
-    if "variants" in section:
-        values["variants"] = _parse_variants(section["variants"])
-    if "seed" in section:
-        values["seed"] = section.getint("seed")
-    if "jobs" in section:
-        values["jobs"] = section.getint("jobs")
-    if "out" in section:
-        values["out"] = section["out"]
-    if "long" in section:
-        values["long"] = section.getboolean("long")
-    return values
+def _parse_with_config(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """Parse ``argv``; with ``--config FILE``, parse again with the file's flags first.
 
-
-def _merge_suite_options(args, fill_default_sizes: bool = True) -> dict:
-    """File values first, then explicit flags on top."""
-    merged = {
-        "sizes": None,
-        "mazes": 10,
-        "variants": VARIANT_ORDER,
-        "seed": 0,
-        "jobs": 1,
-        "out": None,
-        "long": False,
-    }
-    if args.config:
-        merged.update(_load_config_file(args.config))
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            merged[key] = flag
-    if merged["sizes"] is None and fill_default_sizes:
-        merged["sizes"] = LONG_SIZES if merged["long"] else DEFAULT_SIZES
-    return merged
-
-
-def _suite_config(**kwargs) -> SuiteConfig:
-    """Build the suite, or exit with status 2 and one line on bad values."""
+    Each ``key = value`` of the ``[suite]`` section becomes ``--key=value``,
+    or ``--key`` when a true value sets a switch such as ``--long``. The
+    file's flags go before the command line's, so those win.
+    """
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    ini = configparser.ConfigParser()
     try:
-        return SuiteConfig(**kwargs)
+        found = ini.read(args.config)
+    except configparser.Error as exc:  # no section header, a duplicate key, ...
+        parser.error(f"config file {args.config}: {exc}")
+    if not found:
+        parser.error(f"config file not found: {args.config}")
+    if not ini.has_section("suite"):
+        parser.error(f"config file {args.config} has no [suite] section")
+    section = ini["suite"]
+    tokens = []
+    for key, value in section.items():
+        if not hasattr(args, key):  # also keeps argparse from expanding a prefix
+            parser.error(f"config file {args.config}: {args.command} has no --{key} flag")
+        if not isinstance(getattr(args, key), bool):
+            tokens.append(f"--{key}={value}")
+            continue
+        try:
+            if section.getboolean(key):
+                tokens.append(f"--{key}")
+        except ValueError as exc:
+            parser.error(f"config file {args.config}: {exc}")
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or exit with status 2 and one line on bad values."""
+    try:
+        return build(*args, **kwargs)
     except ValueError as exc:
         print(f"mazeswitch: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
 def _cmd_run(args) -> int:
-    opts = _merge_suite_options(args)
-    suite = _suite_config(
-        sizes=opts["sizes"],
-        mazes_per_size=opts["mazes"],
-        variants=opts["variants"],
-        base_seed=opts["seed"],
-        jobs=opts["jobs"],
+    sizes = args.sizes
+    if sizes is None:
+        sizes = LONG_SIZES if args.long else DEFAULT_SIZES
+    suite = _checked(
+        SuiteConfig,
+        sizes=sizes,
+        mazes_per_size=args.mazes,
+        variants=args.variants,
+        base_seed=args.seed,
+        jobs=args.jobs,
     )
     report, logs = run_suite(suite)
     print(format_report(report))
-    if opts["out"]:
-        out = Path(opts["out"])
+    if args.out:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_records(logs, out / "episodes.jsonl")
         write_report_csv(report, out / "report.csv")
@@ -149,19 +140,18 @@ def _write_qtable_dumps(logs, directory: Path) -> None:
 
 
 def _cmd_ablate(args) -> int:
-    opts = _merge_suite_options(args, fill_default_sizes=False)
-    sizes = opts["sizes"] if opts["sizes"] is not None else (args.size,)
-    suite = _suite_config(
-        sizes=sizes,
-        mazes_per_size=opts["mazes"],
+    suite = _checked(
+        SuiteConfig,
+        sizes=args.sizes if args.sizes is not None else (args.size,),
+        mazes_per_size=args.mazes,
         variants=("spiral", "spiral_conv", "spiral_rl"),
-        base_seed=opts["seed"],
-        jobs=opts["jobs"],
+        base_seed=args.seed,
+        jobs=args.jobs,
     )
     rows, logs = ablation(suite)
     print(format_ablation(rows))
-    if opts["out"]:
-        out = Path(opts["out"])
+    if args.out:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_records(logs, out / "ablation_episodes.jsonl")
         (out / "ablation.json").write_text(json.dumps(rows, indent=2) + "\n")
@@ -206,7 +196,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_gen_maze(args) -> int:
-    maze = generate_maze(args.size, args.seed)
+    maze = _checked(generate_maze, args.size, args.seed)
     text = to_text(maze)
     if args.out:
         Path(args.out).write_text(text)
@@ -225,12 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a benchmark suite")
     run_p.add_argument("--sizes", type=_parse_sizes, default=None, help="comma list, e.g. 16,32")
-    run_p.add_argument("--mazes", type=int, default=None, help="mazes per size (default 10)")
+    run_p.add_argument("--mazes", type=int, default=10, help="mazes per size (default 10)")
     run_p.add_argument(
-        "--variants", type=_parse_variants, default=None, help="'all' or comma list"
+        "--variants", type=_parse_variants, default=VARIANT_ORDER, help="'all' or comma list"
     )
-    run_p.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    run_p.add_argument("--jobs", type=int, default=None, help="parallel workers (default 1)")
+    run_p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    run_p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
     run_p.add_argument("--out", default=None, help="output directory for records and reports")
     run_p.add_argument("--long", action="store_true", help="include 128x128 mazes")
     run_p.add_argument("--config", default=None, help="INI file with a [suite] section")
@@ -239,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     abl_p = sub.add_parser("ablate", help="convergence ablation (none vs fixed vs learned)")
     abl_p.add_argument("--size", type=int, default=64, help="maze size (default 64)")
     abl_p.add_argument("--sizes", type=_parse_sizes, default=None, help="comma list override")
-    abl_p.add_argument("--mazes", type=int, default=None)
-    abl_p.add_argument("--seed", type=int, default=None)
-    abl_p.add_argument("--jobs", type=int, default=None)
+    abl_p.add_argument("--mazes", type=int, default=10)
+    abl_p.add_argument("--seed", type=int, default=0)
+    abl_p.add_argument("--jobs", type=int, default=1)
     abl_p.add_argument("--out", default=None)
     abl_p.add_argument("--config", default=None)
     abl_p.set_defaults(func=_cmd_ablate)
@@ -261,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_with_config(build_parser(), argv)
     return args.func(args)
 
 

@@ -41,14 +41,7 @@ from .qlearn import (
     switching_component,
     terminal_reward,
 )
-from .spiral import (
-    DEFAULT_SAMPLE_STRIDE,
-    FULL_MEMORY,
-    SENTINEL,
-    SpiralState,
-    record_visit,
-    spiral_next,
-)
+from .spiral import SpiralState, spiral_next
 
 FIXED_THRESHOLD = 40.0
 DEFAULT_DECISION_PERIOD = 50
@@ -145,14 +138,11 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     target = maze.target
     learning = cfg.variant.convergence == "rl"
 
-    knowledge = KnowledgeMap(n)
-    state = SpiralState(
-        memory=FULL_MEMORY if cfg.variant.base == "spiral" else SENTINEL,
-        sample_stride=DEFAULT_SAMPLE_STRIDE,
-    )
+    # Sentinel agents store every fourth first visit; coverage is exact for both.
+    knowledge = KnowledgeMap(n, sample_stride=1 if cfg.variant.base == "spiral" else 4)
+    state = SpiralState()
     pos = (0, 0)
-    record_visit(state, knowledge, pos)
-    knowledge.observe_surroundings(maze, pos)
+    knowledge.arrive(maze, pos)
     trajectory = [pos]
 
     threshold: Optional[float] = None
@@ -176,7 +166,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
 
     while steps < limit:
         if in_coverage:
-            # The walker senses all four neighbours on arrival itself.
+            # spiral_next calls knowledge.arrive on the new cell itself.
             pos, state = spiral_next(state, maze, knowledge)
             steps += 1
             trajectory.append(pos)
@@ -186,11 +176,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             if threshold is None:
                 continue
             coverage = coverage_percent(knowledge, n)
-            if coverage >= threshold:
-                in_coverage = False
-                switch_step, switch_coverage = steps, coverage
-                continue
-            if learning and steps % cfg.decision_period == 0:
+            if learning and coverage < threshold and steps % cfg.decision_period == 0:
                 state_id = discretize(coverage, manhattan(pos, target), n)
                 action = select_action(q, state_id)
                 threshold = float(action)
@@ -202,9 +188,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                     q_update(q, last_decision[0], last_decision[1], reward, state_id)
                 last_decision = (state_id, action)
                 prev_snapshot = (steps, coverage)
-                if coverage >= threshold:
-                    in_coverage = False
-                    switch_step, switch_coverage = steps, coverage
+            if coverage >= threshold:
+                in_coverage = False
+                switch_step, switch_coverage = steps, coverage
         else:
             if plan is None:
                 plan = astar_plan(pos, target, knowledge, n)
@@ -219,8 +205,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                 continue
             steps += 1
             trajectory.append(pos)
-            record_visit(state, knowledge, pos)
-            knowledge.observe_surroundings(maze, pos)
+            knowledge.arrive(maze, pos)
             if step_outcome is StepOutcome.ARRIVED:
                 outcome = SUCCESS
                 break
@@ -251,11 +236,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             q_update(q, last_decision[0], last_decision[1], log.terminal_reward.total, None)
         log.q_values = [[float(v) for v in row] for row in q.values]
     return log
-
-
-def metrics(log: EpisodeLog) -> tuple[int, float, int, str]:
-    """(steps, final coverage, role switches, outcome) projection."""
-    return log.total_steps, log.final_coverage, log.role_switches, log.outcome
 
 
 def to_record(log: EpisodeLog) -> dict:

@@ -33,7 +33,7 @@ walker, the escape search and A* read neighbours at the same four
 offsets and need no bounds check: a padding byte is never open and
 never unknown.
 
-Text form (``save_maze``/``load_maze`` round-trip exactly)::
+Text form (``to_text``/``from_text`` round-trip exactly)::
 
     n seed
     S.#...
@@ -49,7 +49,6 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -150,12 +149,14 @@ class KnowledgeMap:
     ``visited_mask`` is 1 at every cell the agent has occupied, and
     ``visited_count`` is its population: coverage counts distinct cells,
     so revisits never inflate it. ``sampled_history`` is the stored
-    visit history: every first visit in full-memory mode, every
-    ``sample_stride``-th first visit in sentinel mode. The history is
-    record keeping only and never feeds back into control decisions.
+    visit history: every ``sample_stride``-th first visit, so a stride
+    of 1 (full memory) keeps them all and the sentinel agents keep every
+    fourth. The history is record keeping only and never feeds back into
+    control decisions.
     """
 
     n: int
+    sample_stride: int = 1
     stride: int = field(init=False, repr=False)  # n + 2, the padded row width
     known: bytearray = field(init=False, repr=False)
     visited_mask: bytearray = field(init=False, repr=False)
@@ -236,7 +237,12 @@ class KnowledgeMap:
             if known[j] == UNKNOWN:
                 known[j] = cells[j]
 
-    def record(self, pos: Position, memory: str, sample_stride: int) -> bool:
+    def arrive(self, maze: MazeGrid, pos: Position) -> None:
+        """The agent stands on ``pos``: count the visit, then sense around it."""
+        self.record(pos)
+        self.observe_surroundings(maze, pos)
+
+    def record(self, pos: Position) -> bool:
         """Mark ``pos`` visited; returns True if it was a first visit."""
         x, y = pos
         n = self.n
@@ -248,7 +254,7 @@ class KnowledgeMap:
         ordinal = self.visited_count
         self.visited_mask[i] = 1
         self.visited_count = ordinal + 1
-        if memory == "full" or ordinal % sample_stride == 0:
+        if ordinal % self.sample_stride == 0:
             self.sampled_history.append(pos)
         return True
 
@@ -407,14 +413,6 @@ def from_text(text: str) -> MazeGrid:
     walls = np.array([[ch == "#" for ch in row] for row in body], dtype=bool).reshape(n, n)
     walls.flags.writeable = False
     return MazeGrid(n=n, walls=walls, target=target_seen, seed=seed)
-
-
-def save_maze(maze: MazeGrid, path) -> None:
-    Path(path).write_text(to_text(maze))
-
-
-def load_maze(path) -> MazeGrid:
-    return from_text(Path(path).read_text())
 
 
 def trajectory_to_text(positions) -> str:

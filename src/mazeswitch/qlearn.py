@@ -159,12 +159,8 @@ def decision_reward(
     )
 
 
-def dump_qtable(q: QTable) -> str:
-    """Text dump: 50 rows of 5 decimal reals, row index = state index."""
-    return dump_qtable_values(q.values)
-
-
 def dump_qtable_values(values) -> str:
+    """Text dump: 50 rows of 5 decimal reals, row index = state index."""
     lines = []
     for row in values:
         lines.append(" ".join(repr(float(v)) for v in row))

@@ -44,9 +44,3 @@ class SplitMix64:
             value = self.next_u64()
             if value < limit:
                 return value % bound
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]

@@ -41,10 +41,6 @@ from .grid import (
     probe,
 )
 
-FULL_MEMORY = "full"
-SENTINEL = "sentinel"
-DEFAULT_SAMPLE_STRIDE = 4
-
 # A detour hug that only retraces visited cells for this many consecutive
 # steps is abandoned in favour of a direct walk to unvisited ground.
 STALE_DETOUR_LIMIT = 24
@@ -118,8 +114,6 @@ class SpiralState:
     heading: str = EAST
     layer: int = 0
     next_idx: int = 1
-    memory: str = FULL_MEMORY
-    sample_stride: int = DEFAULT_SAMPLE_STRIDE
     detouring: bool = False
     detour_layer: int = 0
     detour_idx: int = 0
@@ -129,26 +123,15 @@ class SpiralState:
     escape_path: deque = field(default_factory=deque)
 
 
-def record_visit(state: SpiralState, knowledge: KnowledgeMap, pos: Position) -> KnowledgeMap:
-    """Count ``pos`` as visited; first visits may enter the stored history.
-
-    Sentinel mode stores every ``sample_stride``-th first visit; coverage
-    counting is exact in both modes, so sampling never changes behaviour.
-    """
-    knowledge.record(pos, state.memory, state.sample_stride)
-    return knowledge
-
-
 def spiral_next(
     state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap
 ) -> tuple[Position, SpiralState]:
     """Advance the walker one cell and return (new position, state).
 
-    On arrival the walker records the visit and senses all four
-    neighbours into ``knowledge``; the starting cell must have been
-    sensed the same way before the first call. Raises SpiralStuck when
-    no neighbour is known to be passable, which cannot happen on a
-    connected maze.
+    On each new cell the walker calls ``knowledge.arrive``; the caller
+    must have called it for the starting cell before the first call.
+    Raises SpiralStuck when no neighbour is known to be passable, which
+    cannot happen on a connected maze.
     """
     n = maze.n
 
@@ -169,7 +152,7 @@ def spiral_next(
         if path is None:
             # Reachable component fully visited; keep moving regardless.
             _wall_follow_move(state, knowledge)
-            _arrive(state, maze, knowledge)
+            knowledge.arrive(maze, state.pos)
             return state.pos, state
         state.escape_path = path
         _escape_step(state, maze, knowledge)
@@ -184,7 +167,7 @@ def spiral_next(
             state.pos = pending
             state.heading = approach
             state.next_idx += 1
-            _arrive(state, maze, knowledge)
+            knowledge.arrive(maze, state.pos)
             return state.pos, state
         # Blocked: hug the obstruction, keeping it on the right.
         state.detouring = True
@@ -195,7 +178,7 @@ def spiral_next(
         state.heading = _TURN_LEFT[approach]
 
     fresh = _wall_follow_move(state, knowledge)
-    _arrive(state, maze, knowledge)
+    knowledge.arrive(maze, state.pos)
     state.detour_stale = 0 if fresh else state.detour_stale + 1
 
     lay = cell_layer(n, state.pos)
@@ -222,17 +205,12 @@ def spiral_next(
     return state.pos, state
 
 
-def _arrive(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> None:
-    record_visit(state, knowledge, state.pos)
-    knowledge.observe_surroundings(maze, state.pos)
-
-
 def _escape_step(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> None:
     """Walk one cell along a committed path through known-free cells."""
     nxt = state.escape_path.popleft()
     state.heading = _STEP_TO_HEADING[(nxt[0] - state.pos[0], nxt[1] - state.pos[1])]
     state.pos = nxt
-    _arrive(state, maze, knowledge)
+    knowledge.arrive(maze, state.pos)
     if not state.escape_path and not state.mopping:
         # Landed on fresh ground: resume the spiral from this cell's ring.
         state.layer = cell_layer(maze.n, state.pos)

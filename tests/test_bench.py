@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -96,7 +97,7 @@ class TestAggregation:
 
     def test_provenance_echoes_config(self, small_suite):
         report, _ = small_suite
-        assert report.provenance["config"] == SMALL.to_dict()
+        assert report.provenance["config"] == asdict(SMALL)
         assert report.provenance["version"]
 
 
@@ -197,7 +198,7 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         write_report_json(report, path)
         loaded = read_report_json(path)
-        assert loaded == json.loads(json.dumps(report.to_dict()))
+        assert loaded == json.loads(json.dumps(asdict(report)))
 
     def test_records_round_trip(self, small_suite, tmp_path):
         _, logs = small_suite

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from mazeswitch import cli
+from mazeswitch.bench import DEFAULT_SIZES, LONG_SIZES, SuiteReport
 from mazeswitch.cli import main
 from mazeswitch.grid import from_text, generate_maze, to_text
 
@@ -23,6 +25,16 @@ class TestGenMaze:
         assert run_cli(["gen-maze", "--size", "16", "--seed", "2", "--out", str(path)]) == 0
         capsys.readouterr()
         assert from_text(path.read_text()).layout_hash() == generate_maze(16, 2).layout_hash()
+
+    @pytest.mark.parametrize("size", ["7", "6"])
+    def test_bad_size_is_one_line_and_exit_status_2(self, size, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen-maze", "--size", size, "--seed", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("mazeswitch: error: ")
 
 
 class TestRun:
@@ -83,20 +95,29 @@ class TestRun:
         assert len(records) == 1  # flag --mazes 1 overrode the file's 2
         assert records[0]["config"]["maze_seed"] == 5  # seed came from the file
 
-    def test_missing_config_file_errors(self):
-        with pytest.raises(SystemExit):
-            run_cli(["run", "--config", "/nonexistent.ini"])
+    def test_missing_config_file_errors(self, tmp_path, capsys):
+        other = tmp_path / "other.ini"
+        other.write_text("[other]\nmazes = 2\n")
+        for path in ("/nonexistent.ini", str(other)):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["run", "--config", path])
+            assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
-    def test_long_flag_extends_default_sizes(self):
-        from mazeswitch.bench import DEFAULT_SIZES, LONG_SIZES
-        from mazeswitch.cli import _merge_suite_options, build_parser
-
-        parser = build_parser()
-        short = _merge_suite_options(parser.parse_args(["run"]))
-        assert short["sizes"] == DEFAULT_SIZES
-        long = _merge_suite_options(parser.parse_args(["run", "--long"]))
-        assert long["sizes"] == LONG_SIZES
-        assert 128 in long["sizes"]
+    def test_long_flag_extends_default_sizes(self, tmp_path, monkeypatch, capsys):
+        suites = []
+        monkeypatch.setattr(
+            cli, "run_suite", lambda suite: suites.append(suite) or (SuiteReport(rows=[]), [])
+        )
+        on, off = tmp_path / "on.ini", tmp_path / "off.ini"
+        on.write_text("[suite]\nlong = true\n")
+        off.write_text("[suite]\nlong = no\n")
+        for argv in (["run"], ["run", "--long"], ["run", "--config", str(on)],
+                     ["run", "--config", str(off)]):
+            assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert [s.sizes for s in suites] == [DEFAULT_SIZES, LONG_SIZES, LONG_SIZES, DEFAULT_SIZES]
+        assert 128 in LONG_SIZES
 
     def test_qtable_dumps_written_for_learning_variants(self, tmp_path, capsys):
         from mazeswitch.qlearn import load_qtable_values
@@ -243,6 +264,34 @@ class TestSuiteArgumentErrors:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("mazeswitch: error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            (["run"], "mazes = abc"),
+            (["run"], "variants = spiral,bogus"),
+            (["run"], "long = maybe"),
+            (["run"], "colour = red"),
+            (["run"], "maz = 2"),
+            (["run"], "sizes = 32"),
+            (["ablate", "--size", "16"], "long = true"),
+            (["ablate", "--size", "16"], "variants = spiral"),
+        ],
+    )
+    def test_bad_config_file_is_a_usage_error(self, command, line, tmp_path, monkeypatch, capsys):
+        def no_suite(suite):
+            raise AssertionError("a suite started")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        monkeypatch.setattr(cli, "ablation", no_suite)
+        cfg = tmp_path / "suite.ini"
+        cfg.write_text(f"[suite]\nsizes = 16\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ": error: " in captured.err
 
     def test_bad_jobs_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "suite.ini"

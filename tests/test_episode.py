@@ -6,7 +6,6 @@ from mazeswitch.episode import (
     SUCCESS,
     VARIANTS,
     VariantSpec,
-    metrics,
     record_to_json,
     run_episode,
 )
@@ -108,11 +107,14 @@ class TestRunEpisode:
     def test_metrics_projection(self):
         cfg = EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"], step_limit=10)
         log = run_episode(cfg)
-        assert metrics(log) == (10, log.final_coverage, 0, STEP_LIMIT_EXCEEDED)
+        assert (log.total_steps, log.role_switches, log.outcome) == (10, 0, STEP_LIMIT_EXCEEDED)
+        assert log.final_coverage == coverage_prefix(log.trajectory, 16)[-1]
         success = run_episode(
             EpisodeConfig(n=32, maze_seed=7, variant=VARIANTS["spiral_conv"])
         )
-        assert metrics(success) == (success.total_steps, success.final_coverage, 1, SUCCESS)
+        assert (success.role_switches, success.outcome) == (1, SUCCESS)
+        assert success.total_steps == len(success.trajectory) - 1
+        assert success.final_coverage == coverage_prefix(success.trajectory, 32)[-1]
 
 
 class TestLearningLoop:

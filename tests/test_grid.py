@@ -197,13 +197,13 @@ class TestCoveragePercent:
     def test_full(self):
         k = KnowledgeMap(16)
         for cell in [(x, y) for x in range(16) for y in range(16)]:
-            k.record(cell, "full", 1)
+            k.record(cell)
         assert coverage_percent(k, 16) == 100.0
 
     def test_half(self):
         k = KnowledgeMap(16)
         for cell in [(i // 16, i % 16) for i in range(128)]:
-            k.record(cell, "full", 1)
+            k.record(cell)
         assert coverage_percent(k, 16) == 50.0
 
 
@@ -238,7 +238,7 @@ class TestKnowledgeMap:
         with pytest.raises(ValueError):
             k.note(cell, Probe.PASSABLE)
         with pytest.raises(ValueError):
-            k.record(cell, "full", 1)
+            k.record(cell)
         assert k.revision == 0 and k.visited_count == 0 and not k.visited
 
     def test_sensing_a_maze_of_another_size_raises(self):

@@ -11,7 +11,7 @@ from mazeswitch.qlearn import (
     THRESHOLDS,
     decision_reward,
     discretize,
-    dump_qtable,
+    dump_qtable_values,
     load_qtable_values,
     q_update,
     select_action,
@@ -213,11 +213,11 @@ class TestDumpFormat:
         q = QTable(rng_seed=3)
         rng = np.random.default_rng(1)
         q.values = rng.normal(size=(N_STATES, N_ACTIONS))
-        values = load_qtable_values(dump_qtable(q))
+        values = load_qtable_values(dump_qtable_values(q.values))
         assert (values == q.values).all()
 
     def test_dump_shape(self):
-        lines = dump_qtable(QTable(rng_seed=0)).splitlines()
+        lines = dump_qtable_values(QTable(rng_seed=0).values).splitlines()
         assert len(lines) == 50
         assert all(len(line.split()) == 5 for line in lines)
 

@@ -30,11 +30,3 @@ def test_randbelow_range_and_rejection():
     with pytest.raises(ValueError):
         g.randbelow(0)
 
-
-def test_shuffle_is_seeded_permutation():
-    items = list(range(20))
-    a, b = items[:], items[:]
-    SplitMix64(99).shuffle(a)
-    SplitMix64(99).shuffle(b)
-    assert a == b
-    assert sorted(a) == items

@@ -16,11 +16,9 @@ from mazeswitch.grid import (
     trajectory_from_text,
 )
 from mazeswitch.spiral import (
-    SENTINEL,
     SpiralState,
     SpiralStuck,
     cell_layer,
-    record_visit,
     ring_cell,
     ring_index,
     ring_length,
@@ -32,12 +30,11 @@ from conftest import bfs_reachable, reference_escape_path, sealed_pocket_grid
 DATA = Path(__file__).parent / "data"
 
 
-def walk(maze, steps, memory="full", stride=4):
+def walk(maze, steps, sample_stride=1):
     """Drive the spiral and return (trajectory, state, knowledge)."""
-    knowledge = KnowledgeMap(maze.n)
-    state = SpiralState(memory=memory, sample_stride=stride)
-    record_visit(state, knowledge, (0, 0))
-    knowledge.observe_surroundings(maze, (0, 0))
+    knowledge = KnowledgeMap(maze.n, sample_stride)
+    state = SpiralState()
+    knowledge.arrive(maze, (0, 0))
     trajectory = [(0, 0)]
     for _ in range(steps):
         pos, state = spiral_next(state, maze, knowledge)
@@ -93,25 +90,22 @@ class TestOpenGridSpiral:
 class TestRecordVisit:
     def test_full_memory_keeps_every_first_visit(self):
         k = KnowledgeMap(16)
-        state = SpiralState()
         for i in range(10):
-            record_visit(state, k, (0, i))
+            k.record((0, i))
         assert len(k.sampled_history) == 10
         assert k.visited_count == 10
 
     def test_sentinel_stride_subsamples_history(self):
-        k = KnowledgeMap(16)
-        state = SpiralState(memory=SENTINEL, sample_stride=4)
+        k = KnowledgeMap(16, sample_stride=4)
         for i in range(10):
-            record_visit(state, k, (0, i))
+            k.record((0, i))
         assert k.visited_count == 10
         assert k.sampled_history == [(0, 0), (0, 4), (0, 8)]
 
     def test_revisit_changes_nothing(self):
         k = KnowledgeMap(16)
-        state = SpiralState()
-        record_visit(state, k, (0, 0))
-        record_visit(state, k, (0, 0))
+        assert k.record((0, 0))
+        assert not k.record((0, 0))
         assert k.visited_count == 1
         assert k.sampled_history == [(0, 0)]
 
@@ -122,8 +116,7 @@ class TestMazeSpiral:
         reachable = bfs_reachable(maze)
         knowledge = KnowledgeMap(maze.n)
         state = SpiralState()
-        record_visit(state, knowledge, (0, 0))
-        knowledge.observe_surroundings(maze, (0, 0))
+        knowledge.arrive(maze, (0, 0))
         for _ in range(4 * 16 * 16):
             if knowledge.visited == reachable:
                 break
@@ -148,8 +141,7 @@ class TestMazeSpiral:
         maze = generate_maze(16, 2)
         knowledge = KnowledgeMap(maze.n)
         state = SpiralState()
-        record_visit(state, knowledge, (0, 0))
-        knowledge.observe_surroundings(maze, (0, 0))
+        knowledge.arrive(maze, (0, 0))
         last = coverage_percent(knowledge, 16)
         for _ in range(400):
             spiral_next(state, maze, knowledge)
@@ -160,7 +152,7 @@ class TestMazeSpiral:
     def test_spiral_and_sentinel_trajectories_identical(self):
         maze = generate_maze(16, 3)
         full, _, k_full = walk(maze, 500)
-        samp, _, k_samp = walk(maze, 500, memory=SENTINEL)
+        samp, _, k_samp = walk(maze, 500, sample_stride=4)
         assert full == samp
         assert k_full.visited_count == k_samp.visited_count
         assert len(k_samp.sampled_history) <= len(k_full.sampled_history)
@@ -169,7 +161,7 @@ class TestMazeSpiral:
         maze = sealed_pocket_grid()
         knowledge = KnowledgeMap(maze.n)
         state = SpiralState()
-        record_visit(state, knowledge, (0, 0))
+        knowledge.record((0, 0))
         with pytest.raises(SpiralStuck):
             spiral_next(state, maze, knowledge)
 
@@ -193,7 +185,7 @@ class TestFlatSearchesMatchReferences:
         knowledge = KnowledgeMap(n)
         free, visited = {(0, 0)}, {(0, 0)}
         knowledge.note((0, 0), Probe.PASSABLE)
-        knowledge.record((0, 0), "full", 1)
+        knowledge.record((0, 0))
         for x in range(n):
             for y in range(n):
                 if (x, y) == (0, 0) or rng.random() >= known_share:
@@ -204,7 +196,7 @@ class TestFlatSearchesMatchReferences:
                 knowledge.note((x, y), Probe.PASSABLE)
                 free.add((x, y))
                 if rng.random() < visited_share:
-                    knowledge.record((x, y), "full", 1)
+                    knowledge.record((x, y))
                     visited.add((x, y))
         for pos in rng.sample(sorted(visited), min(len(visited), 40)):
             path = _path_to_nearest_unvisited(pos, knowledge)
@@ -217,8 +209,7 @@ class TestFlatSearchesMatchReferences:
         maze = generate_maze(n, seed)
         knowledge = KnowledgeMap(n)
         state = SpiralState()
-        record_visit(state, knowledge, (0, 0))
-        knowledge.observe_surroundings(maze, (0, 0))
+        knowledge.arrive(maze, (0, 0))
         for _ in range(min(steps, 2 * n * n)):
             x, y = state.pos
             assert not maze.walls[x, y]
