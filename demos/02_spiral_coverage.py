@@ -10,12 +10,8 @@ from mazeswitch import KnowledgeMap, coverage_percent, generate_maze
 from mazeswitch.grid import MazeGrid
 from mazeswitch.spiral import SpiralState, spiral_next
 
-import numpy as np
-
 # On an open grid the spiral is exact: n*n cells in n*n - 1 moves.
-walls = np.zeros((6, 6), dtype=bool)
-walls.flags.writeable = False
-open_grid = MazeGrid(n=6, walls=walls, target=(3, 3), seed=0)
+open_grid = MazeGrid(n=6, walls=[[0] * 6] * 6, target=(3, 3), seed=0)
 
 knowledge = KnowledgeMap(6)
 state = SpiralState()
@@ -36,7 +32,7 @@ knowledge.arrive(maze, (0, 0))
 for step in range(1, 4 * 16 * 16 + 1):
     spiral_next(state, maze, knowledge)
     if step % 64 == 0:
-        print(f"step {step:4d}: coverage {coverage_percent(knowledge, 16):5.1f}%, "
+        print(f"step {step:4d}: coverage {coverage_percent(knowledge):5.1f}%, "
               f"known walls {len(knowledge.known_walls):3d}")
     if knowledge.visited_count == 131:  # every reachable cell of this maze
         print(f"\nall 131 reachable cells covered after {step} moves")

@@ -17,7 +17,7 @@ pos = (0, 0)
 moves = replans = 0
 print(f"walking from (0, 0) to {maze.target} with no prior wall knowledge\n")
 while pos != maze.target:
-    plan = astar_plan(pos, maze.target, knowledge, maze.n)
+    plan = astar_plan(pos, maze.target, knowledge)
     print(f"plan of cost {plan.cost:2d} from {pos} "
           f"(knows {len(knowledge.known_walls):2d} walls)")
     while True:
@@ -38,7 +38,7 @@ print(f"\narrived in {moves} moves with {replans} replans")
 full = KnowledgeMap(maze.n)
 for x in range(maze.n):
     for y in range(maze.n):
-        if maze.walls[x, y]:
+        if maze.walls[x][y]:
             full.note((x, y), Probe.BLOCKED)
-best = astar_plan((0, 0), maze.target, full, maze.n)
+best = astar_plan((0, 0), maze.target, full)
 print(f"shortest path with full knowledge: {best.cost} moves")

@@ -44,16 +44,17 @@ RL_SEED_SALT = 0x51
 DEFAULT_SIZES = (16, 32, 64)
 LONG_SIZES = (16, 32, 64, 128)
 
-CSV_HEADER = (
-    "size",
-    "variant",
-    "mean_steps",
-    "median_steps",
-    "min_steps",
-    "max_steps",
-    "stddev",
-    "success_rate",
-)
+CSV_COLUMNS = {  # report.csv column -> the type ``read_report_csv`` gives it
+    "size": int,
+    "variant": str,
+    "mean_steps": float,
+    "median_steps": float,
+    "min_steps": int,
+    "max_steps": int,
+    "stddev": float,
+    "success_rate": float,
+}
+CSV_HEADER = tuple(CSV_COLUMNS)
 
 ABLATION_VARIANTS = ("spiral", "spiral_conv", "spiral_rl")
 
@@ -258,18 +259,7 @@ def write_report_csv(report: SuiteReport, path) -> None:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for r in report.rows:
-                writer.writerow(
-                    [
-                        r.size,
-                        r.variant,
-                        repr(r.mean_steps),
-                        repr(r.median_steps),
-                        r.min_steps,
-                        r.max_steps,
-                        repr(r.stddev),
-                        repr(r.success_rate),
-                    ]
-                )
+                writer.writerow([getattr(r, column) for column in CSV_HEADER])
     except OSError as exc:
         raise RuntimeError(f"cannot write report CSV to {path}") from exc
 
@@ -282,21 +272,7 @@ def read_report_csv(path) -> list:
             reader = csv.DictReader(fh)
             if tuple(reader.fieldnames or ()) != CSV_HEADER:
                 raise RuntimeError(f"unexpected CSV header in {path}")
-            rows = []
-            for rec in reader:
-                rows.append(
-                    {
-                        "size": int(rec["size"]),
-                        "variant": rec["variant"],
-                        "mean_steps": float(rec["mean_steps"]),
-                        "median_steps": float(rec["median_steps"]),
-                        "min_steps": int(rec["min_steps"]),
-                        "max_steps": int(rec["max_steps"]),
-                        "stddev": float(rec["stddev"]),
-                        "success_rate": float(rec["success_rate"]),
-                    }
-                )
-            return rows
+            return [{k: cast(rec[k]) for k, cast in CSV_COLUMNS.items()} for rec in reader]
     except OSError as exc:
         raise RuntimeError(f"cannot read report CSV from {path}") from exc
 

@@ -175,7 +175,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                 break
             if threshold is None:
                 continue
-            coverage = coverage_percent(knowledge, n)
+            coverage = coverage_percent(knowledge)
             if learning and coverage < threshold and steps % cfg.decision_period == 0:
                 state_id = discretize(coverage, manhattan(pos, target), n)
                 action = select_action(q, state_id)
@@ -193,7 +193,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                 switch_step, switch_coverage = steps, coverage
         else:
             if plan is None:
-                plan = astar_plan(pos, target, knowledge, n)
+                plan = astar_plan(pos, target, knowledge)
                 if plan is None:
                     raise AssertionError(f"no optimistic path from {pos} to {target}")
             pos, step_outcome = follow_plan(plan, maze, knowledge)
@@ -210,7 +210,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                 outcome = SUCCESS
                 break
 
-    final_coverage = coverage_percent(knowledge, n)
+    final_coverage = coverage_percent(knowledge)
     log = EpisodeLog(
         config=cfg,
         outcome=outcome,
@@ -234,7 +234,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         log.terminal_reward = terminal_reward(steps, limit, final_coverage, switch_coverage)
         if last_decision is not None:
             q_update(q, last_decision[0], last_decision[1], log.terminal_reward.total, None)
-        log.q_values = [[float(v) for v in row] for row in q.values]
+        log.q_values = [row[:] for row in q.values]
     return log
 
 

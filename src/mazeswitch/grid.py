@@ -12,12 +12,13 @@ target cell and its four in-bounds neighbours are always carved open.
 All randomness comes from one SplitMix64 stream, so ``(n, seed)`` pins
 the layout bit for bit.
 
-Besides the read-only ``walls`` array, every grid holds one padded flat
-byte layout, ``MazeGrid.cells``, that the sensor, the carver and the
-connectivity search all read. It is ``n + 2`` bytes wide and ``n + 4``
-rows tall: one column of padding on each side, two rows above and below.
-Each byte is 0 (open), 1 (wall) or 2 (outside the grid), and cell
-``(x, y)`` sits at index ``i = (x + 2) * (n + 2) + y + 1``. Its E/S/W/N
+Every grid stores one layout, the padded flat bytes ``MazeGrid.cells``,
+that the sensor, the carver and the connectivity search all read;
+``MazeGrid.walls`` is a read-only view of it (n ``bytes`` rows,
+``walls[x][y]`` is 1 at a wall). The layout is ``n + 2`` bytes wide and
+``n + 4`` rows tall: one column of padding on each side, two rows above
+and below. Each byte is 0 (open), 1 (wall) or 2 (outside the grid), and
+cell ``(x, y)`` sits at index ``i = (x + 2) * (n + 2) + y + 1``. Its E/S/W/N
 neighbours are ``i + 1``, ``i + (n + 2)``, ``i - 1`` and ``i - (n + 2)``,
 so a step from any cell of the grid lands on a valid byte without a
 bounds check. The double rows keep the carver's two-cell room strides in
@@ -49,8 +50,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
+from functools import cached_property
 
 from .rng import SplitMix64
 
@@ -83,41 +83,63 @@ class MazeFormatError(ValueError):
     """Malformed maze text."""
 
 
-@dataclass(eq=False)
+_BIT = bytes([0]) + bytes([1]) * 255  # translate table: any non-zero byte is a wall
+
+
 class MazeGrid:
-    """Immutable wall layout with a fixed start (0, 0) and center target."""
+    """Immutable wall layout with a fixed start (0, 0) and center target.
 
-    n: int
-    walls: np.ndarray  # bool, shape (n, n), True = blocked
-    target: Position
-    seed: int
-    stride: int = field(init=False, repr=False)  # n + 2, the padded row width
-    cells: bytes = field(init=False, repr=False)  # padded flat layout
+    ``walls`` is any ``n`` rows of ``n`` values, truthy meaning wall:
+    nested lists, ``bytes`` rows, or an array read row by row.
+    """
 
-    def __post_init__(self):
-        n = self.n
-        if self.walls.shape != (n, n):
-            raise MazeConfigError(f"walls must have shape ({n}, {n}), got {self.walls.shape}")
-        tx, ty = self.target
+    def __init__(self, n: int, walls, target: Position, seed: int) -> None:
+        try:
+            rows = [
+                bytes(row).translate(_BIT)
+                if isinstance(row, (bytes, bytearray))
+                else bytes(map(bool, row))
+                for row in walls
+            ]
+        except TypeError:  # walls or one of its rows is not a sequence
+            rows = None
+        if rows is None or len(rows) != n or any(len(row) != n for row in rows):
+            raise MazeConfigError(f"walls must be {n} rows of {n} values")
+        tx, ty = target
         if not (0 <= tx < n and 0 <= ty < n):
-            raise MazeConfigError(f"target {self.target} is off the {n}x{n} grid")
-        self.stride = n + 2
-        self.cells = bytes(_pad(self.walls))
+            raise MazeConfigError(f"target {target} is off the {n}x{n} grid")
+        self.n, self.target, self.seed = n, target, seed
+        self.stride = n + 2  # the padded row width
+        self.cells = bytes(_pad(rows))  # the one stored layout
+
+    @cached_property
+    def walls(self) -> tuple:
+        """The layout as n ``bytes`` rows: ``walls[x][y]`` is 1 at a wall."""
+        return _rows(self.cells, self.n)
 
     def index(self, x: int, y: int) -> int:
         """Flat index of grid cell ``(x, y)`` in ``cells``."""
         return (x + 2) * self.stride + y + 1
 
     def layout_hash(self) -> str:
-        return hashlib.sha256(self.walls.tobytes()).hexdigest()
+        """sha256 of the n*n row-major wall bytes."""
+        return hashlib.sha256(b"".join(self.walls)).hexdigest()
 
 
-def _pad(walls: np.ndarray) -> bytearray:
-    """The padded flat layout of an ``(n, n)`` array of cell bytes."""
-    n = len(walls)
-    padded = np.full((n + 4, n + 2), OUTSIDE, dtype=np.uint8)
-    padded[2:-2, 1:-1] = walls
-    return bytearray(padded.tobytes())
+def _pad(rows) -> bytearray:
+    """The padded flat layout of n rows of n cell bytes."""
+    edge = bytes([OUTSIDE])
+    head = edge * (2 * len(rows) + 5)  # two padding rows and one border column
+    layout = bytearray(head)
+    layout += (edge * 2).join(rows)
+    layout += head
+    return layout
+
+
+def _rows(cells, n: int) -> tuple:
+    """The n grid rows of a padded layout, as ``bytes``; inverse of ``_pad``."""
+    w = n + 2
+    return tuple(bytes(cells[i : i + n]) for i in range(2 * w + 1, (n + 2) * w, w))
 
 
 def probe(maze: MazeGrid, frm: Position, neighbor: Position) -> Probe:
@@ -168,7 +190,7 @@ class KnowledgeMap:
         n = self.n
         self.stride = w = n + 2
         self.offsets = {EAST: 1, SOUTH: w, WEST: -1, NORTH: -w}
-        self.known = _pad(np.full((n, n), UNKNOWN, dtype=np.uint8))
+        self.known = _pad([bytes([UNKNOWN]) * n] * n)
         self.visited_mask = bytearray(len(self.known))
 
     def index(self, x: int, y: int) -> int:
@@ -259,8 +281,9 @@ class KnowledgeMap:
         return True
 
 
-def coverage_percent(knowledge: KnowledgeMap, n: int) -> float:
-    """Distinct visited cells over all n*n cells, as a percentage."""
+def coverage_percent(knowledge: KnowledgeMap) -> float:
+    """Distinct visited cells over all n*n cells of the map, as a percentage."""
+    n = knowledge.n
     return knowledge.visited_count / (n * n) * 100.0
 
 
@@ -278,7 +301,7 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
     rng = SplitMix64(seed)
     w = n + 2
     steps = (1, w, -1, -w)  # E, S, W, N: HEADINGS order
-    cells = _pad(np.ones((n, n), dtype=bool))
+    cells = _pad([bytes([WALL]) * n] * n)
 
     # Depth-first backtracker over rooms at even coordinates. A room is
     # still a wall exactly until it is visited, and a room stride off the
@@ -307,9 +330,7 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
         if cells[t + d] == WALL:
             cells[t + d] = OPEN
 
-    walls = np.frombuffer(cells, dtype=np.uint8).reshape(n + 4, w)[2:-2, 1:-1] == WALL
-    walls.flags.writeable = False
-    grid = MazeGrid(n=n, walls=walls, target=target, seed=seed)
+    grid = MazeGrid(n=n, walls=_rows(cells, n), target=target, seed=seed)
     if not _connected(grid, (0, 0), target):
         raise AssertionError(f"generated maze ({n}, {seed}) lost connectivity")
     return grid
@@ -367,15 +388,11 @@ _GLYPHS = bytes.maketrans(bytes([OPEN, WALL]), b".#")
 
 
 def to_text(maze: MazeGrid) -> str:
-    n = maze.n
-    rows = [
-        bytearray(maze.cells[maze.index(x, 0) : maze.index(x, n)].translate(_GLYPHS))
-        for x in range(n)
-    ]
+    rows = [bytearray(row.translate(_GLYPHS)) for row in maze.walls]
     tx, ty = maze.target
     rows[tx][ty] = ord("T")
     rows[0][0] = ord("S")
-    return "\n".join([f"{n} {maze.seed}"] + [row.decode() for row in rows]) + "\n"
+    return "\n".join([f"{maze.n} {maze.seed}"] + [row.decode() for row in rows]) + "\n"
 
 
 def from_text(text: str) -> MazeGrid:
@@ -410,8 +427,7 @@ def from_text(text: str) -> MazeGrid:
         raise MazeFormatError(
             f"target marker must sit at ({n // 2}, {n // 2}), found {target_seen}"
         )
-    walls = np.array([[ch == "#" for ch in row] for row in body], dtype=bool).reshape(n, n)
-    walls.flags.writeable = False
+    walls = [[ch == "#" for ch in row] for row in body]
     return MazeGrid(n=n, walls=walls, target=target_seen, seed=seed)
 
 

@@ -50,9 +50,7 @@ class Plan:
     cursor: int = 0
 
 
-def astar_plan(
-    start: Position, target: Position, knowledge: KnowledgeMap, n: int
-) -> Plan | None:
+def astar_plan(start: Position, target: Position, knowledge: KnowledgeMap) -> Plan | None:
     """Shortest path over the optimistic planning graph, or None.
 
     Searches flat indices of ``knowledge.known``: a cell is blocked when
@@ -60,8 +58,6 @@ def astar_plan(
     are ``(f, h, counter, index)``. None is only possible when the
     target itself is a known wall, which generated mazes never allow.
     """
-    if n != knowledge.n:
-        raise ValueError(f"planning on {n}x{n} with a {knowledge.n}x{knowledge.n} map")
     known = knowledge.known
     s = knowledge.index(*start)
     t = knowledge.index(*target)

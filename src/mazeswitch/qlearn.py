@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .rng import SplitMix64
 
 THRESHOLDS = (20, 30, 40, 50, 60)
@@ -67,7 +65,7 @@ def discretize(coverage: float, distance: int, n: int) -> StateId:
 
 
 class QTable:
-    """50 x 5 action values plus hyperparameters and a private rng stream."""
+    """50 x 5 action values (a list of rows) plus hyperparameters and a private rng stream."""
 
     def __init__(
         self,
@@ -76,7 +74,7 @@ class QTable:
         gamma: float = 0.9,
         epsilon: float = 0.1,
     ) -> None:
-        self.values = np.zeros((N_STATES, N_ACTIONS))
+        self.values = [[0.0] * N_ACTIONS for _ in range(N_STATES)]
         self.alpha = alpha
         self.gamma = gamma
         self.epsilon = epsilon
@@ -88,7 +86,8 @@ def select_action(q: QTable, s: StateId) -> int:
     """Epsilon-greedy threshold choice; greedy ties go to the lowest."""
     if q.rng.random() < q.epsilon:
         return THRESHOLDS[q.rng.randbelow(N_ACTIONS)]
-    return THRESHOLDS[int(np.argmax(q.values[s.index]))]
+    row = q.values[s.index]
+    return THRESHOLDS[row.index(max(row))]
 
 
 def q_update(q: QTable, s: StateId, a: int, r: float, s_next: Optional[StateId]) -> QTable:
@@ -96,9 +95,9 @@ def q_update(q: QTable, s: StateId, a: int, r: float, s_next: Optional[StateId])
     if not math.isfinite(r):
         raise ValueError(f"non-finite reward: {r}")
     ai = THRESHOLDS.index(a)
-    future = 0.0 if s_next is None else q.gamma * float(q.values[s_next.index].max())
-    current = float(q.values[s.index, ai])
-    q.values[s.index, ai] = current + q.alpha * (r + future - current)
+    future = 0.0 if s_next is None else q.gamma * max(q.values[s_next.index])
+    row = q.values[s.index]
+    row[ai] += q.alpha * (r + future - row[ai])
     return q
 
 
@@ -167,10 +166,10 @@ def dump_qtable_values(values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_qtable_values(text: str) -> np.ndarray:
+def load_qtable_values(text: str) -> list:
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if len(rows) != N_STATES or any(len(r) != N_ACTIONS for r in rows):
         raise ValueError(
             f"expected {N_STATES} rows of {N_ACTIONS} values in Q-table dump"
         )
-    return np.array([[float(v) for v in row] for row in rows])
+    return [[float(v) for v in row] for row in rows]

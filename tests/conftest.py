@@ -41,7 +41,7 @@ def reference_observe(knowledge, maze, pos):
     for cell in (pos, (x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
         if not (0 <= cell[0] < maze.n and 0 <= cell[1] < maze.n):
             result = Probe.OUT_OF_BOUNDS
-        elif maze.walls[cell]:
+        elif maze.walls[cell[0]][cell[1]]:
             result = Probe.BLOCKED
         else:
             result = Probe.PASSABLE
@@ -61,7 +61,7 @@ def bfs_distance(maze, a, b):
     """Independent shortest-path oracle over passable cells."""
     from collections import deque
 
-    if maze.walls[a] or maze.walls[b]:
+    if maze.walls[a[0]][a[1]] or maze.walls[b[0]][b[1]]:
         return None
     dist = {a: 0}
     queue = deque([a])
@@ -73,7 +73,7 @@ def bfs_distance(maze, a, b):
             if (
                 0 <= nbr[0] < maze.n
                 and 0 <= nbr[1] < maze.n
-                and not maze.walls[nbr]
+                and not maze.walls[nbr[0]][nbr[1]]
                 and nbr not in dist
             ):
                 dist[nbr] = dist[(x, y)] + 1
@@ -93,7 +93,7 @@ def bfs_reachable(maze, start=(0, 0)):
             if (
                 0 <= nbr[0] < maze.n
                 and 0 <= nbr[1] < maze.n
-                and not maze.walls[nbr]
+                and not maze.walls[nbr[0]][nbr[1]]
                 and nbr not in seen
             ):
                 seen.add(nbr)

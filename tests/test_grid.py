@@ -25,8 +25,8 @@ DATA = Path(__file__).parent / "data"
 class TestGenerateMaze:
     def test_start_and_target_passable_and_connected(self):
         maze = generate_maze(16, 1)
-        assert not maze.walls[0, 0]
-        assert not maze.walls[8, 8]
+        assert not maze.walls[0][0]
+        assert not maze.walls[8][8]
         assert maze.target == (8, 8)
         assert bfs_distance(maze, (0, 0), (8, 8)) is not None
 
@@ -34,7 +34,19 @@ class TestGenerateMaze:
         a = generate_maze(16, 1)
         b = generate_maze(16, 1)
         assert a.layout_hash() == b.layout_hash()
-        assert (a.walls == b.walls).all()
+        assert a.walls == b.walls
+
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (16, 1, "ed1db7c1cd66537c932fd8a326680ccd6f6681ee50d219f497342e2cdcf9f6f1"),
+            (32, 7, "fb16b2096cf9bcc9c0f7582c7504348608feda62c8fc92afd3ce82879e1b03bb"),
+            (128, 0, "149508de2eb596db3ad05328500ed14232ff3db3eedcd8ecf15e1960f44bce53"),
+        ],
+    )
+    def test_layout_hash_pinned(self, n, seed, digest):
+        # sha256 of the n*n row-major wall bytes (1 = wall); must never change.
+        assert generate_maze(n, seed).layout_hash() == digest
 
     def test_different_seeds_differ(self):
         assert generate_maze(16, 1).layout_hash() != generate_maze(16, 2).layout_hash()
@@ -58,8 +70,8 @@ class TestGenerateMaze:
 
     def test_walls_immutable(self):
         maze = generate_maze(16, 1)
-        with pytest.raises(ValueError):
-            maze.walls[0, 0] = True
+        with pytest.raises(TypeError):
+            maze.walls[0][0] = 1
 
 
 class TestProbe:
@@ -79,7 +91,7 @@ class TestProbe:
             (x, y)
             for x in range(16)
             for y in range(16)
-            if maze.walls[x, y] and (x > 0 and not maze.walls[x - 1, y])
+            if maze.walls[x][y] and (x > 0 and not maze.walls[x - 1][y])
         )
         frm = (wall[0] - 1, wall[1])
         assert probe(maze, frm, wall) is Probe.BLOCKED
@@ -120,7 +132,7 @@ class TestSensorMatchesReference:
     def test_generated_mazes(self, half, seed, data):
         maze = generate_maze(2 * half, seed)
         open_cells = [
-            (x, y) for x in range(maze.n) for y in range(maze.n) if not maze.walls[x, y]
+            (x, y) for x in range(maze.n) for y in range(maze.n) if not maze.walls[x][y]
         ]
         positions = data.draw(st.lists(st.sampled_from(open_cells), min_size=1, max_size=40))
         _assert_sensor_matches_reference(maze, positions)
@@ -168,6 +180,19 @@ class TestHandBuiltGrid:
         with pytest.raises(MazeConfigError):
             MazeGrid(n=8, walls=np.zeros(shape, dtype=bool), target=(4, 4), seed=0)
 
+    @pytest.mark.parametrize("form", ["array", "lists", "bytes"])
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_any_truthy_value_is_a_wall(self, form, value):
+        walls = np.zeros((8, 8), dtype=np.uint8)
+        walls[0, 1] = value
+        if form == "lists":
+            walls = walls.tolist()
+        elif form == "bytes":
+            walls = [bytes(row) for row in walls]
+        maze = MazeGrid(n=8, walls=walls, target=(4, 4), seed=0)
+        assert probe(maze, (0, 0), (0, 1)) is Probe.BLOCKED
+        assert maze.walls[0][1] == 1
+
     @pytest.mark.parametrize("target", [(8, 4), (4, 8), (-1, 4), (4, -1), (8, 8)])
     def test_rejects_target_off_grid(self, target):
         with pytest.raises(MazeConfigError):
@@ -192,19 +217,19 @@ class TestManhattan:
 
 class TestCoveragePercent:
     def test_zero(self):
-        assert coverage_percent(KnowledgeMap(16), 16) == 0.0
+        assert coverage_percent(KnowledgeMap(16)) == 0.0
 
     def test_full(self):
         k = KnowledgeMap(16)
         for cell in [(x, y) for x in range(16) for y in range(16)]:
             k.record(cell)
-        assert coverage_percent(k, 16) == 100.0
+        assert coverage_percent(k) == 100.0
 
     def test_half(self):
         k = KnowledgeMap(16)
         for cell in [(i // 16, i % 16) for i in range(128)]:
             k.record(cell)
-        assert coverage_percent(k, 16) == 50.0
+        assert coverage_percent(k) == 50.0
 
 
 class TestKnowledgeMap:
@@ -213,7 +238,7 @@ class TestKnowledgeMap:
         k = KnowledgeMap(16)
         for x in range(16):
             for y in range(16):
-                if not maze.walls[x, y]:
+                if not maze.walls[x][y]:
                     k.observe_surroundings(maze, (x, y))
         assert not (k.known_walls & k.known_free)
 
@@ -257,7 +282,7 @@ class TestTextFormat:
     def test_loaded_grid_matches_generated(self):
         maze = generate_maze(32, 4)
         loaded = from_text(to_text(maze))
-        assert (loaded.walls == maze.walls).all()
+        assert loaded.walls == maze.walls
         assert loaded.n == maze.n and loaded.seed == maze.seed
         assert loaded.target == maze.target
 

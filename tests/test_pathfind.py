@@ -11,32 +11,32 @@ def full_knowledge(maze):
     k = KnowledgeMap(maze.n)
     for x in range(maze.n):
         for y in range(maze.n):
-            k.note((x, y), Probe.BLOCKED if maze.walls[x, y] else Probe.PASSABLE)
+            k.note((x, y), Probe.BLOCKED if maze.walls[x][y] else Probe.PASSABLE)
     return k
 
 
 class TestAstarPlan:
     def test_open_graph_meets_manhattan_bound(self):
-        plan = astar_plan((0, 0), (3, 3), KnowledgeMap(4), 4)
+        plan = astar_plan((0, 0), (3, 3), KnowledgeMap(4))
         assert plan.cost == 6
         assert plan.waypoints[0] == (0, 0)
         assert plan.waypoints[-1] == (3, 3)
 
     def test_start_equals_target(self):
-        plan = astar_plan((2, 2), (2, 2), KnowledgeMap(8), 8)
+        plan = astar_plan((2, 2), (2, 2), KnowledgeMap(8))
         assert plan.cost == 0
         assert plan.waypoints == [(2, 2)]
 
     def test_full_knowledge_matches_bfs_oracle(self):
         maze = generate_maze(16, 1)
-        plan = astar_plan((0, 0), maze.target, full_knowledge(maze), maze.n)
+        plan = astar_plan((0, 0), maze.target, full_knowledge(maze))
         assert plan.cost == bfs_distance(maze, (0, 0), maze.target)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_full_knowledge_oracle_many_seeds(self, n):
         for seed in range(8):
             maze = generate_maze(n, seed)
-            plan = astar_plan((0, 0), maze.target, full_knowledge(maze), n)
+            plan = astar_plan((0, 0), maze.target, full_knowledge(maze))
             assert plan.cost == bfs_distance(maze, (0, 0), maze.target), (n, seed)
 
     @settings(max_examples=40, deadline=None)
@@ -48,10 +48,10 @@ class TestAstarPlan:
     def test_full_knowledge_cost_equals_bfs_oracle(self, half, seed, data):
         maze = generate_maze(2 * half, seed)
         open_cells = [
-            (x, y) for x in range(maze.n) for y in range(maze.n) if not maze.walls[x, y]
+            (x, y) for x in range(maze.n) for y in range(maze.n) if not maze.walls[x][y]
         ]
         start = data.draw(st.sampled_from(open_cells))
-        plan = astar_plan(start, maze.target, full_knowledge(maze), maze.n)
+        plan = astar_plan(start, maze.target, full_knowledge(maze))
         oracle = bfs_distance(maze, start, maze.target)
         assert (plan is None) == (oracle is None)
         if plan is not None:
@@ -62,14 +62,14 @@ class TestAstarPlan:
         k = full_knowledge(maze)
         free = sorted(k.known_free)
         for start in free[::7]:
-            plan = astar_plan(start, maze.target, k, maze.n)
+            plan = astar_plan(start, maze.target, k)
             assert plan is not None
             assert plan.cost >= manhattan(start, maze.target)
 
     def test_waypoints_adjacent_and_avoid_known_walls(self):
         maze = generate_maze(16, 2)
         k = full_knowledge(maze)
-        plan = astar_plan((0, 0), maze.target, k, maze.n)
+        plan = astar_plan((0, 0), maze.target, k)
         for a, b in zip(plan.waypoints, plan.waypoints[1:]):
             assert manhattan(a, b) == 1
         assert not any(w in k.known_walls for w in plan.waypoints)
@@ -78,27 +78,27 @@ class TestAstarPlan:
         maze = generate_maze(16, 5)
         k = full_knowledge(maze)
         assert (
-            astar_plan((0, 0), maze.target, k, maze.n).waypoints
-            == astar_plan((0, 0), maze.target, k, maze.n).waypoints
+            astar_plan((0, 0), maze.target, k).waypoints
+            == astar_plan((0, 0), maze.target, k).waypoints
         )
 
     def test_no_path_when_target_sealed(self):
         k = KnowledgeMap(4)
         for cell in ((1, 1), (2, 1)):
             k.note(cell, Probe.BLOCKED)
-        assert astar_plan((0, 0), (3, 3), k, 4) is not None  # routes around
+        assert astar_plan((0, 0), (3, 3), k) is not None  # routes around
         for cell in ((2, 3), (3, 2)):  # box the target corner
             k.note(cell, Probe.BLOCKED)
-        assert astar_plan((0, 0), (3, 3), k, 4) is None
+        assert astar_plan((0, 0), (3, 3), k) is None
 
     def test_planning_from_known_wall_rejected(self):
         k = KnowledgeMap(4)
         k.note((0, 0), Probe.BLOCKED)
         with pytest.raises(ValueError):
-            astar_plan((0, 0), (3, 3), k, 4)
+            astar_plan((0, 0), (3, 3), k)
 
     def test_plan_dump_round_trips_waypoints(self):
-        plan = astar_plan((0, 0), (3, 3), KnowledgeMap(4), 4)
+        plan = astar_plan((0, 0), (3, 3), KnowledgeMap(4))
         assert trajectory_from_text(plan_to_text(plan)) == plan.waypoints
 
 
@@ -106,7 +106,7 @@ class TestFollowPlan:
     def test_advances_on_passable(self, open_grid):
         maze = open_grid(8)
         k = KnowledgeMap(8)
-        plan = astar_plan((0, 0), (4, 4), k, 8)
+        plan = astar_plan((0, 0), (4, 4), k)
         pos, outcome = follow_plan(plan, maze, k)
         assert outcome is StepOutcome.ADVANCED
         assert manhattan(pos, (0, 0)) == 1
@@ -114,7 +114,7 @@ class TestFollowPlan:
     def test_blocked_waypoint_triggers_replan(self):
         maze = generate_maze(16, 1)
         k = KnowledgeMap(maze.n)  # knows nothing: optimistic plan will hit walls
-        plan = astar_plan((0, 0), maze.target, k, maze.n)
+        plan = astar_plan((0, 0), maze.target, k)
         blocked_at = None
         for _ in range(plan.cost):
             pos, outcome = follow_plan(plan, maze, k)
@@ -128,7 +128,7 @@ class TestFollowPlan:
     def test_arrives_at_target(self, open_grid):
         maze = open_grid(8)
         k = KnowledgeMap(8)
-        plan = astar_plan((0, 0), (0, 2), k, 8)
+        plan = astar_plan((0, 0), (0, 2), k)
         follow_plan(plan, maze, k)
         pos, outcome = follow_plan(plan, maze, k)
         assert outcome is StepOutcome.ARRIVED
@@ -143,7 +143,7 @@ class TestFollowPlan:
         moves = 0
         replans = 0
         while pos != maze.target:
-            plan = astar_plan(pos, maze.target, k, maze.n)
+            plan = astar_plan(pos, maze.target, k)
             assert plan is not None
             while True:
                 pos, outcome = follow_plan(plan, maze, k)
@@ -164,9 +164,9 @@ class TestFollowPlan:
         k.observe_surroundings(maze, (0, 0))
         pos = (0, 0)
         for _ in range(500):
-            plan = astar_plan(pos, maze.target, k, maze.n)
+            plan = astar_plan(pos, maze.target, k)
             pos, outcome = follow_plan(plan, maze, k)
-            assert not maze.walls[pos]
+            assert not maze.walls[pos[0]][pos[1]]
             k.observe_surroundings(maze, pos)
             if outcome is StepOutcome.ARRIVED:
                 break

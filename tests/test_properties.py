@@ -27,7 +27,7 @@ def test_episode_invariants(n, seed, variant, rl_seed):
     assert trajectory[0] == (0, 0)
     assert len(trajectory) == log.total_steps + 1
     assert all(manhattan(a, b) == 1 for a, b in zip(trajectory, trajectory[1:]))
-    assert not any(maze.walls[pos] for pos in trajectory)
+    assert not any(maze.walls[x][y] for x, y in trajectory)
 
     assert log.final_coverage == len(set(trajectory)) / (n * n) * 100.0
 
@@ -47,4 +47,4 @@ def test_text_round_trip_keeps_walls_and_negative_seed(n, seed):
     maze = generate_maze(n, seed)
     loaded = from_text(to_text(maze))
     assert loaded.seed == seed
-    assert (loaded.walls == maze.walls).all()
+    assert loaded.walls == maze.walls

@@ -71,9 +71,10 @@ class TestSelectAction:
         rng = np.random.default_rng(7)
         q = QTable(rng_seed=1, epsilon=0.0)
         for _ in range(200):
-            q.values = np.round(rng.normal(size=(N_STATES, N_ACTIONS)), 1)
+            table = np.round(rng.normal(size=(N_STATES, N_ACTIONS)), 1)
+            q.values = table.tolist()
             s = StateId(int(rng.integers(10)), int(rng.integers(5)))
-            row = q.values[s.index]
+            row = table[s.index]
             expected = THRESHOLDS[min(i for i in range(N_ACTIONS) if row[i] == row.max())]
             assert select_action(q, s) == expected
 
@@ -90,20 +91,20 @@ class TestQUpdate:
     def test_hand_case_terminal_fifty(self):
         q = QTable(rng_seed=0)
         q_update(q, StateId(0, 0), 20, 50.0, None)
-        assert q.values[0, 0] == pytest.approx(5.0)
+        assert q.values[0][0] == pytest.approx(5.0)
 
     def test_hand_case_bootstrap(self):
         q = QTable(rng_seed=0)
         s, s_next = StateId(0, 0), StateId(0, 1)
         q.values[s_next.index] = [10, 0, 0, 0, 0]
         q_update(q, s, 20, 0.0, s_next)
-        assert q.values[s.index, 0] == pytest.approx(0.9)
+        assert q.values[s.index][0] == pytest.approx(0.9)
 
     def test_zero_reward_zero_table_fixed_point(self):
         q = QTable(rng_seed=0)
         s = StateId(3, 3)
         q_update(q, s, 30, 0.0, s)
-        assert (q.values == 0).all()
+        assert (np.array(q.values) == 0).all()
 
     @given(
         b_c=st.integers(0, 9),
@@ -115,11 +116,11 @@ class TestQUpdate:
         q = QTable(rng_seed=0)
         q.values = np.arange(N_STATES * N_ACTIONS, dtype=float).reshape(
             N_STATES, N_ACTIONS
-        )
-        before = q.values.copy()
+        ).tolist()
+        before = np.array(q.values)
         s = StateId(b_c, b_d)
         q_update(q, s, action, reward, StateId(0, 0))
-        changed = np.argwhere(q.values != before)
+        changed = np.argwhere(np.array(q.values) != before)
         expected_cell = [s.index, THRESHOLDS.index(action)]
         assert changed.tolist() in ([expected_cell], [])
 
@@ -139,8 +140,8 @@ class TestQUpdate:
 
     def test_table_shape(self):
         q = QTable(rng_seed=0)
-        assert q.values.shape == (50, 5)
-        assert (q.values == 0.0).all()
+        assert len(q.values) == 50 and all(len(row) == 5 for row in q.values)
+        assert all(type(v) is float and v == 0.0 for row in q.values for v in row)
         assert (q.alpha, q.gamma, q.epsilon) == (0.1, 0.9, 0.1)
 
 
@@ -212,9 +213,9 @@ class TestDumpFormat:
     def test_round_trip_exact(self):
         q = QTable(rng_seed=3)
         rng = np.random.default_rng(1)
-        q.values = rng.normal(size=(N_STATES, N_ACTIONS))
+        q.values = rng.normal(size=(N_STATES, N_ACTIONS)).tolist()
         values = load_qtable_values(dump_qtable_values(q.values))
-        assert (values == q.values).all()
+        assert values == q.values
 
     def test_dump_shape(self):
         lines = dump_qtable_values(QTable(rng_seed=0).values).splitlines()

@@ -135,17 +135,17 @@ class TestMazeSpiral:
         maze = generate_maze(16, seed)
         trajectory, _, _ = walk(maze, 300)
         for pos in trajectory:
-            assert not maze.walls[pos]
+            assert not maze.walls[pos[0]][pos[1]]
 
     def test_coverage_monotone(self):
         maze = generate_maze(16, 2)
         knowledge = KnowledgeMap(maze.n)
         state = SpiralState()
         knowledge.arrive(maze, (0, 0))
-        last = coverage_percent(knowledge, 16)
+        last = coverage_percent(knowledge)
         for _ in range(400):
             spiral_next(state, maze, knowledge)
-            cov = coverage_percent(knowledge, 16)
+            cov = coverage_percent(knowledge)
             assert cov >= last
             last = cov
 
@@ -190,7 +190,7 @@ class TestFlatSearchesMatchReferences:
             for y in range(n):
                 if (x, y) == (0, 0) or rng.random() >= known_share:
                     continue
-                if maze.walls[x, y]:
+                if maze.walls[x][y]:
                     knowledge.note((x, y), Probe.BLOCKED)
                     continue
                 knowledge.note((x, y), Probe.PASSABLE)
@@ -212,10 +212,10 @@ class TestFlatSearchesMatchReferences:
         knowledge.arrive(maze, (0, 0))
         for _ in range(min(steps, 2 * n * n)):
             x, y = state.pos
-            assert not maze.walls[x, y]
+            assert not maze.walls[x][y]
             for cell in ((x, y), (x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
                 if 0 <= cell[0] < n and 0 <= cell[1] < n:
                     fact = knowledge.known[knowledge.index(*cell)]
                     assert fact != UNKNOWN, (state.pos, cell)
-                    assert fact == (WALL if maze.walls[cell] else OPEN), (state.pos, cell)
+                    assert fact == (WALL if maze.walls[cell[0]][cell[1]] else OPEN), (state.pos, cell)
             spiral_next(state, maze, knowledge)
