@@ -38,6 +38,8 @@ from .episode import (
     record_to_json,
     run_episode,
 )
+from .grid import check_maze_size
+from .qlearn import THRESHOLDS
 
 RL_SEED_SALT = 0x51
 
@@ -70,9 +72,8 @@ class SuiteConfig:
     def __post_init__(self):
         if not self.sizes:
             raise ValueError("sizes must not be empty")
-        bad = [n for n in self.sizes if n < 8 or n % 2]
-        if bad:
-            raise ValueError(f"maze sizes must be even and at least 8, got {bad}")
+        for n in self.sizes:
+            check_maze_size(n)
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if self.mazes_per_size < 1:
@@ -175,7 +176,7 @@ def aggregate(suite: SuiteConfig, logs: list) -> list:
                     hist[min(int(log.switch_coverage // 10), 9)] += 1
             thresholds = {}
             if VARIANTS[vname].convergence == "rl":
-                thresholds = {t: 0 for t in (20, 30, 40, 50, 60)}
+                thresholds = {t: 0 for t in THRESHOLDS}
                 for log in cell:
                     for d in log.decisions:
                         thresholds[d.action] += 1

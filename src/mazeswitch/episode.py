@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .grid import KnowledgeMap, coverage_percent, generate_maze, manhattan
+from .grid import KnowledgeMap, check_maze_size, coverage_percent, generate_maze, manhattan
 from .pathfind import StepOutcome, astar_plan, follow_plan
 from .qlearn import (
     QTable,
@@ -94,8 +94,7 @@ class EpisodeConfig:
     decision_period: int = DEFAULT_DECISION_PERIOD
 
     def __post_init__(self):
-        if self.n < 8 or self.n % 2:
-            raise ValueError(f"maze size must be even and at least 8, got {self.n}")
+        check_maze_size(self.n)
         if self.step_limit is not None and self.step_limit <= 0:
             raise ValueError("step_limit must be positive")
         if self.decision_period <= 0:

@@ -32,7 +32,9 @@ sensor or a probe reports the cell; its padding is 2 (outside) from the
 start. A parallel ``visited_mask`` holds 1 at every occupied cell. The
 walker, the escape search and A* read neighbours at the same four
 offsets and need no bounds check: a padding byte is never open and
-never unknown.
+never unknown. ``nearest_path`` is the one breadth-first search over
+either layout: the carver's connectivity check and the walker's escapes
+both call it.
 
 Text form (``to_text``/``from_text`` round-trip exactly)::
 
@@ -47,7 +49,6 @@ with ``#`` wall, ``.`` open, ``S`` start at (0, 0), ``T`` target at
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -204,29 +205,10 @@ class KnowledgeMap:
         x, y = divmod(i, self.stride)
         return (x - 2, y - 1)
 
-    def _cells(self, layout: bytearray, byte: int) -> set:
-        return {self.cell(i) for i, b in enumerate(layout) if b == byte}
-
-    @property
-    def known_free(self) -> set:
-        """Cells known to be open (a fresh set; for inspection and tests)."""
-        return self._cells(self.known, OPEN)
-
     @property
     def known_walls(self) -> set:
-        """Cells known to be walls (a fresh set; for inspection and tests)."""
-        return self._cells(self.known, WALL)
-
-    @property
-    def visited(self) -> set:
-        """Cells the agent has occupied (a fresh set; for inspection and tests)."""
-        return self._cells(self.visited_mask, 1)
-
-    @property
-    def revision(self) -> int:
-        """Number of grid cells with a known fact; grows with each new fact."""
-        known = self.known
-        return len(known) - known.count(UNKNOWN) - known.count(OUTSIDE)
+        """Cells known to be walls (a fresh set; for inspection)."""
+        return {self.cell(i) for i, b in enumerate(self.known) if b == WALL}
 
     def note(self, cell: Position, result: Probe) -> None:
         """Record one probe result. Out-of-bounds probes carry no cell fact."""
@@ -293,10 +275,7 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
     Requires even ``n >= 8``. The start (0, 0), the target (n/2, n/2),
     and a path between them are guaranteed.
     """
-    if n < 8:
-        raise MazeConfigError(f"maze size must be at least 8, got {n}")
-    if n % 2:
-        raise MazeConfigError(f"maze size must be even, got {n}")
+    check_maze_size(n)
 
     rng = SplitMix64(seed)
     w = n + 2
@@ -330,10 +309,17 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
         if cells[t + d] == WALL:
             cells[t + d] = OPEN
 
-    grid = MazeGrid(n=n, walls=_rows(cells, n), target=target, seed=seed)
-    if not _connected(grid, (0, 0), target):
+    goal_unreached = bytearray([1]) * len(cells)
+    goal_unreached[t] = 0
+    if nearest_path(cells, w, origin, goal_unreached) is None:
         raise AssertionError(f"generated maze ({n}, {seed}) lost connectivity")
-    return grid
+    return MazeGrid(n=n, walls=_rows(cells, n), target=target, seed=seed)
+
+
+def check_maze_size(n: int) -> None:
+    """Raise MazeConfigError unless ``n`` is an even maze size of at least 8."""
+    if n < 8 or n % 2:
+        raise MazeConfigError(f"maze size must be even and at least 8, got {n}")
 
 
 def _braid_dead_ends(cells: bytearray, n: int, rng: SplitMix64) -> None:
@@ -364,24 +350,29 @@ def _braid_dead_ends(cells: bytearray, n: int, rng: SplitMix64) -> None:
         cells[i + pick] = OPEN
 
 
-def _connected(maze: MazeGrid, a: Position, b: Position) -> bool:
-    cells = maze.cells
-    w = maze.stride
-    start, goal = maze.index(*a), maze.index(*b)
-    if cells[start] != OPEN or cells[goal] != OPEN:
-        return False
-    seen = bytearray(len(cells))
-    seen[start] = 1
-    frontier = deque([start])
-    while frontier:
-        i = frontier.popleft()
-        if i == goal:
-            return True
-        for j in (i + 1, i + w, i - 1, i - w):
-            if cells[j] == OPEN and not seen[j]:
-                seen[j] = 1
+def nearest_path(layout, stride: int, start: int, reached) -> list | None:
+    """Shortest path over OPEN bytes to the nearest index not yet reached.
+
+    Breadth-first over the flat indices of a padded layout (``stride``
+    bytes wide) from ``start``, expanding E, S, W, N. Returns the indices
+    to step onto in order (excluding ``start``) up to the first one whose
+    ``reached`` byte is 0, or None when no such index is reachable.
+    """
+    parents = {start: start}
+    frontier = [start]
+    for i in frontier:  # a FIFO queue: the loop reaches the appended indices
+        if not reached[i]:
+            path = []
+            while i != start:
+                path.append(i)
+                i = parents[i]
+            path.reverse()
+            return path
+        for j in (i + 1, i + stride, i - 1, i - stride):
+            if layout[j] == OPEN and j not in parents:
+                parents[j] = i
                 frontier.append(j)
-    return False
+    return None
 
 
 _GLYPHS = bytes.maketrans(bytes([OPEN, WALL]), b".#")
@@ -429,20 +420,3 @@ def from_text(text: str) -> MazeGrid:
         )
     walls = [[ch == "#" for ch in row] for row in body]
     return MazeGrid(n=n, walls=walls, target=target_seen, seed=seed)
-
-
-def trajectory_to_text(positions) -> str:
-    """Position sequence as newline-separated "x,y" pairs (golden-file form)."""
-    return "\n".join(f"{x},{y}" for x, y in positions) + "\n"
-
-
-def trajectory_from_text(text: str) -> list:
-    positions = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise MazeFormatError(f"bad trajectory line {lineno}: {line!r}")
-        positions.append((int(parts[0]), int(parts[1])))
-    return positions

@@ -28,7 +28,6 @@ from .grid import (
     Probe,
     manhattan,
     probe,
-    trajectory_to_text,
 )
 
 
@@ -127,8 +126,3 @@ def follow_plan(
     if plan.cursor == len(plan.waypoints) - 1:
         return nxt, StepOutcome.ARRIVED
     return nxt, StepOutcome.ADVANCED
-
-
-def plan_to_text(plan: Plan) -> str:
-    """Waypoints in the trajectory text format, for debugging dumps."""
-    return trajectory_to_text(plan.waypoints)

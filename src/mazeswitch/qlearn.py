@@ -40,6 +40,9 @@ N_ACTIONS = len(THRESHOLDS)
 
 POTENTIAL_OFFSET = 50.0
 
+ALPHA = 0.1  # learning rate
+GAMMA = 0.9  # discount
+
 
 class StateId(NamedTuple):
     """Discretized progress state: (coverage bucket, distance bucket)."""
@@ -65,20 +68,11 @@ def discretize(coverage: float, distance: int, n: int) -> StateId:
 
 
 class QTable:
-    """50 x 5 action values (a list of rows) plus hyperparameters and a private rng stream."""
+    """50 x 5 action values (a list of rows), epsilon and a private rng stream."""
 
-    def __init__(
-        self,
-        rng_seed: int,
-        alpha: float = 0.1,
-        gamma: float = 0.9,
-        epsilon: float = 0.1,
-    ) -> None:
+    def __init__(self, rng_seed: int, epsilon: float = 0.1) -> None:
         self.values = [[0.0] * N_ACTIONS for _ in range(N_STATES)]
-        self.alpha = alpha
-        self.gamma = gamma
         self.epsilon = epsilon
-        self.rng_seed = rng_seed
         self.rng = SplitMix64(rng_seed)
 
 
@@ -95,9 +89,9 @@ def q_update(q: QTable, s: StateId, a: int, r: float, s_next: Optional[StateId])
     if not math.isfinite(r):
         raise ValueError(f"non-finite reward: {r}")
     ai = THRESHOLDS.index(a)
-    future = 0.0 if s_next is None else q.gamma * max(q.values[s_next.index])
+    future = 0.0 if s_next is None else GAMMA * max(q.values[s_next.index])
     row = q.values[s.index]
-    row[ai] += q.alpha * (r + future - row[ai])
+    row[ai] += ALPHA * (r + future - row[ai])
     return q
 
 
@@ -164,12 +158,3 @@ def dump_qtable_values(values) -> str:
     for row in values:
         lines.append(" ".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def load_qtable_values(text: str) -> list:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if len(rows) != N_STATES or any(len(r) != N_ACTIONS for r in rows):
-        raise ValueError(
-            f"expected {N_STATES} rows of {N_ACTIONS} values in Q-table dump"
-        )
-    return [[float(v) for v in row] for row in rows]

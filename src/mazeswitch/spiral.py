@@ -5,19 +5,24 @@ the perimeter inward: ring ``r`` holds the cells whose distance to the
 nearest border is ``r``, traversed east along the top, south down the
 right, west along the bottom, north up the left, then one step east into
 ring ``r + 1``. On an open grid this visits every cell exactly once.
+``spiral_route(n)`` stores that route once per size as a table: the
+tuple of all n*n cells in walking order, and each cell's rank in it.
 
-Walls interrupt the route. When the next ring cell probes blocked, the
-walker detours using the right-hand rule, keeping the obstruction on its
-right, until it stands on the current ring at or past the blocked
-segment, where normal traversal resumes. Wall-following alone can orbit
-a loop forever in a maze with cycles, so a detour breaks out when it
-revisits one of its own (position, heading) states or exhausts a step
-budget of one ring perimeter: it then walks along cells already known to
-be free to the nearest cell it has never visited and resumes the spiral
-from that cell's ring. After the innermost ring the walker keeps mopping
-up the remaining unvisited known-free cells the same way, which makes
-coverage of the whole reachable component systematic rather than
-best-effort.
+The walker keeps one cursor into the table, ``next_k``, the rank of the
+next cell to walk onto; stepping onto it advances the cursor, moving on
+to the next ring included. Walls interrupt the route. When the next
+cell probes blocked, the walker remembers its rank as ``detour_k`` and
+detours using the right-hand rule, keeping the obstruction on its right,
+until it stands on the same ring at or past that rank; the cursor then
+resumes just past its cell. Wall-following alone can orbit a loop
+forever in a maze with cycles, so a detour breaks out when it revisits
+one of its own (position, heading) states or has retraced visited cells
+for ``STALE_DETOUR_LIMIT`` steps in a row: it then walks along cells
+already known to be free to the nearest cell it has never visited and
+resumes the route just past that cell. Once the cursor runs off the end
+of the table the walker keeps mopping up the remaining unvisited
+known-free cells the same way, which makes coverage of the whole
+reachable component systematic rather than best-effort.
 
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
@@ -28,6 +33,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 from .grid import (
     DIRECTION_VECTORS,
@@ -38,6 +45,7 @@ from .grid import (
     MazeGrid,
     Position,
     Probe,
+    nearest_path,
     probe,
 )
 
@@ -64,59 +72,41 @@ def cell_layer(n: int, pos: Position) -> int:
     return min(x, y, n - 1 - x, n - 1 - y)
 
 
-def max_layer(n: int) -> int:
-    return (n - 1) // 2
+@lru_cache(maxsize=4)  # a suite uses at most four sizes
+def spiral_route(n: int) -> tuple[tuple, MappingProxyType]:
+    """The ideal route on an ``n x n`` grid as ``(route, rank)``.
 
-
-def ring_length(n: int, layer: int) -> int:
-    side = n - 2 * layer
-    return 1 if side == 1 else 4 * (side - 1)
-
-
-def ring_cell(n: int, layer: int, idx: int) -> Position:
-    """The ``idx``-th cell of ring ``layer``, clockwise from its top-left."""
-    side = n - 2 * layer
-    if side == 1:
-        return (layer, layer)
-    seg = side - 1
-    far = n - 1 - layer
-    if idx <= seg:
-        return (layer, layer + idx)
-    if idx <= 2 * seg:
-        return (layer + (idx - seg), far)
-    if idx <= 3 * seg:
-        return (far, far - (idx - 2 * seg))
-    return (far - (idx - 3 * seg), layer)
-
-
-def ring_index(n: int, layer: int, pos: Position) -> int:
-    """Inverse of ring_cell for a position lying on ring ``layer``."""
-    x, y = pos
-    side = n - 2 * layer
-    if side == 1:
-        return 0
-    seg = side - 1
-    far = n - 1 - layer
-    if x == layer:
-        return y - layer
-    if y == far:
-        return seg + (x - layer)
-    if x == far:
-        return 2 * seg + (far - y)
-    return 3 * seg + (far - x)
+    ``route`` holds all n*n cells in walking order: ring 0 clockwise from
+    (0, 0), then ring 1 from (1, 1), and so on, with the centre cell last
+    when ``n`` is odd. ``rank`` maps each cell to its place in ``route``.
+    Both are read-only, because every caller shares the cached pair.
+    """
+    route = []
+    for r in range((n + 1) // 2):
+        far = n - 1 - r
+        if r == far:
+            route.append((r, r))
+            break
+        route += [(r, y) for y in range(r, far)]
+        route += [(x, far) for x in range(r, far)]
+        route += [(far, y) for y in range(far, r, -1)]
+        route += [(x, r) for x in range(far, r, -1)]
+    return tuple(route), MappingProxyType({cell: k for k, cell in enumerate(route)})
 
 
 @dataclass
 class SpiralState:
-    """Walker bookkeeping; single owner, mutated in place by spiral_next."""
+    """Walker bookkeeping; single owner, mutated in place by spiral_next.
+
+    ``next_k`` is the place in the route of the next cell to walk onto;
+    ``detour_k`` is the route place a detour must reach to end.
+    """
 
     pos: Position = (0, 0)
     heading: str = EAST
-    layer: int = 0
-    next_idx: int = 1
+    next_k: int = 1
     detouring: bool = False
-    detour_layer: int = 0
-    detour_idx: int = 0
+    detour_k: int = 0
     detour_stale: int = 0
     detour_seen: set = field(default_factory=set)
     mopping: bool = False
@@ -133,19 +123,15 @@ def spiral_next(
     Raises SpiralStuck when no neighbour is known to be passable, which
     cannot happen on a connected maze.
     """
-    n = maze.n
-
     if state.escape_path:
         _escape_step(state, maze, knowledge)
         return state.pos, state
 
-    if not state.mopping and not state.detouring:
-        if state.next_idx >= ring_length(n, state.layer):
-            if state.layer + 1 > max_layer(n):
-                state.mopping = True
-            else:
-                state.layer += 1
-                state.next_idx = 0
+    n = maze.n
+    route, rank = spiral_route(n)
+
+    if not state.mopping and not state.detouring and state.next_k == len(route):
+        state.mopping = True
 
     if state.mopping:
         path = _path_to_nearest_unvisited(state.pos, knowledge)
@@ -159,20 +145,19 @@ def spiral_next(
         return state.pos, state
 
     if not state.detouring:
-        pending = ring_cell(n, state.layer, state.next_idx)
+        pending = route[state.next_k]
         approach = _STEP_TO_HEADING[
             (pending[0] - state.pos[0], pending[1] - state.pos[1])
         ]
         if probe(maze, state.pos, pending) is Probe.PASSABLE:
             state.pos = pending
             state.heading = approach
-            state.next_idx += 1
+            state.next_k += 1
             knowledge.arrive(maze, state.pos)
             return state.pos, state
         # Blocked: hug the obstruction, keeping it on the right.
         state.detouring = True
-        state.detour_layer = state.layer
-        state.detour_idx = state.next_idx
+        state.detour_k = state.next_k
         state.detour_stale = 0
         state.detour_seen = set()
         state.heading = _TURN_LEFT[approach]
@@ -181,11 +166,10 @@ def spiral_next(
     knowledge.arrive(maze, state.pos)
     state.detour_stale = 0 if fresh else state.detour_stale + 1
 
-    lay = cell_layer(n, state.pos)
-    if lay == state.detour_layer and ring_index(n, lay, state.pos) >= state.detour_idx:
+    k = rank[state.pos]
+    if k >= state.detour_k and cell_layer(n, state.pos) == cell_layer(n, route[state.detour_k]):
         state.detouring = False
-        state.layer = lay
-        state.next_idx = ring_index(n, lay, state.pos) + 1
+        state.next_k = k + 1
         state.detour_seen = set()
     else:
         key = (state.pos, state.heading)
@@ -212,39 +196,22 @@ def _escape_step(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) ->
     state.pos = nxt
     knowledge.arrive(maze, state.pos)
     if not state.escape_path and not state.mopping:
-        # Landed on fresh ground: resume the spiral from this cell's ring.
-        state.layer = cell_layer(maze.n, state.pos)
-        state.next_idx = ring_index(maze.n, state.layer, state.pos) + 1
+        # Landed on fresh ground: resume the route just past this cell.
+        state.next_k = spiral_route(maze.n)[1][state.pos] + 1
 
 
 def _path_to_nearest_unvisited(pos: Position, knowledge: KnowledgeMap) -> deque | None:
     """Shortest path over known-free cells to the nearest unvisited one.
 
-    Breadth-first over flat indices, expanding E, S, W, N. Returns the
-    cells to step onto in order (excluding ``pos``), or None when every
-    known-free cell has been visited already. Intermediate cells of the
-    returned path are always previously visited, so exactly one new cell
-    is covered per escape.
+    Returns the cells to step onto in order (excluding ``pos``), or None
+    when every known-free cell has been visited already. Intermediate
+    cells of the returned path are always previously visited, so exactly
+    one new cell is covered per escape.
     """
-    known = knowledge.known
-    visited = knowledge.visited_mask
-    w = knowledge.stride
-    start = knowledge.index(*pos)
-    parents = {start: start}
-    frontier = deque([start])
-    while frontier:
-        i = frontier.popleft()
-        if not visited[i]:
-            path = deque()
-            while i != start:
-                path.appendleft(knowledge.cell(i))
-                i = parents[i]
-            return path
-        for j in (i + 1, i + w, i - 1, i - w):
-            if known[j] == OPEN and j not in parents:
-                parents[j] = i
-                frontier.append(j)
-    return None
+    path = nearest_path(
+        knowledge.known, knowledge.stride, knowledge.index(*pos), knowledge.visited_mask
+    )
+    return None if path is None else deque(map(knowledge.cell, path))
 
 
 def _wall_follow_move(state: SpiralState, knowledge: KnowledgeMap) -> bool:

@@ -101,6 +101,11 @@ def bfs_reachable(maze, start=(0, 0)):
     return seen
 
 
+def trajectory_from_text(text):
+    """Positions from newline-separated "x,y" lines (the golden-file form)."""
+    return [tuple(map(int, line.split(","))) for line in text.splitlines() if line.strip()]
+
+
 def reference_escape_path(pos, free, visited):
     """Independent escape search over ``(x, y)`` tuple sets.
 

@@ -120,8 +120,6 @@ class TestRun:
         assert 128 in LONG_SIZES
 
     def test_qtable_dumps_written_for_learning_variants(self, tmp_path, capsys):
-        from mazeswitch.qlearn import load_qtable_values
-
         out = tmp_path / "results"
         run_cli(
             ["run", "--sizes", "16", "--mazes", "2", "--variants", "spiral,spiral_rl",
@@ -133,7 +131,7 @@ class TestRun:
             "16x16_spiral_rl_seed0.txt",
             "16x16_spiral_rl_seed1.txt",
         ]
-        values = load_qtable_values(dumps[0].read_text())
+        values = [[float(v) for v in line.split()] for line in dumps[0].read_text().splitlines()]
         assert len(values) == 50 and all(len(row) == 5 for row in values)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mazeswitch.grid import (
+    UNKNOWN,
     KnowledgeMap,
     MazeConfigError,
     MazeFormatError,
@@ -117,9 +118,7 @@ def _assert_sensor_matches_reference(maze, positions):
     for pos in positions:
         k.observe_surroundings(maze, pos)
         reference_observe(ref, maze, pos)
-        assert k.known_walls == ref.known_walls
-        assert k.known_free == ref.known_free
-        assert k.revision == ref.revision
+        assert k.known == ref.known
 
 
 class TestSensorMatchesReference:
@@ -171,7 +170,7 @@ class TestSensorMatchesReference:
         k = KnowledgeMap(8)
         with pytest.raises(ValueError):
             k.observe_surroundings(open_grid(8), pos)
-        assert not k.known_free and not k.known_walls and k.revision == 0
+        assert k.known == KnowledgeMap(8).known
 
 
 class TestHandBuiltGrid:
@@ -240,22 +239,25 @@ class TestKnowledgeMap:
             for y in range(16):
                 if not maze.walls[x][y]:
                     k.observe_surroundings(maze, (x, y))
-        assert not (k.known_walls & k.known_free)
+        assert k.known_walls
+        assert all(b in (UNKNOWN, maze.cells[i]) for i, b in enumerate(k.known))
 
-    def test_revision_bumps_on_new_facts_only(self):
+    def test_known_bytes_change_on_new_facts_only(self):
         maze = generate_maze(16, 1)
         k = KnowledgeMap(16)
+        blank = bytes(k.known)
         k.observe_surroundings(maze, (0, 0))
-        rev = k.revision
+        sensed = bytes(k.known)
+        assert sensed != blank
         k.observe_surroundings(maze, (0, 0))
-        assert k.revision == rev
+        assert k.known == sensed
 
     def test_first_fact_about_a_cell_stands(self):
         k = KnowledgeMap(8)
         k.note((2, 3), Probe.BLOCKED)
         k.note((2, 3), Probe.PASSABLE)
         k.note((9, 3), Probe.OUT_OF_BOUNDS)
-        assert k.known_walls == {(2, 3)} and not k.known_free and k.revision == 1
+        assert k.known_walls == {(2, 3)} and k.known.count(UNKNOWN) == 8 * 8 - 1
 
     @pytest.mark.parametrize("cell", [(-1, 0), (0, 8), (8, 8), (3, -2)])
     def test_off_grid_cells_are_rejected(self, cell):
@@ -264,7 +266,8 @@ class TestKnowledgeMap:
             k.note(cell, Probe.PASSABLE)
         with pytest.raises(ValueError):
             k.record(cell)
-        assert k.revision == 0 and k.visited_count == 0 and not k.visited
+        assert k.known == KnowledgeMap(8).known
+        assert k.visited_count == 0 and not any(k.visited_mask)
 
     def test_sensing_a_maze_of_another_size_raises(self):
         with pytest.raises(ValueError):

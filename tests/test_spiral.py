@@ -13,19 +13,17 @@ from mazeswitch.grid import (
     coverage_percent,
     generate_maze,
     manhattan,
+    nearest_path,
+)
+from mazeswitch.spiral import SpiralState, SpiralStuck, cell_layer, spiral_next, spiral_route
+from mazeswitch.spiral import _path_to_nearest_unvisited
+from conftest import (
+    bfs_distance,
+    bfs_reachable,
+    reference_escape_path,
+    sealed_pocket_grid,
     trajectory_from_text,
 )
-from mazeswitch.spiral import (
-    SpiralState,
-    SpiralStuck,
-    cell_layer,
-    ring_cell,
-    ring_index,
-    ring_length,
-    spiral_next,
-)
-from mazeswitch.spiral import _path_to_nearest_unvisited
-from conftest import bfs_reachable, reference_escape_path, sealed_pocket_grid
 
 DATA = Path(__file__).parent / "data"
 
@@ -43,31 +41,32 @@ def walk(maze, steps, sample_stride=1):
 
 
 class TestRingGeometry:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40))
+    def test_rings_partition_grid(self, n):
+        route, rank = spiral_route(n)
+        assert sorted(route) == [(x, y) for x in range(n) for y in range(n)]
+        assert [rank[cell] for cell in route] == list(range(n * n))
+        layers = [cell_layer(n, cell) for cell in route]
+        assert layers == sorted(layers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40))
+    def test_consecutive_ring_cells_adjacent(self, n):
+        route, _ = spiral_route(n)
+        for a, b in zip(route, route[1:]):
+            assert manhattan(a, b) == 1
+
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_ring_cell_index_round_trip(self, n):
-        for layer in range((n + 1) // 2):
-            length = ring_length(n, layer)
-            cells = [ring_cell(n, layer, i) for i in range(length)]
-            assert len(set(cells)) == length
-            for i, cell in enumerate(cells):
-                assert cell_layer(n, cell) == layer
-                assert ring_index(n, layer, cell) == i
-
-    def test_rings_partition_grid(self):
-        n = 10
-        cells = {
-            ring_cell(n, layer, i)
-            for layer in range((n + 1) // 2)
-            for i in range(ring_length(n, layer))
-        }
-        assert len(cells) == n * n
-
-    def test_consecutive_ring_cells_adjacent(self):
-        n = 8
-        for layer in range(4):
-            cells = [ring_cell(n, layer, i) for i in range(ring_length(n, layer))]
-            for a, b in zip(cells, cells[1:]):
-                assert manhattan(a, b) == 1
+        # Each ring starts at its top-left corner and turns clockwise at
+        # the other three corners.
+        route, rank = spiral_route(n)
+        for layer in range(n // 2):
+            first, far, seg = rank[(layer, layer)], n - 1 - layer, n - 1 - 2 * layer
+            corners = [(layer, layer), (layer, far), (far, far), (far, layer)]
+            assert [route[first + i * seg] for i in range(4)] == corners
+            assert all(cell_layer(n, c) == layer for c in route[first : first + 4 * seg])
 
 
 class TestOpenGridSpiral:
@@ -118,10 +117,11 @@ class TestMazeSpiral:
         state = SpiralState()
         knowledge.arrive(maze, (0, 0))
         for _ in range(4 * 16 * 16):
-            if knowledge.visited == reachable:
+            if knowledge.visited_count == len(reachable):
                 break
             spiral_next(state, maze, knowledge)
-        assert knowledge.visited == reachable
+        assert knowledge.visited_count == len(reachable)
+        assert all(knowledge.visited_mask[knowledge.index(*cell)] for cell in reachable)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_no_teleporting(self, seed):
@@ -202,6 +202,33 @@ class TestFlatSearchesMatchReferences:
             path = _path_to_nearest_unvisited(pos, knowledge)
             expected = reference_escape_path(pos, free, visited)
             assert (None if path is None else list(path)) == expected, pos
+
+    @pytest.mark.parametrize("n, seed", [(8, 0), (16, 1), (32, 2), (64, 3)])
+    def test_nearest_path_matches_references(self, n, seed):
+        # One search serves both callers: the carver's connectivity check
+        # (one unreached goal) and the walker's escape (unvisited cells).
+        maze = generate_maze(n, seed)
+        reachable = bfs_reachable(maze)
+        start = maze.index(0, 0)
+        for cell in [(x, y) for x in range(n) for y in range(n)][::11]:
+            goal = bytearray([1]) * len(maze.cells)
+            goal[maze.index(*cell)] = 0
+            path = nearest_path(maze.cells, maze.stride, start, goal)
+            assert (path is not None) == (cell in reachable), cell
+            if path is not None:
+                assert len(path) == bfs_distance(maze, (0, 0), cell), cell
+        visited = {cell for cell in reachable if (cell[0] + 3 * cell[1]) % 7}
+        knowledge = KnowledgeMap(n)
+        for cell in reachable:
+            knowledge.note(cell, Probe.PASSABLE)
+        for cell in visited:
+            knowledge.record(cell)
+        for pos in sorted(visited)[::5]:
+            path = nearest_path(
+                knowledge.known, knowledge.stride, knowledge.index(*pos), knowledge.visited_mask
+            )
+            cells = None if path is None else [knowledge.cell(i) for i in path]
+            assert cells == reference_escape_path(pos, reachable, visited), pos
 
     @settings(max_examples=25, deadline=None)
     @given(n=MAZE_SIZES, seed=SEEDS, steps=st.integers(1, 3000))
