@@ -17,7 +17,9 @@ print(f"target:      {maze.target}")
 print(f"open cells:  {open_cells} of {maze.n * maze.n} "
       f"({100 * open_cells / maze.n ** 2:.1f}%)")
 
-# The same (size, seed) pair always carves the same walls.
+# The same (size, seed) pair always carves the same walls. generate_maze
+# remembers its last maze, so forget it first to carve a second time.
+generate_maze.cache_clear()
 again = generate_maze(16, seed=1)
 print(f"regenerated layout identical: {maze.layout_hash() == again.layout_hash()}")
 

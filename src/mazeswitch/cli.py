@@ -21,6 +21,7 @@ import configparser
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .bench import (
     DEFAULT_SIZES,
@@ -93,13 +94,33 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv: list) -> argparse.
     return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
+def _fail(message: str) -> NoReturn:
+    """Exit with status 2 and one ``mazeswitch: error:`` line on stderr."""
+    print(f"mazeswitch: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _checked(build, *args, **kwargs):
     """``build(*args, **kwargs)``, or exit with status 2 and one line on bad values."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        print(f"mazeswitch: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _fail(str(exc))
+
+
+def _out_dir(path):
+    """The ``--out`` directory, created before any suite starts; None without one.
+
+    An empty ``--out`` (also ``out =`` in a config file) means no output.
+    """
+    if not path:
+        return None
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, a file on the path, no permission
+        _fail(f"cannot create output directory {out}: {exc.strerror or exc}")
+    return out
 
 
 def _cmd_run(args) -> int:
@@ -114,11 +135,10 @@ def _cmd_run(args) -> int:
         base_seed=args.seed,
         jobs=args.jobs,
     )
+    out = _out_dir(args.out)
     report, logs = run_suite(suite)
     print(format_report(report))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_records(logs, out / "episodes.jsonl")
         write_report_csv(report, out / "report.csv")
         write_report_json(report, out / "report.json")
@@ -148,11 +168,10 @@ def _cmd_ablate(args) -> int:
         base_seed=args.seed,
         jobs=args.jobs,
     )
+    out = _out_dir(args.out)
     rows, logs = ablation(suite)
     print(format_ablation(rows))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_records(logs, out / "ablation_episodes.jsonl")
         (out / "ablation.json").write_text(json.dumps(rows, indent=2) + "\n")
         print(f"\nwrote {out / 'ablation_episodes.jsonl'}, {out / 'ablation.json'}")
@@ -161,13 +180,13 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_replay(args) -> int:
     path = Path(args.records)
-    if not path.exists():
-        raise SystemExit(f"no such record file: {path}")
-    lines = list(
-        enumerate(
-            (line for line in path.read_text().splitlines() if line.strip()), start=1
-        )
-    )
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:  # missing, a directory, unreadable
+        _fail(f"cannot read record file {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _fail(f"record file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
+    lines = list(enumerate((line for line in text.splitlines() if line.strip()), start=1))
     if args.line is not None:
         if not 1 <= args.line <= len(lines):
             raise SystemExit(f"--line must be in 1..{len(lines)}")
@@ -199,7 +218,10 @@ def _cmd_gen_maze(args) -> int:
     maze = _checked(generate_maze, args.size, args.seed)
     text = to_text(maze)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            _fail(f"cannot write maze to {args.out}: {exc.strerror or exc}")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

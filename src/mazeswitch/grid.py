@@ -36,6 +36,15 @@ never unknown. ``nearest_path`` is the one breadth-first search over
 either layout: the carver's connectivity check and the walker's escapes
 both call it.
 
+``generate_maze`` remembers its last maze, one slot keyed by
+``(n, seed)``. A suite runs every variant of a maze back to back, so a
+serial suite carves each maze once instead of once per variant, and a
+pool worker once per chunk of episodes that holds the maze. Sharing the
+grid is safe because it cannot be changed: ``cells`` is ``bytes`` and
+``walls`` a tuple of ``bytes`` rows. The memo keeps exactly one slot on purpose:
+benchmark rounds never repeat a maze, so a second slot would never hit,
+and a larger cache would turn into a cache across rounds and suites.
+
 Text form (``to_text``/``from_text`` round-trip exactly)::
 
     n seed
@@ -51,7 +60,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .rng import SplitMix64
 
@@ -269,11 +278,13 @@ def coverage_percent(knowledge: KnowledgeMap) -> float:
     return knowledge.visited_count / (n * n) * 100.0
 
 
+@lru_cache(maxsize=1)  # one slot: see the module docstring
 def generate_maze(n: int, seed: int) -> MazeGrid:
     """Carve a braided maze; pure function of ``(n, seed)``.
 
     Requires even ``n >= 8``. The start (0, 0), the target (n/2, n/2),
-    and a path between them are guaranteed.
+    and a path between them are guaranteed. A repeated call with the
+    previous ``(n, seed)`` returns the same (immutable) grid.
     """
     check_maze_size(n)
 

@@ -21,6 +21,7 @@ from mazeswitch.bench import (
     write_report_json,
 )
 from mazeswitch.episode import record_to_json
+from mazeswitch.grid import generate_maze
 
 
 SMALL = SuiteConfig(sizes=(16,), mazes_per_size=3, base_seed=0)
@@ -108,6 +109,16 @@ class TestParallelism:
         assert [record_to_json(l) for l in serial[1]] == [
             record_to_json(l) for l in parallel[1]
         ]
+
+
+class TestMazeReuse:
+    VARIANTS = ("spiral", "spiral_conv", "sentinel_rl")
+
+    def test_serial_suite_carves_each_maze_once(self):
+        generate_maze.cache_clear()
+        run_suite(SuiteConfig(sizes=(16, 32), mazes_per_size=2, variants=self.VARIANTS))
+        info = generate_maze.cache_info()
+        assert (info.misses, info.hits) == (4, 4 * (len(self.VARIANTS) - 1))
 
 
 class TestGoldenRecords:

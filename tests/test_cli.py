@@ -36,6 +36,23 @@ class TestGenMaze:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("mazeswitch: error: ")
 
+    def test_missing_out_directory_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "missing_dir" / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen-maze", "--size", "16", "--seed", "1", "--out", str(path)])
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, "missing_dir")
+        assert not path.parent.exists()
+
+
+def _assert_one_error_line(capsys, *fragments):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("mazeswitch: error: ")
+    for fragment in fragments:
+        assert fragment in captured.err
+
 
 class TestRun:
     def test_writes_records_and_reports(self, tmp_path, capsys):
@@ -224,6 +241,22 @@ class TestReplay:
         assert run_cli(["replay", str(path)]) == 1
         assert capsys.readouterr().out.startswith("record 1: ERROR ")
 
+    @pytest.mark.parametrize("name", ["", "missing.jsonl"], ids=["directory", "missing"])
+    def test_unreadable_path_is_one_line(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["replay", str(path)])
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, f"cannot read record file {path}: ")
+
+    def test_non_utf8_file_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "episodes.jsonl"
+        path.write_bytes(b'{"config": {}}\n\xff\xfe\n')
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["replay", str(path)])
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, "UTF-8")
+
 
 class TestAblate:
     def test_prints_table_and_writes_outputs(self, tmp_path, capsys):
@@ -262,6 +295,34 @@ class TestSuiteArgumentErrors:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("mazeswitch: error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["run", "--sizes", "16"], ["ablate", "--size", "16"]])
+    @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+    def test_unusable_out_stops_before_the_suite(self, command, where, tmp_path, monkeypatch, capsys):
+        def no_suite(suite):
+            raise AssertionError("a suite started")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        monkeypatch.setattr(cli, "ablation", no_suite)
+        blocker = tmp_path / "results"
+        blocker.write_text("not a directory\n")
+        out = blocker if where == "existing-file" else blocker / "sub"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + ["--mazes", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, str(out))
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", [["run", "--sizes", "16"], ["ablate", "--size", "16"]])
+    @pytest.mark.parametrize("where", ["flag", "config-file"])
+    def test_empty_out_writes_nothing(self, command, where, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "suite.ini"
+        cfg.write_text("[suite]\nout =\n")
+        extra = ["--out", ""] if where == "flag" else ["--config", str(cfg)]
+        assert run_cli(command + ["--mazes", "1"] + extra) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["suite.ini"]
 
     @pytest.mark.parametrize(
         "command, line",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mazeswitch.episode import VARIANTS, EpisodeConfig, record_to_json, run_episode
 from mazeswitch.grid import (
     UNKNOWN,
     KnowledgeMap,
@@ -32,7 +33,9 @@ class TestGenerateMaze:
         assert bfs_distance(maze, (0, 0), (8, 8)) is not None
 
     def test_same_seed_bit_identical(self):
+        generate_maze.cache_clear()  # two real carves, not one memo hit
         a = generate_maze(16, 1)
+        generate_maze.cache_clear()
         b = generate_maze(16, 1)
         assert a.layout_hash() == b.layout_hash()
         assert a.walls == b.walls
@@ -73,6 +76,41 @@ class TestGenerateMaze:
         maze = generate_maze(16, 1)
         with pytest.raises(TypeError):
             maze.walls[0][0] = 1
+
+
+class TestMazeMemo:
+    def test_repeated_call_returns_the_same_grid(self):
+        generate_maze.cache_clear()
+        first = generate_maze(16, 1)
+        assert generate_maze(16, 1) is first
+        info = generate_maze.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_one_slot_only(self):
+        generate_maze.cache_clear()
+        first = generate_maze(16, 1)
+        generate_maze(16, 2)
+        assert generate_maze.cache_info().currsize == 1
+        again = generate_maze(16, 1)  # evicted, so carved again
+        assert again is not first and again.walls == first.walls
+
+    def test_shared_grid_cannot_be_changed(self):
+        maze = generate_maze(16, 1)
+        with pytest.raises(TypeError):
+            maze.cells[maze.index(0, 1)] = 1
+        with pytest.raises(TypeError):
+            maze.walls[0] = bytes(16)
+        assert generate_maze(16, 1).layout_hash() == generate_maze.__wrapped__(16, 1).layout_hash()
+
+    @pytest.mark.parametrize("variant", ["spiral", "spiral_conv", "spiral_rl"])
+    def test_episode_on_a_memo_hit_matches_a_fresh_carve(self, variant):
+        cfg = EpisodeConfig(n=16, maze_seed=3, variant=VARIANTS[variant], rl_seed=9)
+        generate_maze.cache_clear()
+        fresh = record_to_json(run_episode(cfg))
+        assert generate_maze.cache_info().misses == 1
+        again = record_to_json(run_episode(cfg))
+        assert generate_maze.cache_info().hits == 1
+        assert again == fresh
 
 
 class TestProbe:
