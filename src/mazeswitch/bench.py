@@ -26,7 +26,7 @@ import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
@@ -72,6 +72,8 @@ class SuiteConfig:
     def __post_init__(self):
         if not self.sizes:
             raise ValueError("sizes must not be empty")
+        if not self.variants:
+            raise ValueError("variants must not be empty")
         for n in self.sizes:
             check_maze_size(n)
         if self.jobs < 1:
@@ -136,11 +138,14 @@ def run_suite(suite: SuiteConfig) -> tuple[SuiteReport, list]:
 
     Worker count changes wall-clock only: logs are collected in config
     order and reduced sequentially, so results match ``jobs=1`` exactly.
+    The pool never has more workers than episodes (it starts them all at
+    once), and a single worker runs the episodes in this process.
     """
     configs = episode_configs(suite)
+    workers = min(suite.jobs, len(configs))
     started = time.perf_counter()
-    if suite.jobs > 1:
-        with ProcessPoolExecutor(max_workers=suite.jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(run_episode, configs, chunksize=4))
     else:
         logs = [run_episode(cfg) for cfg in configs]
@@ -208,13 +213,7 @@ def ablation(suite: SuiteConfig) -> tuple[list, list]:
     missing = [v for v in ABLATION_VARIANTS if v not in suite.variants]
     if missing:
         raise ValueError(f"ablation needs variants {ABLATION_VARIANTS}, missing {missing}")
-    run_cfg = SuiteConfig(
-        sizes=suite.sizes,
-        mazes_per_size=suite.mazes_per_size,
-        variants=ABLATION_VARIANTS,
-        base_seed=suite.base_seed,
-        jobs=suite.jobs,
-    )
+    run_cfg = replace(suite, variants=ABLATION_VARIANTS)
     report, logs = run_suite(run_cfg)
     rows = []
     for n in run_cfg.sizes:
@@ -234,64 +233,40 @@ def ablation(suite: SuiteConfig) -> tuple[list, list]:
 
 def write_records(logs: list, path) -> None:
     """One JSON object per line, in suite order."""
-    path = Path(path)
-    try:
-        with path.open("w") as fh:
-            for log in logs:
-                fh.write(record_to_json(log))
-                fh.write("\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write episode records to {path}") from exc
+    with Path(path).open("w") as fh:
+        for log in logs:
+            fh.write(record_to_json(log))
+            fh.write("\n")
 
 
 def read_records(path) -> list:
-    path = Path(path)
-    try:
-        with path.open() as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-    except OSError as exc:
-        raise RuntimeError(f"cannot read episode records from {path}") from exc
+    with Path(path).open() as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def write_report_csv(report: SuiteReport, path) -> None:
-    path = Path(path)
-    try:
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for r in report.rows:
-                writer.writerow([getattr(r, column) for column in CSV_HEADER])
-    except OSError as exc:
-        raise RuntimeError(f"cannot write report CSV to {path}") from exc
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for r in report.rows:
+            writer.writerow([getattr(r, column) for column in CSV_HEADER])
 
 
 def read_report_csv(path) -> list:
     """Rows as dicts with the same value types the report carries."""
-    path = Path(path)
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if tuple(reader.fieldnames or ()) != CSV_HEADER:
-                raise RuntimeError(f"unexpected CSV header in {path}")
-            return [{k: cast(rec[k]) for k, cast in CSV_COLUMNS.items()} for rec in reader]
-    except OSError as exc:
-        raise RuntimeError(f"cannot read report CSV from {path}") from exc
+    with Path(path).open(newline="") as fh:
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != CSV_HEADER:
+            raise RuntimeError(f"unexpected CSV header in {path}")
+        return [{k: cast(rec[k]) for k, cast in CSV_COLUMNS.items()} for rec in reader]
 
 
 def write_report_json(report: SuiteReport, path) -> None:
-    path = Path(path)
-    try:
-        path.write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write report JSON to {path}") from exc
+    Path(path).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
 
 
 def read_report_json(path) -> dict:
-    path = Path(path)
-    try:
-        return json.loads(path.read_text())
-    except OSError as exc:
-        raise RuntimeError(f"cannot read report JSON from {path}") from exc
+    return json.loads(Path(path).read_text())
 
 
 def format_report(report: SuiteReport) -> str:

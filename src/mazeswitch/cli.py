@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .bench import (
+    ABLATION_VARIANTS,
     DEFAULT_SIZES,
     LONG_SIZES,
     SuiteConfig,
@@ -116,10 +117,7 @@ def _out_dir(path):
     if not path:
         return None
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an existing file, a file on the path, no permission
-        _fail(f"cannot create output directory {out}: {exc.strerror or exc}")
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -164,7 +162,7 @@ def _cmd_ablate(args) -> int:
         SuiteConfig,
         sizes=args.sizes if args.sizes is not None else (args.size,),
         mazes_per_size=args.mazes,
-        variants=("spiral", "spiral_conv", "spiral_rl"),
+        variants=ABLATION_VARIANTS,
         base_seed=args.seed,
         jobs=args.jobs,
     )
@@ -182,14 +180,14 @@ def _cmd_replay(args) -> int:
     path = Path(args.records)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:  # missing, a directory, unreadable
-        _fail(f"cannot read record file {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         _fail(f"record file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
     lines = list(enumerate((line for line in text.splitlines() if line.strip()), start=1))
+    if not lines:
+        _fail(f"record file {path} holds no records")
     if args.line is not None:
         if not 1 <= args.line <= len(lines):
-            raise SystemExit(f"--line must be in 1..{len(lines)}")
+            _fail(f"--line must be in 1..{len(lines)}, got {args.line}")
         lines = [lines[args.line - 1]]
     failures = 0
     for idx, line in lines:
@@ -218,10 +216,7 @@ def _cmd_gen_maze(args) -> int:
     maze = _checked(generate_maze, args.size, args.seed)
     text = to_text(maze)
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:  # a missing directory, a directory, no permission
-            _fail(f"cannot write maze to {args.out}: {exc.strerror or exc}")
+        Path(args.out).write_text(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -275,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_with_config(build_parser(), argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # any file or directory a command cannot read or write
+        _fail(f"{exc.filename}: {exc.strerror or exc}" if exc.filename else str(exc))
 
 
 if __name__ == "__main__":

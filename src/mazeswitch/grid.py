@@ -66,9 +66,9 @@ from .rng import SplitMix64
 
 Position = tuple  # (x, y)
 
-EAST, SOUTH, WEST, NORTH = "E", "S", "W", "N"
-HEADINGS = (EAST, SOUTH, WEST, NORTH)  # clockwise order
-DIRECTION_VECTORS = {EAST: (0, 1), SOUTH: (1, 0), WEST: (0, -1), NORTH: (-1, 0)}
+# A heading is an index into STEPS: 0 east, 1 south, 2 west, 3 north
+# (clockwise, so heading + 1 turns right).
+STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 BRAID_PROBABILITY = 0.10
 
@@ -194,12 +194,12 @@ class KnowledgeMap:
     visited_mask: bytearray = field(init=False, repr=False)
     visited_count: int = field(init=False, default=0)
     sampled_history: list = field(init=False, default_factory=list)
-    offsets: dict = field(init=False, repr=False)  # heading -> index step
+    offsets: tuple = field(init=False, repr=False)  # index step of each heading
 
     def __post_init__(self):
         n = self.n
         self.stride = w = n + 2
-        self.offsets = {EAST: 1, SOUTH: w, WEST: -1, NORTH: -w}
+        self.offsets = (1, w, -1, -w)
         self.known = _pad([bytes([UNKNOWN]) * n] * n)
         self.visited_mask = bytearray(len(self.known))
 
@@ -290,7 +290,7 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
 
     rng = SplitMix64(seed)
     w = n + 2
-    steps = (1, w, -1, -w)  # E, S, W, N: HEADINGS order
+    steps = (1, w, -1, -w)  # E, S, W, N: the order of STEPS
     cells = _pad([bytes([WALL]) * n] * n)
 
     # Depth-first backtracker over rooms at even coordinates. A room is

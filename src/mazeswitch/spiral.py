@@ -36,31 +36,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .grid import (
-    DIRECTION_VECTORS,
-    EAST,
-    HEADINGS,
-    OPEN,
-    KnowledgeMap,
-    MazeGrid,
-    Position,
-    Probe,
-    nearest_path,
-    probe,
-)
+from .grid import OPEN, STEPS, KnowledgeMap, MazeGrid, Position, Probe, nearest_path, probe
 
 # A detour hug that only retraces visited cells for this many consecutive
 # steps is abandoned in favour of a direct walk to unvisited ground.
 STALE_DETOUR_LIMIT = 24
 
-_TURN_RIGHT = {"E": "S", "S": "W", "W": "N", "N": "E"}
-_TURN_LEFT = {v: k for k, v in _TURN_RIGHT.items()}
-_OPPOSITE = {"E": "W", "W": "E", "N": "S", "S": "N"}
-
-_STEP_TO_HEADING = {v: k for k, v in DIRECTION_VECTORS.items()}
-
 # Wall-following preference from each heading: right, straight, left, back.
-_FOLLOW_ORDER = {h: (_TURN_RIGHT[h], h, _TURN_LEFT[h], _OPPOSITE[h]) for h in HEADINGS}
+_FOLLOW_ORDER = tuple(tuple((h + turn) % 4 for turn in (1, 0, 3, 2)) for h in range(4))
 
 
 class SpiralStuck(RuntimeError):
@@ -103,7 +86,7 @@ class SpiralState:
     """
 
     pos: Position = (0, 0)
-    heading: str = EAST
+    heading: int = 0  # index into grid.STEPS: east
     next_k: int = 1
     detouring: bool = False
     detour_k: int = 0
@@ -146,9 +129,7 @@ def spiral_next(
 
     if not state.detouring:
         pending = route[state.next_k]
-        approach = _STEP_TO_HEADING[
-            (pending[0] - state.pos[0], pending[1] - state.pos[1])
-        ]
+        approach = STEPS.index((pending[0] - state.pos[0], pending[1] - state.pos[1]))
         if probe(maze, state.pos, pending) is Probe.PASSABLE:
             state.pos = pending
             state.heading = approach
@@ -160,7 +141,7 @@ def spiral_next(
         state.detour_k = state.next_k
         state.detour_stale = 0
         state.detour_seen = set()
-        state.heading = _TURN_LEFT[approach]
+        state.heading = (approach + 3) % 4  # turn left
 
     fresh = _wall_follow_move(state, knowledge)
     knowledge.arrive(maze, state.pos)
@@ -192,7 +173,7 @@ def spiral_next(
 def _escape_step(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> None:
     """Walk one cell along a committed path through known-free cells."""
     nxt = state.escape_path.popleft()
-    state.heading = _STEP_TO_HEADING[(nxt[0] - state.pos[0], nxt[1] - state.pos[1])]
+    state.heading = STEPS.index((nxt[0] - state.pos[0], nxt[1] - state.pos[1]))
     state.pos = nxt
     knowledge.arrive(maze, state.pos)
     if not state.escape_path and not state.mopping:
@@ -228,7 +209,7 @@ def _wall_follow_move(state: SpiralState, knowledge: KnowledgeMap) -> bool:
     for heading in _FOLLOW_ORDER[state.heading]:
         j = i + offsets[heading]
         if known[j] == OPEN:
-            dx, dy = DIRECTION_VECTORS[heading]
+            dx, dy = STEPS[heading]
             state.pos = (x + dx, y + dy)
             state.heading = heading
             return not knowledge.visited_mask[j]

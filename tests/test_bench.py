@@ -1,9 +1,10 @@
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
+import mazeswitch.bench as bench
 from mazeswitch.bench import (
     CSV_HEADER,
     RL_SEED_SALT,
@@ -109,6 +110,33 @@ class TestParallelism:
         assert [record_to_json(l) for l in serial[1]] == [
             record_to_json(l) for l in parallel[1]
         ]
+
+    def test_pool_is_no_larger_than_the_suite(self, monkeypatch):
+        built = []
+
+        class FakePool:  # records its size and runs the episodes in this process
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+        single = SuiteConfig(sizes=(16,), mazes_per_size=1, variants=("spiral",), jobs=500)
+        run_suite(single)
+        assert built == []
+        six = SuiteConfig(sizes=(16,), mazes_per_size=1, jobs=500)
+        pooled = run_suite(six)[1]
+        assert built == [6]
+        serial = run_suite(replace(six, jobs=1))[1]
+        assert built == [6]
+        assert [record_to_json(l) for l in pooled] == [record_to_json(l) for l in serial]
 
 
 class TestMazeReuse:
@@ -223,9 +251,9 @@ class TestReportFiles:
 
     def test_io_errors_carry_path(self, tmp_path):
         missing = tmp_path / "nope" / "report.csv"
-        with pytest.raises(RuntimeError, match="nope"):
+        with pytest.raises(OSError, match="nope"):
             write_report_csv(SuiteReport(rows=[]), missing)
-        with pytest.raises(RuntimeError, match="nope"):
+        with pytest.raises(OSError, match="nope"):
             read_records(missing)
 
 
@@ -237,6 +265,10 @@ class TestSuiteConfigValidation:
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
             SuiteConfig(variants=("warp",))
+
+    def test_rejects_empty_variants(self):
+        with pytest.raises(ValueError, match="variants"):
+            SuiteConfig(variants=())
 
     @pytest.mark.parametrize(
         "kwargs",

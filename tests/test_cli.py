@@ -247,7 +247,29 @@ class TestReplay:
         with pytest.raises(SystemExit) as exc:
             run_cli(["replay", str(path)])
         assert exc.value.code == 2
-        _assert_one_error_line(capsys, f"cannot read record file {path}: ")
+        _assert_one_error_line(capsys, f"{path}: ")
+
+    @pytest.mark.parametrize("line", ["0", "3"])
+    def test_line_out_of_range_is_one_line(self, line, tmp_path, capsys):
+        out = tmp_path / "results"
+        run_cli(
+            ["run", "--sizes", "16", "--mazes", "2", "--variants", "spiral",
+             "--seed", "0", "--out", str(out)]
+        )
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["replay", str(out / "episodes.jsonl"), "--line", line])
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, "--line must be in 1..2")
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+    def test_file_without_records_is_one_line(self, text, tmp_path, capsys):
+        path = tmp_path / "episodes.jsonl"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["replay", str(path)])
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, str(path), "no records")
 
     def test_non_utf8_file_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "episodes.jsonl"
@@ -312,6 +334,43 @@ class TestSuiteArgumentErrors:
         assert exc.value.code == 2
         _assert_one_error_line(capsys, str(out))
         assert blocker.read_text() == "not a directory\n"
+
+    def test_empty_variants_is_one_line(self, tmp_path, monkeypatch, capsys):
+        def no_suite(suite):
+            raise AssertionError("a suite started")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        out = tmp_path / "results"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--sizes", "16", "--mazes", "1", "--variants", ",", "--out", str(out)])
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, "variants")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, blocked, make",
+        [
+            (["run", "--variants", "spiral"], "episodes.jsonl", "directory"),
+            (["run", "--variants", "spiral_rl"], "qtables", "file"),
+            (["ablate", "--size", "16"], "ablation.json", "directory"),
+        ],
+        ids=["episodes-is-a-directory", "qtables-is-a-file", "ablation-is-a-directory"],
+    )
+    def test_write_after_the_suite_fails_in_one_line(self, command, blocked, make, tmp_path, capsys):
+        out = tmp_path / "results"
+        out.mkdir()
+        path = out / blocked
+        if make == "directory":
+            path.mkdir()
+        else:
+            path.write_text("not a directory\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + ["--sizes", "16", "--mazes", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("mazeswitch: error: ")
+        assert str(path) in err
 
     @pytest.mark.parametrize("command", [["run", "--sizes", "16"], ["ablate", "--size", "16"]])
     @pytest.mark.parametrize("where", ["flag", "config-file"])
