@@ -3,7 +3,9 @@
 The walker starts at the corner heading east and sweeps the grid ring by
 ring toward the center. It only ever senses its four neighbours; walls
 push it into right-hand detours, and coverage is the share of distinct
-cells it has stood on.
+cells it has stood on. The walker moves on flat layout indices;
+``KnowledgeMap.index`` and ``KnowledgeMap.cell`` convert to and from
+``(x, y)``.
 """
 
 from mazeswitch import KnowledgeMap, coverage_percent, generate_maze
@@ -14,21 +16,21 @@ from mazeswitch.spiral import SpiralState, spiral_next
 open_grid = MazeGrid(n=6, walls=[[0] * 6] * 6, target=(3, 3), seed=0)
 
 knowledge = KnowledgeMap(6)
-state = SpiralState()
-knowledge.arrive(open_grid, (0, 0))
-trace = [(0, 0)]
+state = SpiralState(knowledge.index(0, 0))
+knowledge.arrive(open_grid, state.pos)
+trace = [state.pos]
 for _ in range(35):
-    pos, state = spiral_next(state, open_grid, knowledge)
-    trace.append(pos)
-print("open 6x6 spiral:", " ".join(f"({x},{y})" for x, y in trace[:12]), "...")
+    trace.append(spiral_next(state, open_grid, knowledge))
+cells = map(knowledge.cell, trace[:12])
+print("open 6x6 spiral:", " ".join(f"({x},{y})" for x, y in cells), "...")
 print(f"covered {knowledge.visited_count}/36 cells in {len(trace) - 1} moves\n")
 
 # On a real maze the ring route is constantly interrupted; detours keep
 # coverage growing anyway.
 maze = generate_maze(16, seed=1)
 knowledge = KnowledgeMap(maze.n)
-state = SpiralState()
-knowledge.arrive(maze, (0, 0))
+state = SpiralState(knowledge.index(0, 0))
+knowledge.arrive(maze, state.pos)
 for step in range(1, 4 * 16 * 16 + 1):
     spiral_next(state, maze, knowledge)
     if step % 64 == 0:

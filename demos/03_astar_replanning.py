@@ -4,6 +4,8 @@ Plans assume unprobed cells are open, so the first route is nearly a
 straight line. Each time the next waypoint turns out to be a wall the
 agent records it, replans from where it stands, and tries again. Every
 replan adds at least one wall to its map, so the loop always terminates.
+The planner works on flat layout indices; ``KnowledgeMap.index`` and
+``KnowledgeMap.cell`` convert to and from ``(x, y)``.
 """
 
 from mazeswitch import KnowledgeMap, Probe, generate_maze
@@ -11,14 +13,14 @@ from mazeswitch.pathfind import StepOutcome, astar_plan, follow_plan
 
 maze = generate_maze(16, seed=1)
 knowledge = KnowledgeMap(maze.n)
-knowledge.observe_surroundings(maze, (0, 0))
+pos, target = knowledge.index(0, 0), knowledge.index(*maze.target)
+knowledge.observe_surroundings(maze, pos)
 
-pos = (0, 0)
 moves = replans = 0
 print(f"walking from (0, 0) to {maze.target} with no prior wall knowledge\n")
-while pos != maze.target:
-    plan = astar_plan(pos, maze.target, knowledge)
-    print(f"plan of cost {plan.cost:2d} from {pos} "
+while pos != target:
+    plan = astar_plan(pos, target, knowledge)
+    print(f"plan of cost {plan.cost:2d} from {knowledge.cell(pos)} "
           f"(knows {len(knowledge.known_walls):2d} walls)")
     while True:
         pos, outcome = follow_plan(plan, maze, knowledge)
@@ -39,6 +41,6 @@ full = KnowledgeMap(maze.n)
 for x in range(maze.n):
     for y in range(maze.n):
         if maze.walls[x][y]:
-            full.note((x, y), Probe.BLOCKED)
-best = astar_plan((0, 0), maze.target, full)
+            full.note(full.index(x, y), Probe.BLOCKED)
+best = astar_plan(full.index(0, 0), target, full)
 print(f"shortest path with full knowledge: {best.cost} moves")

@@ -18,6 +18,10 @@ The episode ends on reaching the target (success) or on the step limit
 (default 4 * n * n). Replans during convergence add knowledge but do not
 move the agent and therefore do not consume steps.
 
+The loop tracks positions as flat layout indices, as the walker and the
+planner do; the trajectory becomes ``(x, y)`` pairs once, when the
+episode ends.
+
 Everything is a pure function of the config, so runs replay exactly and
 suites may execute episodes concurrently.
 """
@@ -134,13 +138,13 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     maze = generate_maze(cfg.n, cfg.maze_seed)
     n = cfg.n
     limit = cfg.resolved_step_limit
-    target = maze.target
     learning = cfg.variant.convergence == "rl"
 
     # Sentinel agents store every fourth first visit; coverage is exact for both.
     knowledge = KnowledgeMap(n, sample_stride=1 if cfg.variant.base == "spiral" else 4)
-    state = SpiralState()
-    pos = (0, 0)
+    target = knowledge.index(*maze.target)
+    pos = knowledge.index(0, 0)
+    state = SpiralState(pos)
     knowledge.arrive(maze, pos)
     trajectory = [pos]
 
@@ -166,7 +170,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     while steps < limit:
         if in_coverage:
             # spiral_next calls knowledge.arrive on the new cell itself.
-            pos, state = spiral_next(state, maze, knowledge)
+            pos = spiral_next(state, maze, knowledge)
             steps += 1
             trajectory.append(pos)
             if pos == target:
@@ -176,7 +180,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                 continue
             coverage = coverage_percent(knowledge)
             if learning and coverage < threshold and steps % cfg.decision_period == 0:
-                state_id = discretize(coverage, manhattan(pos, target), n)
+                state_id = discretize(coverage, manhattan(knowledge.cell(pos), maze.target), n)
                 action = select_action(q, state_id)
                 threshold = float(action)
                 reward = decision_reward(prev_snapshot, (steps, coverage), limit)
@@ -194,7 +198,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             if plan is None:
                 plan = astar_plan(pos, target, knowledge)
                 if plan is None:
-                    raise AssertionError(f"no optimistic path from {pos} to {target}")
+                    raise AssertionError(
+                        f"no optimistic path from {knowledge.cell(pos)} to {maze.target}"
+                    )
             pos, step_outcome = follow_plan(plan, maze, knowledge)
             if step_outcome is StepOutcome.REPLAN_NEEDED:
                 plan = None
@@ -218,11 +224,11 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         role_switches=0 if switch_step is None else 1,
         switch_step=switch_step,
         switch_coverage=switch_coverage,
-        trajectory=trajectory,
+        trajectory=list(map(knowledge.cell, trajectory)),
         decisions=decisions,
     )
     if learning:
-        terminal_state = discretize(final_coverage, manhattan(pos, target), n)
+        terminal_state = discretize(final_coverage, manhattan(knowledge.cell(pos), maze.target), n)
         bonus = (
             switching_component(switch_coverage) if switch_coverage is not None else 0.0
         )

@@ -2,7 +2,11 @@
 
 Coordinates are ``(x, y)`` tuples: ``x`` indexes rows printed top to
 bottom, ``y`` indexes columns left to right. "East" increases ``y``,
-"south" increases ``x``.
+"south" increases ``x``. Coordinates are the edge form only: the maze's
+``target``, an episode's logged trajectory, the text format, and error
+messages. Inside an episode a position is a flat index into the padded
+layout described below, and ``KnowledgeMap.index`` and
+``KnowledgeMap.cell`` are the only conversions between the two forms.
 
 Layouts are carved with a randomized depth-first backtracker over the
 room lattice (cells with both coordinates even), which yields a perfect
@@ -23,7 +27,9 @@ neighbours are ``i + 1``, ``i + (n + 2)``, ``i - 1`` and ``i - (n + 2)``,
 so a step from any cell of the grid lands on a valid byte without a
 bounds check. The double rows keep the carver's two-cell room strides in
 the buffer as well; a two-cell step west from column 0 lands on the
-previous row's right padding.
+previous row's right padding. A heading is an index into
+``KnowledgeMap.offsets``, those four steps: 0 east, 1 south, 2 west,
+3 north (clockwise, so heading + 1 turns right).
 
 The agent's knowledge, ``KnowledgeMap.known``, is a second buffer in the
 same geometry, so one index names a cell in both. Its grid bytes start
@@ -65,10 +71,6 @@ from functools import cached_property, lru_cache
 from .rng import SplitMix64
 
 Position = tuple  # (x, y)
-
-# A heading is an index into STEPS: 0 east, 1 south, 2 west, 3 north
-# (clockwise, so heading + 1 turns right).
-STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 BRAID_PROBABILITY = 0.10
 
@@ -127,10 +129,6 @@ class MazeGrid:
         """The layout as n ``bytes`` rows: ``walls[x][y]`` is 1 at a wall."""
         return _rows(self.cells, self.n)
 
-    def index(self, x: int, y: int) -> int:
-        """Flat index of grid cell ``(x, y)`` in ``cells``."""
-        return (x + 2) * self.stride + y + 1
-
     def layout_hash(self) -> str:
         """sha256 of the n*n row-major wall bytes."""
         return hashlib.sha256(b"".join(self.walls)).hexdigest()
@@ -152,18 +150,17 @@ def _rows(cells, n: int) -> tuple:
     return tuple(bytes(cells[i : i + n]) for i in range(2 * w + 1, (n + 2) * w, w))
 
 
-def probe(maze: MazeGrid, frm: Position, neighbor: Position) -> Probe:
-    """Constant-time local wall sensor.
+def probe(maze: MazeGrid, frm: int, neighbor: int) -> Probe:
+    """Constant-time local wall sensor over flat layout indices.
 
     Only the occupied cell itself or one of its four neighbours may be
-    probed; anything else is a programming error and raises.
+    probed; anything else is a programming error and raises. A neighbour
+    off the grid is a padding byte, which reads OUT_OF_BOUNDS.
     """
-    x, y = neighbor
-    if abs(x - frm[0]) + abs(y - frm[1]) > 1:
-        raise ValueError(f"non-local probe from {frm} to {neighbor}")
-    if not (0 <= x < maze.n and 0 <= y < maze.n):
-        return Probe.OUT_OF_BOUNDS
-    return _PROBE_OF_BYTE[maze.cells[maze.index(x, y)]]
+    w = maze.stride
+    if neighbor - frm not in (0, 1, w, -1, -w):
+        raise ValueError(f"non-local probe from index {frm} to {neighbor}")
+    return _PROBE_OF_BYTE[maze.cells[neighbor]]
 
 
 def manhattan(a: Position, b: Position) -> int:
@@ -181,10 +178,12 @@ class KnowledgeMap:
     ``visited_mask`` is 1 at every cell the agent has occupied, and
     ``visited_count`` is its population: coverage counts distinct cells,
     so revisits never inflate it. ``sampled_history`` is the stored
-    visit history: every ``sample_stride``-th first visit, so a stride
-    of 1 (full memory) keeps them all and the sentinel agents keep every
-    fourth. The history is record keeping only and never feeds back into
-    control decisions.
+    visit history: the index of every ``sample_stride``-th first visit,
+    so a stride of 1 (full memory) keeps them all and the sentinel agents
+    keep every fourth. The history is record keeping only and never feeds
+    back into control decisions. Every method that takes a cell takes its
+    flat index, and raises ValueError for a padding index or one outside
+    the layout, where a negative index would alias another byte.
     """
 
     n: int
@@ -219,56 +218,57 @@ class KnowledgeMap:
         """Cells known to be walls (a fresh set; for inspection)."""
         return {self.cell(i) for i, b in enumerate(self.known) if b == WALL}
 
-    def note(self, cell: Position, result: Probe) -> None:
+    def check_cell(self, i: int, action: str) -> None:
+        """Raise ValueError unless ``i`` is the flat index of a grid cell."""
+        known = self.known
+        if not 0 <= i < len(known) or known[i] == OUTSIDE:
+            raise ValueError(f"cannot {action} off-grid index {i}")
+
+    def note(self, i: int, result: Probe) -> None:
         """Record one probe result. Out-of-bounds probes carry no cell fact."""
         if result is Probe.OUT_OF_BOUNDS:
             return
-        i = self.index(*cell)
+        self.check_cell(i, "note")
         if self.known[i] == UNKNOWN:
             self.known[i] = OPEN if result is Probe.PASSABLE else WALL
 
-    def observe_surroundings(self, maze: MazeGrid, pos: Position) -> None:
-        """Probe the occupied cell and its four neighbours.
+    def observe_surroundings(self, maze: MazeGrid, i: int) -> None:
+        """Probe the occupied cell ``i`` and its four neighbours.
 
         Learns the same facts (self, E, S, W, N) as noting ``probe`` of
         each cell, by copying the maze's bytes into the cells still
         unknown. The padding is OUTSIDE in both layouts, so off-grid
-        neighbours are never copied. ``pos`` must be on the grid: off
-        it, a padded index would alias another cell.
+        neighbours are never copied.
         """
-        x, y = pos
         n = self.n
         if maze.n != n:
             raise ValueError(f"sensing a {maze.n}x{maze.n} maze into a {n}x{n} map")
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValueError(f"cannot sense from off-grid position {pos}")
-        cells = maze.cells
         known = self.known
+        if not 0 <= i < len(known) or known[i] == OUTSIDE:  # ``check_cell``, inlined
+            raise ValueError(f"cannot sense from off-grid index {i}")
+        cells = maze.cells
         w = self.stride
-        i = (x + 2) * w + y + 1
         for j in (i, i + 1, i + w, i - 1, i - w):
             if known[j] == UNKNOWN:
                 known[j] = cells[j]
 
-    def arrive(self, maze: MazeGrid, pos: Position) -> None:
-        """The agent stands on ``pos``: count the visit, then sense around it."""
-        self.record(pos)
-        self.observe_surroundings(maze, pos)
+    def arrive(self, maze: MazeGrid, i: int) -> None:
+        """The agent stands on cell ``i``: count the visit, then sense around it."""
+        self.record(i)
+        self.observe_surroundings(maze, i)
 
-    def record(self, pos: Position) -> bool:
-        """Mark ``pos`` visited; returns True if it was a first visit."""
-        x, y = pos
-        n = self.n
-        if not (0 <= x < n and 0 <= y < n):  # ``index``, inlined: once per step
-            raise ValueError(f"cannot visit off-grid position {pos}")
-        i = (x + 2) * self.stride + y + 1
-        if self.visited_mask[i]:
+    def record(self, i: int) -> bool:
+        """Mark cell ``i`` visited; returns True if it was a first visit."""
+        visited = self.visited_mask
+        if not 0 <= i < len(visited) or self.known[i] == OUTSIDE:  # ``check_cell``, inlined
+            raise ValueError(f"cannot visit off-grid index {i}")
+        if visited[i]:
             return False
         ordinal = self.visited_count
-        self.visited_mask[i] = 1
+        visited[i] = 1
         self.visited_count = ordinal + 1
         if ordinal % self.sample_stride == 0:
-            self.sampled_history.append(pos)
+            self.sampled_history.append(i)
         return True
 
 
@@ -290,7 +290,7 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
 
     rng = SplitMix64(seed)
     w = n + 2
-    steps = (1, w, -1, -w)  # E, S, W, N: the order of STEPS
+    steps = (1, w, -1, -w)  # E, S, W, N: the order of KnowledgeMap.offsets
     cells = _pad([bytes([WALL]) * n] * n)
 
     # Depth-first backtracker over rooms at even coordinates. A room is

@@ -11,6 +11,9 @@ wall to knowledge, so replanning terminates.
 Tie-breaking is pinned for determinism: equal f prefers lower h, equal h
 prefers the earliest-discovered node, and neighbours are expanded in
 east, south, west, north order.
+
+Cells are flat indices into the padded layout of ``grid``, as in the
+walker: plans start, end and step on indices.
 """
 
 from __future__ import annotations
@@ -19,16 +22,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 
-from .grid import (
-    OUTSIDE,
-    WALL,
-    KnowledgeMap,
-    MazeGrid,
-    Position,
-    Probe,
-    manhattan,
-    probe,
-)
+from .grid import OUTSIDE, WALL, KnowledgeMap, MazeGrid, Probe, probe
 
 
 class StepOutcome(Enum):
@@ -39,7 +33,7 @@ class StepOutcome(Enum):
 
 @dataclass
 class Plan:
-    """Waypoints from the current cell to the target, inclusive.
+    """Waypoints (flat indices) from the current cell to the target, inclusive.
 
     ``cursor`` marks the waypoint the agent currently stands on.
     """
@@ -49,26 +43,27 @@ class Plan:
     cursor: int = 0
 
 
-def astar_plan(start: Position, target: Position, knowledge: KnowledgeMap) -> Plan | None:
-    """Shortest path over the optimistic planning graph, or None.
+def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
+    """Shortest path from cell ``s`` to cell ``t`` over the optimistic graph, or None.
 
     Searches flat indices of ``knowledge.known``: a cell is blocked when
     it is a known wall or outside the grid (the padding). Heap entries
     are ``(f, h, counter, index)``. None is only possible when the
     target itself is a known wall, which generated mazes never allow.
     """
+    knowledge.check_cell(s, "plan from")
+    knowledge.check_cell(t, "plan to")
     known = knowledge.known
-    s = knowledge.index(*start)
-    t = knowledge.index(*target)
     if known[s] == WALL:
-        raise ValueError(f"cannot plan from a known wall at {start}")
+        raise ValueError(f"cannot plan from a known wall at {knowledge.cell(s)}")
     if s == t:
-        return Plan([start], 0)
+        return Plan([s], 0)
 
     w = knowledge.stride
-    # Padded coordinates of the target; Manhattan distance is shift-invariant.
+    # Padded row and column; Manhattan distance is shift-invariant.
     tx, ty = divmod(t, w)
-    h0 = manhattan(start, target)
+    sx, sy = divmod(s, w)
+    h0 = abs(sx - tx) + abs(sy - ty)
     frontier = [(h0, h0, 0, s)]
     came_from = {}
     g_score = {s: 0}
@@ -78,10 +73,10 @@ def astar_plan(start: Position, target: Position, knowledge: KnowledgeMap) -> Pl
     while frontier:
         i = heapq.heappop(frontier)[3]
         if i == t:
-            waypoints = [target]
+            waypoints = [t]
             while i in came_from:
                 i = came_from[i]
-                waypoints.append(knowledge.cell(i))
+                waypoints.append(i)
             waypoints.reverse()
             return Plan(waypoints, len(waypoints) - 1)
         if i in closed:
@@ -103,9 +98,7 @@ def astar_plan(start: Position, target: Position, knowledge: KnowledgeMap) -> Pl
     return None
 
 
-def follow_plan(
-    plan: Plan, maze: MazeGrid, knowledge: KnowledgeMap
-) -> tuple[Position, StepOutcome]:
+def follow_plan(plan: Plan, maze: MazeGrid, knowledge: KnowledgeMap) -> tuple[int, StepOutcome]:
     """Probe the next waypoint and advance onto it if passable.
 
     A blocked waypoint is recorded as a wall and the agent stays put,
@@ -121,7 +114,7 @@ def follow_plan(
     if result is Probe.BLOCKED:
         return here, StepOutcome.REPLAN_NEEDED
     if result is Probe.OUT_OF_BOUNDS:
-        raise AssertionError(f"plan left the grid at {nxt}")
+        raise AssertionError(f"plan left the grid at {knowledge.cell(nxt)}")
     plan.cursor += 1
     if plan.cursor == len(plan.waypoints) - 1:
         return nxt, StepOutcome.ARRIVED

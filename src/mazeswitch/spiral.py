@@ -5,8 +5,15 @@ the perimeter inward: ring ``r`` holds the cells whose distance to the
 nearest border is ``r``, traversed east along the top, south down the
 right, west along the bottom, north up the left, then one step east into
 ring ``r + 1``. On an open grid this visits every cell exactly once.
-``spiral_route(n)`` stores that route once per size as a table: the
-tuple of all n*n cells in walking order, and each cell's rank in it.
+``spiral_route(n)`` stores that route once per size as three tables: the
+tuple of all n*n cells in walking order, and each cell's rank in it and
+ring, both indexed by the cell.
+
+Positions are flat indices into the padded layout of ``grid`` and
+headings are indices into ``KnowledgeMap.offsets``. Only the route
+builder and an error message name ``(x, y)`` cells, through
+``KnowledgeMap.index`` and ``KnowledgeMap.cell``; callers convert the
+same way.
 
 The walker keeps one cursor into the table, ``next_k``, the rank of the
 next cell to walk onto; stepping onto it advances the cursor, moving on
@@ -34,9 +41,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
-from .grid import OPEN, STEPS, KnowledgeMap, MazeGrid, Position, Probe, nearest_path, probe
+from .grid import OPEN, KnowledgeMap, MazeGrid, Probe, nearest_path, probe
 
 # A detour hug that only retraces visited cells for this many consecutive
 # steps is abandoned in favour of a direct walk to unvisited ground.
@@ -50,43 +56,48 @@ class SpiralStuck(RuntimeError):
     """All four neighbours blocked: the walker sits in a sealed pocket."""
 
 
-def cell_layer(n: int, pos: Position) -> int:
-    x, y = pos
-    return min(x, y, n - 1 - x, n - 1 - y)
+@lru_cache(maxsize=4)  # a suite runs size by size, so more sizes only cost rebuilds
+def spiral_route(n: int) -> tuple[tuple, tuple, tuple]:
+    """The ideal route on an ``n x n`` grid as ``(route, rank, ring)``.
 
-
-@lru_cache(maxsize=4)  # a suite uses at most four sizes
-def spiral_route(n: int) -> tuple[tuple, MappingProxyType]:
-    """The ideal route on an ``n x n`` grid as ``(route, rank)``.
-
-    ``route`` holds all n*n cells in walking order: ring 0 clockwise from
-    (0, 0), then ring 1 from (1, 1), and so on, with the centre cell last
-    when ``n`` is odd. ``rank`` maps each cell to its place in ``route``.
-    Both are read-only, because every caller shares the cached pair.
+    ``route`` holds the flat indices of all n*n cells in walking order:
+    ring 0 clockwise from (0, 0), then ring 1 from (1, 1), and so on,
+    with the centre cell last when ``n`` is odd. ``rank[i]`` is the place
+    of cell ``i`` in ``route`` and ``ring[i]`` its ring; both are -1 on
+    the padding. All three are tuples, because every caller shares them.
     """
+    layout = KnowledgeMap(n)
     route = []
+    ring = [-1] * len(layout.known)
     for r in range((n + 1) // 2):
-        far = n - 1 - r
-        if r == far:
-            route.append((r, r))
+        i = layout.index(r, r)
+        side = n - 1 - 2 * r
+        if side == 0:
+            route.append(i)
+            ring[i] = r
             break
-        route += [(r, y) for y in range(r, far)]
-        route += [(x, far) for x in range(r, far)]
-        route += [(far, y) for y in range(far, r, -1)]
-        route += [(x, r) for x in range(far, r, -1)]
-    return tuple(route), MappingProxyType({cell: k for k, cell in enumerate(route)})
+        for step in layout.offsets:
+            for _ in range(side):
+                route.append(i)
+                ring[i] = r
+                i += step
+    rank = [-1] * len(ring)
+    for k, i in enumerate(route):
+        rank[i] = k
+    return tuple(route), tuple(rank), tuple(ring)
 
 
 @dataclass
 class SpiralState:
     """Walker bookkeeping; single owner, mutated in place by spiral_next.
 
-    ``next_k`` is the place in the route of the next cell to walk onto;
-    ``detour_k`` is the route place a detour must reach to end.
+    ``pos`` is the flat index of the occupied cell. ``next_k`` is the
+    place in the route of the next cell to walk onto; ``detour_k`` is
+    the route place a detour must reach to end.
     """
 
-    pos: Position = (0, 0)
-    heading: int = 0  # index into grid.STEPS: east
+    pos: int
+    heading: int = 0  # index into KnowledgeMap.offsets: east
     next_k: int = 1
     detouring: bool = False
     detour_k: int = 0
@@ -96,10 +107,8 @@ class SpiralState:
     escape_path: deque = field(default_factory=deque)
 
 
-def spiral_next(
-    state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap
-) -> tuple[Position, SpiralState]:
-    """Advance the walker one cell and return (new position, state).
+def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> int:
+    """Advance the walker one cell and return its new position.
 
     On each new cell the walker calls ``knowledge.arrive``; the caller
     must have called it for the starting cell before the first call.
@@ -108,34 +117,33 @@ def spiral_next(
     """
     if state.escape_path:
         _escape_step(state, maze, knowledge)
-        return state.pos, state
+        return state.pos
 
-    n = maze.n
-    route, rank = spiral_route(n)
+    route, rank, ring = spiral_route(maze.n)
 
     if not state.mopping and not state.detouring and state.next_k == len(route):
         state.mopping = True
 
     if state.mopping:
-        path = _path_to_nearest_unvisited(state.pos, knowledge)
+        path = nearest_path(knowledge.known, knowledge.stride, state.pos, knowledge.visited_mask)
         if path is None:
             # Reachable component fully visited; keep moving regardless.
             _wall_follow_move(state, knowledge)
             knowledge.arrive(maze, state.pos)
-            return state.pos, state
-        state.escape_path = path
+            return state.pos
+        state.escape_path = deque(path)
         _escape_step(state, maze, knowledge)
-        return state.pos, state
+        return state.pos
 
     if not state.detouring:
         pending = route[state.next_k]
-        approach = STEPS.index((pending[0] - state.pos[0], pending[1] - state.pos[1]))
+        approach = knowledge.offsets.index(pending - state.pos)
         if probe(maze, state.pos, pending) is Probe.PASSABLE:
             state.pos = pending
             state.heading = approach
             state.next_k += 1
-            knowledge.arrive(maze, state.pos)
-            return state.pos, state
+            knowledge.arrive(maze, pending)
+            return pending
         # Blocked: hug the obstruction, keeping it on the right.
         state.detouring = True
         state.detour_k = state.next_k
@@ -144,55 +152,44 @@ def spiral_next(
         state.heading = (approach + 3) % 4  # turn left
 
     fresh = _wall_follow_move(state, knowledge)
-    knowledge.arrive(maze, state.pos)
+    pos = state.pos
+    knowledge.arrive(maze, pos)
     state.detour_stale = 0 if fresh else state.detour_stale + 1
 
-    k = rank[state.pos]
-    if k >= state.detour_k and cell_layer(n, state.pos) == cell_layer(n, route[state.detour_k]):
+    k = rank[pos]
+    if k >= state.detour_k and ring[pos] == ring[route[state.detour_k]]:
         state.detouring = False
         state.next_k = k + 1
         state.detour_seen = set()
     else:
-        key = (state.pos, state.heading)
+        key = (pos, state.heading)
         if key in state.detour_seen or state.detour_stale >= STALE_DETOUR_LIMIT:
             # Orbiting a loop, or retracing old ground without finding
             # anything new: the pending segment is not worth chasing
-            # this way. Break out toward fresh ground.
+            # this way. Break out toward fresh ground: the nearest
+            # unvisited cell over known-free cells, whose intermediate
+            # cells are all visited already.
             state.detouring = False
             state.detour_seen = set()
-            path = _path_to_nearest_unvisited(state.pos, knowledge)
+            path = nearest_path(knowledge.known, knowledge.stride, pos, knowledge.visited_mask)
             if path is None:
                 state.mopping = True
             else:
-                state.escape_path = path
+                state.escape_path = deque(path)
         else:
             state.detour_seen.add(key)
-    return state.pos, state
+    return pos
 
 
 def _escape_step(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> None:
     """Walk one cell along a committed path through known-free cells."""
     nxt = state.escape_path.popleft()
-    state.heading = STEPS.index((nxt[0] - state.pos[0], nxt[1] - state.pos[1]))
+    state.heading = knowledge.offsets.index(nxt - state.pos)
     state.pos = nxt
-    knowledge.arrive(maze, state.pos)
+    knowledge.arrive(maze, nxt)
     if not state.escape_path and not state.mopping:
         # Landed on fresh ground: resume the route just past this cell.
-        state.next_k = spiral_route(maze.n)[1][state.pos] + 1
-
-
-def _path_to_nearest_unvisited(pos: Position, knowledge: KnowledgeMap) -> deque | None:
-    """Shortest path over known-free cells to the nearest unvisited one.
-
-    Returns the cells to step onto in order (excluding ``pos``), or None
-    when every known-free cell has been visited already. Intermediate
-    cells of the returned path are always previously visited, so exactly
-    one new cell is covered per escape.
-    """
-    path = nearest_path(
-        knowledge.known, knowledge.stride, knowledge.index(*pos), knowledge.visited_mask
-    )
-    return None if path is None else deque(map(knowledge.cell, path))
+        state.next_k = spiral_route(maze.n)[1][nxt] + 1
 
 
 def _wall_follow_move(state: SpiralState, knowledge: KnowledgeMap) -> bool:
@@ -202,15 +199,13 @@ def _wall_follow_move(state: SpiralState, knowledge: KnowledgeMap) -> bool:
     at ``state.pos``, so it probes nothing itself. Returns True when the
     cell stepped onto had never been visited.
     """
-    x, y = state.pos
-    i = (x + 2) * knowledge.stride + y + 1  # knowledge.index, inlined: once per step
+    i = state.pos
     known = knowledge.known
     offsets = knowledge.offsets
     for heading in _FOLLOW_ORDER[state.heading]:
         j = i + offsets[heading]
         if known[j] == OPEN:
-            dx, dy = STEPS[heading]
-            state.pos = (x + dx, y + dy)
+            state.pos = j
             state.heading = heading
             return not knowledge.visited_mask[j]
-    raise SpiralStuck(f"no passable neighbour known at {state.pos}")
+    raise SpiralStuck(f"no passable neighbour known at {knowledge.cell(i)}")

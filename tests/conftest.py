@@ -35,17 +35,15 @@ def reference_observe(knowledge, maze, pos):
     """Independent sensor: the occupied cell, then E, S, W, N.
 
     Reads ``maze.walls`` with explicit bounds checks and makes one
-    ``note`` call per cell, the contract ``observe_surroundings`` keeps.
+    ``note`` call per on-grid cell, the contract ``observe_surroundings``
+    keeps; an off-grid cell reads OUT_OF_BOUNDS, which carries no fact.
     """
     x, y = pos
     for cell in (pos, (x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
         if not (0 <= cell[0] < maze.n and 0 <= cell[1] < maze.n):
-            result = Probe.OUT_OF_BOUNDS
-        elif maze.walls[cell[0]][cell[1]]:
-            result = Probe.BLOCKED
-        else:
-            result = Probe.PASSABLE
-        knowledge.note(cell, result)
+            continue
+        result = Probe.BLOCKED if maze.walls[cell[0]][cell[1]] else Probe.PASSABLE
+        knowledge.note(knowledge.index(*cell), result)
 
 
 def sealed_pocket_grid():

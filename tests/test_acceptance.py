@@ -155,8 +155,9 @@ def test_criterion_6_astar_matches_bfs_oracle():
             for x in range(n):
                 for y in range(n):
                     if maze.walls[x][y]:
-                        knowledge.note((x, y), Probe.BLOCKED)
-            plan = astar_plan((0, 0), maze.target, knowledge)
+                        knowledge.note(knowledge.index(x, y), Probe.BLOCKED)
+            at = knowledge.index
+            plan = astar_plan(at(0, 0), at(*maze.target), knowledge)
             oracle = bfs_distance(maze, (0, 0), maze.target)
             if plan is None or plan.cost != oracle:
                 mismatches.append((n, seed))

@@ -19,9 +19,29 @@ from mazeswitch.grid import (
     probe,
     to_text,
 )
+from mazeswitch.pathfind import astar_plan
 from conftest import bfs_distance, reference_observe, sealed_pocket_grid
 
 DATA = Path(__file__).parent / "data"
+
+
+def padded_index(k, cell):
+    """Flat index of any ``(x, y)`` in ``k``'s layout, on the grid or off it.
+
+    An independent formula: ``KnowledgeMap.index`` rejects off-grid cells.
+    """
+    return k.index(0, 0) + cell[0] * k.stride + cell[1]
+
+
+def off_grid_indices(k):
+    """Every padding index of ``k``'s layout, then indices outside it.
+
+    Of these, ``-1`` and ``-stride`` read padding bytes, ``-(2 * stride + 2)``
+    reads the last grid cell and ``len(known)`` reads nothing.
+    """
+    n = k.n
+    padding = [i for i in range(len(k.known)) if not all(0 <= c < n for c in k.cell(i))]
+    return padding + [-1, -k.stride, -(2 * k.stride + 2), len(k.known)]
 
 
 class TestGenerateMaze:
@@ -97,7 +117,7 @@ class TestMazeMemo:
     def test_shared_grid_cannot_be_changed(self):
         maze = generate_maze(16, 1)
         with pytest.raises(TypeError):
-            maze.cells[maze.index(0, 1)] = 1
+            maze.cells[KnowledgeMap(16).index(0, 1)] = 1
         with pytest.raises(TypeError):
             maze.walls[0] = bytes(16)
         assert generate_maze(16, 1).layout_hash() == generate_maze.__wrapped__(16, 1).layout_hash()
@@ -116,13 +136,16 @@ class TestMazeMemo:
 class TestProbe:
     def test_out_of_bounds(self):
         maze = generate_maze(16, 1)
-        assert probe(maze, (0, 0), (-1, 0)) is Probe.OUT_OF_BOUNDS
-        assert probe(maze, (0, 0), (0, -1)) is Probe.OUT_OF_BOUNDS
+        k = KnowledgeMap(16)
+        at = k.index
+        assert probe(maze, at(0, 0), padded_index(k, (-1, 0))) is Probe.OUT_OF_BOUNDS
+        assert probe(maze, at(0, 0), padded_index(k, (0, -1))) is Probe.OUT_OF_BOUNDS
 
     def test_passable_on_open_grid(self, open_grid):
         maze = open_grid(8)
-        assert probe(maze, (0, 0), (0, 1)) is Probe.PASSABLE
-        assert probe(maze, (0, 0), (0, 0)) is Probe.PASSABLE
+        at = KnowledgeMap(8).index
+        assert probe(maze, at(0, 0), at(0, 1)) is Probe.PASSABLE
+        assert probe(maze, at(0, 0), at(0, 0)) is Probe.PASSABLE
 
     def test_blocked_and_stable_on_reprobe(self):
         maze = generate_maze(16, 1)
@@ -132,9 +155,10 @@ class TestProbe:
             for y in range(16)
             if maze.walls[x][y] and (x > 0 and not maze.walls[x - 1][y])
         )
+        at = KnowledgeMap(16).index
         frm = (wall[0] - 1, wall[1])
-        assert probe(maze, frm, wall) is Probe.BLOCKED
-        assert probe(maze, frm, wall) is Probe.BLOCKED
+        assert probe(maze, at(*frm), at(*wall)) is Probe.BLOCKED
+        assert probe(maze, at(*frm), at(*wall)) is Probe.BLOCKED
 
     @given(
         fx=st.integers(0, 15),
@@ -146,15 +170,16 @@ class TestProbe:
         if (dx, dy) in {(0, 0), (0, 1), (1, 0), (0, -1), (-1, 0)}:
             return
         maze = generate_maze(16, 1)
+        k = KnowledgeMap(16)
         with pytest.raises(ValueError):
-            probe(maze, (fx, fy), (fx + dx, fy + dy))
+            probe(maze, k.index(fx, fy), padded_index(k, (fx + dx, fy + dy)))
 
 
 def _assert_sensor_matches_reference(maze, positions):
     k = KnowledgeMap(maze.n)
     ref = KnowledgeMap(maze.n)
     for pos in positions:
-        k.observe_surroundings(maze, pos)
+        k.observe_surroundings(maze, k.index(*pos))
         reference_observe(ref, maze, pos)
         assert k.known == ref.known
 
@@ -182,33 +207,46 @@ class TestSensorMatchesReference:
     def test_probe_off_grid_neighbours_of_border_cells(self, open_grid):
         for maze in (open_grid(8), sealed_pocket_grid(), generate_maze(16, -5)):
             n = maze.n
+            k = KnowledgeMap(n)
             border = [(x, y) for x in range(n) for y in range(n) if {x, y} & {0, n - 1}]
             for x, y in border:
                 for cell in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
                     if not (0 <= cell[0] < n and 0 <= cell[1] < n):
-                        assert probe(maze, (x, y), cell) is Probe.OUT_OF_BOUNDS
+                        found = probe(maze, k.index(x, y), padded_index(k, cell))
+                        assert found is Probe.OUT_OF_BOUNDS
 
+    # A position beyond the padding has no flat index, so these pairs
+    # stay inside the padding: the two rows above and below the grid and
+    # the column on each side.
     @pytest.mark.parametrize(
         "frm, cell",
         [
-            ((-3, 2), (-3, 3)),
+            ((-2, 2), (-2, 3)),
             ((-2, 5), (-2, 5)),
-            ((2, -3), (2, -2)),
-            ((9, 4), (10, 4)),
-            ((20, 20), (20, 21)),
+            ((2, -1), (3, -1)),
+            ((9, 4), (8, 4)),
+            ((9, 8), (9, 7)),
         ],
     )
     def test_probe_far_off_grid_is_out_of_bounds(self, open_grid, frm, cell):
-        assert probe(open_grid(8), frm, cell) is Probe.OUT_OF_BOUNDS
+        k = KnowledgeMap(8)
+        found = probe(open_grid(8), padded_index(k, frm), padded_index(k, cell))
+        assert found is Probe.OUT_OF_BOUNDS
 
     @pytest.mark.parametrize(
         "pos", [(-1, 0), (0, -1), (8, 0), (0, 8), (-1, -1), (8, 8), (-2, 5), (3, 9), (100, 3)]
     )
     def test_sensing_off_grid_raises(self, open_grid, pos):
+        # Negative indices and padding indices would alias other bytes.
+        maze = open_grid(8)
         k = KnowledgeMap(8)
-        with pytest.raises(ValueError):
-            k.observe_surroundings(open_grid(8), pos)
-        assert k.known == KnowledgeMap(8).known
+        for i in [padded_index(k, pos)] + off_grid_indices(k):
+            with pytest.raises(ValueError):
+                k.observe_surroundings(maze, i)
+            with pytest.raises(ValueError):
+                k.arrive(maze, i)
+            assert k.known == KnowledgeMap(8).known, i
+            assert k.visited_mask == KnowledgeMap(8).visited_mask, i
 
 
 class TestHandBuiltGrid:
@@ -227,7 +265,8 @@ class TestHandBuiltGrid:
         elif form == "bytes":
             walls = [bytes(row) for row in walls]
         maze = MazeGrid(n=8, walls=walls, target=(4, 4), seed=0)
-        assert probe(maze, (0, 0), (0, 1)) is Probe.BLOCKED
+        at = KnowledgeMap(8).index
+        assert probe(maze, at(0, 0), at(0, 1)) is Probe.BLOCKED
         assert maze.walls[0][1] == 1
 
     @pytest.mark.parametrize("target", [(8, 4), (4, 8), (-1, 4), (4, -1), (8, 8)])
@@ -259,13 +298,13 @@ class TestCoveragePercent:
     def test_full(self):
         k = KnowledgeMap(16)
         for cell in [(x, y) for x in range(16) for y in range(16)]:
-            k.record(cell)
+            k.record(k.index(*cell))
         assert coverage_percent(k) == 100.0
 
     def test_half(self):
         k = KnowledgeMap(16)
         for cell in [(i // 16, i % 16) for i in range(128)]:
-            k.record(cell)
+            k.record(k.index(*cell))
         assert coverage_percent(k) == 50.0
 
 
@@ -276,7 +315,7 @@ class TestKnowledgeMap:
         for x in range(16):
             for y in range(16):
                 if not maze.walls[x][y]:
-                    k.observe_surroundings(maze, (x, y))
+                    k.observe_surroundings(maze, k.index(x, y))
         assert k.known_walls
         assert all(b in (UNKNOWN, maze.cells[i]) for i, b in enumerate(k.known))
 
@@ -284,32 +323,44 @@ class TestKnowledgeMap:
         maze = generate_maze(16, 1)
         k = KnowledgeMap(16)
         blank = bytes(k.known)
-        k.observe_surroundings(maze, (0, 0))
+        k.observe_surroundings(maze, k.index(0, 0))
         sensed = bytes(k.known)
         assert sensed != blank
-        k.observe_surroundings(maze, (0, 0))
+        k.observe_surroundings(maze, k.index(0, 0))
         assert k.known == sensed
 
     def test_first_fact_about_a_cell_stands(self):
         k = KnowledgeMap(8)
-        k.note((2, 3), Probe.BLOCKED)
-        k.note((2, 3), Probe.PASSABLE)
-        k.note((9, 3), Probe.OUT_OF_BOUNDS)
+        k.note(k.index(2, 3), Probe.BLOCKED)
+        k.note(k.index(2, 3), Probe.PASSABLE)
+        k.note(padded_index(k, (9, 3)), Probe.OUT_OF_BOUNDS)
         assert k.known_walls == {(2, 3)} and k.known.count(UNKNOWN) == 8 * 8 - 1
 
     @pytest.mark.parametrize("cell", [(-1, 0), (0, 8), (8, 8), (3, -2)])
-    def test_off_grid_cells_are_rejected(self, cell):
+    def test_off_grid_cells_are_rejected(self, open_grid, cell):
+        # Negative indices and padding indices would alias other bytes.
+        maze = open_grid(8)
         k = KnowledgeMap(8)
-        with pytest.raises(ValueError):
-            k.note(cell, Probe.PASSABLE)
-        with pytest.raises(ValueError):
-            k.record(cell)
-        assert k.known == KnowledgeMap(8).known
+        on_grid = k.index(1, 1)
+        for i in [padded_index(k, cell)] + off_grid_indices(k):
+            with pytest.raises(ValueError):
+                k.note(i, Probe.PASSABLE)
+            with pytest.raises(ValueError):
+                k.record(i)
+            with pytest.raises(ValueError):
+                k.arrive(maze, i)
+            with pytest.raises(ValueError):
+                astar_plan(i, on_grid, k)
+            with pytest.raises(ValueError):
+                astar_plan(on_grid, i, k)
+            assert k.known == KnowledgeMap(8).known, i
+            assert k.visited_mask == KnowledgeMap(8).visited_mask, i
         assert k.visited_count == 0 and not any(k.visited_mask)
 
     def test_sensing_a_maze_of_another_size_raises(self):
+        k = KnowledgeMap(8)
         with pytest.raises(ValueError):
-            KnowledgeMap(8).observe_surroundings(generate_maze(16, 1), (0, 0))
+            k.observe_surroundings(generate_maze(16, 1), k.index(0, 0))
 
 
 class TestTextFormat:

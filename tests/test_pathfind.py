@@ -11,32 +11,36 @@ def full_knowledge(maze):
     k = KnowledgeMap(maze.n)
     for x in range(maze.n):
         for y in range(maze.n):
-            k.note((x, y), Probe.BLOCKED if maze.walls[x][y] else Probe.PASSABLE)
+            k.note(k.index(x, y), Probe.BLOCKED if maze.walls[x][y] else Probe.PASSABLE)
     return k
 
 
 class TestAstarPlan:
     def test_open_graph_meets_manhattan_bound(self):
-        plan = astar_plan((0, 0), (3, 3), KnowledgeMap(4))
+        k = KnowledgeMap(4)
+        plan = astar_plan(k.index(0, 0), k.index(3, 3), k)
         assert plan.cost == 6
-        assert plan.waypoints[0] == (0, 0)
-        assert plan.waypoints[-1] == (3, 3)
+        assert k.cell(plan.waypoints[0]) == (0, 0)
+        assert k.cell(plan.waypoints[-1]) == (3, 3)
 
     def test_start_equals_target(self):
-        plan = astar_plan((2, 2), (2, 2), KnowledgeMap(8))
+        k = KnowledgeMap(8)
+        plan = astar_plan(k.index(2, 2), k.index(2, 2), k)
         assert plan.cost == 0
-        assert plan.waypoints == [(2, 2)]
+        assert list(map(k.cell, plan.waypoints)) == [(2, 2)]
 
     def test_full_knowledge_matches_bfs_oracle(self):
         maze = generate_maze(16, 1)
-        plan = astar_plan((0, 0), maze.target, full_knowledge(maze))
+        k = full_knowledge(maze)
+        plan = astar_plan(k.index(0, 0), k.index(*maze.target), k)
         assert plan.cost == bfs_distance(maze, (0, 0), maze.target)
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_full_knowledge_oracle_many_seeds(self, n):
         for seed in range(8):
             maze = generate_maze(n, seed)
-            plan = astar_plan((0, 0), maze.target, full_knowledge(maze))
+            k = full_knowledge(maze)
+            plan = astar_plan(k.index(0, 0), k.index(*maze.target), k)
             assert plan.cost == bfs_distance(maze, (0, 0), maze.target), (n, seed)
 
     @settings(max_examples=40, deadline=None)
@@ -51,7 +55,8 @@ class TestAstarPlan:
             (x, y) for x in range(maze.n) for y in range(maze.n) if not maze.walls[x][y]
         ]
         start = data.draw(st.sampled_from(open_cells))
-        plan = astar_plan(start, maze.target, full_knowledge(maze))
+        k = full_knowledge(maze)
+        plan = astar_plan(k.index(*start), k.index(*maze.target), k)
         oracle = bfs_distance(maze, start, maze.target)
         assert (plan is None) == (oracle is None)
         if plan is not None:
@@ -62,60 +67,59 @@ class TestAstarPlan:
         k = full_knowledge(maze)
         free = [(x, y) for x in range(16) for y in range(16) if not maze.walls[x][y]]
         for start in free[::7]:
-            plan = astar_plan(start, maze.target, k)
+            plan = astar_plan(k.index(*start), k.index(*maze.target), k)
             assert plan is not None
             assert plan.cost >= manhattan(start, maze.target)
 
     def test_waypoints_adjacent_and_avoid_known_walls(self):
         maze = generate_maze(16, 2)
         k = full_knowledge(maze)
-        plan = astar_plan((0, 0), maze.target, k)
-        for a, b in zip(plan.waypoints, plan.waypoints[1:]):
+        plan = astar_plan(k.index(0, 0), k.index(*maze.target), k)
+        cells = list(map(k.cell, plan.waypoints))
+        for a, b in zip(cells, cells[1:]):
             assert manhattan(a, b) == 1
-        assert not any(w in k.known_walls for w in plan.waypoints)
+        assert not any(w in k.known_walls for w in cells)
 
     def test_deterministic(self):
         maze = generate_maze(16, 5)
         k = full_knowledge(maze)
-        assert (
-            astar_plan((0, 0), maze.target, k).waypoints
-            == astar_plan((0, 0), maze.target, k).waypoints
-        )
+        start, target = k.index(0, 0), k.index(*maze.target)
+        assert astar_plan(start, target, k).waypoints == astar_plan(start, target, k).waypoints
 
     def test_no_path_when_target_sealed(self):
         k = KnowledgeMap(4)
         for cell in ((1, 1), (2, 1)):
-            k.note(cell, Probe.BLOCKED)
-        assert astar_plan((0, 0), (3, 3), k) is not None  # routes around
+            k.note(k.index(*cell), Probe.BLOCKED)
+        assert astar_plan(k.index(0, 0), k.index(3, 3), k) is not None  # routes around
         for cell in ((2, 3), (3, 2)):  # box the target corner
-            k.note(cell, Probe.BLOCKED)
-        assert astar_plan((0, 0), (3, 3), k) is None
+            k.note(k.index(*cell), Probe.BLOCKED)
+        assert astar_plan(k.index(0, 0), k.index(3, 3), k) is None
 
     def test_planning_from_known_wall_rejected(self):
         k = KnowledgeMap(4)
-        k.note((0, 0), Probe.BLOCKED)
+        k.note(k.index(0, 0), Probe.BLOCKED)
         with pytest.raises(ValueError):
-            astar_plan((0, 0), (3, 3), k)
+            astar_plan(k.index(0, 0), k.index(3, 3), k)
 
 
 class TestFollowPlan:
     def test_advances_on_passable(self, open_grid):
         maze = open_grid(8)
         k = KnowledgeMap(8)
-        plan = astar_plan((0, 0), (4, 4), k)
+        plan = astar_plan(k.index(0, 0), k.index(4, 4), k)
         pos, outcome = follow_plan(plan, maze, k)
         assert outcome is StepOutcome.ADVANCED
-        assert manhattan(pos, (0, 0)) == 1
+        assert manhattan(k.cell(pos), (0, 0)) == 1
 
     def test_blocked_waypoint_triggers_replan(self):
         maze = generate_maze(16, 1)
         k = KnowledgeMap(maze.n)  # knows nothing: optimistic plan will hit walls
-        plan = astar_plan((0, 0), maze.target, k)
+        plan = astar_plan(k.index(0, 0), k.index(*maze.target), k)
         blocked_at = None
         for _ in range(plan.cost):
             pos, outcome = follow_plan(plan, maze, k)
             if outcome is StepOutcome.REPLAN_NEEDED:
-                blocked_at = plan.waypoints[plan.cursor + 1]
+                blocked_at = k.cell(plan.waypoints[plan.cursor + 1])
                 break
         assert blocked_at is not None, "seed 1 maze should block the straight route"
         assert blocked_at in k.known_walls
@@ -124,22 +128,22 @@ class TestFollowPlan:
     def test_arrives_at_target(self, open_grid):
         maze = open_grid(8)
         k = KnowledgeMap(8)
-        plan = astar_plan((0, 0), (0, 2), k)
+        plan = astar_plan(k.index(0, 0), k.index(0, 2), k)
         follow_plan(plan, maze, k)
         pos, outcome = follow_plan(plan, maze, k)
         assert outcome is StepOutcome.ARRIVED
-        assert pos == (0, 2)
+        assert k.cell(pos) == (0, 2)
 
     def test_replan_loop_terminates_and_arrives(self):
         # Walk the full replanning loop with zero prior knowledge.
         maze = generate_maze(16, 1)
         k = KnowledgeMap(maze.n)
-        k.observe_surroundings(maze, (0, 0))
-        pos = (0, 0)
+        pos, target = k.index(0, 0), k.index(*maze.target)
+        k.observe_surroundings(maze, pos)
         moves = 0
         replans = 0
-        while pos != maze.target:
-            plan = astar_plan(pos, maze.target, k)
+        while pos != target:
+            plan = astar_plan(pos, target, k)
             assert plan is not None
             while True:
                 pos, outcome = follow_plan(plan, maze, k)
@@ -152,17 +156,18 @@ class TestFollowPlan:
                     break
             assert replans <= maze.n * maze.n
             assert moves <= 4 * maze.n * maze.n
-        assert pos == maze.target
+        assert k.cell(pos) == maze.target
 
     def test_never_moves_onto_wall(self):
         maze = generate_maze(16, 6)
         k = KnowledgeMap(maze.n)
-        k.observe_surroundings(maze, (0, 0))
-        pos = (0, 0)
+        pos = k.index(0, 0)
+        k.observe_surroundings(maze, pos)
         for _ in range(500):
-            plan = astar_plan(pos, maze.target, k)
+            plan = astar_plan(pos, k.index(*maze.target), k)
             pos, outcome = follow_plan(plan, maze, k)
-            assert not maze.walls[pos[0]][pos[1]]
+            x, y = k.cell(pos)
+            assert not maze.walls[x][y]
             k.observe_surroundings(maze, pos)
             if outcome is StepOutcome.ARRIVED:
                 break

@@ -15,8 +15,7 @@ from mazeswitch.grid import (
     manhattan,
     nearest_path,
 )
-from mazeswitch.spiral import SpiralState, SpiralStuck, cell_layer, spiral_next, spiral_route
-from mazeswitch.spiral import _path_to_nearest_unvisited
+from mazeswitch.spiral import SpiralState, SpiralStuck, spiral_next, spiral_route
 from conftest import (
     bfs_distance,
     bfs_reachable,
@@ -29,44 +28,54 @@ DATA = Path(__file__).parent / "data"
 
 
 def walk(maze, steps, sample_stride=1):
-    """Drive the spiral and return (trajectory, state, knowledge)."""
+    """Drive the spiral and return (trajectory as (x, y) cells, state, knowledge)."""
     knowledge = KnowledgeMap(maze.n, sample_stride)
-    state = SpiralState()
-    knowledge.arrive(maze, (0, 0))
-    trajectory = [(0, 0)]
+    start = knowledge.index(0, 0)
+    state = SpiralState(start)
+    knowledge.arrive(maze, start)
+    trajectory = [start]
     for _ in range(steps):
-        pos, state = spiral_next(state, maze, knowledge)
-        trajectory.append(pos)
-    return trajectory, state, knowledge
+        trajectory.append(spiral_next(state, maze, knowledge))
+    return list(map(knowledge.cell, trajectory)), state, knowledge
+
+
+def cell_layer(n, cell):
+    """Ring of ``cell``: its distance to the nearest border (reference)."""
+    x, y = cell
+    return min(x, y, n - 1 - x, n - 1 - y)
 
 
 class TestRingGeometry:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 40))
     def test_rings_partition_grid(self, n):
-        route, rank = spiral_route(n)
-        assert sorted(route) == [(x, y) for x in range(n) for y in range(n)]
-        assert [rank[cell] for cell in route] == list(range(n * n))
-        layers = [cell_layer(n, cell) for cell in route]
+        route, rank, ring = spiral_route(n)
+        cells = list(map(KnowledgeMap(n).cell, route))
+        assert sorted(cells) == [(x, y) for x in range(n) for y in range(n)]
+        assert [rank[i] for i in route] == list(range(n * n))
+        layers = [cell_layer(n, cell) for cell in cells]
+        assert [ring[i] for i in route] == layers
         assert layers == sorted(layers)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 40))
     def test_consecutive_ring_cells_adjacent(self, n):
-        route, _ = spiral_route(n)
-        for a, b in zip(route, route[1:]):
+        cells = list(map(KnowledgeMap(n).cell, spiral_route(n)[0]))
+        for a, b in zip(cells, cells[1:]):
             assert manhattan(a, b) == 1
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_ring_cell_index_round_trip(self, n):
         # Each ring starts at its top-left corner and turns clockwise at
         # the other three corners.
-        route, rank = spiral_route(n)
+        route, rank, _ = spiral_route(n)
+        k = KnowledgeMap(n)
         for layer in range(n // 2):
-            first, far, seg = rank[(layer, layer)], n - 1 - layer, n - 1 - 2 * layer
+            first, far, seg = rank[k.index(layer, layer)], n - 1 - layer, n - 1 - 2 * layer
             corners = [(layer, layer), (layer, far), (far, far), (far, layer)]
-            assert [route[first + i * seg] for i in range(4)] == corners
-            assert all(cell_layer(n, c) == layer for c in route[first : first + 4 * seg])
+            assert [k.cell(route[first + i * seg]) for i in range(4)] == corners
+            ring = route[first : first + 4 * seg]
+            assert all(cell_layer(n, k.cell(c)) == layer for c in ring)
 
 
 class TestOpenGridSpiral:
@@ -90,23 +99,23 @@ class TestRecordVisit:
     def test_full_memory_keeps_every_first_visit(self):
         k = KnowledgeMap(16)
         for i in range(10):
-            k.record((0, i))
+            k.record(k.index(0, i))
         assert len(k.sampled_history) == 10
         assert k.visited_count == 10
 
     def test_sentinel_stride_subsamples_history(self):
         k = KnowledgeMap(16, sample_stride=4)
         for i in range(10):
-            k.record((0, i))
+            k.record(k.index(0, i))
         assert k.visited_count == 10
-        assert k.sampled_history == [(0, 0), (0, 4), (0, 8)]
+        assert list(map(k.cell, k.sampled_history)) == [(0, 0), (0, 4), (0, 8)]
 
     def test_revisit_changes_nothing(self):
         k = KnowledgeMap(16)
-        assert k.record((0, 0))
-        assert not k.record((0, 0))
+        assert k.record(k.index(0, 0))
+        assert not k.record(k.index(0, 0))
         assert k.visited_count == 1
-        assert k.sampled_history == [(0, 0)]
+        assert list(map(k.cell, k.sampled_history)) == [(0, 0)]
 
 
 class TestMazeSpiral:
@@ -114,8 +123,8 @@ class TestMazeSpiral:
         maze = generate_maze(16, 1)
         reachable = bfs_reachable(maze)
         knowledge = KnowledgeMap(maze.n)
-        state = SpiralState()
-        knowledge.arrive(maze, (0, 0))
+        state = SpiralState(knowledge.index(0, 0))
+        knowledge.arrive(maze, state.pos)
         for _ in range(4 * 16 * 16):
             if knowledge.visited_count == len(reachable):
                 break
@@ -140,8 +149,8 @@ class TestMazeSpiral:
     def test_coverage_monotone(self):
         maze = generate_maze(16, 2)
         knowledge = KnowledgeMap(maze.n)
-        state = SpiralState()
-        knowledge.arrive(maze, (0, 0))
+        state = SpiralState(knowledge.index(0, 0))
+        knowledge.arrive(maze, state.pos)
         last = coverage_percent(knowledge)
         for _ in range(400):
             spiral_next(state, maze, knowledge)
@@ -160,8 +169,8 @@ class TestMazeSpiral:
     def test_stuck_in_sealed_pocket(self):
         maze = sealed_pocket_grid()
         knowledge = KnowledgeMap(maze.n)
-        state = SpiralState()
-        knowledge.record((0, 0))
+        state = SpiralState(knowledge.index(0, 0))
+        knowledge.record(state.pos)
         with pytest.raises(SpiralStuck):
             spiral_next(state, maze, knowledge)
 
@@ -183,25 +192,28 @@ class TestFlatSearchesMatchReferences:
         maze = generate_maze(n, seed)
         rng = random.Random(pick)
         knowledge = KnowledgeMap(n)
+        at = knowledge.index
         free, visited = {(0, 0)}, {(0, 0)}
-        knowledge.note((0, 0), Probe.PASSABLE)
-        knowledge.record((0, 0))
+        knowledge.note(at(0, 0), Probe.PASSABLE)
+        knowledge.record(at(0, 0))
         for x in range(n):
             for y in range(n):
                 if (x, y) == (0, 0) or rng.random() >= known_share:
                     continue
                 if maze.walls[x][y]:
-                    knowledge.note((x, y), Probe.BLOCKED)
+                    knowledge.note(at(x, y), Probe.BLOCKED)
                     continue
-                knowledge.note((x, y), Probe.PASSABLE)
+                knowledge.note(at(x, y), Probe.PASSABLE)
                 free.add((x, y))
                 if rng.random() < visited_share:
-                    knowledge.record((x, y))
+                    knowledge.record(at(x, y))
                     visited.add((x, y))
         for pos in rng.sample(sorted(visited), min(len(visited), 40)):
-            path = _path_to_nearest_unvisited(pos, knowledge)
+            path = nearest_path(
+                knowledge.known, knowledge.stride, at(*pos), knowledge.visited_mask
+            )
             expected = reference_escape_path(pos, free, visited)
-            assert (None if path is None else list(path)) == expected, pos
+            assert (None if path is None else list(map(knowledge.cell, path))) == expected, pos
 
     @pytest.mark.parametrize("n, seed", [(8, 0), (16, 1), (32, 2), (64, 3)])
     def test_nearest_path_matches_references(self, n, seed):
@@ -209,10 +221,11 @@ class TestFlatSearchesMatchReferences:
         # (one unreached goal) and the walker's escape (unvisited cells).
         maze = generate_maze(n, seed)
         reachable = bfs_reachable(maze)
-        start = maze.index(0, 0)
+        at = KnowledgeMap(n).index  # one geometry for the maze and the map
+        start = at(0, 0)
         for cell in [(x, y) for x in range(n) for y in range(n)][::11]:
             goal = bytearray([1]) * len(maze.cells)
-            goal[maze.index(*cell)] = 0
+            goal[at(*cell)] = 0
             path = nearest_path(maze.cells, maze.stride, start, goal)
             assert (path is not None) == (cell in reachable), cell
             if path is not None:
@@ -220,9 +233,9 @@ class TestFlatSearchesMatchReferences:
         visited = {cell for cell in reachable if (cell[0] + 3 * cell[1]) % 7}
         knowledge = KnowledgeMap(n)
         for cell in reachable:
-            knowledge.note(cell, Probe.PASSABLE)
+            knowledge.note(at(*cell), Probe.PASSABLE)
         for cell in visited:
-            knowledge.record(cell)
+            knowledge.record(at(*cell))
         for pos in sorted(visited)[::5]:
             path = nearest_path(
                 knowledge.known, knowledge.stride, knowledge.index(*pos), knowledge.visited_mask
@@ -235,14 +248,14 @@ class TestFlatSearchesMatchReferences:
     def test_walker_knows_its_neighbours_before_each_move(self, n, seed, steps):
         maze = generate_maze(n, seed)
         knowledge = KnowledgeMap(n)
-        state = SpiralState()
-        knowledge.arrive(maze, (0, 0))
+        state = SpiralState(knowledge.index(0, 0))
+        knowledge.arrive(maze, state.pos)
         for _ in range(min(steps, 2 * n * n)):
-            x, y = state.pos
+            x, y = knowledge.cell(state.pos)
             assert not maze.walls[x][y]
             for cell in ((x, y), (x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
                 if 0 <= cell[0] < n and 0 <= cell[1] < n:
                     fact = knowledge.known[knowledge.index(*cell)]
-                    assert fact != UNKNOWN, (state.pos, cell)
-                    assert fact == (WALL if maze.walls[cell[0]][cell[1]] else OPEN), (state.pos, cell)
+                    assert fact != UNKNOWN, ((x, y), cell)
+                    assert fact == (WALL if maze.walls[cell[0]][cell[1]] else OPEN), ((x, y), cell)
             spiral_next(state, maze, knowledge)
