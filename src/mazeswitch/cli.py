@@ -36,7 +36,7 @@ from .bench import (
     write_report_csv,
     write_report_json,
 )
-from .episode import VARIANT_ORDER, config_from_record, run_episode, to_record
+from .episode import VARIANT_ORDER, config_from_record, moves_from_record, run_episode, to_record
 from .grid import generate_maze, to_text
 from .qlearn import dump_qtable_values
 
@@ -194,11 +194,14 @@ def _cmd_replay(args) -> int:
         try:
             logged = json.loads(line)
             cfg = config_from_record(logged)
-        except ValueError as exc:  # malformed JSON or config
+            logged["trajectory"] = moves_from_record(logged)
+        except ValueError as exc:  # malformed JSON, config or trajectory
             failures += 1
             print(f"record {idx}: ERROR {exc}")
             continue
         fresh = to_record(run_episode(cfg))
+        if "schema_version" not in logged:  # version 1 had neither field
+            del fresh["schema_version"], fresh["counters"]
         if fresh == logged:
             print(f"record {idx}: identical")
             continue

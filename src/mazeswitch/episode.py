@@ -20,7 +20,17 @@ move the agent and therefore do not consume steps.
 
 The loop tracks positions as flat layout indices, as the walker and the
 planner do; the trajectory becomes ``(x, y)`` pairs once, when the
-episode ends.
+episode ends, by lookup into one shared table of cells per maze size.
+
+A record (``to_record``, schema version 2) stores the trajectory as a
+move string, one letter per step from the start (0, 0): ``E``, ``S``,
+``W``, ``N`` for (dx, dy) = (0, +1), (+1, 0), (0, -1), (-1, 0), the
+order of ``KnowledgeMap.offsets``. Version 1 records, which have no
+``schema_version`` and list every position as ``[x, y]``, are still read
+by ``moves_from_record``. The record's ``counters`` are exact and cost
+nothing per step: ``replans`` counts the A* plans after the first, and
+``history_len`` is the length of the stored visit history, the one
+output in which a sentinel agent differs from its spiral twin.
 
 Everything is a pure function of the config, so runs replay exactly and
 suites may execute episodes concurrently.
@@ -29,7 +39,8 @@ suites may execute episodes concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .grid import KnowledgeMap, check_maze_size, coverage_percent, generate_maze, manhattan
@@ -49,6 +60,8 @@ from .spiral import SpiralState, spiral_next
 
 FIXED_THRESHOLD = 40.0
 DEFAULT_DECISION_PERIOD = 50
+
+SCHEMA_VERSION = 2
 
 SUCCESS = "success"
 STEP_LIMIT_EXCEEDED = "step_limit_exceeded"
@@ -132,6 +145,14 @@ class EpisodeLog:
     terminal_decision_reward: Optional[float] = None
     terminal_reward: Optional[RewardBreakdown] = None
     q_values: Optional[list] = None
+    counters: dict = field(default_factory=dict)  # {"replans": ..., "history_len": ...}
+
+
+@lru_cache(maxsize=4)  # as ``spiral_route``: a suite runs size by size
+def _cells(n: int) -> tuple:
+    """The cell ``(x, y)`` of every flat index of an ``n x n`` layout, shared by all episodes."""
+    layout = KnowledgeMap(n)
+    return tuple(map(layout.cell, range(len(layout.known))))
 
 
 def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
@@ -224,8 +245,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         role_switches=0 if switch_step is None else 1,
         switch_step=switch_step,
         switch_coverage=switch_coverage,
-        trajectory=list(map(knowledge.cell, trajectory)),
+        trajectory=list(map(_cells(n).__getitem__, trajectory)),
         decisions=decisions,
+        counters={"replans": replans, "history_len": len(knowledge.sampled_history)},
     )
     if learning:
         terminal_state = discretize(final_coverage, manhattan(knowledge.cell(pos), maze.target), n)
@@ -243,10 +265,35 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     return log
 
 
+_LETTERS = {(0, 1): "E", (1, 0): "S", (0, -1): "W", (-1, 0): "N"}
+
+
+def _letter(a, b) -> str:
+    try:
+        (x0, y0), (x1, y1) = a, b
+        return _LETTERS[x1 - x0, y1 - y0]
+    except (KeyError, TypeError, ValueError):  # not a unit move, or not two (x, y) pairs
+        raise ValueError(f"move from {a} to {b} is not a unit step") from None
+
+
+def encode_moves(trajectory) -> str:
+    """The move string of a list of ``(x, y)`` positions: one letter per step.
+
+    Raises ValueError at the first step that is not a unit move.
+    """
+    try:  # ``_letter``, inlined
+        return "".join(
+            [_LETTERS[x1 - x0, y1 - y0] for (x0, y0), (x1, y1) in zip(trajectory, trajectory[1:])]
+        )
+    except (KeyError, TypeError, ValueError):
+        return "".join(map(_letter, trajectory, trajectory[1:]))  # raises at the bad move
+
+
 def to_record(log: EpisodeLog) -> dict:
     """JSON-ready dict; one of these per line makes an episode record stream."""
     cfg = log.config
     record = {
+        "schema_version": SCHEMA_VERSION,
         "config": {
             "n": cfg.n,
             "maze_seed": cfg.maze_seed,
@@ -269,7 +316,8 @@ def to_record(log: EpisodeLog) -> dict:
             for d in log.decisions
         ],
         "terminal": None,
-        "trajectory": [[x, y] for x, y in log.trajectory],
+        "trajectory": encode_moves(log.trajectory),
+        "counters": log.counters,
     }
     if log.terminal_reward is not None:
         record["terminal"] = {
@@ -313,3 +361,29 @@ def config_from_record(record: dict) -> EpisodeConfig:
         step_limit=cfg["step_limit"],
         decision_period=cfg["decision_period"],
     )
+
+
+def moves_from_record(record: dict) -> str:
+    """The move string of a version 1 or 2 record; ValueError if malformed.
+
+    A record without ``schema_version`` is version 1: its trajectory, a
+    list of ``[x, y]`` positions from (0, 0), goes through
+    ``encode_moves``. A trajectory of the wrong length is well formed; it
+    differs from the episode's, which is for the caller to find.
+    """
+    trajectory = record.get("trajectory")
+    version = record.get("schema_version")
+    if version is None:
+        if not isinstance(trajectory, list):
+            raise ValueError("a version 1 trajectory must be a list of positions")
+        if not trajectory or trajectory[0] != [0, 0]:
+            raise ValueError("trajectory does not start at (0, 0)")
+        return encode_moves(trajectory)
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unknown schema_version {version!r}")
+    if not isinstance(trajectory, str):
+        raise ValueError("a version 2 trajectory must be a move string")
+    unknown = set(trajectory) - set("ESWN")
+    if unknown:
+        raise ValueError(f"unknown move letters {sorted(unknown)}")
+    return trajectory

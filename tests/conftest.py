@@ -99,9 +99,19 @@ def bfs_reachable(maze, start=(0, 0)):
     return seen
 
 
-def trajectory_from_text(text):
-    """Positions from newline-separated "x,y" lines (the golden-file form)."""
-    return [tuple(map(int, line.split(","))) for line in text.splitlines() if line.strip()]
+def decode_moves(moves):
+    """Independent move-string decoder: every ``(x, y)`` a trajectory visits from (0, 0).
+
+    E, S, W and N step (dx, dy) by (0, +1), (+1, 0), (0, -1) and (-1, 0).
+    """
+    steps = {"E": (0, 1), "S": (1, 0), "W": (0, -1), "N": (-1, 0)}
+    x, y = 0, 0
+    positions = [(x, y)]
+    for letter in moves:
+        dx, dy = steps[letter]
+        x, y = x + dx, y + dy
+        positions.append((x, y))
+    return positions
 
 
 def reference_escape_path(pos, free, visited):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+from array import array
 from dataclasses import asdict, replace
+from functools import cache
 
 import pytest
 
@@ -149,6 +151,55 @@ class TestMazeReuse:
         assert (info.misses, info.hits) == (4, 4 * (len(self.VARIANTS) - 1))
 
 
+GOLDEN_SUITES = {
+    "small-all-variants": SuiteConfig(sizes=(16, 32), mazes_per_size=10),
+    "64-ablation-variants": SuiteConfig(
+        sizes=(64,), mazes_per_size=10, variants=("spiral", "spiral_conv", "spiral_rl")
+    ),
+}
+
+
+@cache
+def golden_logs(name):
+    """The episode logs of one golden suite, run once per test session."""
+    return run_suite(GOLDEN_SUITES[name])[1]
+
+
+def log_digest(logs):
+    """sha256 over what each episode did, independent of the record format.
+
+    Per episode: config, outcome, total steps, switch step and coverage,
+    final coverage, the threshold decisions, the terminal reward, the
+    final Q-values and every trajectory position.
+    """
+    h = hashlib.sha256()
+    for log in logs:
+        cfg = log.config
+        t = log.terminal_reward
+        head = {
+            "config": [cfg.n, cfg.maze_seed, cfg.variant.name, cfg.rl_seed, cfg.resolved_step_limit],
+            "outcome": log.outcome,
+            "total_steps": log.total_steps,
+            "switch": [log.switch_step, log.switch_coverage],
+            "final_coverage": log.final_coverage,
+            "decisions": [[d.step, d.state_index, d.action, d.reward] for d in log.decisions],
+            "terminal": None
+            if t is None
+            else [
+                log.terminal_state_index,
+                log.terminal_decision_reward,
+                t.r_steps,
+                t.r_coverage,
+                t.r_switching,
+                t.total,
+            ],
+            "q_values": log.q_values,
+        }
+        h.update(json.dumps(head, sort_keys=True).encode())
+        h.update(array("q", [c for cell in log.trajectory for c in cell]).tobytes())
+    return h.hexdigest()
+
+
 class TestGoldenRecords:
     """The exact record stream of two fixed suites, pinned by sha256.
 
@@ -157,28 +208,42 @@ class TestGoldenRecords:
     """
 
     @pytest.mark.parametrize(
-        "suite, digest",
+        "name, digest",
         [
             (
-                SuiteConfig(sizes=(16, 32), mazes_per_size=10),
-                "f641a95ba8907e731972f91ee7f4d17047be840644b6ca51a77f49a3191fb7fc",
+                "small-all-variants",
+                "262e820fbf9ac8f01c3ca01d127bb8c53fe08f60f2511adc8b59ad5dba451df9",
             ),
             (
-                SuiteConfig(
-                    sizes=(64,),
-                    mazes_per_size=10,
-                    variants=("spiral", "spiral_conv", "spiral_rl"),
-                ),
-                "cc69de1ce914178c994dbb4cbdc141180f2fbbc7c629bb10752db1e070be1267",
+                "64-ablation-variants",
+                "d18ce20c8214264a09f3ad9582776f1721c950181b8bd5bb7b85b8a7b0fa05ca",
             ),
         ],
         ids=["small-all-variants", "64-ablation-variants"],
     )
-    def test_record_stream_digest(self, suite, digest, tmp_path):
-        _, logs = run_suite(suite)
+    def test_record_stream_digest(self, name, digest, tmp_path):
         path = tmp_path / "episodes.jsonl"
-        write_records(logs, path)
+        write_records(golden_logs(name), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestGoldenLogs:
+    """The episodes of the two golden suites, pinned apart from the record format.
+
+    A change of record schema re-pins ``TestGoldenRecords`` but never
+    these: a mismatch here means the episodes themselves changed.
+    """
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("small-all-variants", "09baf2cce760c400e522e15438185de0e05a60c848241544d8b075c5be64c4f0"),
+            ("64-ablation-variants", "fcf18871a70ab0014db229bd7682cbe99fb7e6728aac4da9a259f8c0c909dcc3"),
+        ],
+        ids=["small-all-variants", "64-ablation-variants"],
+    )
+    def test_log_digest(self, name, digest):
+        assert log_digest(golden_logs(name)) == digest
 
 
 class TestAblation:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,9 @@ from mazeswitch import cli
 from mazeswitch.bench import DEFAULT_SIZES, LONG_SIZES, SuiteReport
 from mazeswitch.cli import main
 from mazeswitch.grid import from_text, generate_maze, to_text
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args):
@@ -234,6 +238,81 @@ class TestReplay:
         assert printed[5] == "record 6: ERROR record has no config object"
         assert printed[6] == "record 7: identical"
         assert len(printed) == 7
+
+    def test_version_1_file_replays_identical(self, capsys):
+        # Written by the version 1 writer: [x, y] positions, no schema_version.
+        lines = (DATA / "episodes_v1.jsonl").read_text().splitlines()
+        assert all("schema_version" not in json.loads(line) for line in lines)
+        code = run_cli(["replay", str(DATA / "episodes_v1.jsonl")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"record {k}: identical" for k in range(1, len(lines) + 1)
+        ]
+
+    def test_tampered_move_string_is_a_trajectory_mismatch(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        run_cli(
+            ["run", "--sizes", "16", "--mazes", "1", "--variants", "spiral",
+             "--seed", "0", "--out", str(out)]
+        )
+        capsys.readouterr()
+        path = out / "episodes.jsonl"
+        record = json.loads(path.read_text())
+        moves = record["trajectory"]
+        k = next(k for k in range(len(moves) - 1) if moves[k] != moves[k + 1])
+        record["trajectory"] = moves[:k] + moves[k + 1] + moves[k] + moves[k + 2 :]
+        path.write_text(json.dumps(record) + "\n")
+        code = run_cli(["replay", str(path)])
+        assert code == 1
+        assert capsys.readouterr().out == "record 1: MISMATCH in fields ['trajectory']\n"
+
+    def test_malformed_trajectories_are_errors_and_the_rest_replay(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        run_cli(
+            ["run", "--sizes", "16", "--mazes", "1", "--variants", "spiral",
+             "--seed", "0", "--out", str(out)]
+        )
+        capsys.readouterr()
+        v2 = json.loads((out / "episodes.jsonl").read_text())
+        v1 = json.loads((DATA / "episodes_v1.jsonl").read_text().splitlines()[0])
+
+        def variant(record, **changes):
+            return json.dumps({**record, **changes})
+
+        jump = v1["trajectory"][:2] + [[9, 9]] + v1["trajectory"][3:]
+        path = tmp_path / "mixed.jsonl"
+        path.write_text(
+            "\n".join(
+                [
+                    variant(v2, trajectory=42),
+                    variant(v2, trajectory="ESXW"),
+                    variant(v2, trajectory=v1["trajectory"]),
+                    variant(v2, schema_version=3),
+                    variant(v1, trajectory=jump),
+                    variant(v1, trajectory="ES"),
+                    variant(v1, trajectory=[[1, 0]] + v1["trajectory"][1:]),
+                    variant(v2, trajectory=v2["trajectory"][:-1]),
+                    json.dumps(v1),
+                    json.dumps(v2),
+                ]
+            )
+            + "\n"
+        )
+        code = run_cli(["replay", str(path)])
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert printed == [
+            "record 1: ERROR a version 2 trajectory must be a move string",
+            "record 2: ERROR unknown move letters ['X']",
+            "record 3: ERROR a version 2 trajectory must be a move string",
+            "record 4: ERROR unknown schema_version 3",
+            "record 5: ERROR move from [0, 1] to [9, 9] is not a unit step",
+            "record 6: ERROR a version 1 trajectory must be a list of positions",
+            "record 7: ERROR trajectory does not start at (0, 0)",
+            "record 8: MISMATCH in fields ['trajectory']",
+            "record 9: identical",
+            "record 10: identical",
+        ]
 
     def test_only_errors_still_exit_nonzero(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"

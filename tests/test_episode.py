@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import pytest
 
+import mazeswitch.episode as episode
 from mazeswitch.episode import (
     EpisodeConfig,
     STEP_LIMIT_EXCEEDED,
     SUCCESS,
     VARIANTS,
     VariantSpec,
+    encode_moves,
     record_to_json,
     run_episode,
+    to_record,
 )
+from mazeswitch.pathfind import astar_plan
 from mazeswitch.grid import manhattan
 from mazeswitch.qlearn import POTENTIAL_OFFSET, potential, switching_component
 
@@ -115,6 +121,72 @@ class TestRunEpisode:
         assert (success.role_switches, success.outcome) == (1, SUCCESS)
         assert success.total_steps == len(success.trajectory) - 1
         assert success.final_coverage == coverage_prefix(success.trajectory, 32)[-1]
+
+
+class TestCounters:
+    def test_replans_count_the_plans_after_the_first(self, monkeypatch):
+        plans = []
+
+        def counting_plan(*args):
+            plans.append(args)
+            return astar_plan(*args)
+
+        monkeypatch.setattr(episode, "astar_plan", counting_plan)
+        log = run_episode(EpisodeConfig(n=32, maze_seed=7, variant=VARIANTS["spiral_conv"]))
+        assert log.switch_step is not None
+        assert len(plans) > 1
+        assert log.counters["replans"] == len(plans) - 1
+
+    def test_no_plans_without_a_switch(self):
+        log = run_episode(EpisodeConfig(n=32, maze_seed=4, variant=VARIANTS["spiral_conv"]))
+        assert log.switch_step is None
+        assert log.counters["replans"] == 0
+
+    def test_sentinel_history_is_shorter_than_its_spiral_twin(self):
+        spiral = run_episode(EpisodeConfig(n=32, maze_seed=4, variant=VARIANTS["spiral"]))
+        sentinel = run_episode(EpisodeConfig(n=32, maze_seed=4, variant=VARIANTS["sentinel"]))
+        assert sentinel.trajectory == spiral.trajectory
+        distinct = len(set(spiral.trajectory))
+        assert spiral.counters["history_len"] == distinct
+        assert sentinel.counters["history_len"] == (distinct + 3) // 4
+        assert sentinel.counters["history_len"] < spiral.counters["history_len"]
+
+    def test_record_carries_the_counters(self):
+        log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))
+        assert to_record(log)["counters"] == log.counters == {"replans": 0, "history_len": 25}
+
+
+class TestRecordTrajectory:
+    def test_version_2_move_string(self):
+        log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))
+        record = to_record(log)
+        assert record["schema_version"] == 2
+        assert len(record["trajectory"]) == log.total_steps
+        assert set(record["trajectory"]) <= set("ESWN")
+
+    def test_letters(self):
+        assert encode_moves([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]) == "ESWN"
+        assert encode_moves([(0, 0)]) == ""
+
+    @pytest.mark.parametrize(
+        "trajectory",
+        [
+            [(0, 0), (0, 1), (0, 3)],
+            [(0, 0), (1, 1)],
+            [(0, 0), (0, 0)],
+            [[0, 0], [0]],
+            [[0, 0], "E"],
+        ],
+        ids=["jump", "diagonal", "stand-still", "short-position", "not-a-position"],
+    )
+    def test_non_unit_move_raises(self, trajectory):
+        with pytest.raises(ValueError, match="not a unit step"):
+            encode_moves(trajectory)
+
+    def test_record_of_a_teleporting_log_raises(self):
+        log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))
+        with pytest.raises(ValueError, match="not a unit step"):
+            to_record(replace(log, trajectory=[(0, 0), (5, 5)] + log.trajectory[2:]))
 
 
 class TestLearningLoop:

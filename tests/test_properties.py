@@ -1,16 +1,17 @@
-"""Episode and text-format properties over random mazes and seeds.
+"""Episode, record and text-format properties over random mazes and seeds.
 
-Each property draws an even size in [8, 32] and any 64-bit maze seed,
-negative ones included, so it reaches layouts the fixed-seed tests never
-see.
+Each property draws an even size in [8, 32] (the record codec's in
+[8, 64]) and any 64-bit maze seed, negative ones included, so it reaches
+layouts the fixed-seed tests never see.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mazeswitch.episode import VARIANTS, EpisodeConfig, run_episode
+from mazeswitch.episode import VARIANTS, EpisodeConfig, run_episode, to_record
 from mazeswitch.grid import from_text, generate_maze, manhattan, to_text
 from mazeswitch.qlearn import POTENTIAL_OFFSET
+from conftest import decode_moves
 
 MAZE_SIZES = st.integers(4, 16).map(lambda half: 2 * half)
 SEEDS = st.integers(-(2**63), 2**64 - 1)
@@ -39,6 +40,19 @@ def test_episode_invariants(n, seed, variant, rl_seed):
         assert total + POTENTIAL_OFFSET == pytest.approx(log.terminal_reward.total, abs=1e-9)
     else:
         assert log.decisions == [] and log.terminal_reward is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(4, 32).map(lambda half: 2 * half),
+    seed=SEEDS,
+    variant=st.sampled_from(sorted(VARIANTS)),
+)
+def test_record_move_string_decodes_to_the_trajectory(n, seed, variant):
+    log = run_episode(EpisodeConfig(n=n, maze_seed=seed, variant=VARIANTS[variant], rl_seed=seed))
+    moves = to_record(log)["trajectory"]
+    assert len(moves) == log.total_steps
+    assert decode_moves(moves) == log.trajectory
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,8 +20,8 @@ from conftest import (
     bfs_distance,
     bfs_reachable,
     reference_escape_path,
+    decode_moves,
     sealed_pocket_grid,
-    trajectory_from_text,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -80,7 +80,7 @@ class TestRingGeometry:
 
 class TestOpenGridSpiral:
     def test_golden_4x4_trace(self, open_grid):
-        golden = trajectory_from_text((DATA / "spiral_open4x4.txt").read_text())
+        golden = decode_moves((DATA / "spiral_open4x4.txt").read_text().strip())
         trajectory, _, _ = walk(open_grid(4), 15)
         assert trajectory == golden
 
