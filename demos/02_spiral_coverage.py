@@ -3,9 +3,9 @@
 The walker starts at the corner heading east and sweeps the grid ring by
 ring toward the center. It only ever senses its four neighbours; walls
 push it into right-hand detours, and coverage is the share of distinct
-cells it has stood on. The walker moves on flat layout indices;
-``KnowledgeMap.index`` and ``KnowledgeMap.cell`` convert to and from
-``(x, y)``.
+cells it has stood on. The walker moves on flat indices of the grid's
+``Layout``; ``knowledge.index`` and ``knowledge.cell`` convert to and
+from ``(x, y)``.
 """
 
 from mazeswitch import KnowledgeMap, coverage_percent, generate_maze

@@ -1,11 +1,13 @@
 """Goal-directed navigation under partial knowledge.
 
 Plans assume unprobed cells are open, so the first route is nearly a
-straight line. Each time the next waypoint turns out to be a wall the
-agent records it, replans from where it stands, and tries again. Every
-replan adds at least one wall to its map, so the loop always terminates.
-The planner works on flat layout indices; ``KnowledgeMap.index`` and
-``KnowledgeMap.cell`` convert to and from ``(x, y)``.
+straight line. The agent senses the walls around every cell it stands
+on, and ``follow_plan(plan, knowledge)`` reads that: each time the next
+waypoint turns out to be a wall the agent replans from where it stands
+and tries again. Every replan follows at least one newly sensed wall,
+so the loop always terminates. The planner works on flat indices of the
+grid's ``Layout``; ``knowledge.index`` and ``knowledge.cell`` convert to
+and from ``(x, y)``.
 """
 
 from mazeswitch import KnowledgeMap, Probe, generate_maze
@@ -23,7 +25,7 @@ while pos != target:
     print(f"plan of cost {plan.cost:2d} from {knowledge.cell(pos)} "
           f"(knows {len(knowledge.known_walls):2d} walls)")
     while True:
-        pos, outcome = follow_plan(plan, maze, knowledge)
+        pos, outcome = follow_plan(plan, knowledge)
         if outcome is StepOutcome.REPLAN_NEEDED:
             replans += 1
             break

@@ -15,17 +15,18 @@ immediately. After the episode ends, one terminal update credits the
 last decision with the full terminal reward.
 
 The episode ends on reaching the target (success) or on the step limit
-(default 4 * n * n). Replans during convergence add knowledge but do not
-move the agent and therefore do not consume steps.
+(default 4 * n * n). Replans during convergence do not move the agent
+and therefore do not consume steps.
 
 The loop tracks positions as flat layout indices, as the walker and the
 planner do; the trajectory becomes ``(x, y)`` pairs once, when the
-episode ends, by lookup into one shared table of cells per maze size.
+episode ends, by lookup into the maze's ``Layout.cells``. The agent
+learns walls only through ``KnowledgeMap.arrive`` on each cell it enters.
 
 A record (``to_record``, schema version 2) stores the trajectory as a
 move string, one letter per step from the start (0, 0): ``E``, ``S``,
 ``W``, ``N`` for (dx, dy) = (0, +1), (+1, 0), (0, -1), (-1, 0), the
-order of ``KnowledgeMap.offsets``. Version 1 records, which have no
+order of ``Layout.offsets``. Version 1 records, which have no
 ``schema_version`` and list every position as ``[x, y]``, are still read
 by ``moves_from_record``. The record's ``counters`` are exact and cost
 nothing per step: ``replans`` counts the A* plans after the first, and
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 from .grid import KnowledgeMap, check_maze_size, coverage_percent, generate_maze, manhattan
@@ -148,13 +148,6 @@ class EpisodeLog:
     counters: dict = field(default_factory=dict)  # {"replans": ..., "history_len": ...}
 
 
-@lru_cache(maxsize=4)  # as ``spiral_route``: a suite runs size by size
-def _cells(n: int) -> tuple:
-    """The cell ``(x, y)`` of every flat index of an ``n x n`` layout, shared by all episodes."""
-    layout = KnowledgeMap(n)
-    return tuple(map(layout.cell, range(len(layout.known))))
-
-
 def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     maze = generate_maze(cfg.n, cfg.maze_seed)
     n = cfg.n
@@ -222,7 +215,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                     raise AssertionError(
                         f"no optimistic path from {knowledge.cell(pos)} to {maze.target}"
                     )
-            pos, step_outcome = follow_plan(plan, maze, knowledge)
+            pos, step_outcome = follow_plan(plan, knowledge)
             if step_outcome is StepOutcome.REPLAN_NEEDED:
                 plan = None
                 replans += 1
@@ -245,7 +238,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         role_switches=0 if switch_step is None else 1,
         switch_step=switch_step,
         switch_coverage=switch_coverage,
-        trajectory=list(map(_cells(n).__getitem__, trajectory)),
+        trajectory=list(map(maze.layout.cells.__getitem__, trajectory)),
         decisions=decisions,
         counters={"replans": replans, "history_len": len(knowledge.sampled_history)},
     )

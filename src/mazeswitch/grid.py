@@ -5,8 +5,8 @@ bottom, ``y`` indexes columns left to right. "East" increases ``y``,
 "south" increases ``x``. Coordinates are the edge form only: the maze's
 ``target``, an episode's logged trajectory, the text format, and error
 messages. Inside an episode a position is a flat index into the padded
-layout described below, and ``KnowledgeMap.index`` and
-``KnowledgeMap.cell`` are the only conversions between the two forms.
+layout described in ``Layout``, and ``Layout.index`` and ``Layout.cell``
+are the only conversions between the two forms.
 
 Layouts are carved with a randomized depth-first backtracker over the
 room lattice (cells with both coordinates even), which yields a perfect
@@ -16,31 +16,15 @@ target cell and its four in-bounds neighbours are always carved open.
 All randomness comes from one SplitMix64 stream, so ``(n, seed)`` pins
 the layout bit for bit.
 
-Every grid stores one layout, the padded flat bytes ``MazeGrid.cells``,
-that the sensor, the carver and the connectivity search all read;
-``MazeGrid.walls`` is a read-only view of it (n ``bytes`` rows,
-``walls[x][y]`` is 1 at a wall). The layout is ``n + 2`` bytes wide and
-``n + 4`` rows tall: one column of padding on each side, two rows above
-and below. Each byte is 0 (open), 1 (wall) or 2 (outside the grid), and
-cell ``(x, y)`` sits at index ``i = (x + 2) * (n + 2) + y + 1``. Its E/S/W/N
-neighbours are ``i + 1``, ``i + (n + 2)``, ``i - 1`` and ``i - (n + 2)``,
-so a step from any cell of the grid lands on a valid byte without a
-bounds check. The double rows keep the carver's two-cell room strides in
-the buffer as well; a two-cell step west from column 0 lands on the
-previous row's right padding. A heading is an index into
-``KnowledgeMap.offsets``, those four steps: 0 east, 1 south, 2 west,
-3 north (clockwise, so heading + 1 turns right).
-
-The agent's knowledge, ``KnowledgeMap.known``, is a second buffer in the
-same geometry, so one index names a cell in both. Its grid bytes start
-as 3 (unknown) and take the maze's byte, 0 (open) or 1 (wall), once the
-sensor or a probe reports the cell; its padding is 2 (outside) from the
-start. A parallel ``visited_mask`` holds 1 at every occupied cell. The
-walker, the escape search and A* read neighbours at the same four
-offsets and need no bounds check: a padding byte is never open and
-never unknown. ``nearest_path`` is the one breadth-first search over
-either layout: the carver's connectivity check and the walker's escapes
-both call it.
+Every grid stores its walls once, as the padded flat bytes
+``MazeGrid.cells`` (``walls`` is a read-only row view). The agent's
+knowledge, ``KnowledgeMap.known``, is a second buffer of the same
+``Layout``, shared per size through ``layout(n)``, so one index names a
+cell in both. The sensor, the carver, the walker and A* read neighbours
+at the layout's four offsets without a bounds check: a padding byte is
+never open and never unknown. ``nearest_path`` is the one breadth-first
+search over either buffer, for the carver's connectivity check and the
+walker's escapes.
 
 ``generate_maze`` remembers its last maze, one slot keyed by
 ``(n, seed)``. A suite runs every variant of a maze back to back, so a
@@ -95,6 +79,57 @@ class MazeFormatError(ValueError):
     """Malformed maze text."""
 
 
+class Layout:
+    """The padded flat geometry of an ``n x n`` grid.
+
+    A layout is ``n + 2`` bytes wide (``stride``) and ``n + 4`` rows
+    tall: one column of padding on each side, two rows above and below.
+    Cell ``(x, y)`` sits at index ``i = (x + 2) * stride + y + 1``, and
+    its E/S/W/N neighbours at ``i + 1``, ``i + stride``, ``i - 1`` and
+    ``i - stride``: the four ``offsets``, indexed by heading (0 east,
+    1 south, 2 west, 3 north; clockwise, so heading + 1 turns right).
+    A step from any grid cell lands in the buffer, and so does the
+    carver's two-cell room stride. Maze bytes are 0 (open), 1 (wall) or
+    2 (outside the grid); knowledge bytes add 3 (unknown). ``cells`` is
+    the ``(x, y)`` of every index, and ``pad``/``rows`` convert between
+    n rows of cell bytes and a layout.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.stride = w = n + 2
+        self.offsets = (1, w, -1, -w)
+        self.cells = tuple(map(self.cell, range((n + 4) * w)))
+
+    def index(self, x: int, y: int) -> int:
+        """Flat index of grid cell ``(x, y)``; raises if it is off the grid."""
+        if not (0 <= x < self.n and 0 <= y < self.n):
+            raise ValueError(f"cell {(x, y)} is off the {self.n}x{self.n} grid")
+        return (x + 2) * self.stride + y + 1
+
+    def cell(self, i: int) -> Position:
+        """Grid cell ``(x, y)`` at flat index ``i``; inverse of ``index``."""
+        x, y = divmod(i, self.stride)
+        return (x - 2, y - 1)
+
+    def pad(self, rows) -> bytearray:
+        """The layout of n rows of n cell bytes, padding OUTSIDE."""
+        edge = bytes([OUTSIDE])
+        head = edge * (2 * self.stride + 1)  # two padding rows and one border column
+        return bytearray(head) + (edge * 2).join(rows) + head
+
+    def rows(self, cells) -> tuple:
+        """The n grid rows of a layout, as ``bytes``; inverse of ``pad``."""
+        n, w = self.n, self.stride
+        first = 2 * w + 1
+        return tuple(bytes(cells[i : i + n]) for i in range(first, first + n * w, w))
+
+
+@lru_cache(maxsize=4)  # one shared Layout per size; a suite runs size by size
+def layout(n: int) -> Layout:
+    return Layout(n)
+
+
 _BIT = bytes([0]) + bytes([1]) * 255  # translate table: any non-zero byte is a wall
 
 
@@ -121,46 +156,33 @@ class MazeGrid:
         if not (0 <= tx < n and 0 <= ty < n):
             raise MazeConfigError(f"target {target} is off the {n}x{n} grid")
         self.n, self.target, self.seed = n, target, seed
-        self.stride = n + 2  # the padded row width
-        self.cells = bytes(_pad(rows))  # the one stored layout
+        self.layout = layout(n)
+        self.cells = bytes(self.layout.pad(rows))  # the one stored layout
 
     @cached_property
     def walls(self) -> tuple:
         """The layout as n ``bytes`` rows: ``walls[x][y]`` is 1 at a wall."""
-        return _rows(self.cells, self.n)
+        return self.layout.rows(self.cells)
 
     def layout_hash(self) -> str:
         """sha256 of the n*n row-major wall bytes."""
         return hashlib.sha256(b"".join(self.walls)).hexdigest()
 
 
-def _pad(rows) -> bytearray:
-    """The padded flat layout of n rows of n cell bytes."""
-    edge = bytes([OUTSIDE])
-    head = edge * (2 * len(rows) + 5)  # two padding rows and one border column
-    layout = bytearray(head)
-    layout += (edge * 2).join(rows)
-    layout += head
-    return layout
-
-
-def _rows(cells, n: int) -> tuple:
-    """The n grid rows of a padded layout, as ``bytes``; inverse of ``_pad``."""
-    w = n + 2
-    return tuple(bytes(cells[i : i + n]) for i in range(2 * w + 1, (n + 2) * w, w))
-
-
 def probe(maze: MazeGrid, frm: int, neighbor: int) -> Probe:
     """Constant-time local wall sensor over flat layout indices.
 
     Only the occupied cell itself or one of its four neighbours may be
-    probed; anything else is a programming error and raises. A neighbour
-    off the grid is a padding byte, which reads OUT_OF_BOUNDS.
+    probed, both inside the layout; anything else is a programming error
+    and raises ValueError. A neighbour off the grid is a padding byte,
+    which reads OUT_OF_BOUNDS.
     """
-    w = maze.stride
-    if neighbor - frm not in (0, 1, w, -1, -w):
+    cells, step = maze.cells, neighbor - frm
+    if not (0 <= frm < len(cells) and 0 <= neighbor < len(cells)) or (
+        step and step not in maze.layout.offsets
+    ):
         raise ValueError(f"non-local probe from index {frm} to {neighbor}")
-    return _PROBE_OF_BYTE[maze.cells[neighbor]]
+    return _PROBE_OF_BYTE[cells[neighbor]]
 
 
 def manhattan(a: Position, b: Position) -> int:
@@ -171,9 +193,8 @@ def manhattan(a: Position, b: Position) -> int:
 class KnowledgeMap:
     """What the agent has learned so far from local probes, on an ``n x n`` grid.
 
-    ``known`` is the padded flat layout of ``MazeGrid.cells`` (same
-    geometry and indices) holding the agent's view: OPEN, WALL or
-    UNKNOWN for grid cells, OUTSIDE for the padding. A fixed maze never
+    ``known``, in the grid's ``Layout``, holds the agent's view: OPEN,
+    WALL or UNKNOWN for grid cells, OUTSIDE for the padding. A fixed maze never
     contradicts itself, so the first fact learned about a cell stands.
     ``visited_mask`` is 1 at every cell the agent has occupied, and
     ``visited_count`` is its population: coverage counts distinct cells,
@@ -183,35 +204,25 @@ class KnowledgeMap:
     keep every fourth. The history is record keeping only and never feeds
     back into control decisions. Every method that takes a cell takes its
     flat index, and raises ValueError for a padding index or one outside
-    the layout, where a negative index would alias another byte.
+    the layout, where a negative index would alias another byte. The
+    map carries its layout's ``stride``, ``offsets``, ``index`` and ``cell``.
     """
 
     n: int
     sample_stride: int = 1
-    stride: int = field(init=False, repr=False)  # n + 2, the padded row width
+    layout: Layout = field(init=False, repr=False, compare=False)
     known: bytearray = field(init=False, repr=False)
     visited_mask: bytearray = field(init=False, repr=False)
     visited_count: int = field(init=False, default=0)
     sampled_history: list = field(init=False, default_factory=list)
-    offsets: tuple = field(init=False, repr=False)  # index step of each heading
 
     def __post_init__(self):
         n = self.n
-        self.stride = w = n + 2
-        self.offsets = (1, w, -1, -w)
-        self.known = _pad([bytes([UNKNOWN]) * n] * n)
+        self.layout = shared = layout(n)
+        self.stride, self.offsets = shared.stride, shared.offsets
+        self.index, self.cell = shared.index, shared.cell
+        self.known = shared.pad([bytes([UNKNOWN]) * n] * n)
         self.visited_mask = bytearray(len(self.known))
-
-    def index(self, x: int, y: int) -> int:
-        """Flat index of grid cell ``(x, y)``; raises if it is off the grid."""
-        if not (0 <= x < self.n and 0 <= y < self.n):
-            raise ValueError(f"cell {(x, y)} is off the {self.n}x{self.n} grid")
-        return (x + 2) * self.stride + y + 1
-
-    def cell(self, i: int) -> Position:
-        """Grid cell ``(x, y)`` at flat index ``i``; inverse of ``index``."""
-        x, y = divmod(i, self.stride)
-        return (x - 2, y - 1)
 
     @property
     def known_walls(self) -> set:
@@ -240,9 +251,8 @@ class KnowledgeMap:
         unknown. The padding is OUTSIDE in both layouts, so off-grid
         neighbours are never copied.
         """
-        n = self.n
-        if maze.n != n:
-            raise ValueError(f"sensing a {maze.n}x{maze.n} maze into a {n}x{n} map")
+        if maze.n != self.n:
+            raise ValueError(f"sensing a size {maze.n} maze into a size {self.n} map")
         known = self.known
         if not 0 <= i < len(known) or known[i] == OUTSIDE:  # ``check_cell``, inlined
             raise ValueError(f"cannot sense from off-grid index {i}")
@@ -289,14 +299,14 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
     check_maze_size(n)
 
     rng = SplitMix64(seed)
-    w = n + 2
-    steps = (1, w, -1, -w)  # E, S, W, N: the order of KnowledgeMap.offsets
-    cells = _pad([bytes([WALL]) * n] * n)
+    shared = layout(n)
+    steps = shared.offsets
+    cells = shared.pad([bytes([WALL]) * n] * n)
 
     # Depth-first backtracker over rooms at even coordinates. A room is
     # still a wall exactly until it is visited, and a room stride off the
     # grid lands on padding, so one byte says "unvisited room".
-    origin = 2 * w + 1
+    origin = shared.index(0, 0)
     cells[origin] = OPEN
     stack = [origin]
     while stack:
@@ -310,11 +320,11 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
         cells[i + 2 * d] = OPEN
         stack.append(i + 2 * d)
 
-    _braid_dead_ends(cells, n, rng)
+    _braid_dead_ends(cells, shared, rng)
 
     # The target area is always open, whatever the carving did.
     target = (n // 2, n // 2)
-    t = origin + target[0] * w + target[1]
+    t = shared.index(*target)
     cells[t] = OPEN
     for d in steps:
         if cells[t + d] == WALL:
@@ -322,9 +332,9 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
 
     goal_unreached = bytearray([1]) * len(cells)
     goal_unreached[t] = 0
-    if nearest_path(cells, w, origin, goal_unreached) is None:
+    if nearest_path(cells, shared.stride, origin, goal_unreached) is None:
         raise AssertionError(f"generated maze ({n}, {seed}) lost connectivity")
-    return MazeGrid(n=n, walls=_rows(cells, n), target=target, seed=seed)
+    return MazeGrid(n=n, walls=shared.rows(cells), target=target, seed=seed)
 
 
 def check_maze_size(n: int) -> None:
@@ -333,7 +343,7 @@ def check_maze_size(n: int) -> None:
         raise MazeConfigError(f"maze size must be even and at least 8, got {n}")
 
 
-def _braid_dead_ends(cells: bytearray, n: int, rng: SplitMix64) -> None:
+def _braid_dead_ends(cells: bytearray, shared: Layout, rng: SplitMix64) -> None:
     """Open the far wall behind some dead-end rooms, creating loops.
 
     Works in place on the padded layout. Dead ends are detected on a
@@ -341,11 +351,10 @@ def _braid_dead_ends(cells: bytearray, n: int, rng: SplitMix64) -> None:
     probability BRAID_PROBABILITY. The opened wall prefers the direction
     opposite the room's single opening.
     """
-    w = n + 2
-    steps = (1, w, -1, -w)
+    n, steps = shared.n, shared.offsets
     dead_ends = []
     for x in range(0, n, 2):
-        first = (x + 2) * w + 1
+        first = shared.index(x, 0)
         for i in range(first, first + n, 2):
             open_steps = [d for d in steps if cells[i + d] == OPEN]
             if len(open_steps) == 1:
@@ -361,13 +370,13 @@ def _braid_dead_ends(cells: bytearray, n: int, rng: SplitMix64) -> None:
         cells[i + pick] = OPEN
 
 
-def nearest_path(layout, stride: int, start: int, reached) -> list | None:
+def nearest_path(cells, stride: int, start: int, reached) -> list | None:
     """Shortest path over OPEN bytes to the nearest index not yet reached.
 
-    Breadth-first over the flat indices of a padded layout (``stride``
-    bytes wide) from ``start``, expanding E, S, W, N. Returns the indices
-    to step onto in order (excluding ``start``) up to the first one whose
-    ``reached`` byte is 0, or None when no such index is reachable.
+    Breadth-first over the flat indices of the layout bytes ``cells``
+    (``stride`` bytes wide) from ``start``, expanding E, S, W, N. Returns
+    the indices to step onto in order (excluding ``start``) up to the
+    first one whose ``reached`` byte is 0, or None when none is reachable.
     """
     parents = {start: start}
     frontier = [start]
@@ -380,7 +389,7 @@ def nearest_path(layout, stride: int, start: int, reached) -> list | None:
             path.reverse()
             return path
         for j in (i + 1, i + stride, i - 1, i - stride):
-            if layout[j] == OPEN and j not in parents:
+            if cells[j] == OPEN and j not in parents:
                 parents[j] = i
                 frontier.append(j)
     return None

@@ -3,17 +3,17 @@
 Plans are computed over an optimistic view of the grid: cells the agent
 has confirmed as walls are blocked, every other in-bounds cell (confirmed
 free or never probed) is assumed traversable. The Manhattan heuristic is
-admissible on that view, so plans are shortest paths over it. When the
-walker probes the next waypoint and finds a wall, the wall is recorded
-and the caller replans from scratch; every replan adds at least one new
-wall to knowledge, so replanning terminates.
+admissible on that view, so plans are shortest paths over it. The
+planner senses nothing: ``follow_plan(plan, knowledge)`` reads the next
+waypoint's fact, which ``KnowledgeMap.arrive`` recorded on the current
+cell. When it is a wall the caller replans from scratch; every replan
+follows a newly sensed wall, so replanning terminates.
 
 Tie-breaking is pinned for determinism: equal f prefers lower h, equal h
 prefers the earliest-discovered node, and neighbours are expanded in
 east, south, west, north order.
 
-Cells are flat indices into the padded layout of ``grid``, as in the
-walker: plans start, end and step on indices.
+Plans start, end and step on flat indices of the grid's ``Layout``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 
-from .grid import OUTSIDE, WALL, KnowledgeMap, MazeGrid, Probe, probe
+from .grid import OPEN, OUTSIDE, WALL, KnowledgeMap
 
 
 class StepOutcome(Enum):
@@ -98,23 +98,22 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
     return None
 
 
-def follow_plan(plan: Plan, maze: MazeGrid, knowledge: KnowledgeMap) -> tuple[int, StepOutcome]:
-    """Probe the next waypoint and advance onto it if passable.
+def follow_plan(plan: Plan, knowledge: KnowledgeMap) -> tuple[int, StepOutcome]:
+    """Advance onto the next waypoint if the sensor found it open.
 
-    A blocked waypoint is recorded as a wall and the agent stays put,
-    signalling the caller to replan. The probe is strictly local: only
-    the adjacent waypoint is sensed.
+    The current waypoint must have been sensed (``KnowledgeMap.arrive``).
+    OPEN advances; WALL stays put and signals the caller to replan; any
+    other byte breaks that precondition and raises AssertionError.
     """
     here = plan.waypoints[plan.cursor]
     if plan.cursor == len(plan.waypoints) - 1:
         return here, StepOutcome.ARRIVED
     nxt = plan.waypoints[plan.cursor + 1]
-    result = probe(maze, here, nxt)
-    knowledge.note(nxt, result)
-    if result is Probe.BLOCKED:
+    fact = knowledge.known[nxt]
+    if fact == WALL:
         return here, StepOutcome.REPLAN_NEEDED
-    if result is Probe.OUT_OF_BOUNDS:
-        raise AssertionError(f"plan left the grid at {knowledge.cell(nxt)}")
+    if fact != OPEN:
+        raise AssertionError(f"waypoint {knowledge.cell(nxt)} was never sensed")
     plan.cursor += 1
     if plan.cursor == len(plan.waypoints) - 1:
         return nxt, StepOutcome.ARRIVED

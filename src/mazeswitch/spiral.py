@@ -9,11 +9,10 @@ ring ``r + 1``. On an open grid this visits every cell exactly once.
 tuple of all n*n cells in walking order, and each cell's rank in it and
 ring, both indexed by the cell.
 
-Positions are flat indices into the padded layout of ``grid`` and
-headings are indices into ``KnowledgeMap.offsets``. Only the route
-builder and an error message name ``(x, y)`` cells, through
-``KnowledgeMap.index`` and ``KnowledgeMap.cell``; callers convert the
-same way.
+Positions are flat indices into the grid's ``Layout`` and headings are
+indices into ``Layout.offsets``. Only the route builder and an error
+message name ``(x, y)`` cells, through the layout's ``index`` and
+``cell``, which every ``KnowledgeMap`` carries; callers do the same.
 
 The walker keeps one cursor into the table, ``next_k``, the rank of the
 next cell to walk onto; stepping onto it advances the cursor, moving on
@@ -42,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .grid import OPEN, KnowledgeMap, MazeGrid, Probe, nearest_path, probe
+from .grid import OPEN, KnowledgeMap, MazeGrid, Probe, layout, nearest_path, probe
 
 # A detour hug that only retraces visited cells for this many consecutive
 # steps is abandoned in favour of a direct walk to unvisited ground.
@@ -66,17 +65,17 @@ def spiral_route(n: int) -> tuple[tuple, tuple, tuple]:
     of cell ``i`` in ``route`` and ``ring[i]`` its ring; both are -1 on
     the padding. All three are tuples, because every caller shares them.
     """
-    layout = KnowledgeMap(n)
+    shared = layout(n)
     route = []
-    ring = [-1] * len(layout.known)
+    ring = [-1] * len(shared.cells)
     for r in range((n + 1) // 2):
-        i = layout.index(r, r)
+        i = shared.index(r, r)
         side = n - 1 - 2 * r
         if side == 0:
             route.append(i)
             ring[i] = r
             break
-        for step in layout.offsets:
+        for step in shared.offsets:
             for _ in range(side):
                 route.append(i)
                 ring[i] = r
@@ -97,7 +96,7 @@ class SpiralState:
     """
 
     pos: int
-    heading: int = 0  # index into KnowledgeMap.offsets: east
+    heading: int = 0  # index into Layout.offsets: east
     next_k: int = 1
     detouring: bool = False
     detour_k: int = 0

@@ -15,6 +15,7 @@ from mazeswitch.grid import (
     coverage_percent,
     from_text,
     generate_maze,
+    layout,
     manhattan,
     probe,
     to_text,
@@ -28,7 +29,7 @@ DATA = Path(__file__).parent / "data"
 def padded_index(k, cell):
     """Flat index of any ``(x, y)`` in ``k``'s layout, on the grid or off it.
 
-    An independent formula: ``KnowledgeMap.index`` rejects off-grid cells.
+    An independent formula: ``Layout.index`` rejects off-grid cells.
     """
     return k.index(0, 0) + cell[0] * k.stride + cell[1]
 
@@ -117,7 +118,7 @@ class TestMazeMemo:
     def test_shared_grid_cannot_be_changed(self):
         maze = generate_maze(16, 1)
         with pytest.raises(TypeError):
-            maze.cells[KnowledgeMap(16).index(0, 1)] = 1
+            maze.cells[maze.layout.index(0, 1)] = 1
         with pytest.raises(TypeError):
             maze.walls[0] = bytes(16)
         assert generate_maze(16, 1).layout_hash() == generate_maze.__wrapped__(16, 1).layout_hash()
@@ -353,9 +354,27 @@ class TestKnowledgeMap:
                 astar_plan(i, on_grid, k)
             with pytest.raises(ValueError):
                 astar_plan(on_grid, i, k)
+            if not 0 <= i < len(k.known):  # outside the layout: no byte to alias
+                with pytest.raises(ValueError):
+                    probe(maze, i, i)
             assert k.known == KnowledgeMap(8).known, i
             assert k.visited_mask == KnowledgeMap(8).visited_mask, i
         assert k.visited_count == 0 and not any(k.visited_mask)
+
+    @pytest.mark.parametrize("n", [1, 8, 16, 33])
+    def test_cell_table_inverts_index(self, n):
+        shared = layout(n)
+        for x in range(n):
+            for y in range(n):
+                assert shared.cells[shared.index(x, y)] == (x, y)
+
+    @pytest.mark.parametrize("n, seed", [(8, 0), (16, 1), (32, -3)])
+    def test_maze_and_map_share_one_geometry(self, n, seed):
+        maze, k = generate_maze(n, seed), KnowledgeMap(n)
+        assert len(layout(n).cells) == len(maze.cells) == len(k.known)
+        # By value: the layout cache holds four sizes, so identity can lapse.
+        assert (maze.layout.stride, maze.layout.offsets) == (k.stride, k.offsets)
+        assert k.index(1, 2) == maze.layout.index(1, 2)
 
     def test_sensing_a_maze_of_another_size_raises(self):
         k = KnowledgeMap(8)

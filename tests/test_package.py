@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -20,3 +21,23 @@ def test_import_needs_only_the_standard_library():
     env = {**os.environ, "PYTHONPATH": path}
     code = "import sys, mazeswitch, mazeswitch.cli; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # ``__init__`` imports names only to re-export them.
+    package = Path(mazeswitch.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "annotations":  # ``from __future__ import annotations``
+                        imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mazeswitch.grid import KnowledgeMap, Probe, generate_maze, manhattan
+from mazeswitch.grid import KnowledgeMap, Probe, generate_maze, manhattan, probe
 from mazeswitch.pathfind import StepOutcome, astar_plan, follow_plan
 from conftest import bfs_distance
 
@@ -107,7 +107,8 @@ class TestFollowPlan:
         maze = open_grid(8)
         k = KnowledgeMap(8)
         plan = astar_plan(k.index(0, 0), k.index(4, 4), k)
-        pos, outcome = follow_plan(plan, maze, k)
+        k.observe_surroundings(maze, k.index(0, 0))
+        pos, outcome = follow_plan(plan, k)
         assert outcome is StepOutcome.ADVANCED
         assert manhattan(k.cell(pos), (0, 0)) == 1
 
@@ -116,8 +117,10 @@ class TestFollowPlan:
         k = KnowledgeMap(maze.n)  # knows nothing: optimistic plan will hit walls
         plan = astar_plan(k.index(0, 0), k.index(*maze.target), k)
         blocked_at = None
+        pos = k.index(0, 0)
         for _ in range(plan.cost):
-            pos, outcome = follow_plan(plan, maze, k)
+            k.observe_surroundings(maze, pos)
+            pos, outcome = follow_plan(plan, k)
             if outcome is StepOutcome.REPLAN_NEEDED:
                 blocked_at = k.cell(plan.waypoints[plan.cursor + 1])
                 break
@@ -129,8 +132,10 @@ class TestFollowPlan:
         maze = open_grid(8)
         k = KnowledgeMap(8)
         plan = astar_plan(k.index(0, 0), k.index(0, 2), k)
-        follow_plan(plan, maze, k)
-        pos, outcome = follow_plan(plan, maze, k)
+        k.observe_surroundings(maze, k.index(0, 0))
+        pos, _ = follow_plan(plan, k)
+        k.observe_surroundings(maze, pos)
+        pos, outcome = follow_plan(plan, k)
         assert outcome is StepOutcome.ARRIVED
         assert k.cell(pos) == (0, 2)
 
@@ -146,7 +151,7 @@ class TestFollowPlan:
             plan = astar_plan(pos, target, k)
             assert plan is not None
             while True:
-                pos, outcome = follow_plan(plan, maze, k)
+                pos, outcome = follow_plan(plan, k)
                 if outcome is StepOutcome.REPLAN_NEEDED:
                     replans += 1
                     break
@@ -165,9 +170,41 @@ class TestFollowPlan:
         k.observe_surroundings(maze, pos)
         for _ in range(500):
             plan = astar_plan(pos, k.index(*maze.target), k)
-            pos, outcome = follow_plan(plan, maze, k)
+            pos, outcome = follow_plan(plan, k)
             x, y = k.cell(pos)
             assert not maze.walls[x][y]
             k.observe_surroundings(maze, pos)
             if outcome is StepOutcome.ARRIVED:
                 break
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_replans_exactly_where_the_probe_is_blocked(self, n):
+        # ``follow_plan`` reads only what the sensor recorded; the direct
+        # probe of the maze is the reference for every decision it makes.
+        for seed in range(6):
+            maze = generate_maze(n, seed)
+            k = KnowledgeMap(n)
+            pos, target = k.index(0, 0), k.index(*maze.target)
+            k.arrive(maze, pos)
+            plan = astar_plan(pos, target, k)
+            while True:
+                here = plan.waypoints[plan.cursor]
+                nxt = plan.waypoints[min(plan.cursor + 1, len(plan.waypoints) - 1)]
+                blocked = probe(maze, here, nxt) is Probe.BLOCKED
+                pos, outcome = follow_plan(plan, k)
+                assert (outcome is StepOutcome.REPLAN_NEEDED) == blocked, (n, seed, k.cell(nxt))
+                if outcome is StepOutcome.ARRIVED:
+                    break
+                if blocked:
+                    plan = astar_plan(pos, target, k)
+                else:
+                    k.arrive(maze, pos)
+            assert pos == target, (n, seed)
+
+    def test_unsensed_waypoint_raises(self):
+        maze = generate_maze(16, 1)
+        k = KnowledgeMap(maze.n)  # the start was never sensed
+        plan = astar_plan(k.index(0, 0), k.index(*maze.target), k)
+        with pytest.raises(AssertionError):
+            follow_plan(plan, k)
+        assert plan.cursor == 0

@@ -221,12 +221,12 @@ class TestFlatSearchesMatchReferences:
         # (one unreached goal) and the walker's escape (unvisited cells).
         maze = generate_maze(n, seed)
         reachable = bfs_reachable(maze)
-        at = KnowledgeMap(n).index  # one geometry for the maze and the map
+        at = maze.layout.index  # one geometry for the maze and the map
         start = at(0, 0)
         for cell in [(x, y) for x in range(n) for y in range(n)][::11]:
             goal = bytearray([1]) * len(maze.cells)
             goal[at(*cell)] = 0
-            path = nearest_path(maze.cells, maze.stride, start, goal)
+            path = nearest_path(maze.cells, maze.layout.stride, start, goal)
             assert (path is not None) == (cell in reachable), cell
             if path is not None:
                 assert len(path) == bfs_distance(maze, (0, 0), cell), cell
