@@ -2,16 +2,17 @@
 
 Plans assume unprobed cells are open, so the first route is nearly a
 straight line. The agent senses the walls around every cell it stands
-on, and ``follow_plan(plan, knowledge)`` reads that: each time the next
-waypoint turns out to be a wall the agent replans from where it stands
-and tries again. Every replan follows at least one newly sensed wall,
-so the loop always terminates. The planner works on flat indices of the
-grid's ``Layout``; ``knowledge.index`` and ``knowledge.cell`` convert to
-and from ``(x, y)``.
+on, and ``follow_plan(plan, knowledge)`` reads that: it returns the
+next waypoint, or None when that waypoint turns out to be a wall, and
+then the agent replans from where it stands and tries again. Every
+replan follows at least one newly sensed wall, so the loop always
+terminates. The planner works on flat indices of the grid's
+``Layout``; ``knowledge.index`` and ``knowledge.cell`` convert to and
+from ``(x, y)``.
 """
 
-from mazeswitch import KnowledgeMap, Probe, generate_maze
-from mazeswitch.pathfind import StepOutcome, astar_plan, follow_plan
+from mazeswitch import WALL, KnowledgeMap, generate_maze
+from mazeswitch.pathfind import astar_plan, follow_plan
 
 maze = generate_maze(16, seed=1)
 knowledge = KnowledgeMap(maze.n)
@@ -24,17 +25,14 @@ while pos != target:
     plan = astar_plan(pos, target, knowledge)
     print(f"plan of cost {plan.cost:2d} from {knowledge.cell(pos)} "
           f"(knows {len(knowledge.known_walls):2d} walls)")
-    while True:
-        pos, outcome = follow_plan(plan, knowledge)
-        if outcome is StepOutcome.REPLAN_NEEDED:
+    while pos != target:
+        nxt = follow_plan(plan, knowledge)
+        if nxt is None:  # the next waypoint is a wall
             replans += 1
             break
+        pos = nxt
         moves += 1
         knowledge.observe_surroundings(maze, pos)
-        if outcome is StepOutcome.ARRIVED:
-            break
-    if outcome is StepOutcome.ARRIVED:
-        break
 
 print(f"\narrived in {moves} moves with {replans} replans")
 
@@ -43,6 +41,6 @@ full = KnowledgeMap(maze.n)
 for x in range(maze.n):
     for y in range(maze.n):
         if maze.walls[x][y]:
-            full.note(full.index(x, y), Probe.BLOCKED)
+            full.note(full.index(x, y), WALL)
 best = astar_plan(full.index(0, 0), target, full)
 print(f"shortest path with full knowledge: {best.cost} moves")

@@ -13,7 +13,9 @@ __version__ = "0.1.0"
 from .grid import (
     KnowledgeMap,
     MazeGrid,
-    Probe,
+    OPEN,
+    OUTSIDE,
+    WALL,
     coverage_percent,
     from_text,
     generate_maze,
@@ -22,11 +24,10 @@ from .grid import (
     to_text,
 )
 from .spiral import SpiralState, spiral_next
-from .pathfind import Plan, StepOutcome, astar_plan, follow_plan
+from .pathfind import Plan, astar_plan, follow_plan
 from .qlearn import (
     QTable,
     RewardBreakdown,
-    StateId,
     decision_reward,
     discretize,
     q_update,
@@ -45,7 +46,9 @@ from .bench import SuiteConfig, SuiteReport, ablation, run_suite
 __all__ = [
     "KnowledgeMap",
     "MazeGrid",
-    "Probe",
+    "OPEN",
+    "OUTSIDE",
+    "WALL",
     "coverage_percent",
     "from_text",
     "generate_maze",
@@ -55,12 +58,10 @@ __all__ = [
     "SpiralState",
     "spiral_next",
     "Plan",
-    "StepOutcome",
     "astar_plan",
     "follow_plan",
     "QTable",
     "RewardBreakdown",
-    "StateId",
     "decision_reward",
     "discretize",
     "q_update",

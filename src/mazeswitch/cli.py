@@ -10,8 +10,9 @@ Subcommands::
 ``run`` and ``ablate`` accept ``--config FILE``, an INI-style key=value
 file with a ``[suite]`` section whose keys are the subcommand's flag
 names (``long = true`` sets ``run --long``). The section is parsed as
-those flags, so a bad value or a key the subcommand has no flag for is
-a usage error, and flags given on the command line override the file.
+those flags, so a bad value, a key the subcommand has no flag for, or a
+``config`` key (files do not nest) is a usage error, and flags given on
+the command line override the file.
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv: list) -> argparse.
     section = ini["suite"]
     tokens = []
     for key, value in section.items():
+        if key == "config":  # the command line's --config would win silently
+            parser.error(f"config file {args.config}: a [suite] section cannot name a config file")
         if not hasattr(args, key):  # also keeps argparse from expanding a prefix
             parser.error(f"config file {args.config}: {args.command} has no --{key} flag")
         if not isinstance(getattr(args, key), bool):

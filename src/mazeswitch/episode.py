@@ -14,9 +14,10 @@ sets the threshold at or below current coverage triggers the switch
 immediately. After the episode ends, one terminal update credits the
 last decision with the full terminal reward.
 
-The episode ends on reaching the target (success) or on the step limit
-(default 4 * n * n). Replans during convergence do not move the agent
-and therefore do not consume steps.
+Both phases end a step in one place: the step is counted and logged,
+and standing on the target ends the episode (success); otherwise the
+step limit (default 4 * n * n) does. Replans during convergence do not
+move the agent and therefore do not consume steps.
 
 The loop tracks positions as flat layout indices, as the walker and the
 planner do; the trajectory becomes ``(x, y)`` pairs once, when the
@@ -44,11 +45,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .grid import KnowledgeMap, check_maze_size, coverage_percent, generate_maze, manhattan
-from .pathfind import StepOutcome, astar_plan, follow_plan
+from .pathfind import astar_plan, follow_plan
 from .qlearn import (
     QTable,
     RewardBreakdown,
-    StateId,
     decision_reward,
     discretize,
     q_update,
@@ -168,7 +168,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
 
     q = QTable(cfg.rl_seed) if learning else None
     decisions: list[DecisionRecord] = []
-    last_decision: Optional[tuple[StateId, int]] = None
+    last_decision: Optional[tuple[int, int]] = None  # (state index, action)
     # The reference snapshot is pinned to (0 steps, 0 coverage) so interval
     # rewards telescope exactly to the terminal total.
     prev_snapshot = (0, 0.0)
@@ -185,29 +185,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         if in_coverage:
             # spiral_next calls knowledge.arrive on the new cell itself.
             pos = spiral_next(state, maze, knowledge)
-            steps += 1
-            trajectory.append(pos)
-            if pos == target:
-                outcome = SUCCESS
-                break
-            if threshold is None:
-                continue
-            coverage = coverage_percent(knowledge)
-            if learning and coverage < threshold and steps % cfg.decision_period == 0:
-                state_id = discretize(coverage, manhattan(knowledge.cell(pos), maze.target), n)
-                action = select_action(q, state_id)
-                threshold = float(action)
-                reward = decision_reward(prev_snapshot, (steps, coverage), limit)
-                decisions.append(
-                    DecisionRecord(steps, state_id.index, action, reward)
-                )
-                if last_decision is not None:
-                    q_update(q, last_decision[0], last_decision[1], reward, state_id)
-                last_decision = (state_id, action)
-                prev_snapshot = (steps, coverage)
-            if coverage >= threshold:
-                in_coverage = False
-                switch_step, switch_coverage = steps, coverage
         else:
             if plan is None:
                 plan = astar_plan(pos, target, knowledge)
@@ -215,19 +192,36 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                     raise AssertionError(
                         f"no optimistic path from {knowledge.cell(pos)} to {maze.target}"
                     )
-            pos, step_outcome = follow_plan(plan, knowledge)
-            if step_outcome is StepOutcome.REPLAN_NEEDED:
+            nxt = follow_plan(plan, knowledge)
+            if nxt is None:  # the next waypoint is a known wall
                 plan = None
                 replans += 1
                 if replans > n * n:
                     raise AssertionError("replanning failed to make progress")
                 continue
-            steps += 1
-            trajectory.append(pos)
+            pos = nxt
             knowledge.arrive(maze, pos)
-            if step_outcome is StepOutcome.ARRIVED:
-                outcome = SUCCESS
-                break
+        steps += 1
+        trajectory.append(pos)
+        if pos == target:
+            outcome = SUCCESS
+            break
+        if not in_coverage or threshold is None:
+            continue
+        coverage = coverage_percent(knowledge)
+        if learning and coverage < threshold and steps % cfg.decision_period == 0:
+            state_id = discretize(coverage, manhattan(knowledge.cell(pos), maze.target), n)
+            action = select_action(q, state_id)
+            threshold = float(action)
+            reward = decision_reward(prev_snapshot, (steps, coverage), limit)
+            decisions.append(DecisionRecord(steps, state_id, action, reward))
+            if last_decision is not None:
+                q_update(q, last_decision[0], last_decision[1], reward, state_id)
+            last_decision = (state_id, action)
+            prev_snapshot = (steps, coverage)
+        if coverage >= threshold:
+            in_coverage = False
+            switch_step, switch_coverage = steps, coverage
 
     final_coverage = coverage_percent(knowledge)
     log = EpisodeLog(
@@ -243,11 +237,12 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         counters={"replans": replans, "history_len": len(knowledge.sampled_history)},
     )
     if learning:
-        terminal_state = discretize(final_coverage, manhattan(knowledge.cell(pos), maze.target), n)
         bonus = (
             switching_component(switch_coverage) if switch_coverage is not None else 0.0
         )
-        log.terminal_state_index = terminal_state.index
+        log.terminal_state_index = discretize(
+            final_coverage, manhattan(knowledge.cell(pos), maze.target), n
+        )
         log.terminal_decision_reward = decision_reward(
             prev_snapshot, (steps, final_coverage), limit, switch_bonus=bonus
         )

@@ -22,7 +22,9 @@ knowledge, ``KnowledgeMap.known``, is a second buffer of the same
 ``Layout``, shared per size through ``layout(n)``, so one index names a
 cell in both. The sensor, the carver, the walker and A* read neighbours
 at the layout's four offsets without a bounds check: a padding byte is
-never open and never unknown. ``nearest_path`` is the one breadth-first
+never open and never unknown. A sensed fact is that byte itself:
+``probe`` returns OPEN, WALL or OUTSIDE, and ``KnowledgeMap.note``
+records OPEN or WALL as read. ``nearest_path`` is the one breadth-first
 search over either buffer, for the carver's connectivity check and the
 walker's escapes.
 
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property, lru_cache
 
 from .rng import SplitMix64
@@ -60,15 +61,6 @@ BRAID_PROBABILITY = 0.10
 
 OPEN, WALL, OUTSIDE = 0, 1, 2  # bytes of the padded layout
 UNKNOWN = 3  # knowledge byte of a grid cell not yet sensed
-
-
-class Probe(Enum):
-    PASSABLE = "passable"
-    BLOCKED = "blocked"
-    OUT_OF_BOUNDS = "out_of_bounds"
-
-
-_PROBE_OF_BYTE = (Probe.PASSABLE, Probe.BLOCKED, Probe.OUT_OF_BOUNDS)
 
 
 class MazeConfigError(ValueError):
@@ -169,20 +161,20 @@ class MazeGrid:
         return hashlib.sha256(b"".join(self.walls)).hexdigest()
 
 
-def probe(maze: MazeGrid, frm: int, neighbor: int) -> Probe:
-    """Constant-time local wall sensor over flat layout indices.
+def probe(maze: MazeGrid, frm: int, neighbor: int) -> int:
+    """Constant-time local wall sensor over flat layout indices: the maze byte.
 
     Only the occupied cell itself or one of its four neighbours may be
     probed, both inside the layout; anything else is a programming error
-    and raises ValueError. A neighbour off the grid is a padding byte,
-    which reads OUT_OF_BOUNDS.
+    and raises ValueError. The result is OPEN or WALL, or OUTSIDE for a
+    neighbour off the grid (a padding byte).
     """
     cells, step = maze.cells, neighbor - frm
     if not (0 <= frm < len(cells) and 0 <= neighbor < len(cells)) or (
         step and step not in maze.layout.offsets
     ):
         raise ValueError(f"non-local probe from index {frm} to {neighbor}")
-    return _PROBE_OF_BYTE[cells[neighbor]]
+    return cells[neighbor]
 
 
 def manhattan(a: Position, b: Position) -> int:
@@ -235,13 +227,15 @@ class KnowledgeMap:
         if not 0 <= i < len(known) or known[i] == OUTSIDE:
             raise ValueError(f"cannot {action} off-grid index {i}")
 
-    def note(self, i: int, result: Probe) -> None:
-        """Record one probe result. Out-of-bounds probes carry no cell fact."""
-        if result is Probe.OUT_OF_BOUNDS:
+    def note(self, i: int, fact: int) -> None:
+        """Record one ``probe`` result, OPEN or WALL; OUTSIDE carries no cell fact."""
+        if fact == OUTSIDE:
             return
+        if fact != OPEN and fact != WALL:
+            raise ValueError(f"cannot note {fact!r}: a fact is OPEN, WALL or OUTSIDE")
         self.check_cell(i, "note")
         if self.known[i] == UNKNOWN:
-            self.known[i] = OPEN if result is Probe.PASSABLE else WALL
+            self.known[i] = fact
 
     def observe_surroundings(self, maze: MazeGrid, i: int) -> None:
         """Probe the occupied cell ``i`` and its four neighbours.

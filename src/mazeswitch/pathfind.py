@@ -6,8 +6,10 @@ free or never probed) is assumed traversable. The Manhattan heuristic is
 admissible on that view, so plans are shortest paths over it. The
 planner senses nothing: ``follow_plan(plan, knowledge)`` reads the next
 waypoint's fact, which ``KnowledgeMap.arrive`` recorded on the current
-cell. When it is a wall the caller replans from scratch; every replan
-follows a newly sensed wall, so replanning terminates.
+cell, and returns that waypoint's index, or None when it is a wall. On
+None the caller replans from scratch; every replan follows a newly
+sensed wall, so replanning terminates. The caller knows it has arrived
+when its position equals the target.
 
 Tie-breaking is pinned for determinism: equal f prefers lower h, equal h
 prefers the earliest-discovered node, and neighbours are expanded in
@@ -20,15 +22,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from enum import Enum
 
 from .grid import OPEN, OUTSIDE, WALL, KnowledgeMap
-
-
-class StepOutcome(Enum):
-    ADVANCED = "advanced"
-    REPLAN_NEEDED = "replan_needed"
-    ARRIVED = "arrived"
 
 
 @dataclass
@@ -39,8 +34,12 @@ class Plan:
     """
 
     waypoints: list
-    cost: int
     cursor: int = 0
+
+    @property
+    def cost(self) -> int:
+        """Moves from the first waypoint to the last."""
+        return len(self.waypoints) - 1
 
 
 def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
@@ -57,7 +56,7 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
     if known[s] == WALL:
         raise ValueError(f"cannot plan from a known wall at {knowledge.cell(s)}")
     if s == t:
-        return Plan([s], 0)
+        return Plan([s])
 
     w = knowledge.stride
     # Padded row and column; Manhattan distance is shift-invariant.
@@ -78,7 +77,7 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
                 i = came_from[i]
                 waypoints.append(i)
             waypoints.reverse()
-            return Plan(waypoints, len(waypoints) - 1)
+            return Plan(waypoints)
         if i in closed:
             continue
         closed.add(i)
@@ -98,23 +97,22 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
     return None
 
 
-def follow_plan(plan: Plan, knowledge: KnowledgeMap) -> tuple[int, StepOutcome]:
-    """Advance onto the next waypoint if the sensor found it open.
+def follow_plan(plan: Plan, knowledge: KnowledgeMap) -> int | None:
+    """Advance onto the next waypoint and return it, or None if it is a wall.
 
     The current waypoint must have been sensed (``KnowledgeMap.arrive``).
-    OPEN advances; WALL stays put and signals the caller to replan; any
-    other byte breaks that precondition and raises AssertionError.
+    OPEN advances; WALL stays put, and the caller replans; any other byte
+    breaks that precondition and raises AssertionError. A plan already
+    at its last waypoint has no next one and raises ValueError.
     """
-    here = plan.waypoints[plan.cursor]
-    if plan.cursor == len(plan.waypoints) - 1:
-        return here, StepOutcome.ARRIVED
-    nxt = plan.waypoints[plan.cursor + 1]
+    waypoints, k = plan.waypoints, plan.cursor + 1
+    if k == len(waypoints):
+        raise ValueError(f"plan already ended at {knowledge.cell(waypoints[-1])}")
+    nxt = waypoints[k]
     fact = knowledge.known[nxt]
     if fact == WALL:
-        return here, StepOutcome.REPLAN_NEEDED
+        return None
     if fact != OPEN:
         raise AssertionError(f"waypoint {knowledge.cell(nxt)} was never sensed")
-    plan.cursor += 1
-    if plan.cursor == len(plan.waypoints) - 1:
-        return nxt, StepOutcome.ARRIVED
-    return nxt, StepOutcome.ADVANCED
+    plan.cursor = k
+    return nxt

@@ -2,7 +2,9 @@
 
 State: coverage bucket ``floor(c / 10)`` clamped to 0..9 crossed with
 distance bucket ``floor(d / (2n) * 5)`` clamped to 0..4, giving 50
-states. Actions are the five candidate switching thresholds 20..60%.
+states. A state is its Q-table row index, ``coverage bucket * 5 +
+distance bucket``, and ``discretize`` returns that int. Actions are
+the five candidate switching thresholds 20..60%.
 
 The terminal objective scores an episode as
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .rng import SplitMix64
 
@@ -44,19 +46,8 @@ ALPHA = 0.1  # learning rate
 GAMMA = 0.9  # discount
 
 
-class StateId(NamedTuple):
-    """Discretized progress state: (coverage bucket, distance bucket)."""
-
-    b_c: int
-    b_d: int
-
-    @property
-    def index(self) -> int:
-        return self.b_c * N_DISTANCE_BUCKETS + self.b_d
-
-
-def discretize(coverage: float, distance: int, n: int) -> StateId:
-    """Bucket a (coverage %, Manhattan distance) observation."""
+def discretize(coverage: float, distance: int, n: int) -> int:
+    """Bucket a (coverage %, Manhattan distance) observation into a state index."""
     if not 0.0 <= coverage <= 100.0:
         raise ValueError(f"coverage out of range: {coverage}")
     d_max = 2 * n
@@ -64,7 +55,7 @@ def discretize(coverage: float, distance: int, n: int) -> StateId:
         raise ValueError(f"distance out of range: {distance} (max {d_max})")
     b_c = min(int(coverage // 10), N_COVERAGE_BUCKETS - 1)
     b_d = min(int(distance / d_max * N_DISTANCE_BUCKETS), N_DISTANCE_BUCKETS - 1)
-    return StateId(b_c, b_d)
+    return b_c * N_DISTANCE_BUCKETS + b_d
 
 
 class QTable:
@@ -76,21 +67,21 @@ class QTable:
         self.rng = SplitMix64(rng_seed)
 
 
-def select_action(q: QTable, s: StateId) -> int:
+def select_action(q: QTable, s: int) -> int:
     """Epsilon-greedy threshold choice; greedy ties go to the lowest."""
     if q.rng.random() < q.epsilon:
         return THRESHOLDS[q.rng.randbelow(N_ACTIONS)]
-    row = q.values[s.index]
+    row = q.values[s]
     return THRESHOLDS[row.index(max(row))]
 
 
-def q_update(q: QTable, s: StateId, a: int, r: float, s_next: Optional[StateId]) -> QTable:
+def q_update(q: QTable, s: int, a: int, r: float, s_next: Optional[int]) -> QTable:
     """Apply one update to Q(s, a); ``s_next=None`` marks the terminal update."""
     if not math.isfinite(r):
         raise ValueError(f"non-finite reward: {r}")
     ai = THRESHOLDS.index(a)
-    future = 0.0 if s_next is None else GAMMA * max(q.values[s_next.index])
-    row = q.values[s.index]
+    future = 0.0 if s_next is None else GAMMA * max(q.values[s_next])
+    row = q.values[s]
     row[ai] += ALPHA * (r + future - row[ai])
     return q
 

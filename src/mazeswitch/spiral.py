@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .grid import OPEN, KnowledgeMap, MazeGrid, Probe, layout, nearest_path, probe
+from .grid import OPEN, KnowledgeMap, MazeGrid, layout, nearest_path, probe
 
 # A detour hug that only retraces visited cells for this many consecutive
 # steps is abandoned in favour of a direct walk to unvisited ground.
@@ -137,7 +137,7 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
     if not state.detouring:
         pending = route[state.next_k]
         approach = knowledge.offsets.index(pending - state.pos)
-        if probe(maze, state.pos, pending) is Probe.PASSABLE:
+        if probe(maze, state.pos, pending) == OPEN:
             state.pos = pending
             state.heading = approach
             state.next_k += 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mazeswitch.grid import MazeGrid, Probe
+from mazeswitch.grid import OPEN, WALL, MazeGrid
 
 ACCEPTANCE_RESULTS = []
 
@@ -36,13 +36,13 @@ def reference_observe(knowledge, maze, pos):
 
     Reads ``maze.walls`` with explicit bounds checks and makes one
     ``note`` call per on-grid cell, the contract ``observe_surroundings``
-    keeps; an off-grid cell reads OUT_OF_BOUNDS, which carries no fact.
+    keeps; an off-grid cell reads OUTSIDE, which carries no fact.
     """
     x, y = pos
     for cell in (pos, (x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
         if not (0 <= cell[0] < maze.n and 0 <= cell[1] < maze.n):
             continue
-        result = Probe.BLOCKED if maze.walls[cell[0]][cell[1]] else Probe.PASSABLE
+        result = WALL if maze.walls[cell[0]][cell[1]] else OPEN
         knowledge.note(knowledge.index(*cell), result)
 
 

@@ -14,14 +14,13 @@ import pytest
 
 from mazeswitch.bench import SuiteConfig, run_suite
 from mazeswitch.episode import SUCCESS, VARIANTS, EpisodeConfig, record_to_json, run_episode
-from mazeswitch.grid import KnowledgeMap, Probe, generate_maze
+from mazeswitch.grid import WALL, KnowledgeMap, generate_maze
 from mazeswitch.pathfind import astar_plan
 from mazeswitch.qlearn import (
     N_ACTIONS,
     N_STATES,
     POTENTIAL_OFFSET,
     QTable,
-    StateId,
     THRESHOLDS,
     q_update,
     select_action,
@@ -155,7 +154,7 @@ def test_criterion_6_astar_matches_bfs_oracle():
             for x in range(n):
                 for y in range(n):
                     if maze.walls[x][y]:
-                        knowledge.note(knowledge.index(x, y), Probe.BLOCKED)
+                        knowledge.note(knowledge.index(x, y), WALL)
             at = knowledge.index
             plan = astar_plan(at(0, 0), at(*maze.target), knowledge)
             oracle = bfs_distance(maze, (0, 0), maze.target)
@@ -240,9 +239,9 @@ def test_criterion_9_qtable_contract(small_suite, medium_suite):
         q = QTable(rng_seed=0)
         q.values = rng.normal(size=(N_STATES, N_ACTIONS)).tolist()
         before = np.array(q.values)
-        s = StateId(int(rng.integers(10)), int(rng.integers(5)))
+        s = int(rng.integers(10)) * 5 + int(rng.integers(5))
         a = THRESHOLDS[int(rng.integers(5))]
-        q_update(q, s, a, float(rng.normal()), StateId(0, 0))
+        q_update(q, s, a, float(rng.normal()), 0)
         locality_ok &= int((np.array(q.values) != before).sum()) <= 1
     ok = shapes_ok and finite_ok and locality_ok
     record_acceptance(
@@ -269,7 +268,7 @@ def test_criterion_11_epsilon_greedy_statistics():
     q = QTable(rng_seed=31337, epsilon=1.0)
     counts = {t: 0 for t in THRESHOLDS}
     for _ in range(10_000):
-        counts[select_action(q, StateId(0, 0))] += 1
+        counts[select_action(q, 0)] += 1
     uniform_ok = all(abs(counts[t] - 2000) <= 150 for t in THRESHOLDS)
 
     rng = np.random.default_rng(11)
@@ -278,8 +277,8 @@ def test_criterion_11_epsilon_greedy_statistics():
     for _ in range(1000):
         table = np.round(rng.normal(size=(N_STATES, N_ACTIONS)), 1)
         greedy.values = table.tolist()
-        s = StateId(int(rng.integers(10)), int(rng.integers(5)))
-        row = table[s.index]
+        s = int(rng.integers(10)) * 5 + int(rng.integers(5))
+        row = table[s]
         expected = THRESHOLDS[min(i for i in range(N_ACTIONS) if row[i] == row.max())]
         argmax_ok &= select_action(greedy, s) == expected
     ok = uniform_ok and argmax_ok

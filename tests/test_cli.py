@@ -473,6 +473,8 @@ class TestSuiteArgumentErrors:
             (["run"], "sizes = 32"),
             (["ablate", "--size", "16"], "long = true"),
             (["ablate", "--size", "16"], "variants = spiral"),
+            (["run"], "config = c.ini"),
+            (["ablate", "--size", "16"], "config = c.ini"),
         ],
     )
     def test_bad_config_file_is_a_usage_error(self, command, line, tmp_path, monkeypatch, capsys):

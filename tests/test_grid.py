@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from mazeswitch.episode import VARIANTS, EpisodeConfig, record_to_json, run_episode
 from mazeswitch.grid import (
+    OPEN,
+    OUTSIDE,
     UNKNOWN,
+    WALL,
     KnowledgeMap,
     MazeConfigError,
     MazeFormatError,
     MazeGrid,
-    Probe,
     coverage_percent,
     from_text,
     generate_maze,
@@ -139,14 +141,14 @@ class TestProbe:
         maze = generate_maze(16, 1)
         k = KnowledgeMap(16)
         at = k.index
-        assert probe(maze, at(0, 0), padded_index(k, (-1, 0))) is Probe.OUT_OF_BOUNDS
-        assert probe(maze, at(0, 0), padded_index(k, (0, -1))) is Probe.OUT_OF_BOUNDS
+        assert probe(maze, at(0, 0), padded_index(k, (-1, 0))) == OUTSIDE
+        assert probe(maze, at(0, 0), padded_index(k, (0, -1))) == OUTSIDE
 
     def test_passable_on_open_grid(self, open_grid):
         maze = open_grid(8)
         at = KnowledgeMap(8).index
-        assert probe(maze, at(0, 0), at(0, 1)) is Probe.PASSABLE
-        assert probe(maze, at(0, 0), at(0, 0)) is Probe.PASSABLE
+        assert probe(maze, at(0, 0), at(0, 1)) == OPEN
+        assert probe(maze, at(0, 0), at(0, 0)) == OPEN
 
     def test_blocked_and_stable_on_reprobe(self):
         maze = generate_maze(16, 1)
@@ -158,8 +160,8 @@ class TestProbe:
         )
         at = KnowledgeMap(16).index
         frm = (wall[0] - 1, wall[1])
-        assert probe(maze, at(*frm), at(*wall)) is Probe.BLOCKED
-        assert probe(maze, at(*frm), at(*wall)) is Probe.BLOCKED
+        assert probe(maze, at(*frm), at(*wall)) == WALL
+        assert probe(maze, at(*frm), at(*wall)) == WALL
 
     @given(
         fx=st.integers(0, 15),
@@ -214,7 +216,7 @@ class TestSensorMatchesReference:
                 for cell in ((x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
                     if not (0 <= cell[0] < n and 0 <= cell[1] < n):
                         found = probe(maze, k.index(x, y), padded_index(k, cell))
-                        assert found is Probe.OUT_OF_BOUNDS
+                        assert found == OUTSIDE
 
     # A position beyond the padding has no flat index, so these pairs
     # stay inside the padding: the two rows above and below the grid and
@@ -232,7 +234,7 @@ class TestSensorMatchesReference:
     def test_probe_far_off_grid_is_out_of_bounds(self, open_grid, frm, cell):
         k = KnowledgeMap(8)
         found = probe(open_grid(8), padded_index(k, frm), padded_index(k, cell))
-        assert found is Probe.OUT_OF_BOUNDS
+        assert found == OUTSIDE
 
     @pytest.mark.parametrize(
         "pos", [(-1, 0), (0, -1), (8, 0), (0, 8), (-1, -1), (8, 8), (-2, 5), (3, 9), (100, 3)]
@@ -267,7 +269,7 @@ class TestHandBuiltGrid:
             walls = [bytes(row) for row in walls]
         maze = MazeGrid(n=8, walls=walls, target=(4, 4), seed=0)
         at = KnowledgeMap(8).index
-        assert probe(maze, at(0, 0), at(0, 1)) is Probe.BLOCKED
+        assert probe(maze, at(0, 0), at(0, 1)) == WALL
         assert maze.walls[0][1] == 1
 
     @pytest.mark.parametrize("target", [(8, 4), (4, 8), (-1, 4), (4, -1), (8, 8)])
@@ -332,10 +334,17 @@ class TestKnowledgeMap:
 
     def test_first_fact_about_a_cell_stands(self):
         k = KnowledgeMap(8)
-        k.note(k.index(2, 3), Probe.BLOCKED)
-        k.note(k.index(2, 3), Probe.PASSABLE)
-        k.note(padded_index(k, (9, 3)), Probe.OUT_OF_BOUNDS)
+        k.note(k.index(2, 3), WALL)
+        k.note(k.index(2, 3), OPEN)
+        k.note(padded_index(k, (9, 3)), OUTSIDE)
         assert k.known_walls == {(2, 3)} and k.known.count(UNKNOWN) == 8 * 8 - 1
+
+    @pytest.mark.parametrize("fact", [UNKNOWN, 4, -1, None, "blocked"])
+    def test_note_rejects_what_is_no_fact(self, fact):
+        k = KnowledgeMap(8)
+        with pytest.raises(ValueError):
+            k.note(k.index(2, 3), fact)
+        assert k.known.count(UNKNOWN) == 8 * 8
 
     @pytest.mark.parametrize("cell", [(-1, 0), (0, 8), (8, 8), (3, -2)])
     def test_off_grid_cells_are_rejected(self, open_grid, cell):
@@ -345,7 +354,7 @@ class TestKnowledgeMap:
         on_grid = k.index(1, 1)
         for i in [padded_index(k, cell)] + off_grid_indices(k):
             with pytest.raises(ValueError):
-                k.note(i, Probe.PASSABLE)
+                k.note(i, OPEN)
             with pytest.raises(ValueError):
                 k.record(i)
             with pytest.raises(ValueError):

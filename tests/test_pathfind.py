@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mazeswitch.grid import KnowledgeMap, Probe, generate_maze, manhattan, probe
-from mazeswitch.pathfind import StepOutcome, astar_plan, follow_plan
+from mazeswitch.grid import OPEN, WALL, KnowledgeMap, generate_maze, manhattan, probe
+from mazeswitch.pathfind import astar_plan, follow_plan
 from conftest import bfs_distance
 
 
@@ -11,7 +11,7 @@ def full_knowledge(maze):
     k = KnowledgeMap(maze.n)
     for x in range(maze.n):
         for y in range(maze.n):
-            k.note(k.index(x, y), Probe.BLOCKED if maze.walls[x][y] else Probe.PASSABLE)
+            k.note(k.index(x, y), WALL if maze.walls[x][y] else OPEN)
     return k
 
 
@@ -89,15 +89,15 @@ class TestAstarPlan:
     def test_no_path_when_target_sealed(self):
         k = KnowledgeMap(4)
         for cell in ((1, 1), (2, 1)):
-            k.note(k.index(*cell), Probe.BLOCKED)
+            k.note(k.index(*cell), WALL)
         assert astar_plan(k.index(0, 0), k.index(3, 3), k) is not None  # routes around
         for cell in ((2, 3), (3, 2)):  # box the target corner
-            k.note(k.index(*cell), Probe.BLOCKED)
+            k.note(k.index(*cell), WALL)
         assert astar_plan(k.index(0, 0), k.index(3, 3), k) is None
 
     def test_planning_from_known_wall_rejected(self):
         k = KnowledgeMap(4)
-        k.note(k.index(0, 0), Probe.BLOCKED)
+        k.note(k.index(0, 0), WALL)
         with pytest.raises(ValueError):
             astar_plan(k.index(0, 0), k.index(3, 3), k)
 
@@ -108,8 +108,8 @@ class TestFollowPlan:
         k = KnowledgeMap(8)
         plan = astar_plan(k.index(0, 0), k.index(4, 4), k)
         k.observe_surroundings(maze, k.index(0, 0))
-        pos, outcome = follow_plan(plan, k)
-        assert outcome is StepOutcome.ADVANCED
+        pos = follow_plan(plan, k)
+        assert pos is not None and pos != plan.waypoints[-1]
         assert manhattan(k.cell(pos), (0, 0)) == 1
 
     def test_blocked_waypoint_triggers_replan(self):
@@ -120,10 +120,11 @@ class TestFollowPlan:
         pos = k.index(0, 0)
         for _ in range(plan.cost):
             k.observe_surroundings(maze, pos)
-            pos, outcome = follow_plan(plan, k)
-            if outcome is StepOutcome.REPLAN_NEEDED:
+            nxt = follow_plan(plan, k)
+            if nxt is None:
                 blocked_at = k.cell(plan.waypoints[plan.cursor + 1])
                 break
+            pos = nxt
         assert blocked_at is not None, "seed 1 maze should block the straight route"
         assert blocked_at in k.known_walls
         assert pos == plan.waypoints[plan.cursor]  # did not move
@@ -133,11 +134,22 @@ class TestFollowPlan:
         k = KnowledgeMap(8)
         plan = astar_plan(k.index(0, 0), k.index(0, 2), k)
         k.observe_surroundings(maze, k.index(0, 0))
-        pos, _ = follow_plan(plan, k)
+        pos = follow_plan(plan, k)
         k.observe_surroundings(maze, pos)
-        pos, outcome = follow_plan(plan, k)
-        assert outcome is StepOutcome.ARRIVED
+        pos = follow_plan(plan, k)
+        assert pos == plan.waypoints[-1]
         assert k.cell(pos) == (0, 2)
+
+    def test_plan_at_its_last_waypoint_raises(self, open_grid):
+        maze = open_grid(8)
+        k = KnowledgeMap(8)
+        plan = astar_plan(k.index(0, 0), k.index(0, 1), k)
+        k.observe_surroundings(maze, k.index(0, 0))
+        assert k.cell(follow_plan(plan, k)) == (0, 1)
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            follow_plan(plan, k)
+        with pytest.raises(ValueError, match=r"\(2, 2\)"):
+            follow_plan(astar_plan(k.index(2, 2), k.index(2, 2), k), k)
 
     def test_replan_loop_terminates_and_arrives(self):
         # Walk the full replanning loop with zero prior knowledge.
@@ -150,15 +162,14 @@ class TestFollowPlan:
         while pos != target:
             plan = astar_plan(pos, target, k)
             assert plan is not None
-            while True:
-                pos, outcome = follow_plan(plan, k)
-                if outcome is StepOutcome.REPLAN_NEEDED:
+            while pos != target:
+                nxt = follow_plan(plan, k)
+                if nxt is None:
                     replans += 1
                     break
+                pos = nxt
                 moves += 1
                 k.observe_surroundings(maze, pos)
-                if outcome is StepOutcome.ARRIVED:
-                    break
             assert replans <= maze.n * maze.n
             assert moves <= 4 * maze.n * maze.n
         assert k.cell(pos) == maze.target
@@ -166,15 +177,17 @@ class TestFollowPlan:
     def test_never_moves_onto_wall(self):
         maze = generate_maze(16, 6)
         k = KnowledgeMap(maze.n)
-        pos = k.index(0, 0)
+        pos, target = k.index(0, 0), k.index(*maze.target)
         k.observe_surroundings(maze, pos)
         for _ in range(500):
-            plan = astar_plan(pos, k.index(*maze.target), k)
-            pos, outcome = follow_plan(plan, k)
+            plan = astar_plan(pos, target, k)
+            nxt = follow_plan(plan, k)
+            if nxt is not None:
+                pos = nxt
             x, y = k.cell(pos)
             assert not maze.walls[x][y]
             k.observe_surroundings(maze, pos)
-            if outcome is StepOutcome.ARRIVED:
+            if pos == target:
                 break
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -187,17 +200,15 @@ class TestFollowPlan:
             pos, target = k.index(0, 0), k.index(*maze.target)
             k.arrive(maze, pos)
             plan = astar_plan(pos, target, k)
-            while True:
-                here = plan.waypoints[plan.cursor]
-                nxt = plan.waypoints[min(plan.cursor + 1, len(plan.waypoints) - 1)]
-                blocked = probe(maze, here, nxt) is Probe.BLOCKED
-                pos, outcome = follow_plan(plan, k)
-                assert (outcome is StepOutcome.REPLAN_NEEDED) == blocked, (n, seed, k.cell(nxt))
-                if outcome is StepOutcome.ARRIVED:
-                    break
+            while pos != target:
+                here, nxt = plan.waypoints[plan.cursor], plan.waypoints[plan.cursor + 1]
+                blocked = probe(maze, here, nxt) == WALL
+                step = follow_plan(plan, k)
+                assert (step is None) == blocked, (n, seed, k.cell(nxt))
                 if blocked:
                     plan = astar_plan(pos, target, k)
                 else:
+                    pos = step
                     k.arrive(maze, pos)
             assert pos == target, (n, seed)
 

@@ -9,7 +9,6 @@ from mazeswitch.qlearn import (
     N_STATES,
     POTENTIAL_OFFSET,
     QTable,
-    StateId,
     THRESHOLDS,
     decision_reward,
     discretize,
@@ -23,13 +22,13 @@ from mazeswitch.qlearn import (
 
 class TestDiscretize:
     def test_clamps_top_distance_bucket(self):
-        assert discretize(0.0, 32, 16) == StateId(0, 4)
+        assert discretize(0.0, 32, 16) == 0 * 5 + 4
 
     def test_clamps_top_coverage_bucket(self):
-        assert discretize(100.0, 0, 16) == StateId(9, 0)
+        assert discretize(100.0, 0, 16) == 9 * 5 + 0
 
     def test_hand_evaluated_interior_point(self):
-        assert discretize(35.0, 10, 16) == StateId(3, 1)
+        assert discretize(35.0, 10, 16) == 3 * 5 + 1
 
     def test_exhaustive_sweep_stays_in_fifty_states(self):
         n = 16
@@ -37,8 +36,9 @@ class TestDiscretize:
         for c in range(101):
             for d in range(2 * n + 1):
                 s = discretize(float(c), d, n)
-                assert 0 <= s.b_c <= 9 and 0 <= s.b_d <= 4
-                seen.add(s.index)
+                b_c, b_d = divmod(s, 5)
+                assert 0 <= b_c <= 9 and 0 <= b_d <= 4
+                seen.add(s)
         assert seen == set(range(N_STATES))
 
     def test_out_of_range_rejected(self):
@@ -53,18 +53,18 @@ class TestDiscretize:
 class TestSelectAction:
     def test_zero_table_tie_breaks_to_lowest(self):
         q = QTable(rng_seed=1, epsilon=0.0)
-        assert select_action(q, StateId(0, 0)) == 20
+        assert select_action(q, 0) == 20
 
     def test_argmax_row(self):
         q = QTable(rng_seed=1, epsilon=0.0)
-        q.values[StateId(2, 3).index] = [0, 0, 5, 0, 0]
-        assert select_action(q, StateId(2, 3)) == 40
+        q.values[2 * 5 + 3] = [0, 0, 5, 0, 0]
+        assert select_action(q, 2 * 5 + 3) == 40
 
     def test_uniform_when_always_exploring(self):
         q = QTable(rng_seed=123, epsilon=1.0)
         counts = {t: 0 for t in THRESHOLDS}
         for _ in range(10_000):
-            counts[select_action(q, StateId(0, 0))] += 1
+            counts[select_action(q, 0)] += 1
         for t in THRESHOLDS:
             assert abs(counts[t] - 2000) <= 150, counts
 
@@ -74,15 +74,15 @@ class TestSelectAction:
         for _ in range(200):
             table = np.round(rng.normal(size=(N_STATES, N_ACTIONS)), 1)
             q.values = table.tolist()
-            s = StateId(int(rng.integers(10)), int(rng.integers(5)))
-            row = table[s.index]
+            s = int(rng.integers(10)) * 5 + int(rng.integers(5))
+            row = table[s]
             expected = THRESHOLDS[min(i for i in range(N_ACTIONS) if row[i] == row.max())]
             assert select_action(q, s) == expected
 
     def test_seeded_stream_replays(self):
         a = QTable(rng_seed=42)
         b = QTable(rng_seed=42)
-        s = StateId(1, 1)
+        s = 1 * 5 + 1
         assert [select_action(a, s) for _ in range(100)] == [
             select_action(b, s) for _ in range(100)
         ]
@@ -91,19 +91,19 @@ class TestSelectAction:
 class TestQUpdate:
     def test_hand_case_terminal_fifty(self):
         q = QTable(rng_seed=0)
-        q_update(q, StateId(0, 0), 20, 50.0, None)
+        q_update(q, 0, 20, 50.0, None)
         assert q.values[0][0] == pytest.approx(5.0)
 
     def test_hand_case_bootstrap(self):
         q = QTable(rng_seed=0)
-        s, s_next = StateId(0, 0), StateId(0, 1)
-        q.values[s_next.index] = [10, 0, 0, 0, 0]
+        s, s_next = 0, 0 * 5 + 1
+        q.values[s_next] = [10, 0, 0, 0, 0]
         q_update(q, s, 20, 0.0, s_next)
-        assert q.values[s.index][0] == pytest.approx(0.9)
+        assert q.values[s][0] == pytest.approx(0.9)
 
     def test_zero_reward_zero_table_fixed_point(self):
         q = QTable(rng_seed=0)
-        s = StateId(3, 3)
+        s = 3 * 5 + 3
         q_update(q, s, 30, 0.0, s)
         assert (np.array(q.values) == 0).all()
 
@@ -119,25 +119,25 @@ class TestQUpdate:
             N_STATES, N_ACTIONS
         ).tolist()
         before = np.array(q.values)
-        s = StateId(b_c, b_d)
-        q_update(q, s, action, reward, StateId(0, 0))
+        s = b_c * 5 + b_d
+        q_update(q, s, action, reward, 0)
         changed = np.argwhere(np.array(q.values) != before)
-        expected_cell = [s.index, THRESHOLDS.index(action)]
+        expected_cell = [s, THRESHOLDS.index(action)]
         assert changed.tolist() in ([expected_cell], [])
 
     def test_positive_update_wins_argmax(self):
         for action in THRESHOLDS:
             q = QTable(rng_seed=0, epsilon=0.0)
-            s = StateId(5, 2)
+            s = 5 * 5 + 2
             q_update(q, s, action, 10.0, None)
             assert select_action(q, s) == action
 
     def test_non_finite_reward_rejected(self):
         q = QTable(rng_seed=0)
         with pytest.raises(ValueError):
-            q_update(q, StateId(0, 0), 20, float("nan"), None)
+            q_update(q, 0, 20, float("nan"), None)
         with pytest.raises(ValueError):
-            q_update(q, StateId(0, 0), 20, float("inf"), None)
+            q_update(q, 0, 20, float("inf"), None)
 
     def test_table_shape(self):
         q = QTable(rng_seed=0)

@@ -9,7 +9,6 @@ from mazeswitch.grid import (
     UNKNOWN,
     WALL,
     KnowledgeMap,
-    Probe,
     coverage_percent,
     generate_maze,
     manhattan,
@@ -194,16 +193,16 @@ class TestFlatSearchesMatchReferences:
         knowledge = KnowledgeMap(n)
         at = knowledge.index
         free, visited = {(0, 0)}, {(0, 0)}
-        knowledge.note(at(0, 0), Probe.PASSABLE)
+        knowledge.note(at(0, 0), OPEN)
         knowledge.record(at(0, 0))
         for x in range(n):
             for y in range(n):
                 if (x, y) == (0, 0) or rng.random() >= known_share:
                     continue
                 if maze.walls[x][y]:
-                    knowledge.note(at(x, y), Probe.BLOCKED)
+                    knowledge.note(at(x, y), WALL)
                     continue
-                knowledge.note(at(x, y), Probe.PASSABLE)
+                knowledge.note(at(x, y), OPEN)
                 free.add((x, y))
                 if rng.random() < visited_share:
                     knowledge.record(at(x, y))
@@ -233,7 +232,7 @@ class TestFlatSearchesMatchReferences:
         visited = {cell for cell in reachable if (cell[0] + 3 * cell[1]) % 7}
         knowledge = KnowledgeMap(n)
         for cell in reachable:
-            knowledge.note(at(*cell), Probe.PASSABLE)
+            knowledge.note(at(*cell), OPEN)
         for cell in visited:
             knowledge.record(at(*cell))
         for pos in sorted(visited)[::5]:
