@@ -1,6 +1,7 @@
 """Experiment matrix runner, aggregation, ablation, and report files.
 
-A suite executes every (size, maze index, variant) cell exactly once.
+A suite executes every (size, maze index, variant) cell exactly once, so
+``SuiteConfig`` rejects a size or variant listed twice.
 Maze ``i`` of a size uses seed ``base_seed + i``; learning variants draw
 their exploration stream from ``base_seed XOR RL_SEED_SALT``. The salt
 depends only on the convergence mode, never on the base policy, so the
@@ -83,6 +84,10 @@ class SuiteConfig:
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
             raise ValueError(f"unknown variants: {unknown}")
+        for name, values in (("sizes", self.sizes), ("variants", self.variants)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{name} must not repeat a value: {', '.join(map(str, repeated))}")
 
 
 @dataclass

@@ -162,27 +162,21 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     knowledge.arrive(maze, pos)
     trajectory = [pos]
 
-    threshold: Optional[float] = None
-    if cfg.variant.convergence in ("fixed", "rl"):
-        threshold = FIXED_THRESHOLD
-
+    threshold = None if cfg.variant.convergence == "none" else FIXED_THRESHOLD
     q = QTable(cfg.rl_seed) if learning else None
     decisions: list[DecisionRecord] = []
-    last_decision: Optional[tuple[int, int]] = None  # (state index, action)
     # The reference snapshot is pinned to (0 steps, 0 coverage) so interval
     # rewards telescope exactly to the terminal total.
     prev_snapshot = (0, 0.0)
 
-    in_coverage = True
-    switch_step: Optional[int] = None
+    switch_step: Optional[int] = None  # None while exploring
     switch_coverage: Optional[float] = None
     plan = None
     replans = 0
     steps = 0
-    outcome = STEP_LIMIT_EXCEEDED
 
     while steps < limit:
-        if in_coverage:
+        if switch_step is None:
             # spiral_next calls knowledge.arrive on the new cell itself.
             pos = spiral_next(state, maze, knowledge)
         else:
@@ -204,9 +198,8 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         steps += 1
         trajectory.append(pos)
         if pos == target:
-            outcome = SUCCESS
             break
-        if not in_coverage or threshold is None:
+        if switch_step is not None or threshold is None:
             continue
         coverage = coverage_percent(knowledge)
         if learning and coverage < threshold and steps % cfg.decision_period == 0:
@@ -214,19 +207,18 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             action = select_action(q, state_id)
             threshold = float(action)
             reward = decision_reward(prev_snapshot, (steps, coverage), limit)
+            if decisions:
+                last = decisions[-1]
+                q_update(q, last.state_index, last.action, reward, state_id)
             decisions.append(DecisionRecord(steps, state_id, action, reward))
-            if last_decision is not None:
-                q_update(q, last_decision[0], last_decision[1], reward, state_id)
-            last_decision = (state_id, action)
             prev_snapshot = (steps, coverage)
         if coverage >= threshold:
-            in_coverage = False
             switch_step, switch_coverage = steps, coverage
 
     final_coverage = coverage_percent(knowledge)
     log = EpisodeLog(
         config=cfg,
-        outcome=outcome,
+        outcome=SUCCESS if pos == target else STEP_LIMIT_EXCEEDED,
         total_steps=steps,
         final_coverage=final_coverage,
         role_switches=0 if switch_step is None else 1,
@@ -247,8 +239,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             prev_snapshot, (steps, final_coverage), limit, switch_bonus=bonus
         )
         log.terminal_reward = terminal_reward(steps, limit, final_coverage, switch_coverage)
-        if last_decision is not None:
-            q_update(q, last_decision[0], last_decision[1], log.terminal_reward.total, None)
+        if decisions:
+            last = decisions[-1]
+            q_update(q, last.state_index, last.action, log.terminal_reward.total, None)
         log.q_values = [row[:] for row in q.values]
     return log
 

@@ -256,10 +256,14 @@ class KnowledgeMap:
             if known[j] == UNKNOWN:
                 known[j] = cells[j]
 
-    def arrive(self, maze: MazeGrid, i: int) -> None:
-        """The agent stands on cell ``i``: count the visit, then sense around it."""
-        self.record(i)
+    def arrive(self, maze: MazeGrid, i: int) -> bool:
+        """The agent stands on cell ``i``: count the visit, then sense around it.
+
+        Returns True on a first visit, as ``record`` does.
+        """
+        fresh = self.record(i)
         self.observe_surroundings(maze, i)
+        return fresh
 
     def record(self, i: int) -> bool:
         """Mark cell ``i`` visited; returns True if it was a first visit."""
@@ -415,17 +419,18 @@ def from_text(text: str) -> MazeGrid:
     if len(body) != n:
         raise MazeFormatError(f"expected {n} rows, got {len(body)}")
 
-    start_seen = target_seen = None
+    markers = {}  # "S" or "T" -> its cell
     for x, row in enumerate(body):
         if len(row) != n:
             raise MazeFormatError(f"row {x} has length {len(row)}, expected {n}")
         for y, ch in enumerate(row):
-            if ch == "S":
-                start_seen = (x, y)
-            elif ch == "T":
-                target_seen = (x, y)
+            if ch in markers:
+                raise MazeFormatError(f"{ch} marker at both {markers[ch]} and {(x, y)}")
+            if ch in "ST":
+                markers[ch] = (x, y)
             elif ch not in "#.":
                 raise MazeFormatError(f"unknown cell character {ch!r} at ({x}, {y})")
+    start_seen, target_seen = markers.get("S"), markers.get("T")
     if start_seen != (0, 0):
         raise MazeFormatError(f"start marker must sit at (0, 0), found {start_seen}")
     if target_seen != (n // 2, n // 2):

@@ -17,18 +17,20 @@ message name ``(x, y)`` cells, through the layout's ``index`` and
 The walker keeps one cursor into the table, ``next_k``, the rank of the
 next cell to walk onto; stepping onto it advances the cursor, moving on
 to the next ring included. Walls interrupt the route. When the next
-cell probes blocked, the walker remembers its rank as ``detour_k`` and
+cell probes blocked, the cursor stays where it is and the walker
 detours using the right-hand rule, keeping the obstruction on its right,
-until it stands on the same ring at or past that rank; the cursor then
-resumes just past its cell. Wall-following alone can orbit a loop
+until it stands on the cursor's ring at or past the cursor; the cursor
+then resumes just past its cell. Wall-following alone can orbit a loop
 forever in a maze with cycles, so a detour breaks out when it revisits
 one of its own (position, heading) states or has retraced visited cells
 for ``STALE_DETOUR_LIMIT`` steps in a row: it then walks along cells
 already known to be free to the nearest cell it has never visited and
-resumes the route just past that cell. Once the cursor runs off the end
-of the table the walker keeps mopping up the remaining unvisited
-known-free cells the same way, which makes coverage of the whole
-reachable component systematic rather than best-effort.
+resumes the route just past that cell. Mop-up is the cursor past the end
+of the table, ``next_k == len(route)``: the walker then keeps walking to
+the remaining unvisited known-free cells the same way, which makes
+coverage of the whole reachable component systematic rather than
+best-effort. A breakout that finds no unvisited cell moves the cursor
+past the end, so it mops up too.
 
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
@@ -90,20 +92,22 @@ def spiral_route(n: int) -> tuple[tuple, tuple, tuple]:
 class SpiralState:
     """Walker bookkeeping; single owner, mutated in place by spiral_next.
 
-    ``pos`` is the flat index of the occupied cell. ``next_k`` is the
-    place in the route of the next cell to walk onto; ``detour_k`` is
-    the route place a detour must reach to end.
+    Only ``pos``, the flat index of the occupied cell, is set on
+    construction. ``next_k`` is the place in the route of the next cell
+    to walk onto, and ``len(route)`` once the walker mops up. A detour
+    (``detouring``) ends at the cursor and counts its steps on visited
+    cells in ``detour_stale`` and its (position, heading) states in
+    ``detour_seen``. ``escape_path`` holds the cells of a committed walk
+    to unvisited ground, next cell first.
     """
 
     pos: int
-    heading: int = 0  # index into Layout.offsets: east
-    next_k: int = 1
-    detouring: bool = False
-    detour_k: int = 0
-    detour_stale: int = 0
-    detour_seen: set = field(default_factory=set)
-    mopping: bool = False
-    escape_path: deque = field(default_factory=deque)
+    heading: int = field(init=False, default=0)  # index into Layout.offsets: east
+    next_k: int = field(init=False, default=1)
+    detouring: bool = field(init=False, default=False)
+    detour_stale: int = field(init=False, default=0)
+    detour_seen: set = field(init=False, default_factory=set)
+    escape_path: deque = field(init=False, default_factory=deque)
 
 
 def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> int:
@@ -114,16 +118,11 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
     Raises SpiralStuck when no neighbour is known to be passable, which
     cannot happen on a connected maze.
     """
-    if state.escape_path:
-        _escape_step(state, maze, knowledge)
-        return state.pos
-
     route, rank, ring = spiral_route(maze.n)
+    end = len(route)
 
-    if not state.mopping and not state.detouring and state.next_k == len(route):
-        state.mopping = True
-
-    if state.mopping:
+    if not state.escape_path and state.next_k == end:
+        # Mopping up: walk to the nearest unvisited cell.
         path = nearest_path(knowledge.known, knowledge.stride, state.pos, knowledge.visited_mask)
         if path is None:
             # Reachable component fully visited; keep moving regardless.
@@ -131,8 +130,17 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
             knowledge.arrive(maze, state.pos)
             return state.pos
         state.escape_path = deque(path)
-        _escape_step(state, maze, knowledge)
-        return state.pos
+
+    if state.escape_path:
+        # Walk one cell along a committed path through known-free cells.
+        nxt = state.escape_path.popleft()
+        state.heading = knowledge.offsets.index(nxt - state.pos)
+        state.pos = nxt
+        knowledge.arrive(maze, nxt)
+        if not state.escape_path and state.next_k < end:
+            # Landed on fresh ground: resume the route just past this cell.
+            state.next_k = rank[nxt] + 1
+        return nxt
 
     if not state.detouring:
         pending = route[state.next_k]
@@ -145,21 +153,18 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
             return pending
         # Blocked: hug the obstruction, keeping it on the right.
         state.detouring = True
-        state.detour_k = state.next_k
         state.detour_stale = 0
         state.detour_seen = set()
         state.heading = (approach + 3) % 4  # turn left
 
-    fresh = _wall_follow_move(state, knowledge)
+    _wall_follow_move(state, knowledge)
     pos = state.pos
-    knowledge.arrive(maze, pos)
-    state.detour_stale = 0 if fresh else state.detour_stale + 1
+    state.detour_stale = 0 if knowledge.arrive(maze, pos) else state.detour_stale + 1
 
     k = rank[pos]
-    if k >= state.detour_k and ring[pos] == ring[route[state.detour_k]]:
+    if k >= state.next_k and ring[pos] == ring[route[state.next_k]]:
         state.detouring = False
         state.next_k = k + 1
-        state.detour_seen = set()
     else:
         key = (pos, state.heading)
         if key in state.detour_seen or state.detour_stale >= STALE_DETOUR_LIMIT:
@@ -167,12 +172,11 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
             # anything new: the pending segment is not worth chasing
             # this way. Break out toward fresh ground: the nearest
             # unvisited cell over known-free cells, whose intermediate
-            # cells are all visited already.
+            # cells are all visited already. With none left, mop up.
             state.detouring = False
-            state.detour_seen = set()
             path = nearest_path(knowledge.known, knowledge.stride, pos, knowledge.visited_mask)
             if path is None:
-                state.mopping = True
+                state.next_k = end
             else:
                 state.escape_path = deque(path)
         else:
@@ -180,23 +184,11 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
     return pos
 
 
-def _escape_step(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> None:
-    """Walk one cell along a committed path through known-free cells."""
-    nxt = state.escape_path.popleft()
-    state.heading = knowledge.offsets.index(nxt - state.pos)
-    state.pos = nxt
-    knowledge.arrive(maze, nxt)
-    if not state.escape_path and not state.mopping:
-        # Landed on fresh ground: resume the route just past this cell.
-        state.next_k = spiral_route(maze.n)[1][nxt] + 1
-
-
-def _wall_follow_move(state: SpiralState, knowledge: KnowledgeMap) -> bool:
+def _wall_follow_move(state: SpiralState, knowledge: KnowledgeMap) -> None:
     """Right-hand rule: prefer right turn, then straight, left, back.
 
     Chooses from the four neighbour facts the sensor recorded on arrival
-    at ``state.pos``, so it probes nothing itself. Returns True when the
-    cell stepped onto had never been visited.
+    at ``state.pos``, so it probes nothing itself.
     """
     i = state.pos
     known = knowledge.known
@@ -206,5 +198,5 @@ def _wall_follow_move(state: SpiralState, knowledge: KnowledgeMap) -> bool:
         if known[j] == OPEN:
             state.pos = j
             state.heading = heading
-            return not knowledge.visited_mask[j]
+            return
     raise SpiralStuck(f"no passable neighbour known at {knowledge.cell(i)}")

@@ -346,9 +346,14 @@ class TestSuiteConfigValidation:
             {"sizes": (-8,)},
             {"jobs": 0},
             {"jobs": -3},
+            {"sizes": (16, 16)},
+            {"sizes": (16, 32, 16)},
+            {"variants": ("spiral", "spiral")},
+            {"variants": ("spiral", "sentinel_rl", "sentinel_rl")},
         ],
     )
     def test_rejects_bad_sizes_and_jobs(self, kwargs):
+        # Repeated sizes or variants would run a cell more than once.
         with pytest.raises(ValueError):
             SuiteConfig(**kwargs)
 

@@ -383,8 +383,16 @@ class TestSuiteArgumentErrors:
     @pytest.mark.parametrize("command", [["run"], ["ablate", "--size", "16"]])
     @pytest.mark.parametrize(
         "bad",
-        [["--jobs", "0"], ["--jobs", "-3"], ["--sizes", "15"], ["--sizes", "6"], ["--sizes", ","]],
-        ids=["jobs0", "jobs-3", "odd-size", "small-size", "no-sizes"],
+        [
+            ["--jobs", "0"],
+            ["--jobs", "-3"],
+            ["--sizes", "15"],
+            ["--sizes", "6"],
+            ["--sizes", ","],
+            ["--sizes", "16,16"],
+            ["--sizes", "16,32,16"],
+        ],
+        ids=["jobs0", "jobs-3", "odd-size", "small-size", "no-sizes", "same-size", "size-repeated"],
     )
     def test_one_line_and_exit_status_2(self, command, bad, tmp_path, capsys):
         out = tmp_path / "results"
@@ -424,6 +432,19 @@ class TestSuiteArgumentErrors:
             run_cli(["run", "--sizes", "16", "--mazes", "1", "--variants", ",", "--out", str(out)])
         assert exc.value.code == 2
         _assert_one_error_line(capsys, "variants")
+        assert not out.exists()
+
+    def test_repeated_variant_is_one_line(self, tmp_path, monkeypatch, capsys):
+        def no_suite(suite):
+            raise AssertionError("a suite started")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        out = tmp_path / "results"
+        argv = ["run", "--sizes", "16", "--mazes", "1", "--variants", "spiral,spiral", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, "repeat", "spiral")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -422,3 +423,12 @@ class TestTextFormat:
             from_text(good.replace(".", "?", 1))
         with pytest.raises(MazeFormatError):
             from_text("\n".join(good.splitlines()[:-2]) + "\n")
+        # A second marker: a T before the real one (at (8, 8)) used to read
+        # as open, and a second S was reported as the wrong start cell.
+        lines = good.splitlines()
+        assert lines[1 + 8][8] == "T" and lines[1 + 4][4] == "."
+        for marker, first, second in (("T", (4, 4), (8, 8)), ("S", (0, 0), (4, 4))):
+            extra = lines[:]
+            extra[1 + 4] = extra[1 + 4][:4] + marker + extra[1 + 4][5:]
+            with pytest.raises(MazeFormatError, match=re.escape(f"{marker} marker at both {first} and {second}")):
+                from_text("\n".join(extra) + "\n")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from mazeswitch.grid import (
     manhattan,
     nearest_path,
 )
+from mazeswitch.episode import encode_moves
 from mazeswitch.spiral import SpiralState, SpiralStuck, spiral_next, spiral_route
 from conftest import (
     bfs_distance,
@@ -176,6 +178,48 @@ class TestMazeSpiral:
 
 MAZE_SIZES = st.integers(4, 32).map(lambda half: 2 * half)
 SEEDS = st.integers(-(2**63), 2**64 - 1)
+
+
+class TestPastFullCoverage:
+    """The walker keeps moving after the target, through its mop-up branches.
+
+    Golden records stop at the target, so these pins are what hold the
+    mop-up walk: a sha256 of the move string of ``2 * n * n`` steps.
+    (8, 1), (16, 0) and (32, 5) each have one detour breakout that finds
+    no unvisited cell left; (10, 1) and (16, 2) reach mop-up by running
+    off the route; (16, 4) is still detouring and escaping at the end.
+    """
+
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (8, 1, "49905f17ec3714993df7f51784b374e9012284f16903d7c6c673cd178113059a"),
+            (10, 1, "8ef30f4de79b26fe2be317119c1d5eb0d160ede03f89c69219c5cd98be36778c"),
+            (16, 0, "5e626480d23864163920e7f62014124bcd095eebe72e7749ea8741ba50d29a4a"),
+            (16, 2, "2907200de5615101ecaf54a8dfe2c18e425fed2c4777aa456e09981dc2f83b7a"),
+            (16, 4, "ebe2916c81280f9143be760d04ab54576ed2b67651d49747d194448c97e60feb"),
+            (32, 5, "7d2580f97cd5af105e46370d812af32d34ec1e033215668315a98651981815ca"),
+        ],
+    )
+    def test_move_string_digest(self, n, seed, digest):
+        trajectory, _, _ = walk(generate_maze(n, seed), 2 * n * n)
+        assert hashlib.sha256(encode_moves(trajectory).encode()).hexdigest() == digest
+
+    # Past full coverage every mop-up step is a search of the whole map,
+    # so the sizes stay small.
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 12).map(lambda half: 2 * half), seed=SEEDS)
+    def test_cursor_stays_on_the_route(self, n, seed):
+        maze = generate_maze(n, seed)
+        end = len(spiral_route(n)[0])
+        knowledge = KnowledgeMap(n)
+        state = SpiralState(knowledge.index(0, 0))
+        knowledge.arrive(maze, state.pos)
+        for step in range(2 * n * n):
+            assert 1 <= state.next_k <= end, step
+            if state.detouring:
+                assert state.next_k < end and not state.escape_path, step
+            spiral_next(state, maze, knowledge)
 
 
 class TestFlatSearchesMatchReferences:
