@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import re
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -40,6 +41,9 @@ from .bench import (
 from .episode import VARIANT_ORDER, config_from_record, moves_from_record, run_episode, to_record
 from .grid import generate_maze, to_text
 from .qlearn import dump_qtable_values
+
+# The name of a ``qtables/`` dump: {n}x{n}_{variant}_seed{maze seed}.txt
+_QTABLE_DUMP = re.compile(rf"(\d+)x\1_({'|'.join(VARIANT_ORDER)})_seed-?\d+\.txt")
 
 
 def _parse_sizes(text: str) -> tuple:
@@ -149,7 +153,15 @@ def _cmd_run(args) -> int:
 
 
 def _write_qtable_dumps(logs, directory: Path) -> None:
-    """Final per-episode Q-tables of the learning variants, in text form."""
+    """Final per-episode Q-tables of the learning variants, in text form.
+
+    Dumps an earlier run left there are removed first, so the directory
+    holds this run's dumps only; files not named like a dump stay.
+    """
+    if directory.is_dir():
+        for path in directory.iterdir():
+            if _QTABLE_DUMP.fullmatch(path.name) and path.is_file():
+                path.unlink()
     learned = [log for log in logs if log.q_values is not None]
     if not learned:
         return

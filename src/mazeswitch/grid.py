@@ -24,9 +24,11 @@ cell in both. The sensor, the carver, the walker and A* read neighbours
 at the layout's four offsets without a bounds check: a padding byte is
 never open and never unknown. A sensed fact is that byte itself:
 ``probe`` returns OPEN, WALL or OUTSIDE, and ``KnowledgeMap.note``
-records OPEN or WALL as read. ``nearest_path`` is the one breadth-first
+records OPEN or WALL as read. ``KnowledgeMap.arrive`` senses on a first
+visit only: in a fixed maze the first fact about a cell stands, so a
+revisit would learn nothing. ``nearest_path`` is the one breadth-first
 search over either buffer, for the carver's connectivity check and the
-walker's escapes.
+walker's escapes; its only scratch is a copy of the bytes it searches.
 
 ``generate_maze`` remembers its last maze, one slot keyed by
 ``(n, seed)``. A suite runs every variant of a maze back to back, so a
@@ -257,16 +259,20 @@ class KnowledgeMap:
                 known[j] = cells[j]
 
     def arrive(self, maze: MazeGrid, i: int) -> bool:
-        """The agent stands on cell ``i``: count the visit, then sense around it.
+        """The agent stands on cell ``i``: count the visit, and sense on a first.
 
-        Returns True on a first visit, as ``record`` does.
+        Returns True on a first visit, as ``record`` does. Only a first
+        visit senses: the first fact about a cell stands, so a cell marked
+        by ``record`` alone counts as sensed and a later ``arrive`` there
+        senses nothing.
         """
         fresh = self.record(i)
-        self.observe_surroundings(maze, i)
+        if fresh:
+            self.observe_surroundings(maze, i)
         return fresh
 
     def record(self, i: int) -> bool:
-        """Mark cell ``i`` visited; returns True if it was a first visit."""
+        """Mark cell ``i`` visited, and so sensed; True on a first visit."""
         visited = self.visited_mask
         if not 0 <= i < len(visited) or self.known[i] == OUTSIDE:  # ``check_cell``, inlined
             raise ValueError(f"cannot visit off-grid index {i}")
@@ -375,20 +381,26 @@ def nearest_path(cells, stride: int, start: int, reached) -> list | None:
     (``stride`` bytes wide) from ``start``, expanding E, S, W, N. Returns
     the indices to step onto in order (excluding ``start``) up to the
     first one whose ``reached`` byte is 0, or None when none is reachable.
+    Its only scratch is one copy of ``cells``, which it leaves unchanged:
+    OPEN is 0, and a discovered index is marked ``4 + heading`` with the
+    heading it was entered by, so the path is read back along the marks.
     """
-    parents = {start: start}
+    seen = bytearray(cells)
+    seen[start] = WALL  # discovered, and never a mark to step back from
+    steps = ((1, 4), (stride, 5), (-1, 6), (-stride, 7))  # (offset, mark) per heading
     frontier = [start]
     for i in frontier:  # a FIFO queue: the loop reaches the appended indices
         if not reached[i]:
             path = []
             while i != start:
                 path.append(i)
-                i = parents[i]
+                i -= steps[seen[i] - 4][0]
             path.reverse()
             return path
-        for j in (i + 1, i + stride, i - 1, i - stride):
-            if cells[j] == OPEN and j not in parents:
-                parents[j] = i
+        for d, mark in steps:
+            j = i + d
+            if seen[j] == OPEN:
+                seen[j] = mark
                 frontier.append(j)
     return None
 

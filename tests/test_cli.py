@@ -155,6 +155,22 @@ class TestRun:
         values = [[float(v) for v in line.split()] for line in dumps[0].read_text().splitlines()]
         assert len(values) == 50 and all(len(row) == 5 for row in values)
 
+    def test_qtable_dumps_of_an_earlier_run_are_removed(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        base = ["run", "--sizes", "16", "--out", str(out)]
+        run_cli(base + ["--mazes", "3", "--variants", "spiral_rl", "--seed", "0"])
+        kept = ["notes.txt", "16x16_spiral_rl_seed0.txt.bak", "16x8_spiral_rl_seed0.txt",
+                "16x16_spiral_xx_seed0.txt"]
+        for name in kept:
+            (out / "qtables" / name).write_text("not a dump\n")
+        run_cli(base + ["--mazes", "1", "--variants", "spiral_rl", "--seed", "5"])
+        capsys.readouterr()
+        names = sorted(p.name for p in (out / "qtables").iterdir())
+        assert names == sorted(kept + ["16x16_spiral_rl_seed5.txt"])
+        run_cli(base + ["--mazes", "1", "--variants", "spiral", "--seed", "5"])
+        capsys.readouterr()
+        assert sorted(p.name for p in (out / "qtables").iterdir()) == sorted(kept)
+
 
 class TestReplay:
     def test_replay_identical(self, tmp_path, capsys):

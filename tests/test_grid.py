@@ -20,10 +20,12 @@ from mazeswitch.grid import (
     generate_maze,
     layout,
     manhattan,
+    nearest_path,
     probe,
     to_text,
 )
-from mazeswitch.pathfind import astar_plan
+from mazeswitch.pathfind import astar_plan, follow_plan
+from mazeswitch.spiral import SpiralState, spiral_next
 from conftest import bfs_distance, reference_observe, sealed_pocket_grid
 
 DATA = Path(__file__).parent / "data"
@@ -390,6 +392,133 @@ class TestKnowledgeMap:
         k = KnowledgeMap(8)
         with pytest.raises(ValueError):
             k.observe_surroundings(generate_maze(16, 1), k.index(0, 0))
+
+
+def _five_cells(k, i):
+    """The occupied cell ``i`` and its E, S, W, N neighbours."""
+    return [i + d for d in (0,) + k.offsets]
+
+
+def _map_state(k):
+    return bytes(k.known), bytes(k.visited_mask), k.visited_count, list(k.sampled_history)
+
+
+class TestSensingOnce:
+    """``arrive`` senses on a first visit only; a revisit learns nothing."""
+
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_revisit_returns_false_and_changes_nothing(self, stride):
+        maze = generate_maze(16, 2)
+        k = KnowledgeMap(16, sample_stride=stride)
+        cells = [k.index(0, y) for y in range(3)] + [k.index(x, 2) for x in range(1, 4)]
+        cells = [i for i in cells if maze.cells[i] == OPEN]
+        for i in cells:
+            assert k.arrive(maze, i) is True
+        for i in cells + cells[::-1]:
+            before = _map_state(k)
+            assert k.arrive(maze, i) is False
+            assert _map_state(k) == before, k.cell(i)
+
+    def test_a_cell_marked_by_record_alone_counts_as_sensed(self):
+        maze = generate_maze(16, 2)
+        k = KnowledgeMap(16)
+        i = k.index(0, 0)
+        k.record(i)
+        before = _map_state(k)
+        assert k.arrive(maze, i) is False
+        assert _map_state(k) == before
+        assert all(k.known[j] in (UNKNOWN, OUTSIDE) for j in _five_cells(k, i))
+
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 5), (3, 3), (7, 7), (4, 0)])
+    def test_first_visit_senses_exactly_the_five_bytes(self, open_grid, cell):
+        for maze in (generate_maze(8, 11), open_grid(8), sealed_pocket_grid()):
+            k = KnowledgeMap(8)
+            blank = bytes(k.known)
+            i = k.index(*cell)
+            assert k.arrive(maze, i) is True
+            changed = {j for j in range(len(blank)) if k.known[j] != blank[j]}
+            on_grid = {j for j in _five_cells(k, i) if blank[j] == UNKNOWN}
+            assert changed == on_grid
+            assert all(k.known[j] == maze.cells[j] for j in _five_cells(k, i))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        half=st.integers(4, 16),
+        seed=st.integers(-(2**63), 2**64 - 1),
+        explore=st.integers(0, 1500),
+    )
+    def test_the_five_bytes_around_the_agent_are_always_known(self, half, seed, explore):
+        # Both phases by hand, as an episode drives them: the walker for
+        # ``explore`` steps, then A* with replanning to the target.
+        maze = generate_maze(2 * half, seed)
+        k = KnowledgeMap(maze.n)
+        pos, target = k.index(0, 0), k.index(*maze.target)
+        k.arrive(maze, pos)
+
+        def check(i):
+            for j in _five_cells(k, i):
+                assert k.known[j] != UNKNOWN, (k.cell(i), j)
+                assert k.known[j] == maze.cells[j]
+
+        check(pos)
+        state = SpiralState(pos)
+        for _ in range(explore):
+            pos = spiral_next(state, maze, k)
+            check(pos)
+            if pos == target:
+                return
+        plan = None
+        for _ in range(4 * maze.n * maze.n):
+            if pos == target:
+                return
+            if plan is None:
+                plan = astar_plan(pos, target, k)
+            nxt = follow_plan(plan, k)
+            if nxt is None:
+                plan = None
+                continue
+            pos = nxt
+            k.arrive(maze, pos)
+            check(pos)
+        raise AssertionError("the planner did not reach the target")
+
+
+class TestNearestPath:
+    """Buffer handling of the one breadth-first search."""
+
+    def test_leaves_its_buffers_unchanged_and_accepts_bytes(self):
+        maze = generate_maze(16, 4)
+        at, w = maze.layout.index, maze.layout.stride
+        goal = bytearray([1]) * len(maze.cells)
+        goal[at(8, 8)] = 0
+        reached = bytes(goal)
+        from_bytes = nearest_path(maze.cells, w, at(0, 0), goal)
+        assert isinstance(maze.cells, bytes) and from_bytes
+        cells = bytearray(maze.cells)
+        assert nearest_path(cells, w, at(0, 0), goal) == from_bytes
+        assert cells == maze.cells and goal == reached
+        k = KnowledgeMap(16)
+        k.arrive(maze, at(0, 0))
+        known, visited = bytes(k.known), bytes(k.visited_mask)
+        path = nearest_path(k.known, k.stride, at(0, 0), k.visited_mask)
+        assert path and k.known == known and k.visited_mask == visited
+
+    def test_an_unreached_start_is_the_empty_path(self):
+        maze = generate_maze(16, 4)
+        start = maze.layout.index(0, 0)
+        reached = bytearray([1]) * len(maze.cells)
+        reached[start] = 0
+        assert nearest_path(maze.cells, maze.layout.stride, start, reached) == []
+
+    def test_a_sealed_start_has_no_path(self):
+        maze = sealed_pocket_grid()
+        at = maze.layout.index
+        goal = bytearray([1]) * len(maze.cells)
+        goal[at(4, 4)] = 0
+        assert nearest_path(maze.cells, maze.layout.stride, at(0, 0), goal) is None
+        k = KnowledgeMap(8)
+        k.arrive(maze, at(0, 0))
+        assert nearest_path(k.known, k.stride, at(0, 0), k.visited_mask) is None
 
 
 class TestTextFormat:
