@@ -13,7 +13,7 @@ from mazeswitch.grid import MazeGrid
 from mazeswitch.spiral import SpiralState, spiral_next
 
 # On an open grid the spiral is exact: n*n cells in n*n - 1 moves.
-open_grid = MazeGrid(n=6, walls=[[0] * 6] * 6, target=(3, 3), seed=0)
+open_grid = MazeGrid(n=6, walls=[[0] * 6] * 6, seed=0)
 
 knowledge = KnowledgeMap(6)
 state = SpiralState(knowledge.index(0, 0))

@@ -25,5 +25,5 @@ pairs = sum(
 print(f"\nspiral/sentinel trajectory parity: {pairs}/30 pairs identical")
 
 print("\nconvergence ablation at 32x32:")
-rows, _ = ablation(SuiteConfig(sizes=(32,), mazes_per_size=10, base_seed=0))
+rows = [row for row in ablation(report) if row["size"] == 32]
 print(format_ablation(rows))

@@ -13,11 +13,13 @@ population standard deviation, success rate, plus a histogram of the
 coverage level at which switches happened and, for learning variants, a
 histogram of selected thresholds. Every statistic is recomputable from
 the episode record stream; aggregation happens in a fixed order, so the
-report is identical whether episodes ran on one worker or many.
+report's rows are identical whether episodes ran on one worker or many.
+The provenance is not: it echoes ``jobs`` and the suite's wall clock.
 
 The primary metric is the step count: it is exact and hardware
-independent, where wall-clock time is not. Wall-clock per episode is
-logged as a secondary, non-asserted column.
+independent, where wall-clock time is not. The only wall time recorded
+is the whole suite's, ``provenance["wall_clock_seconds"]`` in
+``report.json``; it is informational and never asserted.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -209,19 +211,18 @@ def aggregate(suite: SuiteConfig, logs: list) -> list:
     return rows
 
 
-def ablation(suite: SuiteConfig) -> tuple[list, list]:
-    """Convergence ablation: none vs fixed vs learned threshold.
+def ablation(report: SuiteReport) -> list:
+    """Convergence ablation rows of a suite report: none vs fixed vs learned threshold.
 
-    Returns (rows, episode logs). Each row carries the mean steps and the
-    percentage delta against the no-convergence baseline of its size.
+    Runs nothing. Each row carries the mean steps and the percentage delta
+    against the no-convergence baseline of its size.
     """
-    missing = [v for v in ABLATION_VARIANTS if v not in suite.variants]
+    present = {r.variant for r in report.rows}
+    missing = [v for v in ABLATION_VARIANTS if v not in present]
     if missing:
         raise ValueError(f"ablation needs variants {ABLATION_VARIANTS}, missing {missing}")
-    run_cfg = replace(suite, variants=ABLATION_VARIANTS)
-    report, logs = run_suite(run_cfg)
     rows = []
-    for n in run_cfg.sizes:
+    for n in dict.fromkeys(r.size for r in report.rows):
         baseline = report.row(n, "spiral").mean_steps
         for vname in ABLATION_VARIANTS:
             mean = report.row(n, vname).mean_steps
@@ -233,7 +234,7 @@ def ablation(suite: SuiteConfig) -> tuple[list, list]:
                     "delta_pct": 0.0 if vname == "spiral" else 100.0 * (mean - baseline) / baseline,
                 }
             )
-    return rows, logs
+    return rows
 
 
 def write_records(logs: list, path) -> None:

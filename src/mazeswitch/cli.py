@@ -116,32 +116,31 @@ def _checked(build, *args, **kwargs):
         _fail(str(exc))
 
 
-def _out_dir(path):
-    """The ``--out`` directory, created before any suite starts; None without one.
+def _run_suite(args, sizes, variants):
+    """Check the suite config, create the ``--out`` directory, then run the suite.
 
-    An empty ``--out`` (also ``out =`` in a config file) means no output.
+    Returns ``(out, report, logs)``. ``out`` is None without ``--out``;
+    an empty ``--out`` (also ``out =`` in a config file) means no output.
     """
-    if not path:
-        return None
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    suite = _checked(
+        SuiteConfig,
+        sizes=sizes,
+        mazes_per_size=args.mazes,
+        variants=variants,
+        base_seed=args.seed,
+        jobs=args.jobs,
+    )
+    out = Path(args.out) if args.out else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    return (out, *run_suite(suite))
 
 
 def _cmd_run(args) -> int:
     sizes = args.sizes
     if sizes is None:
         sizes = LONG_SIZES if args.long else DEFAULT_SIZES
-    suite = _checked(
-        SuiteConfig,
-        sizes=sizes,
-        mazes_per_size=args.mazes,
-        variants=args.variants,
-        base_seed=args.seed,
-        jobs=args.jobs,
-    )
-    out = _out_dir(args.out)
-    report, logs = run_suite(suite)
+    out, report, logs = _run_suite(args, sizes, args.variants)
     print(format_report(report))
     if out is not None:
         write_records(logs, out / "episodes.jsonl")
@@ -173,16 +172,9 @@ def _write_qtable_dumps(logs, directory: Path) -> None:
 
 
 def _cmd_ablate(args) -> int:
-    suite = _checked(
-        SuiteConfig,
-        sizes=args.sizes if args.sizes is not None else (args.size,),
-        mazes_per_size=args.mazes,
-        variants=ABLATION_VARIANTS,
-        base_seed=args.seed,
-        jobs=args.jobs,
-    )
-    out = _out_dir(args.out)
-    rows, logs = ablation(suite)
+    sizes = args.sizes if args.sizes is not None else (args.size,)
+    out, report, logs = _run_suite(args, sizes, ABLATION_VARIANTS)
+    rows = ablation(report)
     print(format_ablation(rows))
     if out is not None:
         write_records(logs, out / "ablation_episodes.jsonl")
@@ -197,15 +189,18 @@ def _cmd_replay(args) -> int:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         _fail(f"record file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
-    lines = list(enumerate((line for line in text.splitlines() if line.strip()), start=1))
-    if not lines:
+    lines = text.splitlines()
+    records = [(k, line) for k, line in enumerate(lines, start=1) if line.strip()]
+    if not records:
         _fail(f"record file {path} holds no records")
     if args.line is not None:
         if not 1 <= args.line <= len(lines):
             _fail(f"--line must be in 1..{len(lines)}, got {args.line}")
-        lines = [lines[args.line - 1]]
+        records = [(k, line) for k, line in records if k == args.line]
+        if not records:
+            _fail(f"line {args.line} of {path} is blank")
     failures = 0
-    for idx, line in lines:
+    for idx, line in records:
         try:
             logged = json.loads(line)
             cfg = config_from_record(logged)
@@ -248,27 +243,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a benchmark suite")
-    run_p.add_argument("--sizes", type=_parse_sizes, default=None, help="comma list, e.g. 16,32")
-    run_p.add_argument("--mazes", type=int, default=10, help="mazes per size (default 10)")
+    suite_p = argparse.ArgumentParser(add_help=False)  # the flags ``run`` and ``ablate`` share
+    suite_p.add_argument("--sizes", type=_parse_sizes, default=None, help="comma list, e.g. 16,32")
+    suite_p.add_argument("--mazes", type=int, default=10, help="mazes per size (default 10)")
+    suite_p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    suite_p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+    suite_p.add_argument("--out", default=None, help="output directory for records and reports")
+    suite_p.add_argument("--config", default=None, help="INI file with a [suite] section")
+
+    run_p = sub.add_parser("run", parents=[suite_p], help="run a benchmark suite")
     run_p.add_argument(
         "--variants", type=_parse_variants, default=VARIANT_ORDER, help="'all' or comma list"
     )
-    run_p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
-    run_p.add_argument("--out", default=None, help="output directory for records and reports")
     run_p.add_argument("--long", action="store_true", help="include 128x128 mazes")
-    run_p.add_argument("--config", default=None, help="INI file with a [suite] section")
     run_p.set_defaults(func=_cmd_run)
 
-    abl_p = sub.add_parser("ablate", help="convergence ablation (none vs fixed vs learned)")
-    abl_p.add_argument("--size", type=int, default=64, help="maze size (default 64)")
-    abl_p.add_argument("--sizes", type=_parse_sizes, default=None, help="comma list override")
-    abl_p.add_argument("--mazes", type=int, default=10)
-    abl_p.add_argument("--seed", type=int, default=0)
-    abl_p.add_argument("--jobs", type=int, default=1)
-    abl_p.add_argument("--out", default=None)
-    abl_p.add_argument("--config", default=None)
+    abl_p = sub.add_parser(
+        "ablate", parents=[suite_p], help="convergence ablation (none vs fixed vs learned)"
+    )
+    abl_p.add_argument("--size", type=int, default=64, help="maze size if no --sizes (default 64)")
     abl_p.set_defaults(func=_cmd_ablate)
 
     rep_p = sub.add_parser("replay", help="re-execute logged episodes and diff")

@@ -53,7 +53,6 @@ from .qlearn import (
     discretize,
     q_update,
     select_action,
-    switching_component,
     terminal_reward,
 )
 from .spiral import SpiralState, spiral_next
@@ -107,19 +106,22 @@ class EpisodeConfig:
     maze_seed: int
     variant: VariantSpec
     rl_seed: int = 0
-    step_limit: Optional[int] = None  # defaults to 4 * n * n
+    step_limit: Optional[int] = None  # None is resolved to 4 * n * n
     decision_period: int = DEFAULT_DECISION_PERIOD
 
     def __post_init__(self):
         check_maze_size(self.n)
-        if self.step_limit is not None and self.step_limit <= 0:
+        if self.step_limit is None:
+            object.__setattr__(self, "step_limit", 4 * self.n * self.n)
+        if self.step_limit <= 0:
             raise ValueError("step_limit must be positive")
         if self.decision_period <= 0:
             raise ValueError("decision_period must be positive")
 
     @property
     def resolved_step_limit(self) -> int:
-        return self.step_limit if self.step_limit is not None else 4 * self.n * self.n
+        """Same as ``step_limit``; ``perfbench/digest.py`` reads this name."""
+        return self.step_limit
 
 
 @dataclass
@@ -136,7 +138,6 @@ class EpisodeLog:
     outcome: str
     total_steps: int
     final_coverage: float
-    role_switches: int
     switch_step: Optional[int]
     switch_coverage: Optional[float]
     trajectory: list
@@ -147,11 +148,16 @@ class EpisodeLog:
     q_values: Optional[list] = None
     counters: dict = field(default_factory=dict)  # {"replans": ..., "history_len": ...}
 
+    @property
+    def role_switches(self) -> int:
+        """1 once the agent has switched to A*, else 0: a switch is permanent."""
+        return 0 if self.switch_step is None else 1
+
 
 def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     maze = generate_maze(cfg.n, cfg.maze_seed)
     n = cfg.n
-    limit = cfg.resolved_step_limit
+    limit = cfg.step_limit
     learning = cfg.variant.convergence == "rl"
 
     # Sentinel agents store every fourth first visit; coverage is exact for both.
@@ -221,7 +227,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         outcome=SUCCESS if pos == target else STEP_LIMIT_EXCEEDED,
         total_steps=steps,
         final_coverage=final_coverage,
-        role_switches=0 if switch_step is None else 1,
         switch_step=switch_step,
         switch_coverage=switch_coverage,
         trajectory=list(map(maze.layout.cells.__getitem__, trajectory)),
@@ -229,19 +234,16 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         counters={"replans": replans, "history_len": len(knowledge.sampled_history)},
     )
     if learning:
-        bonus = (
-            switching_component(switch_coverage) if switch_coverage is not None else 0.0
-        )
+        final = log.terminal_reward = terminal_reward(steps, limit, final_coverage, switch_coverage)
         log.terminal_state_index = discretize(
             final_coverage, manhattan(knowledge.cell(pos), maze.target), n
         )
         log.terminal_decision_reward = decision_reward(
-            prev_snapshot, (steps, final_coverage), limit, switch_bonus=bonus
+            prev_snapshot, (steps, final_coverage), limit, switch_bonus=final.r_switching
         )
-        log.terminal_reward = terminal_reward(steps, limit, final_coverage, switch_coverage)
         if decisions:
             last = decisions[-1]
-            q_update(q, last.state_index, last.action, log.terminal_reward.total, None)
+            q_update(q, last.state_index, last.action, final.total, None)
         log.q_values = [row[:] for row in q.values]
     return log
 
@@ -280,7 +282,7 @@ def to_record(log: EpisodeLog) -> dict:
             "maze_seed": cfg.maze_seed,
             "variant": cfg.variant.name,
             "rl_seed": cfg.rl_seed,
-            "step_limit": cfg.resolved_step_limit,
+            "step_limit": cfg.step_limit,
             "decision_period": cfg.decision_period,
         },
         "outcome": log.outcome,

@@ -39,7 +39,7 @@ grid is safe because it cannot be changed: ``cells`` is ``bytes`` and
 benchmark rounds never repeat a maze, so a second slot would never hit,
 and a larger cache would turn into a cache across rounds and suites.
 
-Text form (``to_text``/``from_text`` round-trip exactly)::
+Text form (``to_text``/``from_text`` round-trip every ``MazeGrid`` exactly)::
 
     n seed
     S.#...
@@ -128,13 +128,14 @@ _BIT = bytes([0]) + bytes([1]) * 255  # translate table: any non-zero byte is a 
 
 
 class MazeGrid:
-    """Immutable wall layout with a fixed start (0, 0) and center target.
+    """Immutable wall layout with the start (0, 0) and the target (n // 2, n // 2).
 
     ``walls`` is any ``n`` rows of ``n`` values, truthy meaning wall:
-    nested lists, ``bytes`` rows, or an array read row by row.
+    nested lists, ``bytes`` rows, or an array read row by row. The start
+    and the target must be two open cells, so ``n >= 2``.
     """
 
-    def __init__(self, n: int, walls, target: Position, seed: int) -> None:
+    def __init__(self, n: int, walls, seed: int) -> None:
         try:
             rows = [
                 bytes(row).translate(_BIT)
@@ -146,10 +147,9 @@ class MazeGrid:
             rows = None
         if rows is None or len(rows) != n or any(len(row) != n for row in rows):
             raise MazeConfigError(f"walls must be {n} rows of {n} values")
-        tx, ty = target
-        if not (0 <= tx < n and 0 <= ty < n):
-            raise MazeConfigError(f"target {target} is off the {n}x{n} grid")
-        self.n, self.target, self.seed = n, target, seed
+        self.n, self.target, self.seed = n, (n // 2, n // 2), seed
+        if n < 2 or rows[0][0] or rows[n // 2][n // 2]:
+            raise MazeConfigError(f"start (0, 0) and target {self.target} must be two open cells")
         self.layout = layout(n)
         self.cells = bytes(self.layout.pad(rows))  # the one stored layout
 
@@ -327,8 +327,7 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
     _braid_dead_ends(cells, shared, rng)
 
     # The target area is always open, whatever the carving did.
-    target = (n // 2, n // 2)
-    t = shared.index(*target)
+    t = shared.index(n // 2, n // 2)
     cells[t] = OPEN
     for d in steps:
         if cells[t + d] == WALL:
@@ -338,7 +337,7 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
     goal_unreached[t] = 0
     if nearest_path(cells, shared.stride, origin, goal_unreached) is None:
         raise AssertionError(f"generated maze ({n}, {seed}) lost connectivity")
-    return MazeGrid(n=n, walls=shared.rows(cells), target=target, seed=seed)
+    return MazeGrid(n=n, walls=shared.rows(cells), seed=seed)
 
 
 def check_maze_size(n: int) -> None:
@@ -450,4 +449,4 @@ def from_text(text: str) -> MazeGrid:
             f"target marker must sit at ({n // 2}, {n // 2}), found {target_seen}"
         )
     walls = [[ch == "#" for ch in row] for row in body]
-    return MazeGrid(n=n, walls=walls, target=target_seen, seed=seed)
+    return MazeGrid(n=n, walls=walls, seed=seed)

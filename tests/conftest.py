@@ -23,10 +23,10 @@ def pytest_terminal_summary(terminalreporter):
 def open_grid():
     """Wall-free grid factory for policy tests."""
 
-    def make(n, target=None):
+    def make(n):
         walls = np.zeros((n, n), dtype=bool)
         walls.flags.writeable = False
-        return MazeGrid(n=n, walls=walls, target=target or (n // 2, n // 2), seed=0)
+        return MazeGrid(n=n, walls=walls, seed=0)
 
     return make
 
@@ -52,7 +52,7 @@ def sealed_pocket_grid():
     walls[0, 0] = False
     walls[4, 4] = False
     walls.flags.writeable = False
-    return MazeGrid(n=8, walls=walls, target=(4, 4), seed=0)
+    return MazeGrid(n=8, walls=walls, seed=0)
 
 
 def bfs_distance(maze, a, b):

@@ -8,6 +8,7 @@ import pytest
 
 import mazeswitch.bench as bench
 from mazeswitch.bench import (
+    ABLATION_VARIANTS,
     CSV_HEADER,
     RL_SEED_SALT,
     SuiteConfig,
@@ -248,7 +249,8 @@ class TestGoldenLogs:
 
 class TestAblation:
     def test_baseline_row_zero_and_deltas_consistent(self):
-        rows, logs = ablation(SuiteConfig(sizes=(32,), mazes_per_size=4))
+        report, logs = run_suite(SuiteConfig(sizes=(32,), mazes_per_size=4, variants=ABLATION_VARIANTS))
+        rows = ablation(report)
         by_variant = {r["variant"]: r for r in rows}
         assert by_variant["spiral"]["delta_pct"] == 0.0
         # Recompute deltas from the raw episode logs.
@@ -261,13 +263,26 @@ class TestAblation:
             assert by_variant[vname]["delta_pct"] == pytest.approx(expected, abs=0.1)
 
     def test_learned_delta_beats_fixed_delta_at_32(self):
-        rows, _ = ablation(SuiteConfig(sizes=(32,), mazes_per_size=10))
-        by_variant = {r["variant"]: r for r in rows}
+        report, _ = run_suite(SuiteConfig(sizes=(32,), mazes_per_size=10, variants=ABLATION_VARIANTS))
+        by_variant = {r["variant"]: r for r in ablation(report)}
         assert by_variant["spiral_rl"]["delta_pct"] < by_variant["spiral_conv"]["delta_pct"]
 
-    def test_requires_the_three_spiral_variants(self):
-        with pytest.raises(ValueError):
-            ablation(SuiteConfig(variants=("spiral", "sentinel")))
+    def test_requires_the_three_spiral_variants(self, small_suite):
+        report, _ = small_suite
+        rows = [r for r in report.rows if r.variant != "spiral_conv"]
+        with pytest.raises(ValueError, match="spiral_conv"):
+            ablation(SuiteReport(rows=rows))
+
+    def test_is_a_view_of_any_report_that_holds_the_spiral_variants(self, monkeypatch):
+        suite = SuiteConfig(sizes=(16, 32), mazes_per_size=2, base_seed=3)
+        full, _ = run_suite(suite)
+        spiral_only, _ = run_suite(replace(suite, variants=ABLATION_VARIANTS))
+        monkeypatch.setattr(bench, "run_suite", None)  # an ablation runs no suite
+        rows = ablation(full)
+        assert [(r["size"], r["variant"]) for r in rows] == [
+            (n, v) for n in (16, 32) for v in ABLATION_VARIANTS
+        ]
+        assert rows == ablation(spiral_only)
 
 
 class TestReportFiles:

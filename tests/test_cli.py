@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -357,6 +358,33 @@ class TestReplay:
         assert exc.value.code == 2
         _assert_one_error_line(capsys, "--line must be in 1..2")
 
+    def test_records_are_numbered_by_file_line(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        run_cli(
+            ["run", "--sizes", "16", "--mazes", "1", "--variants", "spiral",
+             "--seed", "0", "--out", str(out)]
+        )
+        capsys.readouterr()
+        path = tmp_path / "spaced.jsonl"
+        path.write_text("\nnot json\n  \n" + (out / "episodes.jsonl").read_text())
+        assert run_cli(["replay", str(path)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].startswith("record 2: ERROR ")
+        assert printed[1:] == ["record 4: identical"]
+        assert run_cli(["replay", str(path), "--line", "4"]) == 0
+        assert capsys.readouterr().out == "record 4: identical\n"
+
+    @pytest.mark.parametrize(
+        "line, message", [("3", "line 3 of "), ("5", "--line must be in 1..4, got 5")]
+    )
+    def test_blank_or_missing_file_line_is_one_line(self, line, message, tmp_path, capsys):
+        path = tmp_path / "spaced.jsonl"
+        path.write_text("\nnot json\n  \nnot json either\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["replay", str(path), "--line", line])
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, message)
+
     @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
     def test_file_without_records_is_one_line(self, text, tmp_path, capsys):
         path = tmp_path / "episodes.jsonl"
@@ -387,6 +415,19 @@ class TestAblate:
         rows = json.loads((out / "ablation.json").read_text())
         assert [r["variant"] for r in rows] == ["spiral", "spiral_conv", "spiral_rl"]
         assert rows[0]["delta_pct"] == 0.0
+
+    def test_outputs_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "abl"
+        argv = ["ablate", "--sizes", "16,32", "--mazes", "3", "--seed", "4", "--out", str(out)]
+        assert run_cli(argv) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("ablation.json", "ablation_episodes.jsonl")
+        }
+        assert digests == {
+            "ablation.json": "612d7cccf63dbec12dc86dfe619ab89a1c712e705d8a1d82f248cf57581d904d",
+            "ablation_episodes.jsonl": "6d9aa3da73853cd155823b05ea219e015f0cc4b1333800a7b0b7f01902fb9b8e",
+        }
 
     def test_long_flag_is_not_accepted(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from mazeswitch.episode import (
     SUCCESS,
     VARIANTS,
     VariantSpec,
+    config_from_record,
     encode_moves,
     record_to_json,
     run_episode,
@@ -154,6 +155,18 @@ class TestCounters:
     def test_record_carries_the_counters(self):
         log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))
         assert to_record(log)["counters"] == log.counters == {"replans": 0, "history_len": 25}
+
+
+class TestConfigRecord:
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_config_round_trips_through_the_record(self, variant):
+        # A config has one form: the default step limit is resolved on construction.
+        cfg = EpisodeConfig(n=16, maze_seed=2, variant=VARIANTS[variant], rl_seed=0x51)
+        assert cfg.step_limit == 1024
+        log = run_episode(cfg)
+        back = config_from_record(to_record(log))
+        assert back == log.config
+        assert hash(back) == hash(log.config)
 
 
 class TestRecordTrajectory:

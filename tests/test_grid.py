@@ -206,7 +206,7 @@ class TestSensorMatchesReference:
         _assert_sensor_matches_reference(maze, positions)
 
     def test_every_cell_of_hand_built_grids(self, open_grid):
-        for maze in (open_grid(8), open_grid(9, target=(0, 8)), sealed_pocket_grid()):
+        for maze in (open_grid(8), open_grid(9), sealed_pocket_grid()):
             cells = [(x, y) for x in range(maze.n) for y in range(maze.n)]
             _assert_sensor_matches_reference(maze, cells + cells[::-1])
 
@@ -259,7 +259,7 @@ class TestHandBuiltGrid:
     @pytest.mark.parametrize("shape", [(4, 4), (8, 9), (9, 8), (64,)])
     def test_rejects_walls_of_wrong_shape(self, shape):
         with pytest.raises(MazeConfigError):
-            MazeGrid(n=8, walls=np.zeros(shape, dtype=bool), target=(4, 4), seed=0)
+            MazeGrid(n=8, walls=np.zeros(shape, dtype=bool), seed=0)
 
     @pytest.mark.parametrize("form", ["array", "lists", "bytes"])
     @pytest.mark.parametrize("value", [2, 255])
@@ -270,15 +270,23 @@ class TestHandBuiltGrid:
             walls = walls.tolist()
         elif form == "bytes":
             walls = [bytes(row) for row in walls]
-        maze = MazeGrid(n=8, walls=walls, target=(4, 4), seed=0)
+        maze = MazeGrid(n=8, walls=walls, seed=0)
         at = KnowledgeMap(8).index
         assert probe(maze, at(0, 0), at(0, 1)) == WALL
         assert maze.walls[0][1] == 1
 
-    @pytest.mark.parametrize("target", [(8, 4), (4, 8), (-1, 4), (4, -1), (8, 8)])
-    def test_rejects_target_off_grid(self, target):
-        with pytest.raises(MazeConfigError):
-            MazeGrid(n=8, walls=np.zeros((8, 8), dtype=bool), target=target, seed=0)
+    @pytest.mark.parametrize(
+        "n, wall",
+        [(8, (0, 0)), (8, (4, 4)), (9, (4, 4)), (1, None)],
+        ids=["start", "target", "odd-size-target", "one-cell"],
+    )
+    def test_rejects_a_closed_start_or_target(self, n, wall):
+        # The start (0, 0) and the target (n // 2, n // 2) are two open cells.
+        walls = np.zeros((n, n), dtype=bool)
+        if wall is not None:
+            walls[wall] = True
+        with pytest.raises(MazeConfigError, match="start .* target"):
+            MazeGrid(n=n, walls=walls, seed=0)
 
 
 class TestManhattan:

@@ -2,14 +2,15 @@
 
 Each property draws an even size in [8, 32] (the record codec's in
 [8, 64]) and any 64-bit maze seed, negative ones included, so it reaches
-layouts the fixed-seed tests never see.
+layouts the fixed-seed tests never see. The text round trip also runs
+over hand-built grids of any size in [2, 24] with random walls.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mazeswitch.episode import VARIANTS, EpisodeConfig, run_episode, to_record
-from mazeswitch.grid import from_text, generate_maze, manhattan, to_text
+from mazeswitch.grid import MazeGrid, from_text, generate_maze, manhattan, to_text
 from mazeswitch.qlearn import POTENTIAL_OFFSET
 from conftest import decode_moves
 
@@ -62,3 +63,15 @@ def test_text_round_trip_keeps_walls_and_negative_seed(n, seed):
     loaded = from_text(to_text(maze))
     assert loaded.seed == seed
     assert loaded.walls == maze.walls
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 24), seed=SEEDS, data=st.data())
+def test_text_round_trips_every_hand_built_grid(n, seed, data):
+    walls = [data.draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(n)]
+    walls[0][0] = walls[n // 2][n // 2] = False  # the constructor rejects a closed start or target
+    maze = MazeGrid(n=n, walls=walls, seed=seed)
+    text = to_text(maze)
+    loaded = from_text(text)
+    assert (loaded.walls, loaded.target, loaded.seed) == (maze.walls, maze.target, maze.seed)
+    assert to_text(loaded) == text
