@@ -12,6 +12,9 @@ Layouts are carved with a randomized depth-first backtracker over the
 room lattice (cells with both coordinates even), which yields a perfect
 maze, and are then braided: behind each dead end the far wall is removed
 with probability 0.10 so that multiple routes to the target exist. The
+passages form a spanning tree over the rooms, so the dead ends are the
+leaves of the search (plus the origin when it has one child), collected
+as the search runs and taken in index order; no rescan is needed. The
 target cell and its four in-bounds neighbours are always carved open.
 All randomness comes from one SplitMix64 stream, so ``(n, seed)`` pins
 the layout bit for bit.
@@ -55,7 +58,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .rng import SplitMix64
+from .rng import INCREMENT, MASK64, MIX1, MIX2, SplitMix64, rejection_limit
 
 Position = tuple  # (x, y)
 
@@ -94,6 +97,12 @@ class Layout:
         self.stride = w = n + 2
         self.offsets = (1, w, -1, -w)
         self.cells = tuple(map(self.cell, range((n + 4) * w)))
+
+    @cached_property
+    def room_choices(self) -> tuple:
+        """Per 4-bit mask (bit h: heading h), the room strides ``2 * offsets[h]`` it sets."""
+        strides = [2 * d for d in self.offsets]
+        return tuple(tuple(d for h, d in enumerate(strides) if m >> h & 1) for m in range(16))
 
     def index(self, x: int, y: int) -> int:
         """Flat index of grid cell ``(x, y)``; raises if it is off the grid."""
@@ -305,26 +314,8 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
     rng = SplitMix64(seed)
     shared = layout(n)
     steps = shared.offsets
-    cells = shared.pad([bytes([WALL]) * n] * n)
-
-    # Depth-first backtracker over rooms at even coordinates. A room is
-    # still a wall exactly until it is visited, and a room stride off the
-    # grid lands on padding, so one byte says "unvisited room".
-    origin = shared.index(0, 0)
-    cells[origin] = OPEN
-    stack = [origin]
-    while stack:
-        i = stack[-1]
-        candidates = [d for d in steps if cells[i + 2 * d] == WALL]
-        if not candidates:
-            stack.pop()
-            continue
-        d = candidates[rng.randbelow(len(candidates))]
-        cells[i + d] = OPEN
-        cells[i + 2 * d] = OPEN
-        stack.append(i + 2 * d)
-
-    _braid_dead_ends(cells, shared, rng)
+    cells, dead_ends = _carve_tree(shared, rng)
+    _braid_dead_ends(cells, dead_ends, steps, rng)
 
     # The target area is always open, whatever the carving did.
     t = shared.index(n // 2, n // 2)
@@ -335,7 +326,7 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
 
     goal_unreached = bytearray([1]) * len(cells)
     goal_unreached[t] = 0
-    if nearest_path(cells, shared.stride, origin, goal_unreached) is None:
+    if nearest_path(cells, shared.stride, shared.index(0, 0), goal_unreached) is None:
         raise AssertionError(f"generated maze ({n}, {seed}) lost connectivity")
     return MazeGrid(n=n, walls=shared.rows(cells), seed=seed)
 
@@ -346,23 +337,82 @@ def check_maze_size(n: int) -> None:
         raise MazeConfigError(f"maze size must be even and at least 8, got {n}")
 
 
-def _braid_dead_ends(cells: bytearray, shared: Layout, rng: SplitMix64) -> None:
+# Rejection limit of ``randbelow(k)`` for the carver's k unvisited rooms, k = 1..4.
+_LIMITS = (None,) + tuple(map(rejection_limit, range(1, 5)))
+
+
+def _carve_tree(shared: Layout, rng: SplitMix64) -> tuple:
+    """Carve a perfect maze: ``(cells, dead_ends)`` on the padded layout.
+
+    A depth-first backtracker over rooms at even coordinates. A room is
+    still a wall exactly until it is visited, and a room stride off the
+    grid lands on padding, so bit 0 of a byte (WALL is 1, OUTSIDE 2)
+    says "unvisited room". At each room it draws one of the unvisited
+    neighbours, in E, S, W, N order, with ``rng.randbelow`` inlined on a
+    local copy of the state. The passages form a spanning tree over the
+    rooms, so the dead ends, rooms with exactly one OPEN neighbour, are
+    the leaves of the search plus the origin when it has one child.
+    ``dead_ends`` holds ``(room, offset of its opening)`` in index order.
+    """
+    n, w2 = shared.n, 2 * shared.stride
+    choices = shared.room_choices
+    cells = shared.pad([bytes([WALL]) * n] * n)
+    i = origin = shared.index(0, 0)
+    cells[i] = OPEN
+    stack = []  # the rooms below ``i`` on the search path
+    dead_ends = []
+    entered = 0  # the room stride that entered ``i``, until ``i`` has a child
+    s = rng.state
+    while True:
+        options = choices[
+            (cells[i + 2] & 1)
+            | (cells[i + w2] & 1) << 1
+            | (cells[i - 2] & 1) << 2
+            | (cells[i - w2] & 1) << 3
+        ]
+        if options:
+            k = len(options)
+            while True:  # ``rng.randbelow(k)``: one step per draw, k = 1 too
+                s = (s + INCREMENT) & MASK64
+                if k == 1:
+                    pick = 0
+                    break
+                z = ((s ^ (s >> 30)) * MIX1) & MASK64
+                z = ((z ^ (z >> 27)) * MIX2) & MASK64
+                z ^= z >> 31
+                if z < _LIMITS[k]:
+                    pick = z % k
+                    break
+            d2 = options[pick]
+            cells[i + d2 // 2] = OPEN
+            stack.append(i)
+            i += d2
+            cells[i] = OPEN
+            entered = d2
+            continue
+        if entered:  # ``i`` had no unvisited neighbour on arrival: a leaf
+            dead_ends.append((i, -entered // 2))
+            entered = 0
+        if not stack:
+            break
+        i = stack.pop()
+    rng.state = s
+
+    first = [d for d in shared.offsets if cells[origin + d] == OPEN]
+    if len(first) == 1:
+        dead_ends.append((origin, first[0]))
+    dead_ends.sort()
+    return cells, dead_ends
+
+
+def _braid_dead_ends(cells: bytearray, dead_ends: list, steps: tuple, rng: SplitMix64) -> None:
     """Open the far wall behind some dead-end rooms, creating loops.
 
-    Works in place on the padded layout. Dead ends are detected on a
-    snapshot of the carved maze, then each one independently braids with
+    Works in place on the padded layout, taking the dead ends of the
+    carved tree in index order. Each one independently braids with
     probability BRAID_PROBABILITY. The opened wall prefers the direction
     opposite the room's single opening.
     """
-    n, steps = shared.n, shared.offsets
-    dead_ends = []
-    for x in range(0, n, 2):
-        first = shared.index(x, 0)
-        for i in range(first, first + n, 2):
-            open_steps = [d for d in steps if cells[i + d] == OPEN]
-            if len(open_steps) == 1:
-                dead_ends.append((i, open_steps[0]))
-
     for i, open_step in dead_ends:
         if rng.random() >= BRAID_PROBABILITY:
             continue
@@ -386,21 +436,34 @@ def nearest_path(cells, stride: int, start: int, reached) -> list | None:
     """
     seen = bytearray(cells)
     seen[start] = WALL  # discovered, and never a mark to step back from
-    steps = ((1, 4), (stride, 5), (-1, 6), (-stride, 7))  # (offset, mark) per heading
     frontier = [start]
+    push = frontier.append
     for i in frontier:  # a FIFO queue: the loop reaches the appended indices
         if not reached[i]:
+            back = (0, 0, 0, 0, 1, stride, -1, -stride)  # offset of each mark
             path = []
             while i != start:
                 path.append(i)
-                i -= steps[seen[i] - 4][0]
+                i -= back[seen[i]]
             path.reverse()
             return path
-        for d, mark in steps:
-            j = i + d
-            if seen[j] == OPEN:
-                seen[j] = mark
-                frontier.append(j)
+        # The four headings unrolled; ``not seen[j]`` is ``seen[j] == OPEN``.
+        j = i + 1
+        if not seen[j]:
+            seen[j] = 4
+            push(j)
+        j = i + stride
+        if not seen[j]:
+            seen[j] = 5
+            push(j)
+        j = i - 1
+        if not seen[j]:
+            seen[j] = 6
+            push(j)
+        j = i - stride
+        if not seen[j]:
+            seen[j] = 7
+            push(j)
     return None
 
 

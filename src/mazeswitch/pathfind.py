@@ -47,8 +47,10 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
 
     Searches flat indices of ``knowledge.known``: a cell is blocked when
     it is a known wall or outside the grid (the padding). Heap entries
-    are ``(f, h, counter, index)``. None is only possible when the
-    target itself is a known wall, which generated mazes never allow.
+    are ``(f, h, counter, index)``. None means that known walls cut
+    ``t`` off from ``s``: the target itself is a known wall, or known
+    walls seal it in, say all four around it. Generated mazes allow
+    neither, because their target is open and joined to the start.
     """
     knowledge.check_cell(s, "plan from")
     knowledge.check_cell(t, "plan to")

@@ -139,3 +139,84 @@ def reference_escape_path(pos, free, visited):
                 parents[nbr] = cell
                 queue.append(nbr)
     return None
+
+
+def reference_dead_ends(cells, shared):
+    """Independent dead-end scan: every room with exactly one OPEN neighbour.
+
+    Rooms are the cells with both coordinates even, taken in index order;
+    each dead end comes with the offset of its one opening.
+    """
+    dead_ends = []
+    for x in range(0, shared.n, 2):
+        for y in range(0, shared.n, 2):
+            i = shared.index(x, y)
+            open_steps = [d for d in shared.offsets if cells[i + d] == OPEN]
+            if len(open_steps) == 1:
+                dead_ends.append((i, open_steps[0]))
+    return dead_ends
+
+
+def reference_walls(n, seed):
+    """Independent carver: the wall rows ``generate_maze(n, seed)`` must have.
+
+    The straightforward form of the documented algorithm, kept as an
+    oracle: a depth-first backtracker that lists the unvisited rooms
+    around the top of the stack and draws one with ``randbelow``, a full
+    rescan for dead ends, then the braid and the open target area.
+    """
+    from mazeswitch.grid import BRAID_PROBABILITY, layout
+    from mazeswitch.rng import SplitMix64
+
+    rng = SplitMix64(seed)
+    shared = layout(n)
+    steps = shared.offsets
+    cells = shared.pad([bytes([WALL]) * n] * n)
+    origin = shared.index(0, 0)
+    cells[origin] = OPEN
+    stack = [origin]
+    while stack:
+        i = stack[-1]
+        candidates = [d for d in steps if cells[i + 2 * d] == WALL]
+        if not candidates:
+            stack.pop()
+            continue
+        d = candidates[rng.randbelow(len(candidates))]
+        cells[i + d] = OPEN
+        cells[i + 2 * d] = OPEN
+        stack.append(i + 2 * d)
+
+    for i, open_step in reference_dead_ends(cells, shared):
+        if rng.random() >= BRAID_PROBABILITY:
+            continue
+        candidates = [d for d in steps if cells[i + d] == WALL and cells[i + 2 * d] == OPEN]
+        if candidates:
+            cells[i + (-open_step if -open_step in candidates else candidates[0])] = OPEN
+
+    t = shared.index(n // 2, n // 2)
+    for j in (t, *(t + d for d in steps)):
+        if cells[j] == WALL:
+            cells[j] = OPEN
+    return shared.rows(cells)
+
+
+def seed_with_output(value, t=1):
+    """A SplitMix64 seed whose ``t``-th ``next_u64`` returns ``value``.
+
+    The output mix (xor-shifts and multiplications by odd constants) is a
+    bijection on 64-bit words, so it can be run backwards to the state
+    that yields ``value``; the seed is that state less ``t`` increments.
+    """
+    from mazeswitch.rng import INCREMENT, MASK64, MIX1, MIX2
+
+    def unshift(y, k):  # inverse of x ^ (x >> k)
+        x = y
+        for _ in range(64 // k + 1):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(value, 31)
+    z = z * pow(MIX2, -1, 1 << 64) & MASK64
+    z = unshift(z, 27)
+    z = z * pow(MIX1, -1, 1 << 64) & MASK64
+    return (unshift(z, 30) - t * INCREMENT) & MASK64

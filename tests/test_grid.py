@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mazeswitch import grid
 from mazeswitch.episode import VARIANTS, EpisodeConfig, record_to_json, run_episode
 from mazeswitch.grid import (
     OPEN,
@@ -25,8 +27,16 @@ from mazeswitch.grid import (
     to_text,
 )
 from mazeswitch.pathfind import astar_plan, follow_plan
+from mazeswitch.rng import MASK64, SplitMix64
 from mazeswitch.spiral import SpiralState, spiral_next
-from conftest import bfs_distance, reference_observe, sealed_pocket_grid
+from conftest import (
+    bfs_distance,
+    reference_dead_ends,
+    reference_observe,
+    reference_walls,
+    sealed_pocket_grid,
+    seed_with_output,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,6 +87,68 @@ class TestGenerateMaze:
     def test_layout_hash_pinned(self, n, seed, digest):
         # sha256 of the n*n row-major wall bytes (1 = wall); must never change.
         assert generate_maze(n, seed).layout_hash() == digest
+
+    @pytest.mark.parametrize(
+        "n, seeds, digest",
+        [
+            (8, 50, "18c8e13b44930a52d5dae89fece5d54d2f6c0ef824c68070fc35cea9717ff96e"),
+            (10, 50, "d6f47ae8b94e3e46377c1db75ce19c0bdb0816254388c4de601d2709c90fcdf9"),
+            (12, 50, "7a9b5c73723ef92fe4c64f2a12466f5a77f2586ce127a059fe52efa6ee328c64"),
+            (14, 50, "873793f2e3f207a1cb6d8cb500f94b45f8329857ff11b5fe89c7c48dd5808675"),
+            (18, 50, "90c1d1b347fb231f8eb040e29e21dbe3bf8c2511e28c18ecfbb5d8cd0348484a"),
+            (32, 50, "6daf3b41e702bb805915edff1186425b77763f573e2e52ae520671e6c28e1314"),
+            (64, 50, "e8f70042278507d037d54ef800068613c60f05b7485e1c57fc0d98d701648bc5"),
+            (128, 5, "a176163474701b2095ad606f3a9dec40402bb406fde0c462524a1e2b65c24fde"),
+        ],
+    )
+    def test_layout_hashes_of_seed_ranges_pinned(self, n, seeds, digest):
+        # sha256 over the hex layout_hash() of seeds 0 .. seeds - 1, in order.
+        # At n = 10, 14 and 18 (n % 4 == 2) the target sits off the room
+        # lattice, so the open target area adds passages of its own.
+        combined = hashlib.sha256()
+        for seed in range(seeds):
+            combined.update(generate_maze(n, seed).layout_hash().encode())
+        assert combined.hexdigest() == digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(half=st.integers(4, 33), seed=st.integers(-(2**63), 2**64 - 1))
+    def test_matches_the_reference_carver(self, half, seed):
+        n = 2 * half
+        assert generate_maze(n, seed).walls == reference_walls(n, seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(half=st.integers(4, 33), seed=st.integers(-(2**63), 2**64 - 1))
+    def test_dead_ends_match_a_full_rescan(self, half, seed):
+        # The carver takes its dead ends from the search tree's leaves;
+        # the braid needs every room with one opening, in index order.
+        shared = layout(2 * half)
+        cells, dead_ends = grid._carve_tree(shared, SplitMix64(seed))
+        assert dead_ends == reference_dead_ends(cells, shared)
+
+    def test_a_rejected_draw_is_drawn_again(self, monkeypatch):
+        # Choose a seed whose t-th output is 2**64 - 1, at a draw among
+        # three rooms: randbelow(3) rejects it, so the inline draw must too.
+        bounds = []
+        draw = SplitMix64.randbelow
+        monkeypatch.setattr(
+            SplitMix64, "randbelow", lambda rng, bound: bounds.append(bound) or draw(rng, bound)
+        )
+        for t in range(1, 60):
+            seed = seed_with_output(MASK64, t)
+            bounds.clear()
+            walls = reference_walls(16, seed)
+            if bounds[t - 1] == 3:
+                break
+        else:
+            pytest.fail("no draw among three rooms in the first 59")
+        generate_maze.cache_clear()
+        assert generate_maze(16, seed).walls == walls
+
+    def test_lost_connectivity_raises(self, monkeypatch):
+        generate_maze.cache_clear()
+        monkeypatch.setattr(grid, "nearest_path", lambda *args: None)
+        with pytest.raises(AssertionError, match="lost connectivity"):
+            generate_maze(16, 1)
 
     def test_different_seeds_differ(self):
         assert generate_maze(16, 1).layout_hash() != generate_maze(16, 2).layout_hash()
