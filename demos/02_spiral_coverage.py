@@ -9,7 +9,7 @@ from ``(x, y)``.
 """
 
 from mazeswitch import KnowledgeMap, coverage_percent, generate_maze
-from mazeswitch.grid import MazeGrid
+from mazeswitch.grid import WALL, MazeGrid
 from mazeswitch.spiral import SpiralState, spiral_next
 
 # On an open grid the spiral is exact: n*n cells in n*n - 1 moves.
@@ -35,7 +35,7 @@ for step in range(1, 4 * 16 * 16 + 1):
     spiral_next(state, maze, knowledge)
     if step % 64 == 0:
         print(f"step {step:4d}: coverage {coverage_percent(knowledge):5.1f}%, "
-              f"known walls {len(knowledge.known_walls):3d}")
+              f"known walls {knowledge.known.count(WALL):3d}")
     if knowledge.visited_count == 131:  # every reachable cell of this maze
         print(f"\nall 131 reachable cells covered after {step} moves")
         break

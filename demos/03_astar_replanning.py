@@ -24,7 +24,7 @@ print(f"walking from (0, 0) to {maze.target} with no prior wall knowledge\n")
 while pos != target:
     plan = astar_plan(pos, target, knowledge)
     print(f"plan of cost {plan.cost:2d} from {knowledge.cell(pos)} "
-          f"(knows {len(knowledge.known_walls):2d} walls)")
+          f"(knows {knowledge.known.count(WALL):2d} walls)")
     while pos != target:
         nxt = follow_plan(plan, knowledge)
         if nxt is None:  # the next waypoint is a wall

@@ -41,7 +41,7 @@ suites may execute episodes concurrently.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .grid import KnowledgeMap, check_maze_size, coverage_percent, generate_maze, manhattan
@@ -122,6 +122,10 @@ class EpisodeConfig:
     def resolved_step_limit(self) -> int:
         """Same as ``step_limit``; ``perfbench/digest.py`` reads this name."""
         return self.step_limit
+
+
+# A record's config holds these keys; the variant is stored as its name.
+_CONFIG_KEYS = tuple(f.name for f in fields(EpisodeConfig))
 
 
 @dataclass
@@ -274,17 +278,11 @@ def encode_moves(trajectory) -> str:
 
 def to_record(log: EpisodeLog) -> dict:
     """JSON-ready dict; one of these per line makes an episode record stream."""
-    cfg = log.config
+    config = {key: getattr(log.config, key) for key in _CONFIG_KEYS}
+    config["variant"] = log.config.variant.name
     record = {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "n": cfg.n,
-            "maze_seed": cfg.maze_seed,
-            "variant": cfg.variant.name,
-            "rl_seed": cfg.rl_seed,
-            "step_limit": cfg.step_limit,
-            "decision_period": cfg.decision_period,
-        },
+        "config": config,
         "outcome": log.outcome,
         "total_steps": log.total_steps,
         "final_coverage": log.final_coverage,
@@ -306,10 +304,7 @@ def to_record(log: EpisodeLog) -> dict:
         record["terminal"] = {
             "state": log.terminal_state_index,
             "decision_reward": log.terminal_decision_reward,
-            "r_steps": log.terminal_reward.r_steps,
-            "r_coverage": log.terminal_reward.r_coverage,
-            "r_switching": log.terminal_reward.r_switching,
-            "total": log.terminal_reward.total,
+            **asdict(log.terminal_reward),
         }
         record["q_values"] = log.q_values
     return record
@@ -317,9 +312,6 @@ def to_record(log: EpisodeLog) -> dict:
 
 def record_to_json(log: EpisodeLog) -> str:
     return json.dumps(to_record(log), sort_keys=True, separators=(",", ":"))
-
-
-_CONFIG_KEYS = ("n", "maze_seed", "variant", "rl_seed", "step_limit", "decision_period")
 
 
 def config_from_record(record: dict) -> EpisodeConfig:
@@ -336,14 +328,9 @@ def config_from_record(record: dict) -> EpisodeConfig:
     not_int = [key for key in _CONFIG_KEYS if key != "variant" and type(cfg[key]) is not int]
     if not_int:
         raise ValueError(f"config values must be integers: {not_int}")
-    return EpisodeConfig(
-        n=cfg["n"],
-        maze_seed=cfg["maze_seed"],
-        variant=VARIANTS[variant],
-        rl_seed=cfg["rl_seed"],
-        step_limit=cfg["step_limit"],
-        decision_period=cfg["decision_period"],
-    )
+    values = {key: cfg[key] for key in _CONFIG_KEYS}  # an unknown key is ignored
+    values["variant"] = VARIANTS[variant]
+    return EpisodeConfig(**values)
 
 
 def moves_from_record(record: dict) -> str:
@@ -355,13 +342,13 @@ def moves_from_record(record: dict) -> str:
     differs from the episode's, which is for the caller to find.
     """
     trajectory = record.get("trajectory")
-    version = record.get("schema_version")
-    if version is None:
+    if "schema_version" not in record:
         if not isinstance(trajectory, list):
             raise ValueError("a version 1 trajectory must be a list of positions")
         if not trajectory or trajectory[0] != [0, 0]:
             raise ValueError("trajectory does not start at (0, 0)")
         return encode_moves(trajectory)
+    version = record["schema_version"]
     if version != SCHEMA_VERSION:
         raise ValueError(f"unknown schema_version {version!r}")
     if not isinstance(trajectory, str):

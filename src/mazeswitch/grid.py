@@ -31,7 +31,9 @@ records OPEN or WALL as read. ``KnowledgeMap.arrive`` senses on a first
 visit only: in a fixed maze the first fact about a cell stands, so a
 revisit would learn nothing. ``nearest_path`` is the one breadth-first
 search over either buffer, for the carver's connectivity check and the
-walker's escapes; its only scratch is a copy of the bytes it searches.
+walker's escapes. It and A* both mark each discovered index with its
+entering heading in a scratch copy of the bytes, and ``marked_path``
+reads a path back along the marks.
 
 ``generate_maze`` remembers its last maze, one slot keyed by
 ``(n, seed)``. A suite runs every variant of a maze back to back, so a
@@ -59,8 +61,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .rng import INCREMENT, MASK64, MIX1, MIX2, SplitMix64, rejection_limit
-
-Position = tuple  # (x, y)
 
 BRAID_PROBABILITY = 0.10
 
@@ -110,7 +110,7 @@ class Layout:
             raise ValueError(f"cell {(x, y)} is off the {self.n}x{self.n} grid")
         return (x + 2) * self.stride + y + 1
 
-    def cell(self, i: int) -> Position:
+    def cell(self, i: int) -> tuple:
         """Grid cell ``(x, y)`` at flat index ``i``; inverse of ``index``."""
         x, y = divmod(i, self.stride)
         return (x - 2, y - 1)
@@ -188,7 +188,7 @@ def probe(maze: MazeGrid, frm: int, neighbor: int) -> int:
     return cells[neighbor]
 
 
-def manhattan(a: Position, b: Position) -> int:
+def manhattan(a: tuple, b: tuple) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
@@ -227,11 +227,6 @@ class KnowledgeMap:
         self.known = shared.pad([bytes([UNKNOWN]) * n] * n)
         self.visited_mask = bytearray(len(self.known))
 
-    @property
-    def known_walls(self) -> set:
-        """Cells known to be walls (a fresh set; for inspection)."""
-        return {self.cell(i) for i, b in enumerate(self.known) if b == WALL}
-
     def check_cell(self, i: int, action: str) -> None:
         """Raise ValueError unless ``i`` is the flat index of a grid cell."""
         known = self.known
@@ -258,10 +253,8 @@ class KnowledgeMap:
         """
         if maze.n != self.n:
             raise ValueError(f"sensing a size {maze.n} maze into a size {self.n} map")
-        known = self.known
-        if not 0 <= i < len(known) or known[i] == OUTSIDE:  # ``check_cell``, inlined
-            raise ValueError(f"cannot sense from off-grid index {i}")
-        cells = maze.cells
+        self.check_cell(i, "sense from")
+        known, cells = self.known, maze.cells
         w = self.stride
         for j in (i, i + 1, i + w, i - 1, i - w):
             if known[j] == UNKNOWN:
@@ -432,7 +425,7 @@ def nearest_path(cells, stride: int, start: int, reached) -> list | None:
     first one whose ``reached`` byte is 0, or None when none is reachable.
     Its only scratch is one copy of ``cells``, which it leaves unchanged:
     OPEN is 0, and a discovered index is marked ``4 + heading`` with the
-    heading it was entered by, so the path is read back along the marks.
+    heading it was entered by, so ``marked_path`` reads the path back.
     """
     seen = bytearray(cells)
     seen[start] = WALL  # discovered, and never a mark to step back from
@@ -440,13 +433,7 @@ def nearest_path(cells, stride: int, start: int, reached) -> list | None:
     push = frontier.append
     for i in frontier:  # a FIFO queue: the loop reaches the appended indices
         if not reached[i]:
-            back = (0, 0, 0, 0, 1, stride, -1, -stride)  # offset of each mark
-            path = []
-            while i != start:
-                path.append(i)
-                i -= back[seen[i]]
-            path.reverse()
-            return path
+            return marked_path(seen, stride, start, i)
         # The four headings unrolled; ``not seen[j]`` is ``seen[j] == OPEN``.
         j = i + 1
         if not seen[j]:
@@ -465,6 +452,22 @@ def nearest_path(cells, stride: int, start: int, reached) -> list | None:
             seen[j] = 7
             push(j)
     return None
+
+
+def marked_path(marks, stride: int, start: int, end: int) -> list:
+    """The indices after ``start`` up to ``end``, each marked ``4 + heading``.
+
+    A mark is the heading of the step that entered its index, so the
+    path is read back from ``end`` one step against each mark.
+    """
+    back = (0, 0, 0, 0, 1, stride, -1, -stride)  # offset of each mark
+    path = []
+    i = end
+    while i != start:
+        path.append(i)
+        i -= back[marks[i]]
+    path.reverse()
+    return path
 
 
 _GLYPHS = bytes.maketrans(bytes([OPEN, WALL]), b".#")

@@ -15,6 +15,10 @@ Tie-breaking is pinned for determinism: equal f prefers lower h, equal h
 prefers the earliest-discovered node, and neighbours are expanded in
 east, south, west, north order.
 
+Parents are heading marks in a scratch copy of the knowledge bytes, read
+back by ``grid.marked_path`` as in ``nearest_path``. There is no closed
+set, because Manhattan distance is consistent on unit moves.
+
 Plans start, end and step on flat indices of the grid's ``Layout``.
 """
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .grid import OPEN, OUTSIDE, WALL, KnowledgeMap
+from .grid import OPEN, OUTSIDE, WALL, KnowledgeMap, marked_path
 
 
 @dataclass
@@ -54,11 +58,8 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
     """
     knowledge.check_cell(s, "plan from")
     knowledge.check_cell(t, "plan to")
-    known = knowledge.known
-    if known[s] == WALL:
+    if knowledge.known[s] == WALL:
         raise ValueError(f"cannot plan from a known wall at {knowledge.cell(s)}")
-    if s == t:
-        return Plan([s])
 
     w = knowledge.stride
     # Padded row and column; Manhattan distance is shift-invariant.
@@ -66,32 +67,30 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
     sx, sy = divmod(s, w)
     h0 = abs(sx - tx) + abs(sy - ty)
     frontier = [(h0, h0, 0, s)]
-    came_from = {}
     g_score = {s: 0}
-    closed = set()
     counter = 1
+    # Each push marks its index ``4 + heading``; a better push overwrites it.
+    seen = bytearray(knowledge.known)
+    seen[s] = WALL
+    steps = tuple(zip(knowledge.offsets, (4, 5, 6, 7)))
 
     while frontier:
         i = heapq.heappop(frontier)[3]
         if i == t:
-            waypoints = [t]
-            while i in came_from:
-                i = came_from[i]
-                waypoints.append(i)
-            waypoints.reverse()
-            return Plan(waypoints)
-        if i in closed:
-            continue
-        closed.add(i)
+            return Plan([s, *marked_path(seen, w, s, t)])
+        # No closed set: with a consistent heuristic the first pop of ``i``
+        # carries its final g, so a stale pop finds every neighbour at a g
+        # of at most ``g_next`` and pushes nothing.
         g_next = g_score[i] + 1
-        for j in (i + 1, i + w, i - 1, i - w):
-            b = known[j]
+        for d, mark in steps:
+            j = i + d
+            b = seen[j]
             if b == WALL or b == OUTSIDE:
                 continue
             if j in g_score and g_score[j] <= g_next:
                 continue
             g_score[j] = g_next
-            came_from[j] = i
+            seen[j] = mark
             x, y = divmod(j, w)
             h = abs(x - tx) + abs(y - ty)
             heapq.heappush(frontier, (g_next + h, h, counter, j))

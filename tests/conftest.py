@@ -200,6 +200,58 @@ def reference_walls(n, seed):
     return shared.rows(cells)
 
 
+def reference_astar(s, t, knowledge):
+    """Independent A*: the waypoints ``astar_plan(s, t, knowledge)`` must have, or None.
+
+    The textbook form, kept as an oracle: parents in a ``came_from``
+    dict, a closed set, and an early return when ``s == t``. Heap
+    entries are ``(f, h, counter, index)`` and neighbours are expanded
+    E, S, W, N, so ties break the way the planner documents.
+    """
+    import heapq
+
+    from mazeswitch.grid import OUTSIDE
+
+    known = knowledge.known
+    if s == t:
+        return [s]
+    w = knowledge.stride
+    tx, ty = divmod(t, w)
+    sx, sy = divmod(s, w)
+    h0 = abs(sx - tx) + abs(sy - ty)
+    frontier = [(h0, h0, 0, s)]
+    came_from = {}
+    g_score = {s: 0}
+    closed = set()
+    counter = 1
+    while frontier:
+        i = heapq.heappop(frontier)[3]
+        if i == t:
+            waypoints = [t]
+            while i in came_from:
+                i = came_from[i]
+                waypoints.append(i)
+            waypoints.reverse()
+            return waypoints
+        if i in closed:
+            continue
+        closed.add(i)
+        g_next = g_score[i] + 1
+        for j in (i + 1, i + w, i - 1, i - w):
+            b = known[j]
+            if b == WALL or b == OUTSIDE:
+                continue
+            if j in g_score and g_score[j] <= g_next:
+                continue
+            g_score[j] = g_next
+            came_from[j] = i
+            x, y = divmod(j, w)
+            h = abs(x - tx) + abs(y - ty)
+            heapq.heappush(frontier, (g_next + h, h, counter, j))
+            counter += 1
+    return None
+
+
 def seed_with_output(value, t=1):
     """A SplitMix64 seed whose ``t``-th ``next_u64`` returns ``value``.
 

@@ -266,6 +266,13 @@ class TestReplay:
             f"record {k}: identical" for k in range(1, len(lines) + 1)
         ]
 
+    def test_null_schema_version_is_an_error(self, tmp_path, capsys):
+        first = json.loads((DATA / "episodes_v1.jsonl").read_text().splitlines()[0])
+        path = tmp_path / "null.jsonl"
+        path.write_text(json.dumps({**first, "schema_version": None}) + "\n")
+        assert run_cli(["replay", str(path)]) == 1
+        assert capsys.readouterr().out == "record 1: ERROR unknown schema_version None\n"
+
     def test_tampered_move_string_is_a_trajectory_mismatch(self, tmp_path, capsys):
         out = tmp_path / "results"
         run_cli(

@@ -11,6 +11,7 @@ from mazeswitch.episode import (
     VariantSpec,
     config_from_record,
     encode_moves,
+    moves_from_record,
     record_to_json,
     run_episode,
     to_record,
@@ -168,6 +169,12 @@ class TestConfigRecord:
         assert back == log.config
         assert hash(back) == hash(log.config)
 
+    def test_unknown_config_key_is_ignored(self):
+        cfg = EpisodeConfig(n=16, maze_seed=2, variant=VARIANTS["spiral"])
+        record = to_record(run_episode(cfg))
+        record["config"]["jobs"] = 3
+        assert config_from_record(record) == cfg
+
 
 class TestRecordTrajectory:
     def test_version_2_move_string(self):
@@ -195,6 +202,15 @@ class TestRecordTrajectory:
     def test_non_unit_move_raises(self, trajectory):
         with pytest.raises(ValueError, match="not a unit step"):
             encode_moves(trajectory)
+
+    def test_null_schema_version_is_no_version(self):
+        # Version 1 means the key is absent; a null is an unknown version.
+        v1 = {"trajectory": [[0, 0], [0, 1]]}
+        assert moves_from_record(v1) == "E"
+        with pytest.raises(ValueError, match="unknown schema_version None"):
+            moves_from_record({**v1, "schema_version": None})
+        with pytest.raises(ValueError, match="unknown schema_version None"):
+            moves_from_record({"trajectory": "E", "schema_version": None})
 
     def test_record_of_a_teleporting_log_raises(self):
         log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))

@@ -402,7 +402,7 @@ class TestKnowledgeMap:
             for y in range(16):
                 if not maze.walls[x][y]:
                     k.observe_surroundings(maze, k.index(x, y))
-        assert k.known_walls
+        assert WALL in k.known
         assert all(b in (UNKNOWN, maze.cells[i]) for i, b in enumerate(k.known))
 
     def test_known_bytes_change_on_new_facts_only(self):
@@ -420,7 +420,8 @@ class TestKnowledgeMap:
         k.note(k.index(2, 3), WALL)
         k.note(k.index(2, 3), OPEN)
         k.note(padded_index(k, (9, 3)), OUTSIDE)
-        assert k.known_walls == {(2, 3)} and k.known.count(UNKNOWN) == 8 * 8 - 1
+        walls = [k.cell(i) for i, b in enumerate(k.known) if b == WALL]
+        assert walls == [(2, 3)] and k.known.count(UNKNOWN) == 8 * 8 - 1
 
     @pytest.mark.parametrize("fact", [UNKNOWN, 4, -1, None, "blocked"])
     def test_note_rejects_what_is_no_fact(self, fact):
