@@ -16,7 +16,7 @@ cfg = EpisodeConfig(n=32, maze_seed=7, variant=VARIANTS["spiral_rl"], rl_seed=2)
 log = run_episode(cfg)
 
 print(f"outcome: {log.outcome} in {log.total_steps} steps "
-      f"(limit {cfg.resolved_step_limit})")
+      f"(limit {cfg.step_limit})")
 print(f"final coverage: {log.final_coverage:.1f}%")
 if log.switch_step is not None:
     print(f"switched to pathfinding at step {log.switch_step} "

@@ -85,7 +85,7 @@ class SuiteConfig:
             raise ValueError("mazes_per_size must be at least 1")
         unknown = [v for v in self.variants if v not in VARIANTS]
         if unknown:
-            raise ValueError(f"unknown variants: {unknown}")
+            raise ValueError(f"unknown variants: {unknown}; choose from {', '.join(VARIANT_ORDER)}")
         for name, values in (("sizes", self.sizes), ("variants", self.variants)):
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:

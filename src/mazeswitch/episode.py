@@ -34,8 +34,9 @@ nothing per step: ``replans`` counts the A* plans after the first, and
 ``history_len`` is the length of the stored visit history, the one
 output in which a sentinel agent differs from its spiral twin.
 
-Everything is a pure function of the config, so runs replay exactly and
-suites may execute episodes concurrently.
+Everything is a pure function of the config, so suites may execute
+episodes concurrently and records are replayed here: ``replay_record``
+runs a record line's episode again and names the fields that differ.
 """
 
 from __future__ import annotations
@@ -333,27 +334,46 @@ def config_from_record(record: dict) -> EpisodeConfig:
     return EpisodeConfig(**values)
 
 
+def _schema_version(record: dict) -> int:
+    """The record's schema version; a record without the key is version 1."""
+    if "schema_version" in record and record["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"unknown schema_version {record['schema_version']!r}")
+    return record.get("schema_version", 1)
+
+
 def moves_from_record(record: dict) -> str:
     """The move string of a version 1 or 2 record; ValueError if malformed.
 
-    A record without ``schema_version`` is version 1: its trajectory, a
-    list of ``[x, y]`` positions from (0, 0), goes through
-    ``encode_moves``. A trajectory of the wrong length is well formed; it
-    differs from the episode's, which is for the caller to find.
+    A version 1 trajectory, a list of ``[x, y]`` positions from (0, 0),
+    goes through ``encode_moves``. A trajectory of the wrong length is
+    well formed; it differs from the episode's, which is for the caller
+    to find.
     """
     trajectory = record.get("trajectory")
-    if "schema_version" not in record:
+    if _schema_version(record) == 1:
         if not isinstance(trajectory, list):
             raise ValueError("a version 1 trajectory must be a list of positions")
         if not trajectory or trajectory[0] != [0, 0]:
             raise ValueError("trajectory does not start at (0, 0)")
         return encode_moves(trajectory)
-    version = record["schema_version"]
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unknown schema_version {version!r}")
     if not isinstance(trajectory, str):
         raise ValueError("a version 2 trajectory must be a move string")
     unknown = set(trajectory) - set("ESWN")
     if unknown:
         raise ValueError(f"unknown move letters {sorted(unknown)}")
     return trajectory
+
+
+def replay_record(line: str) -> list:
+    """Run a record line's episode again; the sorted names of the fields that differ.
+
+    ValueError if the line is not a well-formed version 1 or 2 record.
+    """
+    logged = json.loads(line)
+    cfg = config_from_record(logged)  # checked before the trajectory
+    logged["trajectory"] = moves_from_record(logged)
+    fresh = to_record(run_episode(cfg))
+    if _schema_version(logged) == 1:  # version 1 had neither field
+        del fresh["schema_version"], fresh["counters"]
+    absent = object()  # a field that only one side has differs, even if it is null
+    return sorted(k for k in {*logged, *fresh} if logged.get(k, absent) != fresh.get(k, absent))

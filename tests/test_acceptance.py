@@ -111,7 +111,7 @@ def test_criterion_4_all_variants_succeed(small_suite):
         if log.outcome != SUCCESS
     ]
     limits_ok = all(
-        log.config.resolved_step_limit == 4 * log.config.n * log.config.n for log in logs
+        log.config.step_limit == 4 * log.config.n * log.config.n for log in logs
     )
     ok = not failures and limits_ok and len(logs) == 2 * 10 * 6
     record_acceptance(

@@ -178,7 +178,7 @@ def log_digest(logs):
         cfg = log.config
         t = log.terminal_reward
         head = {
-            "config": [cfg.n, cfg.maze_seed, cfg.variant.name, cfg.rl_seed, cfg.resolved_step_limit],
+            "config": [cfg.n, cfg.maze_seed, cfg.variant.name, cfg.rl_seed, cfg.step_limit],
             "outcome": log.outcome,
             "total_steps": log.total_steps,
             "switch": [log.switch_step, log.switch_coverage],
@@ -311,6 +311,18 @@ class TestReportFiles:
         path = tmp_path / "empty.csv"
         write_report_csv(SuiteReport(rows=[]), path)
         assert path.read_text().splitlines() == [",".join(CSV_HEADER)]
+
+    def test_csv_with_another_header_is_rejected(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text(",".join(reversed(CSV_HEADER)) + "\n")
+        with pytest.raises(RuntimeError, match="unexpected CSV header"):
+            read_report_csv(path)
+
+    def test_row_of_a_missing_cell_raises(self, small_suite):
+        report, _ = small_suite
+        assert report.row(16, "spiral").variant == "spiral"
+        with pytest.raises(KeyError, match="no row for size 32, variant spiral"):
+            report.row(32, "spiral")
 
     def test_json_mirrors_report(self, small_suite, tmp_path):
         report, _ = small_suite

@@ -7,6 +7,7 @@ import pytest
 from mazeswitch import cli
 from mazeswitch.bench import DEFAULT_SIZES, LONG_SIZES, SuiteReport
 from mazeswitch.cli import main
+from mazeswitch.episode import VARIANT_ORDER
 from mazeswitch.grid import from_text, generate_maze, to_text
 
 
@@ -141,6 +142,21 @@ class TestRun:
         assert [s.sizes for s in suites] == [DEFAULT_SIZES, LONG_SIZES, LONG_SIZES, DEFAULT_SIZES]
         assert 128 in LONG_SIZES
 
+    @pytest.mark.parametrize(
+        "text, variants",
+        [("all", VARIANT_ORDER), (" spiral , sentinel_rl,", ("spiral", "sentinel_rl"))],
+        ids=["all", "comma-list"],
+    )
+    def test_variants_flag_names_the_suite_variants(self, text, variants, monkeypatch, capsys):
+        suites = []
+        monkeypatch.setattr(
+            cli, "run_suite", lambda suite: suites.append(suite) or (SuiteReport(rows=[]), [])
+        )
+        assert run_cli(["run", "--sizes", "16", "--variants", text]) == 0
+        capsys.readouterr()
+        assert [s.variants for s in suites] == [variants]
+        assert len(VARIANT_ORDER) == 6
+
     def test_qtable_dumps_written_for_learning_variants(self, tmp_path, capsys):
         out = tmp_path / "results"
         run_cli(
@@ -272,6 +288,29 @@ class TestReplay:
         path.write_text(json.dumps({**first, "schema_version": None}) + "\n")
         assert run_cli(["replay", str(path)]) == 1
         assert capsys.readouterr().out == "record 1: ERROR unknown schema_version None\n"
+
+    @pytest.mark.parametrize("value", ["3", True], ids=["string", "bool"])
+    def test_non_integer_config_value_is_an_error(self, value, tmp_path, capsys):
+        record = json.loads((DATA / "episodes_v1.jsonl").read_text().splitlines()[0])
+        record["config"]["maze_seed"] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert run_cli(["replay", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "record 1: ERROR config values must be integers: ['maze_seed']\n"
+        )
+
+    def test_a_field_only_one_record_has_is_named_even_if_null(self, tmp_path, capsys):
+        first = json.loads((DATA / "episodes_v1.jsonl").read_text().splitlines()[0])
+        assert first["switch"] is None
+        del first["switch"]
+        path = tmp_path / "no-switch.jsonl"
+        path.write_text(json.dumps(first) + "\n" + json.dumps({**first, "q_values": None}) + "\n")
+        assert run_cli(["replay", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "record 1: MISMATCH in fields ['switch']",
+            "record 2: MISMATCH in fields ['q_values', 'switch']",
+        ]
 
     def test_tampered_move_string_is_a_trajectory_mismatch(self, tmp_path, capsys):
         out = tmp_path / "results"
@@ -497,6 +536,35 @@ class TestSuiteArgumentErrors:
         assert exc.value.code == 2
         _assert_one_error_line(capsys, "variants")
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config-file"])
+    def test_unknown_variant_is_one_line(self, where, tmp_path, monkeypatch, capsys):
+        def no_suite(suite):
+            raise AssertionError("a suite started")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        cfg = tmp_path / "suite.ini"
+        cfg.write_text("[suite]\nsizes = 16\nmazes = 1\nvariants = spiral,bogus\n")
+        argv = {
+            "flag": ["run", "--sizes", "16", "--mazes", "1", "--variants", "bogus"],
+            "config-file": ["run", "--config", str(cfg)],
+        }[where]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, "'bogus'", ", ".join(VARIANT_ORDER))
+
+    def test_non_integer_size_is_a_usage_error(self, monkeypatch, capsys):
+        def no_suite(suite):
+            raise AssertionError("a suite started")
+
+        monkeypatch.setattr(cli, "run_suite", no_suite)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--sizes", "16,x", "--mazes", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --sizes: bad size list '16,x'" in captured.err
 
     def test_repeated_variant_is_one_line(self, tmp_path, monkeypatch, capsys):
         def no_suite(suite):

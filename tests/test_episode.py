@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +15,15 @@ from mazeswitch.episode import (
     encode_moves,
     moves_from_record,
     record_to_json,
+    replay_record,
     run_episode,
     to_record,
 )
 from mazeswitch.pathfind import astar_plan
 from mazeswitch.grid import manhattan
 from mazeswitch.qlearn import POTENTIAL_OFFSET, potential, switching_component
+
+DATA = Path(__file__).parent / "data"
 
 
 def coverage_prefix(trajectory, n):
@@ -169,6 +174,11 @@ class TestConfigRecord:
         assert back == log.config
         assert hash(back) == hash(log.config)
 
+    @pytest.mark.parametrize("key", ["step_limit", "decision_period"])
+    def test_rejects_a_zero_count(self, key):
+        with pytest.raises(ValueError, match=f"{key} must be positive"):
+            EpisodeConfig(n=16, maze_seed=2, variant=VARIANTS["spiral"], **{key: 0})
+
     def test_unknown_config_key_is_ignored(self):
         cfg = EpisodeConfig(n=16, maze_seed=2, variant=VARIANTS["spiral"])
         record = to_record(run_episode(cfg))
@@ -218,6 +228,46 @@ class TestRecordTrajectory:
             to_record(replace(log, trajectory=[(0, 0), (5, 5)] + log.trajectory[2:]))
 
 
+class TestReplayRecord:
+    @pytest.fixture(scope="class")
+    def line(self):
+        cfg = EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"])
+        return record_to_json(run_episode(cfg))
+
+    def test_own_record_has_no_differing_field(self, line):
+        assert replay_record(line) == []
+
+    def test_names_the_fields_that_differ(self, line):
+        record = json.loads(line)
+        record["total_steps"] += 1
+        record["outcome"] = "lost"
+        record["extra"] = None  # a field the fresh record lacks differs even when null
+        assert replay_record(json.dumps(record)) == ["extra", "outcome", "total_steps"]
+
+    def test_version_1_record_compares_without_the_version_2_fields(self):
+        first = (DATA / "episodes_v1.jsonl").read_text().splitlines()[0]
+        assert replay_record(first) == []
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "record has no config object"),
+            ('{"config": {"n": 16', "Expecting"),
+            ('{"trajectory": "E", "schema_version": 2}', "record has no config object"),
+        ],
+        ids=["not-an-object", "bad-json", "config-checked-first"],
+    )
+    def test_malformed_line_raises(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            replay_record(text)
+
+    @pytest.mark.parametrize("version", [None, 1, 3])
+    def test_unknown_version_raises(self, line, version):
+        record = {**json.loads(line), "schema_version": version}
+        with pytest.raises(ValueError, match=f"unknown schema_version {version!r}"):
+            replay_record(json.dumps(record))
+
+
 class TestLearningLoop:
     def test_decision_cadence_exactly_fifty(self):
         log = run_episode(
@@ -253,7 +303,7 @@ class TestLearningLoop:
         # trajectory alone and compare with the logged values.
         cfg = EpisodeConfig(n=32, maze_seed=7, variant=VARIANTS["spiral_rl"], rl_seed=2)
         log = run_episode(cfg)
-        limit = cfg.resolved_step_limit
+        limit = cfg.step_limit
         series = coverage_prefix(log.trajectory, cfg.n)
         prev = (0, 0.0)
         for d in log.decisions:

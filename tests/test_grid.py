@@ -454,6 +454,11 @@ class TestKnowledgeMap:
             assert k.visited_mask == KnowledgeMap(8).visited_mask, i
         assert k.visited_count == 0 and not any(k.visited_mask)
 
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (8, 0), (0, 8)])
+    def test_index_rejects_an_off_grid_cell(self, cell):
+        with pytest.raises(ValueError, match=re.escape(f"cell {cell} is off the 8x8 grid")):
+            layout(8).index(*cell)
+
     @pytest.mark.parametrize("n", [1, 8, 16, 33])
     def test_cell_table_inverts_index(self, n):
         shared = layout(n)
@@ -642,3 +647,20 @@ class TestTextFormat:
             extra[1 + 4] = extra[1 + 4][:4] + marker + extra[1 + 4][5:]
             with pytest.raises(MazeFormatError, match=re.escape(f"{marker} marker at both {first} and {second}")):
                 from_text("\n".join(extra) + "\n")
+
+    @pytest.mark.parametrize(
+        "k, text, message",
+        [
+            (0, "16 x", "bad header line: '16 x'"),
+            (3, "." * 15, "row 2 has length 15, expected 16"),
+            (1 + 8, "." * 16, "target marker must sit at (8, 8), found None"),
+            (1 + 8, "....T" + "." * 11, "target marker must sit at (8, 8), found (8, 4)"),
+        ],
+        ids=["non-integer-header", "short-row", "no-target", "target-off-centre"],
+    )
+    def test_bad_header_row_or_target_rejected(self, k, text, message):
+        lines = to_text(generate_maze(16, 1)).splitlines()
+        assert lines[1 + 8][8] == "T"
+        lines[k] = text
+        with pytest.raises(MazeFormatError, match=re.escape(message)):
+            from_text("\n".join(lines) + "\n")
