@@ -31,6 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .episode import (
@@ -48,18 +49,6 @@ RL_SEED_SALT = 0x51
 
 DEFAULT_SIZES = (16, 32, 64)
 LONG_SIZES = (16, 32, 64, 128)
-
-CSV_COLUMNS = {  # report.csv column -> the type ``read_report_csv`` gives it
-    "size": int,
-    "variant": str,
-    "mean_steps": float,
-    "median_steps": float,
-    "min_steps": int,
-    "max_steps": int,
-    "stddev": float,
-    "success_rate": float,
-}
-CSV_HEADER = tuple(CSV_COLUMNS)
 
 ABLATION_VARIANTS = ("spiral", "spiral_conv", "spiral_rl")
 
@@ -104,6 +93,12 @@ class VariantRow:
     success_rate: float
     switch_coverage_hist: list  # 10 decile bins of coverage at switch
     threshold_hist: dict  # threshold -> selection count, learning variants only
+
+
+CSV_COLUMNS = {  # report.csv column -> the type ``read_report_csv`` gives it
+    name: kind for name, kind in get_type_hints(VariantRow).items() if kind in (int, float, str)
+}  # VariantRow's scalar fields, in field order
+CSV_HEADER = tuple(CSV_COLUMNS)
 
 
 @dataclass
@@ -170,7 +165,10 @@ def run_suite(suite: SuiteConfig) -> tuple[SuiteReport, list]:
 
 
 def aggregate(suite: SuiteConfig, logs: list) -> list:
-    """Deterministic reduce of episode logs into per-(size, variant) rows."""
+    """Deterministic reduce of episode logs into per-(size, variant) rows.
+
+    Every (size, variant) cell of ``suite`` needs a log, as ``run_suite`` gives it.
+    """
     by_cell = {}
     for log in logs:
         by_cell.setdefault((log.config.n, log.config.variant.name), []).append(log)
@@ -178,9 +176,7 @@ def aggregate(suite: SuiteConfig, logs: list) -> list:
     rows = []
     for n in suite.sizes:
         for vname in suite.variants:
-            cell = by_cell.get((n, vname), [])
-            if not cell:
-                continue
+            cell = by_cell[(n, vname)]
             steps = [log.total_steps for log in cell]
             hist = [0] * 10
             for log in cell:

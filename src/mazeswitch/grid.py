@@ -409,9 +409,8 @@ def _braid_dead_ends(cells: bytearray, dead_ends: list, steps: tuple, rng: Split
     for i, open_step in dead_ends:
         if rng.random() >= BRAID_PROBABILITY:
             continue
+        # Never empty: only the origin's braid can reach a dead end, which keeps a wall.
         candidates = [d for d in steps if cells[i + d] == WALL and cells[i + 2 * d] == OPEN]
-        if not candidates:
-            continue
         pick = -open_step if -open_step in candidates else candidates[0]
         cells[i + pick] = OPEN
 

@@ -32,6 +32,11 @@ coverage of the whole reachable component systematic rather than
 best-effort. A breakout that finds no unvisited cell moves the cursor
 past the end, so it mops up too.
 
+Each step chooses the next cell (along an escape path, wall-following
+past a fully visited component, the route's next cell when it probes
+open, or a detour step), arrives on it once, and on a detour then
+settles it: the detour ends at the cursor, breaks out, or goes on.
+
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
 reading the layout.
@@ -94,99 +99,98 @@ class SpiralState:
 
     Only ``pos``, the flat index of the occupied cell, is set on
     construction. ``next_k`` is the place in the route of the next cell
-    to walk onto, and ``len(route)`` once the walker mops up. A detour
-    (``detouring``) ends at the cursor and counts its steps on visited
-    cells in ``detour_stale`` and its (position, heading) states in
-    ``detour_seen``. ``escape_path`` holds the cells of a committed walk
-    to unvisited ground, next cell first.
+    to walk onto, and ``len(route)`` once the walker mops up.
+    ``detour_seen`` is ``None`` outside a detour and a fresh set of its
+    (position, heading) states inside one; a detour ends at the cursor
+    and counts its steps on visited cells in ``detour_stale``.
+    ``escape_path`` holds the cells of a committed walk to unvisited
+    ground, next cell first.
     """
 
     pos: int
     heading: int = field(init=False, default=0)  # index into Layout.offsets: east
     next_k: int = field(init=False, default=1)
-    detouring: bool = field(init=False, default=False)
     detour_stale: int = field(init=False, default=0)
-    detour_seen: set = field(init=False, default_factory=set)
+    detour_seen: set | None = field(init=False, default=None)
     escape_path: deque = field(init=False, default_factory=deque)
 
 
 def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> int:
     """Advance the walker one cell and return its new position.
 
-    On each new cell the walker calls ``knowledge.arrive``; the caller
-    must have called it for the starting cell before the first call.
-    Raises SpiralStuck when no neighbour is known to be passable, which
-    cannot happen on a connected maze.
+    A step chooses the next cell, arrives on it once, then settles the
+    detour when it is part of one. Arriving calls ``knowledge.arrive``;
+    the caller must have called it for the starting cell before the
+    first call. Raises SpiralStuck when no neighbour is known to be
+    passable, which cannot happen on a connected maze.
     """
     route, rank, ring = spiral_route(maze.n)
     end = len(route)
+    pos, next_k, seen = state.pos, state.next_k, state.detour_seen
 
-    if not state.escape_path and state.next_k == end:
+    if not state.escape_path and next_k == end:
         # Mopping up: walk to the nearest unvisited cell.
-        path = nearest_path(knowledge.known, knowledge.stride, state.pos, knowledge.visited_mask)
-        if path is None:
-            # Reachable component fully visited; keep moving regardless.
-            _wall_follow_move(state, knowledge)
-            knowledge.arrive(maze, state.pos)
-            return state.pos
-        state.escape_path = deque(path)
+        path = nearest_path(knowledge.known, knowledge.stride, pos, knowledge.visited_mask)
+        if path is not None:
+            state.escape_path = deque(path)
 
     if state.escape_path:
         # Walk one cell along a committed path through known-free cells.
         nxt = state.escape_path.popleft()
-        state.heading = knowledge.offsets.index(nxt - state.pos)
-        state.pos = nxt
-        knowledge.arrive(maze, nxt)
-        if not state.escape_path and state.next_k < end:
-            # Landed on fresh ground: resume the route just past this cell.
+        state.heading = knowledge.offsets.index(nxt - pos)
+        if not state.escape_path and next_k < end:
+            # Landing on fresh ground: resume the route just past this cell.
             state.next_k = rank[nxt] + 1
+    elif next_k == end:
+        # Reachable component fully visited; keep moving regardless.
+        nxt = _wall_follow(state, knowledge)
+    elif seen is None and probe(maze, pos, route[next_k]) == OPEN:
+        nxt = route[next_k]
+        state.heading = knowledge.offsets.index(nxt - pos)
+        state.next_k = next_k + 1
+    else:
+        if seen is None:
+            # Blocked: hug the obstruction, keeping it on the right.
+            seen = state.detour_seen = set()
+            state.detour_stale = 0
+            approach = knowledge.offsets.index(route[next_k] - pos)
+            state.heading = (approach + 3) % 4  # turn left
+        nxt = _wall_follow(state, knowledge)
+
+    state.pos = nxt
+    fresh = knowledge.arrive(maze, nxt)
+    if seen is None:
         return nxt
 
-    if not state.detouring:
-        pending = route[state.next_k]
-        approach = knowledge.offsets.index(pending - state.pos)
-        if probe(maze, state.pos, pending) == OPEN:
-            state.pos = pending
-            state.heading = approach
-            state.next_k += 1
-            knowledge.arrive(maze, pending)
-            return pending
-        # Blocked: hug the obstruction, keeping it on the right.
-        state.detouring = True
-        state.detour_stale = 0
-        state.detour_seen = set()
-        state.heading = (approach + 3) % 4  # turn left
-
-    _wall_follow_move(state, knowledge)
-    pos = state.pos
-    state.detour_stale = 0 if knowledge.arrive(maze, pos) else state.detour_stale + 1
-
-    k = rank[pos]
-    if k >= state.next_k and ring[pos] == ring[route[state.next_k]]:
-        state.detouring = False
+    # A detour step; the cursor ``next_k`` has not moved.
+    state.detour_stale = 0 if fresh else state.detour_stale + 1
+    k = rank[nxt]
+    if k >= next_k and ring[nxt] == ring[route[next_k]]:
+        state.detour_seen = None
         state.next_k = k + 1
     else:
-        key = (pos, state.heading)
-        if key in state.detour_seen or state.detour_stale >= STALE_DETOUR_LIMIT:
+        key = (nxt, state.heading)
+        if key in seen or state.detour_stale >= STALE_DETOUR_LIMIT:
             # Orbiting a loop, or retracing old ground without finding
             # anything new: the pending segment is not worth chasing
             # this way. Break out toward fresh ground: the nearest
             # unvisited cell over known-free cells, whose intermediate
             # cells are all visited already. With none left, mop up.
-            state.detouring = False
-            path = nearest_path(knowledge.known, knowledge.stride, pos, knowledge.visited_mask)
+            state.detour_seen = None
+            path = nearest_path(knowledge.known, knowledge.stride, nxt, knowledge.visited_mask)
             if path is None:
                 state.next_k = end
             else:
                 state.escape_path = deque(path)
         else:
-            state.detour_seen.add(key)
-    return pos
+            seen.add(key)
+    return nxt
 
 
-def _wall_follow_move(state: SpiralState, knowledge: KnowledgeMap) -> None:
+def _wall_follow(state: SpiralState, knowledge: KnowledgeMap) -> int:
     """Right-hand rule: prefer right turn, then straight, left, back.
 
+    Returns the cell to step onto and turns ``state.heading`` toward it.
     Chooses from the four neighbour facts the sensor recorded on arrival
     at ``state.pos``, so it probes nothing itself.
     """
@@ -196,7 +200,6 @@ def _wall_follow_move(state: SpiralState, knowledge: KnowledgeMap) -> None:
     for heading in _FOLLOW_ORDER[state.heading]:
         j = i + offsets[heading]
         if known[j] == OPEN:
-            state.pos = j
             state.heading = heading
-            return
+            return j
     raise SpiralStuck(f"no passable neighbour known at {knowledge.cell(i)}")

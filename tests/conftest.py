@@ -272,3 +272,98 @@ def seed_with_output(value, t=1):
     z = unshift(z, 27)
     z = z * pow(MIX1, -1, 1 << 64) & MASK64
     return (unshift(z, 30) - t * INCREMENT) & MASK64
+
+
+class ReferenceSpiralState:
+    """Walker bookkeeping of ``reference_spiral_next``, with its own detour flag."""
+
+    def __init__(self, pos):
+        from collections import deque
+
+        self.pos = pos
+        self.heading = 0
+        self.next_k = 1
+        self.detouring = False
+        self.detour_stale = 0
+        self.detour_seen = set()
+        self.escape_path = deque()
+
+
+def reference_spiral_next(state, maze, knowledge):
+    """Independent walker: the step ``spiral_next`` must take, or SpiralStuck.
+
+    The earlier form of the documented walker, kept as an oracle: four
+    branches that each arrive on their own cell, a helper that moves the
+    walker itself, and a ``detouring`` flag kept apart from the detour's
+    memory, which outlives the detour.
+    """
+    from collections import deque
+
+    from mazeswitch.grid import nearest_path, probe
+    from mazeswitch.spiral import STALE_DETOUR_LIMIT, SpiralStuck, spiral_route
+
+    def wall_follow_move():
+        i = state.pos
+        for turn in (1, 0, 3, 2):  # right, straight, left, back
+            heading = (state.heading + turn) % 4
+            j = i + knowledge.offsets[heading]
+            if knowledge.known[j] == OPEN:
+                state.pos = j
+                state.heading = heading
+                return
+        raise SpiralStuck(f"no passable neighbour known at {knowledge.cell(i)}")
+
+    route, rank, ring = spiral_route(maze.n)
+    end = len(route)
+
+    if not state.escape_path and state.next_k == end:
+        path = nearest_path(knowledge.known, knowledge.stride, state.pos, knowledge.visited_mask)
+        if path is None:
+            wall_follow_move()
+            knowledge.arrive(maze, state.pos)
+            return state.pos
+        state.escape_path = deque(path)
+
+    if state.escape_path:
+        nxt = state.escape_path.popleft()
+        state.heading = knowledge.offsets.index(nxt - state.pos)
+        state.pos = nxt
+        knowledge.arrive(maze, nxt)
+        if not state.escape_path and state.next_k < end:
+            state.next_k = rank[nxt] + 1
+        return nxt
+
+    if not state.detouring:
+        pending = route[state.next_k]
+        approach = knowledge.offsets.index(pending - state.pos)
+        if probe(maze, state.pos, pending) == OPEN:
+            state.pos = pending
+            state.heading = approach
+            state.next_k += 1
+            knowledge.arrive(maze, pending)
+            return pending
+        state.detouring = True
+        state.detour_stale = 0
+        state.detour_seen = set()
+        state.heading = (approach + 3) % 4
+
+    wall_follow_move()
+    pos = state.pos
+    state.detour_stale = 0 if knowledge.arrive(maze, pos) else state.detour_stale + 1
+
+    k = rank[pos]
+    if k >= state.next_k and ring[pos] == ring[route[state.next_k]]:
+        state.detouring = False
+        state.next_k = k + 1
+    else:
+        key = (pos, state.heading)
+        if key in state.detour_seen or state.detour_stale >= STALE_DETOUR_LIMIT:
+            state.detouring = False
+            path = nearest_path(knowledge.known, knowledge.stride, pos, knowledge.visited_mask)
+            if path is None:
+                state.next_k = end
+            else:
+                state.escape_path = deque(path)
+        else:
+            state.detour_seen.add(key)
+    return pos

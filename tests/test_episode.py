@@ -20,7 +20,7 @@ from mazeswitch.episode import (
     to_record,
 )
 from mazeswitch.pathfind import astar_plan
-from mazeswitch.grid import manhattan
+from mazeswitch.grid import MazeGrid, manhattan
 from mazeswitch.qlearn import POTENTIAL_OFFSET, potential, switching_component
 
 DATA = Path(__file__).parent / "data"
@@ -128,6 +128,35 @@ class TestRunEpisode:
         assert (success.role_switches, success.outcome) == (1, SUCCESS)
         assert success.total_steps == len(success.trajectory) - 1
         assert success.final_coverage == coverage_prefix(success.trajectory, 32)[-1]
+
+
+class TestSealedTarget:
+    """A target walled in on all four sides, pinned as it behaves today.
+
+    The coverage walker runs out its step limit having visited every
+    reachable cell; a convergence variant's first plan finds no route.
+    """
+
+    @pytest.fixture
+    def sealed_target(self, monkeypatch):
+        walls = [[False] * 16 for _ in range(16)]
+        for x, y in ((8, 9), (9, 8), (8, 7), (7, 8)):
+            walls[x][y] = True
+        maze = MazeGrid(n=16, walls=walls, seed=0)
+        monkeypatch.setattr(episode, "generate_maze", lambda n, seed: maze)
+
+    @pytest.mark.parametrize("vname", ["spiral", "sentinel"])
+    def test_walker_runs_out_its_step_limit(self, sealed_target, vname):
+        log = run_episode(EpisodeConfig(n=16, maze_seed=0, variant=VARIANTS[vname]))
+        assert (log.outcome, log.total_steps) == (STEP_LIMIT_EXCEEDED, 1024)
+        assert log.final_coverage == 98.046875  # 251 of 256 cells: all reachable ones
+
+    @pytest.mark.parametrize("vname", ["spiral_conv", "spiral_rl", "sentinel_conv", "sentinel_rl"])
+    def test_convergence_finds_no_path(self, sealed_target, vname):
+        cfg = EpisodeConfig(n=16, maze_seed=0, variant=VARIANTS[vname])
+        message = r"^no optimistic path from \(\d+, \d+\) to \(8, 8\)$"
+        with pytest.raises(AssertionError, match=message):
+            run_episode(cfg)
 
 
 class TestCounters:

@@ -10,6 +10,7 @@ from mazeswitch.grid import (
     UNKNOWN,
     WALL,
     KnowledgeMap,
+    MazeGrid,
     coverage_percent,
     generate_maze,
     manhattan,
@@ -22,6 +23,8 @@ from conftest import (
     bfs_reachable,
     reference_escape_path,
     decode_moves,
+    ReferenceSpiralState,
+    reference_spiral_next,
     sealed_pocket_grid,
 )
 
@@ -217,7 +220,7 @@ class TestPastFullCoverage:
         knowledge.arrive(maze, state.pos)
         for step in range(2 * n * n):
             assert 1 <= state.next_k <= end, step
-            if state.detouring:
+            if state.detour_seen is not None:
                 assert state.next_k < end and not state.escape_path, step
             spiral_next(state, maze, knowledge)
 
@@ -302,3 +305,56 @@ class TestFlatSearchesMatchReferences:
                     assert fact != UNKNOWN, ((x, y), cell)
                     assert fact == (WALL if maze.walls[cell[0]][cell[1]] else OPEN), ((x, y), cell)
             spiral_next(state, maze, knowledge)
+
+
+@st.composite
+def walker_mazes(draw):
+    """Generated mazes, random-wall grids (some targets unreachable), open grids, the pocket."""
+    kind = draw(st.sampled_from(("generated", "random walls", "open", "sealed pocket")))
+    if kind == "generated":
+        return generate_maze(draw(st.integers(4, 16).map(lambda half: 2 * half)), draw(SEEDS))
+    if kind == "sealed pocket":
+        return sealed_pocket_grid()
+    n = draw(st.integers(4, 24))
+    density = draw(st.floats(0.0, 0.4)) if kind == "random walls" else 0.0
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    walls = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+    walls[0][0] = walls[n // 2][n // 2] = False
+    return MazeGrid(n=n, walls=walls, seed=0)
+
+
+def take_step(walker, state, maze, knowledge):
+    """The walker's new position, or the message of its SpiralStuck."""
+    try:
+        return walker(state, maze, knowledge)
+    except SpiralStuck as exc:
+        return str(exc)
+
+
+class TestMatchesReferenceWalker:
+    @settings(max_examples=60, deadline=None)
+    @given(maze=walker_mazes(), budget=st.floats(0.0, 1.0), sample_stride=st.sampled_from((1, 4)))
+    def test_lockstep_with_reference(self, maze, budget, sample_stride):
+        # Each step is compared in full: the walker's fields, its detour
+        # (a set exactly while the reference is detouring), and its map.
+        n = maze.n
+        new_map, ref_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
+        start = new_map.index(0, 0)
+        new, ref = SpiralState(start), ReferenceSpiralState(start)
+        new_map.arrive(maze, start)
+        ref_map.arrive(maze, start)
+        for step in range(round(budget * 4 * n * n)):
+            got = take_step(spiral_next, new, maze, new_map)
+            assert got == take_step(reference_spiral_next, ref, maze, ref_map), step
+            if isinstance(got, str):
+                break
+            assert (new.pos, new.heading, new.next_k) == (ref.pos, ref.heading, ref.next_k), step
+            assert new.escape_path == ref.escape_path, step
+            assert (new.detour_seen is not None) == ref.detouring, step
+            if ref.detouring:
+                assert new.detour_stale == ref.detour_stale, step
+                assert new.detour_seen == ref.detour_seen, step
+            assert new_map.known == ref_map.known, step
+            assert new_map.visited_mask == ref_map.visited_mask, step
+            assert new_map.visited_count == ref_map.visited_count, step
+            assert new_map.sampled_history == ref_map.sampled_history, step
