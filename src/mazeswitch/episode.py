@@ -1,10 +1,13 @@
 """One agent run: variant wiring, step loop, decision cadence, logging.
 
 An episode walks the coverage policy from (0, 0). Variants with a
-convergence mode watch the coverage percentage after every step and
-switch permanently to A* pathfinding once it reaches the active
-threshold: 40% for fixed variants, the most recently selected action for
-learning variants (initialized to 40% until the first decision).
+convergence mode switch permanently to A* pathfinding on the first step
+whose coverage percentage reaches the active threshold: 40% for fixed
+variants, the most recently selected action for learning variants
+(initialized to 40% until the first decision). The loop checks this by
+count: ``grid.cells_for_coverage`` turns each new threshold into the
+least visited count that reaches it, so a step compares two ints and
+``coverage_percent`` runs only on decision steps and at the switch.
 
 Learning variants take a threshold decision every ``decision_period``
 steps while still exploring: discretize the current progress, select an
@@ -22,7 +25,8 @@ move the agent and therefore do not consume steps.
 The loop tracks positions as flat layout indices, as the walker and the
 planner do; the trajectory becomes ``(x, y)`` pairs once, when the
 episode ends, by lookup into the maze's ``Layout.cells``. The agent
-learns walls only through ``KnowledgeMap.arrive`` on each cell it enters.
+learns walls only through ``KnowledgeMap.arrive`` on each cell it enters
+for the first time; a revisit learns nothing.
 
 A record (``to_record``, schema version 2) stores the trajectory as a
 move string, one letter per step from the start (0, 0): ``E``, ``S``,
@@ -45,7 +49,14 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
-from .grid import KnowledgeMap, check_maze_size, coverage_percent, generate_maze, manhattan
+from .grid import (
+    KnowledgeMap,
+    cells_for_coverage,
+    check_maze_size,
+    coverage_percent,
+    generate_maze,
+    manhattan,
+)
 from .pathfind import astar_plan, follow_plan
 from .qlearn import (
     QTable,
@@ -173,7 +184,10 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     knowledge.arrive(maze, pos)
     trajectory = [pos]
 
-    threshold = None if cfg.variant.convergence == "none" else FIXED_THRESHOLD
+    # The visited count that reaches the active threshold; None never switches.
+    switch_count = None
+    if cfg.variant.convergence != "none":
+        switch_count = cells_for_coverage(n, FIXED_THRESHOLD)
     q = QTable(cfg.rl_seed) if learning else None
     decisions: list[DecisionRecord] = []
     # The reference snapshot is pinned to (0 steps, 0 coverage) so interval
@@ -188,7 +202,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
 
     while steps < limit:
         if switch_step is None:
-            # spiral_next calls knowledge.arrive on the new cell itself.
+            # spiral_next arrives on the new cell itself.
             pos = spiral_next(state, maze, knowledge)
         else:
             if plan is None:
@@ -210,21 +224,21 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         trajectory.append(pos)
         if pos == target:
             break
-        if switch_step is not None or threshold is None:
+        if switch_step is not None or switch_count is None:
             continue
-        coverage = coverage_percent(knowledge)
-        if learning and coverage < threshold and steps % cfg.decision_period == 0:
+        if learning and steps % cfg.decision_period == 0 and knowledge.visited_count < switch_count:
+            coverage = coverage_percent(knowledge)
             state_id = discretize(coverage, manhattan(knowledge.cell(pos), maze.target), n)
             action = select_action(q, state_id)
-            threshold = float(action)
+            switch_count = cells_for_coverage(n, float(action))
             reward = decision_reward(prev_snapshot, (steps, coverage), limit)
             if decisions:
                 last = decisions[-1]
                 q_update(q, last.state_index, last.action, reward, state_id)
             decisions.append(DecisionRecord(steps, state_id, action, reward))
             prev_snapshot = (steps, coverage)
-        if coverage >= threshold:
-            switch_step, switch_coverage = steps, coverage
+        if knowledge.visited_count >= switch_count:
+            switch_step, switch_coverage = steps, coverage_percent(knowledge)
 
     final_coverage = coverage_percent(knowledge)
     log = EpisodeLog(

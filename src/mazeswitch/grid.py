@@ -29,9 +29,14 @@ never open and never unknown. A sensed fact is that byte itself:
 ``probe`` returns OPEN, WALL or OUTSIDE, and ``KnowledgeMap.note``
 records OPEN or WALL as read. ``KnowledgeMap.arrive`` senses on a first
 visit only: in a fixed maze the first fact about a cell stands, so a
-revisit would learn nothing. ``nearest_path`` is the one breadth-first
-search over either buffer, for the carver's connectivity check and the
-walker's escapes. It and A* both mark each discovered index with its
+revisit would learn nothing. The coverage walker therefore calls
+``arrive`` on a first visit only, and on a revisit reads just
+``visited_mask``. ``coverage_percent`` is the visited share of the
+grid, and ``cells_for_coverage`` the least visited count that reaches a
+given share, so an episode checks its switch by count.
+``nearest_path`` is the one breadth-first search over either buffer,
+for the carver's connectivity check and the walker's escapes. It and
+A* both mark each discovered index with its
 entering heading in a scratch copy of the bytes, and ``marked_path``
 reads a path back along the marks.
 
@@ -57,6 +62,7 @@ with ``#`` wall, ``.`` open, ``S`` start at (0, 0), ``T`` target at
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -292,6 +298,24 @@ def coverage_percent(knowledge: KnowledgeMap) -> float:
     """Distinct visited cells over all n*n cells of the map, as a percentage."""
     n = knowledge.n
     return knowledge.visited_count / (n * n) * 100.0
+
+
+def cells_for_coverage(n: int, percent: float) -> int:
+    """The least visited count whose ``coverage_percent`` reaches ``percent``.
+
+    ``c / (n * n) * 100.0`` never falls as ``c`` grows, so a map of size
+    ``n`` reaches ``percent`` exactly when its ``visited_count`` reaches
+    this count, which lies above ``n * n`` for a percent above 100. The
+    ceiling of the quotient is at most one cell off the rounded
+    expression, and one step either way corrects it.
+    """
+    cells = n * n
+    c = math.ceil(percent * cells / 100.0)
+    if (c - 1) / cells * 100.0 >= percent:
+        c -= 1
+    elif c / cells * 100.0 < percent:
+        c += 1
+    return c
 
 
 @lru_cache(maxsize=1)  # one slot: see the module docstring

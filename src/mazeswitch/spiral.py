@@ -7,7 +7,8 @@ right, west along the bottom, north up the left, then one step east into
 ring ``r + 1``. On an open grid this visits every cell exactly once.
 ``spiral_route(n)`` stores that route once per size as three tables: the
 tuple of all n*n cells in walking order, and each cell's rank in it and
-ring, both indexed by the cell.
+ring, both indexed by the cell. A walker looks them up on its first
+step and holds them in ``SpiralState.tables`` from then on.
 
 Positions are flat indices into the grid's ``Layout`` and headings are
 indices into ``Layout.offsets``. Only the route builder and an error
@@ -30,12 +31,16 @@ of the table, ``next_k == len(route)``: the walker then keeps walking to
 the remaining unvisited known-free cells the same way, which makes
 coverage of the whole reachable component systematic rather than
 best-effort. A breakout that finds no unvisited cell moves the cursor
-past the end, so it mops up too.
+past the end, so it mops up too. The first search that finds no
+unvisited cell is the last: the walker then only wall-follows over
+visited cells, learns nothing, and so could find none later.
 
-Each step chooses the next cell (along an escape path, wall-following
-past a fully visited component, the route's next cell when it probes
-open, or a detour step), arrives on it once, and on a detour then
-settles it: the detour ends at the cursor, breaks out, or goes on.
+Each step chooses the next cell in one ``if/elif`` chain (along an
+escape path, the route's next cell when it probes open, or
+wall-following, on a detour or past a fully visited component),
+arrives on it, and on a detour then settles it: the detour ends at the
+cursor, breaks out, or goes on. Only a first visit calls
+``KnowledgeMap.arrive``; a revisit would record and sense nothing.
 
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
@@ -104,7 +109,11 @@ class SpiralState:
     (position, heading) states inside one; a detour ends at the cursor
     and counts its steps on visited cells in ``detour_stale``.
     ``escape_path`` holds the cells of a committed walk to unvisited
-    ground, next cell first.
+    ground, next cell first. ``exhausted`` turns True when a search for
+    unvisited ground finds none. It stays True and the walker searches
+    no more: it then only wall-follows over visited cells, so no later
+    search could find any. ``tables`` holds ``spiral_route(n)`` and its
+    length from the first step on.
     """
 
     pos: int
@@ -113,64 +122,81 @@ class SpiralState:
     detour_stale: int = field(init=False, default=0)
     detour_seen: set | None = field(init=False, default=None)
     escape_path: deque = field(init=False, default_factory=deque)
+    exhausted: bool = field(init=False, default=False)
+    tables: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
 
 def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> int:
     """Advance the walker one cell and return its new position.
 
-    A step chooses the next cell, arrives on it once, then settles the
-    detour when it is part of one. Arriving calls ``knowledge.arrive``;
-    the caller must have called it for the starting cell before the
-    first call. Raises SpiralStuck when no neighbour is known to be
-    passable, which cannot happen on a connected maze.
+    A step chooses the next cell, arrives on it, then settles the detour
+    when it is part of one. Arriving calls ``knowledge.arrive`` on a
+    first visit only, since a revisit records and senses nothing; the
+    caller must have called it for the starting cell before the first
+    call. Raises SpiralStuck when no neighbour is known to be passable,
+    which cannot happen on a connected maze.
     """
-    route, rank, ring = spiral_route(maze.n)
-    end = len(route)
-    pos, next_k, seen = state.pos, state.next_k, state.detour_seen
+    tables = state.tables
+    if tables is None:
+        route, rank, ring = spiral_route(maze.n)
+        tables = state.tables = (route, rank, ring, len(route))
+    route, rank, ring, end = tables
+    offsets = knowledge.offsets
+    pos, next_k, seen, escape = state.pos, state.next_k, state.detour_seen, state.escape_path
 
-    if not state.escape_path and next_k == end:
+    if not escape and next_k == end and not state.exhausted:
         # Mopping up: walk to the nearest unvisited cell.
         path = nearest_path(knowledge.known, knowledge.stride, pos, knowledge.visited_mask)
-        if path is not None:
-            state.escape_path = deque(path)
+        if path is None:
+            state.exhausted = True
+        else:
+            escape = state.escape_path = deque(path)
 
-    if state.escape_path:
+    if escape:
         # Walk one cell along a committed path through known-free cells.
-        nxt = state.escape_path.popleft()
-        state.heading = knowledge.offsets.index(nxt - pos)
-        if not state.escape_path and next_k < end:
+        nxt = escape.popleft()
+        state.heading = offsets.index(nxt - pos)
+        if not escape and next_k < end:
             # Landing on fresh ground: resume the route just past this cell.
             state.next_k = rank[nxt] + 1
-    elif next_k == end:
-        # Reachable component fully visited; keep moving regardless.
-        nxt = _wall_follow(state, knowledge)
-    elif seen is None and probe(maze, pos, route[next_k]) == OPEN:
+    elif seen is None and next_k < end and probe(maze, pos, route[next_k]) == OPEN:
         nxt = route[next_k]
-        state.heading = knowledge.offsets.index(nxt - pos)
+        state.heading = offsets.index(nxt - pos)
         state.next_k = next_k + 1
     else:
-        if seen is None:
+        # Wall-following: a detour step, or the reachable component is
+        # fully visited and the walker keeps moving regardless.
+        if seen is None and next_k < end:
             # Blocked: hug the obstruction, keeping it on the right.
             seen = state.detour_seen = set()
             state.detour_stale = 0
-            approach = knowledge.offsets.index(route[next_k] - pos)
+            approach = offsets.index(route[next_k] - pos)
             state.heading = (approach + 3) % 4  # turn left
-        nxt = _wall_follow(state, knowledge)
+        # Right-hand rule from the four neighbour facts sensed on arrival
+        # at ``pos``: prefer a right turn, then straight, left, back.
+        known = knowledge.known
+        for heading in _FOLLOW_ORDER[state.heading]:
+            nxt = pos + offsets[heading]
+            if known[nxt] == OPEN:
+                break
+        else:
+            raise SpiralStuck(f"no passable neighbour known at {knowledge.cell(pos)}")
+        state.heading = heading
 
     state.pos = nxt
-    fresh = knowledge.arrive(maze, nxt)
+    fresh = not knowledge.visited_mask[nxt] and knowledge.arrive(maze, nxt)
     if seen is None:
         return nxt
 
     # A detour step; the cursor ``next_k`` has not moved.
-    state.detour_stale = 0 if fresh else state.detour_stale + 1
+    stale = state.detour_stale = 0 if fresh else state.detour_stale + 1
     k = rank[nxt]
     if k >= next_k and ring[nxt] == ring[route[next_k]]:
         state.detour_seen = None
         state.next_k = k + 1
     else:
         key = (nxt, state.heading)
-        if key in seen or state.detour_stale >= STALE_DETOUR_LIMIT:
+        if key in seen or stale >= STALE_DETOUR_LIMIT:
             # Orbiting a loop, or retracing old ground without finding
             # anything new: the pending segment is not worth chasing
             # this way. Break out toward fresh ground: the nearest
@@ -180,26 +206,9 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
             path = nearest_path(knowledge.known, knowledge.stride, nxt, knowledge.visited_mask)
             if path is None:
                 state.next_k = end
+                state.exhausted = True
             else:
                 state.escape_path = deque(path)
         else:
             seen.add(key)
     return nxt
-
-
-def _wall_follow(state: SpiralState, knowledge: KnowledgeMap) -> int:
-    """Right-hand rule: prefer right turn, then straight, left, back.
-
-    Returns the cell to step onto and turns ``state.heading`` toward it.
-    Chooses from the four neighbour facts the sensor recorded on arrival
-    at ``state.pos``, so it probes nothing itself.
-    """
-    i = state.pos
-    known = knowledge.known
-    offsets = knowledge.offsets
-    for heading in _FOLLOW_ORDER[state.heading]:
-        j = i + offsets[heading]
-        if known[j] == OPEN:
-            state.heading = heading
-            return j
-    raise SpiralStuck(f"no passable neighbour known at {knowledge.cell(i)}")

@@ -20,7 +20,8 @@ from mazeswitch.episode import (
     to_record,
 )
 from mazeswitch.pathfind import astar_plan
-from mazeswitch.grid import MazeGrid, manhattan
+from mazeswitch import spiral
+from mazeswitch.grid import KnowledgeMap, MazeGrid, manhattan, nearest_path
 from mazeswitch.qlearn import POTENTIAL_OFFSET, potential, switching_component
 
 DATA = Path(__file__).parent / "data"
@@ -151,6 +152,22 @@ class TestSealedTarget:
         assert (log.outcome, log.total_steps) == (STEP_LIMIT_EXCEEDED, 1024)
         assert log.final_coverage == 98.046875  # 251 of 256 cells: all reachable ones
 
+    @pytest.mark.parametrize("vname", ["spiral", "sentinel"])
+    def test_one_empty_search_stands_for_the_rest(self, sealed_target, monkeypatch, vname):
+        # All 251 reachable cells are visited by step 256. The one search
+        # that then finds no unvisited cell is the walker's last: the
+        # remaining 768 steps wall-follow over visited cells.
+        results = []
+
+        def counting_search(*args):
+            results.append(nearest_path(*args))
+            return results[-1]
+
+        monkeypatch.setattr(spiral, "nearest_path", counting_search)
+        log = run_episode(EpisodeConfig(n=16, maze_seed=0, variant=VARIANTS[vname]))
+        assert (log.total_steps, log.final_coverage) == (1024, 98.046875)
+        assert results == [None]
+
     @pytest.mark.parametrize("vname", ["spiral_conv", "spiral_rl", "sentinel_conv", "sentinel_rl"])
     def test_convergence_finds_no_path(self, sealed_target, vname):
         cfg = EpisodeConfig(n=16, maze_seed=0, variant=VARIANTS[vname])
@@ -186,6 +203,21 @@ class TestCounters:
         assert spiral.counters["history_len"] == distinct
         assert sentinel.counters["history_len"] == (distinct + 3) // 4
         assert sentinel.counters["history_len"] < spiral.counters["history_len"]
+
+    def test_only_a_first_visit_arrives(self, monkeypatch):
+        # A revisit learns nothing, so the walker skips ``arrive`` there:
+        # one call per distinct cell, the start included.
+        maps = []
+        arrive = KnowledgeMap.arrive
+
+        def counting_arrive(knowledge, maze, i):
+            maps.append(knowledge)
+            return arrive(knowledge, maze, i)
+
+        monkeypatch.setattr(KnowledgeMap, "arrive", counting_arrive)
+        log = run_episode(EpisodeConfig(n=128, maze_seed=0, variant=VARIANTS["spiral"]))
+        assert len(maps) == maps[-1].visited_count == len(set(log.trajectory))
+        assert len(maps) < log.total_steps / 4, (len(maps), log.total_steps)
 
     def test_record_carries_the_counters(self):
         log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))

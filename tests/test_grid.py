@@ -1,4 +1,6 @@
+import bisect
 import hashlib
+import math
 import re
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from mazeswitch.grid import (
     MazeConfigError,
     MazeFormatError,
     MazeGrid,
+    cells_for_coverage,
     coverage_percent,
     from_text,
     generate_maze,
@@ -27,6 +30,7 @@ from mazeswitch.grid import (
     to_text,
 )
 from mazeswitch.pathfind import astar_plan, follow_plan
+from mazeswitch.qlearn import THRESHOLDS
 from mazeswitch.rng import MASK64, SplitMix64
 from mazeswitch.spiral import SpiralState, spiral_next
 from conftest import (
@@ -392,6 +396,36 @@ class TestCoveragePercent:
         for cell in [(i // 16, i % 16) for i in range(128)]:
             k.record(k.index(*cell))
         assert coverage_percent(k) == 50.0
+
+
+class TestCellsForCoverage:
+    @pytest.mark.parametrize("n", range(8, 129, 2))
+    def test_least_count_reaching_each_threshold(self, n):
+        # The episode's switch fires by this count, so it must be the
+        # least one whose coverage, by ``coverage_percent``'s expression,
+        # reaches the threshold: found here by scanning every count.
+        cells = n * n
+        for threshold in (*THRESHOLDS, 40.0):
+            least = next(c for c in range(cells + 1) if c / cells * 100.0 >= threshold)
+            assert cells_for_coverage(n, threshold) == least, threshold
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 10, 16, 45, 64])
+    def test_thresholds_at_and_beside_each_coverage_value(self, n):
+        # Where the ceiling of the quotient is one cell off the rounded
+        # expression: at a coverage value itself and one float either side.
+        cells = n * n
+        covs = [c / cells * 100.0 for c in range(cells + 1)]
+        assert covs == sorted(covs)
+        for cov in covs:
+            for threshold in (math.nextafter(cov, -math.inf), cov, math.nextafter(cov, math.inf)):
+                least = bisect.bisect_left(covs, threshold)  # first count reaching it
+                assert cells_for_coverage(n, threshold) == least, threshold
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 64, 100])
+    def test_edges(self, n):
+        assert cells_for_coverage(n, 0.0) == 0
+        assert cells_for_coverage(n, 100.0) == n * n
+        assert cells_for_coverage(n, 100.5) > n * n
 
 
 class TestKnowledgeMap:

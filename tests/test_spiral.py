@@ -16,6 +16,7 @@ from mazeswitch.grid import (
     manhattan,
     nearest_path,
 )
+from mazeswitch import spiral
 from mazeswitch.episode import encode_moves
 from mazeswitch.spiral import SpiralState, SpiralStuck, spiral_next, spiral_route
 from conftest import (
@@ -97,6 +98,22 @@ class TestOpenGridSpiral:
         trajectory, _, knowledge = walk(open_grid(n), n * n - 1)
         assert knowledge.visited_count == n * n
         assert len(set(trajectory)) == n * n  # every cell exactly once
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_one_search_past_the_end_of_the_route(self, n, open_grid, monkeypatch):
+        # The cursor runs off the route with every cell visited: the
+        # first mop-up search finds nothing, and the walker never searches
+        # again while it wall-follows over visited cells.
+        results = []
+
+        def counting_search(*args):
+            results.append(nearest_path(*args))
+            return results[-1]
+
+        monkeypatch.setattr(spiral, "nearest_path", counting_search)
+        _, state, knowledge = walk(open_grid(n), 3 * n * n)
+        assert results == [None]
+        assert state.exhausted and knowledge.visited_count == n * n
 
 
 class TestRecordVisit:
@@ -358,3 +375,7 @@ class TestMatchesReferenceWalker:
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.visited_count == ref_map.visited_count, step
             assert new_map.sampled_history == ref_map.sampled_history, step
+            if new.exhausted:  # no search of the reference could find fresh ground
+                assert ref.next_k == len(spiral_route(n)[0]) and not ref.escape_path, step
+                known, stride, visited = ref_map.known, ref_map.stride, ref_map.visited_mask
+                assert nearest_path(known, stride, ref.pos, visited) is None, step
