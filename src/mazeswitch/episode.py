@@ -26,7 +26,8 @@ The loop tracks positions as flat layout indices, as the walker and the
 planner do; the trajectory becomes ``(x, y)`` pairs once, when the
 episode ends, by lookup into the maze's ``Layout.cells``. The agent
 learns walls only through ``KnowledgeMap.arrive`` on each cell it enters
-for the first time; a revisit learns nothing.
+for the first time. A revisit learns nothing, so both phases call
+``arrive`` on a first visit only.
 
 A record (``to_record``, schema version 2) stores the trajectory as a
 move string, one letter per step from the start (0, 0): ``E``, ``S``,
@@ -219,7 +220,8 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
                     raise AssertionError("replanning failed to make progress")
                 continue
             pos = nxt
-            knowledge.arrive(maze, pos)
+            if not knowledge.visited_mask[pos]:  # a revisit records and senses nothing
+                knowledge.arrive(maze, pos)
         steps += 1
         trajectory.append(pos)
         if pos == target:

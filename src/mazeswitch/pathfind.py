@@ -13,7 +13,24 @@ when its position equals the target.
 
 Tie-breaking is pinned for determinism: equal f prefers lower h, equal h
 prefers the earliest-discovered node, and neighbours are expanded in
-east, south, west, north order.
+east, south, west, north order. That is the pop order of a heap keyed
+``(f, h, counter)``, with ``counter`` the push order. The planner pops
+cells in exactly that order without a heap, from buckets indexed by f
+and h (Dial 1969). The order is exact because Manhattan ``h`` changes
+by exactly one on every unit move:
+
+- a push from a cell at level f lands at level f, with ``h`` one below
+  the popped cell's, or at level f + 2, so only two levels ever hold
+  entries;
+- the popped cell has the lowest ``h`` of its level, so a push into the
+  same level goes below every entry there: the lowest non-empty ``h``
+  is a pointer that moves down by one per push and up when its bucket
+  empties;
+- each bucket is first in, first out, which is counter order.
+
+Level f + 2 remembers the lowest and the highest ``h`` pushed into it,
+and takes over when level f empties. Distances to the target come from a table per
+``(n, t)``, as the spiral's route does.
 
 Parents are heading marks in a scratch copy of the knowledge bytes, read
 back by ``grid.marked_path`` as in ``nearest_path``. There is no closed
@@ -24,10 +41,14 @@ Plans start, end and step on flat indices of the grid's ``Layout``.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .grid import OPEN, OUTSIDE, WALL, KnowledgeMap, marked_path
+from .grid import OPEN, OUTSIDE, UNKNOWN, WALL, KnowledgeMap, layout, marked_path
+
+# A plan's scratch bytes: 0 where a cell may be entered, 1 where it is blocked.
+_ENTERABLE = bytes.maketrans(bytes([OPEN, WALL, OUTSIDE, UNKNOWN]), bytes([0, 1, 1, 0]))
 
 
 @dataclass
@@ -46,56 +67,147 @@ class Plan:
         return len(self.waypoints) - 1
 
 
+@lru_cache(maxsize=4)  # an episode plans to one target; a suite runs size by size
+def _distances(n: int, t: int) -> tuple:
+    """The Manhattan distance from every index of the size-``n`` layout to index ``t``."""
+    shared = layout(n)
+    tx, ty = shared.cell(t)
+    return tuple(abs(x - tx) + abs(y - ty) for x, y in shared.cells)
+
+
 def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
     """Shortest path from cell ``s`` to cell ``t`` over the optimistic graph, or None.
 
     Searches flat indices of ``knowledge.known``: a cell is blocked when
-    it is a known wall or outside the grid (the padding). Heap entries
-    are ``(f, h, counter, index)``. None means that known walls cut
-    ``t`` off from ``s``: the target itself is a known wall, or known
-    walls seal it in, say all four around it. Generated mazes allow
-    neither, because their target is open and joined to the start.
+    it is a known wall or outside the grid (the padding). Cells pop in
+    ``(f, h, counter)`` order. None means that known walls cut ``t`` off
+    from ``s``: the target itself is a known wall, or known walls seal
+    it in, say all four around it. Generated mazes allow neither,
+    because their target is open and joined to the start.
     """
     knowledge.check_cell(s, "plan from")
     knowledge.check_cell(t, "plan to")
-    if knowledge.known[s] == WALL:
+    known = knowledge.known
+    if known[s] == WALL:
         raise ValueError(f"cannot plan from a known wall at {knowledge.cell(s)}")
 
     w = knowledge.stride
-    # Padded row and column; Manhattan distance is shift-invariant.
-    tx, ty = divmod(t, w)
-    sx, sy = divmod(s, w)
-    h0 = abs(sx - tx) + abs(sy - ty)
-    frontier = [(h0, h0, 0, s)]
-    g_score = {s: 0}
-    counter = 1
+    h = _distances(knowledge.n, t)
     # Each push marks its index ``4 + heading``; a better push overwrites it.
-    seen = bytearray(knowledge.known)
+    seen = known.translate(_ENTERABLE)
     seen[s] = WALL
-    steps = tuple(zip(knowledge.offsets, (4, 5, 6, 7)))
+    g = [0] * len(seen)  # read only at a marked index
+    # The buckets of levels f (``cur``) and f + 2 (``nxt``), indexed by h,
+    # which is below 2n on the grid. Level f holds entries from h ``lo``
+    # to ``top``, and level f + 2 from ``nlo`` to ``ntop``.
+    lo = top = h[s]
+    cur = [None] * (2 * knowledge.n)
+    nxt = [None] * len(cur)
+    cur[lo] = deque((s,))
+    nlo, ntop = len(cur), -1
 
-    while frontier:
-        i = heapq.heappop(frontier)[3]
+    while True:
+        bucket = cur[lo]
+        if not bucket:
+            lo += 1
+            while lo <= top and not cur[lo]:
+                lo += 1
+            if lo > top:  # level f is empty, and level f + 2 takes over
+                if ntop < 0:
+                    return None
+                cur, nxt = nxt, cur
+                lo, top, nlo, ntop = nlo, ntop, len(cur), -1
+            bucket = cur[lo]
+        i = bucket.popleft()
         if i == t:
             return Plan([s, *marked_path(seen, w, s, t)])
         # No closed set: with a consistent heuristic the first pop of ``i``
         # carries its final g, so a stale pop finds every neighbour at a g
-        # of at most ``g_next`` and pushes nothing.
-        g_next = g_score[i] + 1
-        for d, mark in steps:
-            j = i + d
-            b = seen[j]
-            if b == WALL or b == OUTSIDE:
-                continue
-            if j in g_score and g_score[j] <= g_next:
-                continue
-            g_score[j] = g_next
-            seen[j] = mark
-            x, y = divmod(j, w)
-            h = abs(x - tx) + abs(y - ty)
-            heapq.heappush(frontier, (g_next + h, h, counter, j))
-            counter += 1
-    return None
+        # of at most ``gj`` and pushes nothing.
+        gj = g[i] + 1
+        # The h of a same-level push, fixed before a push moves ``lo``.
+        down = lo - 1
+        # The four headings unrolled, E, S, W, N; ``not b`` is an enterable cell not yet pushed.
+        j = i + 1
+        b = seen[j]
+        if not b or b > 3 and g[j] > gj:
+            g[j] = gj
+            seen[j] = 4
+            hj = h[j]
+            if hj == down:
+                lo = down
+                level = cur
+            else:
+                level = nxt
+                if hj < nlo:
+                    nlo = hj
+                if hj > ntop:
+                    ntop = hj
+            bucket = level[hj]
+            if bucket is None:
+                level[hj] = deque((j,))
+            else:
+                bucket.append(j)
+        j = i + w
+        b = seen[j]
+        if not b or b > 3 and g[j] > gj:
+            g[j] = gj
+            seen[j] = 5
+            hj = h[j]
+            if hj == down:
+                lo = down
+                level = cur
+            else:
+                level = nxt
+                if hj < nlo:
+                    nlo = hj
+                if hj > ntop:
+                    ntop = hj
+            bucket = level[hj]
+            if bucket is None:
+                level[hj] = deque((j,))
+            else:
+                bucket.append(j)
+        j = i - 1
+        b = seen[j]
+        if not b or b > 3 and g[j] > gj:
+            g[j] = gj
+            seen[j] = 6
+            hj = h[j]
+            if hj == down:
+                lo = down
+                level = cur
+            else:
+                level = nxt
+                if hj < nlo:
+                    nlo = hj
+                if hj > ntop:
+                    ntop = hj
+            bucket = level[hj]
+            if bucket is None:
+                level[hj] = deque((j,))
+            else:
+                bucket.append(j)
+        j = i - w
+        b = seen[j]
+        if not b or b > 3 and g[j] > gj:
+            g[j] = gj
+            seen[j] = 7
+            hj = h[j]
+            if hj == down:
+                lo = down
+                level = cur
+            else:
+                level = nxt
+                if hj < nlo:
+                    nlo = hj
+                if hj > ntop:
+                    ntop = hj
+            bucket = level[hj]
+            if bucket is None:
+                level[hj] = deque((j,))
+            else:
+                bucket.append(j)
 
 
 def follow_plan(plan: Plan, knowledge: KnowledgeMap) -> int | None:

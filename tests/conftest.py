@@ -367,3 +367,110 @@ def reference_spiral_next(state, maze, knowledge):
         else:
             state.detour_seen.add(key)
     return pos
+
+
+def reference_episode(cfg, maze=None):
+    """Independent episode: the log ``run_episode(cfg)`` must produce.
+
+    A textbook loop over the oracles above, kept apart from the code it
+    checks: the walker is ``reference_spiral_next`` and the planner
+    ``reference_astar``, and no ``spiral_next``, ``astar_plan``,
+    ``follow_plan`` or ``cells_for_coverage`` is used. It computes
+    coverage on every step and compares it with the threshold as a
+    float, calls ``arrive`` on every convergence step, revisits
+    included, and reads ``known`` for a wall on the next waypoint. It
+    runs on ``maze`` when one is given, and on the carved maze otherwise.
+    """
+    from mazeswitch.episode import (
+        FIXED_THRESHOLD,
+        STEP_LIMIT_EXCEEDED,
+        SUCCESS,
+        DecisionRecord,
+        EpisodeLog,
+    )
+    from mazeswitch.grid import KnowledgeMap, coverage_percent, generate_maze, manhattan
+    from mazeswitch.qlearn import (
+        QTable,
+        decision_reward,
+        discretize,
+        q_update,
+        select_action,
+        terminal_reward,
+    )
+
+    if maze is None:
+        maze = generate_maze(cfg.n, cfg.maze_seed)
+    n, limit = cfg.n, cfg.step_limit
+    learning = cfg.variant.convergence == "rl"
+    knowledge = KnowledgeMap(n, sample_stride=1 if cfg.variant.base == "spiral" else 4)
+    pos, target = knowledge.index(0, 0), knowledge.index(*maze.target)
+    knowledge.arrive(maze, pos)
+    walker = ReferenceSpiralState(pos)
+    trajectory = [(0, 0)]
+    threshold = None if cfg.variant.convergence == "none" else FIXED_THRESHOLD
+    q = QTable(cfg.rl_seed) if learning else None
+    decisions = []
+    previous = (0, 0.0)
+    switch_step = switch_coverage = None
+    path = None  # the waypoints still to walk, next one first
+    plans = 0
+
+    steps = 0
+    while steps < limit:
+        if switch_step is None:
+            pos = reference_spiral_next(walker, maze, knowledge)
+        else:
+            if path is None:
+                path = reference_astar(pos, target, knowledge)
+                if path is None:
+                    raise AssertionError("no optimistic path")
+                path = path[1:]
+                plans += 1
+            if knowledge.known[path[0]] == WALL:
+                path = None
+                continue
+            pos = path.pop(0)
+            knowledge.arrive(maze, pos)
+        steps += 1
+        trajectory.append(knowledge.cell(pos))
+        if pos == target:
+            break
+        if switch_step is not None or threshold is None:
+            continue
+        coverage = coverage_percent(knowledge)
+        if learning and steps % cfg.decision_period == 0 and coverage < threshold:
+            state = discretize(coverage, manhattan(knowledge.cell(pos), maze.target), n)
+            action = select_action(q, state)
+            threshold = float(action)
+            reward = decision_reward(previous, (steps, coverage), limit)
+            if decisions:
+                q_update(q, decisions[-1].state_index, decisions[-1].action, reward, state)
+            decisions.append(DecisionRecord(steps, state, action, reward))
+            previous = (steps, coverage)
+        if coverage >= threshold:
+            switch_step, switch_coverage = steps, coverage
+
+    final_coverage = coverage_percent(knowledge)
+    log = EpisodeLog(
+        config=cfg,
+        outcome=SUCCESS if pos == target else STEP_LIMIT_EXCEEDED,
+        total_steps=steps,
+        final_coverage=final_coverage,
+        switch_step=switch_step,
+        switch_coverage=switch_coverage,
+        trajectory=trajectory,
+        decisions=decisions,
+        counters={"replans": max(plans - 1, 0), "history_len": len(knowledge.sampled_history)},
+    )
+    if learning:
+        final = log.terminal_reward = terminal_reward(steps, limit, final_coverage, switch_coverage)
+        log.terminal_state_index = discretize(
+            final_coverage, manhattan(knowledge.cell(pos), maze.target), n
+        )
+        log.terminal_decision_reward = decision_reward(
+            previous, (steps, final_coverage), limit, switch_bonus=final.r_switching
+        )
+        if decisions:
+            q_update(q, decisions[-1].state_index, decisions[-1].action, final.total, None)
+        log.q_values = q.values
+    return log

@@ -219,6 +219,24 @@ class TestCounters:
         assert len(maps) == maps[-1].visited_count == len(set(log.trajectory))
         assert len(maps) < log.total_steps / 4, (len(maps), log.total_steps)
 
+    def test_the_a_star_phase_arrives_the_walkers_way(self, monkeypatch):
+        # After the switch, too, a revisit skips ``arrive``: the calls over
+        # the whole episode are the distinct cells it stood on.
+        maps = []
+        arrive = KnowledgeMap.arrive
+
+        def counting_arrive(knowledge, maze, i):
+            maps.append(knowledge)
+            return arrive(knowledge, maze, i)
+
+        monkeypatch.setattr(KnowledgeMap, "arrive", counting_arrive)
+        log = run_episode(EpisodeConfig(n=128, maze_seed=1, variant=VARIANTS["spiral_conv"]))
+        assert log.switch_step is not None
+        before = set(log.trajectory[: log.switch_step + 1])
+        after = log.trajectory[log.switch_step + 1 :]
+        assert any(cell in before for cell in after)  # the A* phase does revisit
+        assert len(maps) == maps[-1].visited_count == len(set(log.trajectory))
+
     def test_record_carries_the_counters(self):
         log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))
         assert to_record(log)["counters"] == log.counters == {"replans": 0, "history_len": 25}

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mazeswitch.episode as episode
+from mazeswitch.episode import VARIANTS, EpisodeConfig, run_episode
 from mazeswitch.grid import (
     OPEN,
     OUTSIDE,
@@ -96,6 +98,23 @@ class TestAstarPlan:
         plan = astar_plan(s, t, k)
         assert (None if plan is None else plan.waypoints) == reference_astar(s, t, k)
         assert k.known == before
+
+    @pytest.mark.parametrize("variant", ["spiral_conv", "spiral_rl"])
+    def test_every_plan_of_an_episode_matches_the_reference_planner(self, variant, monkeypatch):
+        # Plans over real partial knowledge at 64 climb many f levels,
+        # which the small random maps above rarely do.
+        climbs = []
+
+        def checked_plan(s, t, knowledge):
+            plan = astar_plan(s, t, knowledge)
+            assert plan.waypoints == reference_astar(s, t, knowledge)
+            climbs.append(plan.cost - manhattan(knowledge.cell(s), knowledge.cell(t)))
+            return plan
+
+        monkeypatch.setattr(episode, "astar_plan", checked_plan)
+        for maze_seed in range(3):
+            run_episode(EpisodeConfig(n=64, maze_seed=maze_seed, variant=VARIANTS[variant]))
+        assert len(climbs) >= 3 and max(climbs) >= 40, climbs
 
     def test_cost_never_below_manhattan(self):
         maze = generate_maze(16, 4)

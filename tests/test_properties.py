@@ -2,17 +2,30 @@
 
 Each property draws an even size in [8, 32] (the record codec's in
 [8, 64]) and any 64-bit maze seed, negative ones included, so it reaches
-layouts the fixed-seed tests never see. The text round trip also runs
-over hand-built grids of any size in [2, 24] with random walls.
+layouts the fixed-seed tests never see. Every record must equal the one
+``conftest.reference_episode`` writes, over every variant, odd decision
+periods and short step limits, and also with the target walled in. The
+text round trip also runs over hand-built grids of any size in [2, 24]
+with random walls.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from unittest import mock
 
-from mazeswitch.episode import VARIANTS, EpisodeConfig, run_episode, to_record
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import mazeswitch.episode as episode
+from mazeswitch.episode import (
+    VARIANT_ORDER,
+    VARIANTS,
+    EpisodeConfig,
+    record_to_json,
+    run_episode,
+    to_record,
+)
 from mazeswitch.grid import MazeGrid, from_text, generate_maze, manhattan, to_text
 from mazeswitch.qlearn import POTENTIAL_OFFSET
-from conftest import decode_moves
+from conftest import decode_moves, reference_episode
 
 MAZE_SIZES = st.integers(4, 16).map(lambda half: 2 * half)
 SEEDS = st.integers(-(2**63), 2**64 - 1)
@@ -41,6 +54,57 @@ def test_episode_invariants(n, seed, variant, rl_seed):
         assert total + POTENTIAL_OFFSET == pytest.approx(log.terminal_reward.total, abs=1e-9)
     else:
         assert log.decisions == [] and log.terminal_reward is None
+
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER)
+@settings(max_examples=60, deadline=None)
+@given(
+    n=MAZE_SIZES,
+    seed=SEEDS,
+    rl_seed=SEEDS,
+    period=st.integers(0, 40).map(lambda k: 2 * k + 1) | st.sampled_from((50, 1000)),
+    limit=st.none() | st.integers(1, 600),
+)
+# A walk whose breakout search finds a path, and which mops up later.
+@example(n=18, seed=11235574, rl_seed=0, period=1, limit=None)
+def test_record_equals_the_reference_episodes(variant, n, seed, rl_seed, period, limit):
+    cfg = EpisodeConfig(
+        n=n,
+        maze_seed=seed,
+        variant=VARIANTS[variant],
+        rl_seed=rl_seed,
+        step_limit=limit,
+        decision_period=period,
+    )
+    assert record_to_json(run_episode(cfg)) == record_to_json(reference_episode(cfg))
+
+
+def _record_or_no_path(run, *args):
+    try:
+        return record_to_json(run(*args))
+    except AssertionError:  # the planner found no path to the target
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half=st.integers(4, 8),
+    seed=SEEDS,
+    variant=st.sampled_from(VARIANT_ORDER),
+    limit=st.none() | st.integers(1, 600),
+)
+def test_record_equals_the_reference_episodes_on_a_sealed_target(half, seed, variant, limit):
+    # A target walled in on all four sides ends no episode: the walker
+    # covers what it can reach and mops up, and a plan finds no path.
+    n = 2 * half
+    walls = [bytearray(row) for row in generate_maze(n, seed).walls]
+    for x, y in ((half, half + 1), (half + 1, half), (half, half - 1), (half - 1, half)):
+        walls[x][y] = 1
+    maze = MazeGrid(n=n, walls=walls, seed=seed)
+    cfg = EpisodeConfig(n=n, maze_seed=seed, variant=VARIANTS[variant], step_limit=limit)
+    with mock.patch.object(episode, "generate_maze", lambda n, seed: maze):
+        record = _record_or_no_path(run_episode, cfg)
+    assert record == _record_or_no_path(reference_episode, cfg, maze)
 
 
 @settings(max_examples=30, deadline=None)
