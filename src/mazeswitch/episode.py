@@ -1,12 +1,12 @@
-"""One agent run: variant wiring, step loop, decision cadence, logging.
+"""One agent run: variant wiring, the two phase loops, decision cadence, logging.
 
 An episode walks the coverage policy from (0, 0). Variants with a
 convergence mode switch permanently to A* pathfinding on the first step
 whose coverage percentage reaches the active threshold: 40% for fixed
 variants, the most recently selected action for learning variants
-(initialized to 40% until the first decision). The loop checks this by
-count: ``grid.cells_for_coverage`` turns each new threshold into the
-least visited count that reaches it, so a step compares two ints and
+(initialized to 40% until the first decision). The coverage loop checks
+this by count: ``grid.cells_for_coverage`` turns each new threshold into
+the least visited count that reaches it, so a step compares two ints and
 ``coverage_percent`` runs only on decision steps and at the switch.
 
 Learning variants take a threshold decision every ``decision_period``
@@ -17,16 +17,16 @@ sets the threshold at or below current coverage triggers the switch
 immediately. After the episode ends, one terminal update credits the
 last decision with the full terminal reward.
 
-Both phases end a step in one place: the step is counted and logged,
-and standing on the target ends the episode (success); otherwise the
-step limit (default 4 * n * n) does. Replans during convergence do not
-move the agent and therefore do not consume steps.
+The phases are two loops, one after the other. The coverage loop ends on
+the target (success), at the step limit (default 4 * n * n) or at the
+switch. Only a switch with steps left starts the convergence loop, from the
+walk's last position, step count and knowledge; its replans take no step.
 
-The loop tracks positions as flat layout indices, as the walker and the
+Both loops track positions as flat layout indices, as the walker and the
 planner do; the trajectory becomes ``(x, y)`` pairs once, when the
 episode ends, by lookup into the maze's ``Layout.cells``. The agent
 learns walls only through ``KnowledgeMap.arrive`` on each cell it enters
-for the first time. A revisit learns nothing, so both phases call
+for the first time. A revisit learns nothing, so both loops call
 ``arrive`` on a first visit only.
 
 A record (``to_record``, schema version 2) stores the trajectory as a
@@ -123,9 +123,10 @@ class EpisodeConfig:
     decision_period: int = DEFAULT_DECISION_PERIOD
 
     def __post_init__(self):
-        check_maze_size(self.n)
-        if self.step_limit is None:
+        if self.step_limit is None and type(self.n) is int:
             object.__setattr__(self, "step_limit", 4 * self.n * self.n)
+        _check_integers(vars(self))
+        check_maze_size(self.n)
         if self.step_limit <= 0:
             raise ValueError("step_limit must be positive")
         if self.decision_period <= 0:
@@ -139,6 +140,13 @@ class EpisodeConfig:
 
 # A record's config holds these keys; the variant is stored as its name.
 _CONFIG_KEYS = tuple(f.name for f in fields(EpisodeConfig))
+
+
+def _check_integers(config: dict) -> None:
+    """ValueError naming the config values, the variant aside, that are not ints."""
+    not_int = [key for key in _CONFIG_KEYS if key != "variant" and type(config[key]) is not int]
+    if not_int:  # a bool is not an int here, as in a record
+        raise ValueError(f"config values must be integers: {not_int}")
 
 
 @dataclass
@@ -197,36 +205,15 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
 
     switch_step: Optional[int] = None  # None while exploring
     switch_coverage: Optional[float] = None
-    plan = None
-    replans = 0
     steps = 0
 
     while steps < limit:
-        if switch_step is None:
-            # spiral_next arrives on the new cell itself.
-            pos = spiral_next(state, maze, knowledge)
-        else:
-            if plan is None:
-                plan = astar_plan(pos, target, knowledge)
-                if plan is None:
-                    raise AssertionError(
-                        f"no optimistic path from {knowledge.cell(pos)} to {maze.target}"
-                    )
-            nxt = follow_plan(plan, knowledge)
-            if nxt is None:  # the next waypoint is a known wall
-                plan = None
-                replans += 1
-                if replans > n * n:
-                    raise AssertionError("replanning failed to make progress")
-                continue
-            pos = nxt
-            if not knowledge.visited_mask[pos]:  # a revisit records and senses nothing
-                knowledge.arrive(maze, pos)
+        pos = spiral_next(state, maze, knowledge)  # arrives on the new cell itself
         steps += 1
         trajectory.append(pos)
         if pos == target:
             break
-        if switch_step is not None or switch_count is None:
+        if switch_count is None:
             continue
         if learning and steps % cfg.decision_period == 0 and knowledge.visited_count < switch_count:
             coverage = coverage_percent(knowledge)
@@ -241,6 +228,29 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             prev_snapshot = (steps, coverage)
         if knowledge.visited_count >= switch_count:
             switch_step, switch_coverage = steps, coverage_percent(knowledge)
+            break
+
+    plan = None
+    replans = 0
+    while steps < limit and pos != target:
+        if plan is None:
+            plan = astar_plan(pos, target, knowledge)
+            if plan is None:
+                raise AssertionError(
+                    f"no optimistic path from {knowledge.cell(pos)} to {maze.target}"
+                )
+        nxt = follow_plan(plan, knowledge)
+        if nxt is None:  # the next waypoint is a known wall
+            plan = None
+            replans += 1
+            if replans > n * n:
+                raise AssertionError("replanning failed to make progress")
+            continue
+        pos = nxt
+        if not knowledge.visited_mask[pos]:  # a revisit records and senses nothing
+            knowledge.arrive(maze, pos)
+        steps += 1
+        trajectory.append(pos)
 
     final_coverage = coverage_percent(knowledge)
     log = EpisodeLog(
@@ -342,9 +352,7 @@ def config_from_record(record: dict) -> EpisodeConfig:
     variant = cfg["variant"]
     if not isinstance(variant, str) or variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    not_int = [key for key in _CONFIG_KEYS if key != "variant" and type(cfg[key]) is not int]
-    if not_int:
-        raise ValueError(f"config values must be integers: {not_int}")
+    _check_integers(cfg)  # a record holds the resolved step limit, never null
     values = {key: cfg[key] for key in _CONFIG_KEYS}  # an unknown key is ignored
     values["variant"] = VARIANTS[variant]
     return EpisodeConfig(**values)

@@ -19,7 +19,6 @@ from mazeswitch.episode import (
     run_episode,
     to_record,
 )
-from mazeswitch.pathfind import astar_plan
 from mazeswitch import spiral
 from mazeswitch.grid import KnowledgeMap, MazeGrid, manhattan, nearest_path
 from mazeswitch.qlearn import POTENTIAL_OFFSET, potential, switching_component
@@ -131,20 +130,22 @@ class TestRunEpisode:
         assert success.final_coverage == coverage_prefix(success.trajectory, 32)[-1]
 
 
+@pytest.fixture
+def sealed_target(monkeypatch):
+    """Every maze is an open 16x16 grid whose target is walled in on all four sides."""
+    walls = [[False] * 16 for _ in range(16)]
+    for x, y in ((8, 9), (9, 8), (8, 7), (7, 8)):
+        walls[x][y] = True
+    maze = MazeGrid(n=16, walls=walls, seed=0)
+    monkeypatch.setattr(episode, "generate_maze", lambda n, seed: maze)
+
+
 class TestSealedTarget:
     """A target walled in on all four sides, pinned as it behaves today.
 
     The coverage walker runs out its step limit having visited every
     reachable cell; a convergence variant's first plan finds no route.
     """
-
-    @pytest.fixture
-    def sealed_target(self, monkeypatch):
-        walls = [[False] * 16 for _ in range(16)]
-        for x, y in ((8, 9), (9, 8), (8, 7), (7, 8)):
-            walls[x][y] = True
-        maze = MazeGrid(n=16, walls=walls, seed=0)
-        monkeypatch.setattr(episode, "generate_maze", lambda n, seed: maze)
 
     @pytest.mark.parametrize("vname", ["spiral", "sentinel"])
     def test_walker_runs_out_its_step_limit(self, sealed_target, vname):
@@ -177,18 +178,43 @@ class TestSealedTarget:
 
 
 class TestCounters:
-    def test_replans_count_the_plans_after_the_first(self, monkeypatch):
-        plans = []
+    @pytest.mark.parametrize(
+        "maze, cfg",
+        [
+            ("carved", EpisodeConfig(n=32, maze_seed=7, variant=VARIANTS["spiral_conv"])),
+            (
+                "sealed_target",
+                EpisodeConfig(n=16, maze_seed=0, variant=VARIANTS["spiral_conv"], step_limit=102),
+            ),
+        ],
+        ids=["switch-mid-episode", "switch-on-the-last-step"],
+    )
+    def test_each_phase_makes_its_own_calls(self, request, monkeypatch, maze, cfg):
+        # The walk steps only up to its switch; A* plans and follows only
+        # after it, and a switch on the last allowed step plans nothing.
+        # ``replans`` counts the plans after the first.
+        if maze == "sealed_target":
+            request.getfixturevalue(maze)
+        calls = {"spiral_next": 0, "astar_plan": 0, "follow_plan": 0}
+        for name in calls:
 
-        def counting_plan(*args):
-            plans.append(args)
-            return astar_plan(*args)
+            def counting(*args, _name=name, _real=getattr(episode, name)):
+                calls[_name] += 1
+                return _real(*args)
 
-        monkeypatch.setattr(episode, "astar_plan", counting_plan)
-        log = run_episode(EpisodeConfig(n=32, maze_seed=7, variant=VARIANTS["spiral_conv"]))
+            monkeypatch.setattr(episode, name, counting)
+        log = run_episode(cfg)
         assert log.switch_step is not None
-        assert len(plans) > 1
-        assert log.counters["replans"] == len(plans) - 1
+        replans = log.counters["replans"]
+        assert calls["spiral_next"] == log.switch_step
+        assert calls["follow_plan"] == log.total_steps - log.switch_step + replans
+        if maze == "carved":
+            assert log.outcome == SUCCESS
+            assert calls["astar_plan"] == replans + 1 > 1
+        else:
+            assert log.switch_step == log.total_steps == cfg.step_limit
+            assert log.outcome == STEP_LIMIT_EXCEEDED
+            assert calls["astar_plan"] == replans == 0
 
     def test_no_plans_without_a_switch(self):
         log = run_episode(EpisodeConfig(n=32, maze_seed=4, variant=VARIANTS["spiral_conv"]))
@@ -257,6 +283,38 @@ class TestConfigRecord:
     def test_rejects_a_zero_count(self, key):
         with pytest.raises(ValueError, match=f"{key} must be positive"):
             EpisodeConfig(n=16, maze_seed=2, variant=VARIANTS["spiral"], **{key: 0})
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [
+            ({"n": 16.0, "step_limit": 1024}, ["n"]),
+            ({"n": 16.0}, ["n", "step_limit"]),  # the default limit is 4 * n * n
+            ({"n": "16"}, ["n", "step_limit"]),  # ... and only an int size resolves it
+            ({"maze_seed": 1.5}, ["maze_seed"]),
+            ({"rl_seed": True}, ["rl_seed"]),
+            ({"step_limit": 10.5}, ["step_limit"]),
+            ({"step_limit": 100.0}, ["step_limit"]),
+            ({"decision_period": "50"}, ["decision_period"]),
+        ],
+        ids=[
+            "float-size", "float-size-default-limit", "str-size", "float-maze-seed",
+            "bool-rl-seed", "float-limit", "whole-float-limit", "str-period",
+        ],
+    )
+    def test_rejects_a_value_that_is_not_an_int(self, values, named):
+        # Unchecked, a float limit runs an episode whose record replay
+        # refuses, and a float size or seed fails deep in the grid code.
+        with pytest.raises(ValueError) as raised:
+            EpisodeConfig(**{"n": 16, "maze_seed": 1, "variant": VARIANTS["spiral"], **values})
+        assert str(raised.value) == f"config values must be integers: {named}"
+
+    def test_record_with_a_null_step_limit_is_rejected(self):
+        # A record holds the resolved limit; only a config built in code may omit it.
+        cfg = EpisodeConfig(n=16, maze_seed=2, variant=VARIANTS["spiral"])
+        record = to_record(run_episode(cfg))
+        record["config"]["step_limit"] = None
+        with pytest.raises(ValueError, match=r"^config values must be integers: \['step_limit'\]$"):
+            config_from_record(record)
 
     def test_unknown_config_key_is_ignored(self):
         cfg = EpisodeConfig(n=16, maze_seed=2, variant=VARIANTS["spiral"])
