@@ -66,6 +66,16 @@ class SuiteConfig:
             raise ValueError("sizes must not be empty")
         if not self.variants:
             raise ValueError("variants must not be empty")
+        for name, values, kind in (
+            ("sizes", self.sizes, int),
+            ("mazes_per_size", (self.mazes_per_size,), int),
+            ("variants", self.variants, str),
+            ("base_seed", (self.base_seed,), int),
+            ("jobs", (self.jobs,), int),
+        ):
+            wrong = [v for v in values if type(v) is not kind]  # a bool is not an int here
+            if wrong:
+                raise ValueError(f"{name} must be {kind.__name__}, not {', '.join(map(repr, wrong))}")
         for n in self.sizes:
             check_maze_size(n)
         if self.jobs < 1:

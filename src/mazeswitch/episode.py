@@ -29,19 +29,25 @@ learns walls only through ``KnowledgeMap.arrive`` on each cell it enters
 for the first time. A revisit learns nothing, so both loops call
 ``arrive`` on a first visit only.
 
-A record (``to_record``, schema version 2) stores the trajectory as a
+A record (``to_record``, schema version 3) stores the trajectory as a
 move string, one letter per step from the start (0, 0): ``E``, ``S``,
 ``W``, ``N`` for (dx, dy) = (0, +1), (+1, 0), (0, -1), (-1, 0), the
-order of ``Layout.offsets``. Version 1 records, which have no
-``schema_version`` and list every position as ``[x, y]``, are still read
-by ``moves_from_record``. The record's ``counters`` are exact and cost
-nothing per step: ``replans`` counts the A* plans after the first, and
-``history_len`` is the length of the stored visit history, the one
-output in which a sentinel agent differs from its spiral twin.
+order of ``Layout.offsets``. A learning variant's ``q_values`` hold only
+the Q-table rows that are not all 0.0, keyed by state index as a string;
+``EpisodeLog.q_values`` stays dense. The record's ``counters`` are
+exact. ``spiral.walker_counts`` gives the walker's steps by phase and
+its detour breakouts, ``convergence`` counts the A* steps, and the five
+step counts add up to ``total_steps``. ``replans`` counts the A* plans
+after the first, and ``history_len`` is the length of the stored visit
+history, the one output in which a sentinel agent differs from its
+spiral twin. Version 2 records have dense ``q_values`` and only those
+last two counters; version 1 records, which have no ``schema_version``
+and list every position as ``[x, y]``, have no counters.
 
 Everything is a pure function of the config, so suites may execute
 episodes concurrently and records are replayed here: ``replay_record``
-runs a record line's episode again and names the fields that differ.
+runs a record line's episode again, renders it in the logged record's
+version and names the fields that differ.
 """
 
 from __future__ import annotations
@@ -68,12 +74,12 @@ from .qlearn import (
     select_action,
     terminal_reward,
 )
-from .spiral import SpiralState, spiral_next
+from .spiral import SpiralState, spiral_next, walker_counts
 
 FIXED_THRESHOLD = 40.0
 DEFAULT_DECISION_PERIOD = 50
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 SUCCESS = "success"
 STEP_LIMIT_EXCEEDED = "step_limit_exceeded"
@@ -123,6 +129,8 @@ class EpisodeConfig:
     decision_period: int = DEFAULT_DECISION_PERIOD
 
     def __post_init__(self):
+        if not isinstance(self.variant, VariantSpec):
+            raise ValueError(f"variant must be a VariantSpec, got {self.variant!r}")
         if self.step_limit is None and type(self.n) is int:
             object.__setattr__(self, "step_limit", 4 * self.n * self.n)
         _check_integers(vars(self))
@@ -171,7 +179,7 @@ class EpisodeLog:
     terminal_decision_reward: Optional[float] = None
     terminal_reward: Optional[RewardBreakdown] = None
     q_values: Optional[list] = None
-    counters: dict = field(default_factory=dict)  # {"replans": ..., "history_len": ...}
+    counters: dict = field(default_factory=dict)  # the record's counters, by name
 
     @property
     def role_switches(self) -> int:
@@ -230,6 +238,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             switch_step, switch_coverage = steps, coverage_percent(knowledge)
             break
 
+    walked = steps
     plan = None
     replans = 0
     while steps < limit and pos != target:
@@ -262,7 +271,12 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         switch_coverage=switch_coverage,
         trajectory=list(map(maze.layout.cells.__getitem__, trajectory)),
         decisions=decisions,
-        counters={"replans": replans, "history_len": len(knowledge.sampled_history)},
+        counters=dict(
+            walker_counts(state, walked),
+            convergence=steps - walked,
+            replans=replans,
+            history_len=len(knowledge.sampled_history),
+        ),
     )
     if learning:
         final = log.terminal_reward = terminal_reward(steps, limit, final_coverage, switch_coverage)
@@ -333,7 +347,7 @@ def to_record(log: EpisodeLog) -> dict:
             "decision_reward": log.terminal_decision_reward,
             **asdict(log.terminal_reward),
         }
-        record["q_values"] = log.q_values
+        record["q_values"] = {str(i): row for i, row in enumerate(log.q_values) if any(row)}
     return record
 
 
@@ -360,13 +374,13 @@ def config_from_record(record: dict) -> EpisodeConfig:
 
 def _schema_version(record: dict) -> int:
     """The record's schema version; a record without the key is version 1."""
-    if "schema_version" in record and record["schema_version"] != SCHEMA_VERSION:
+    if "schema_version" in record and record["schema_version"] not in (2, SCHEMA_VERSION):
         raise ValueError(f"unknown schema_version {record['schema_version']!r}")
     return record.get("schema_version", 1)
 
 
 def moves_from_record(record: dict) -> str:
-    """The move string of a version 1 or 2 record; ValueError if malformed.
+    """The move string of a version 1, 2 or 3 record; ValueError if malformed.
 
     A version 1 trajectory, a list of ``[x, y]`` positions from (0, 0),
     goes through ``encode_moves``. A trajectory of the wrong length is
@@ -374,14 +388,15 @@ def moves_from_record(record: dict) -> str:
     to find.
     """
     trajectory = record.get("trajectory")
-    if _schema_version(record) == 1:
+    version = _schema_version(record)
+    if version == 1:
         if not isinstance(trajectory, list):
             raise ValueError("a version 1 trajectory must be a list of positions")
         if not trajectory or trajectory[0] != [0, 0]:
             raise ValueError("trajectory does not start at (0, 0)")
         return encode_moves(trajectory)
     if not isinstance(trajectory, str):
-        raise ValueError("a version 2 trajectory must be a move string")
+        raise ValueError(f"a version {version} trajectory must be a move string")
     unknown = set(trajectory) - set("ESWN")
     if unknown:
         raise ValueError(f"unknown move letters {sorted(unknown)}")
@@ -391,13 +406,21 @@ def moves_from_record(record: dict) -> str:
 def replay_record(line: str) -> list:
     """Run a record line's episode again; the sorted names of the fields that differ.
 
-    ValueError if the line is not a well-formed version 1 or 2 record.
+    ValueError if the line is not a well-formed version 1, 2 or 3 record.
+    The fresh record is rendered in the logged record's version.
     """
     logged = json.loads(line)
     cfg = config_from_record(logged)  # checked before the trajectory
     logged["trajectory"] = moves_from_record(logged)
-    fresh = to_record(run_episode(cfg))
-    if _schema_version(logged) == 1:  # version 1 had neither field
+    log = run_episode(cfg)
+    fresh = to_record(log)
+    version = _schema_version(logged)
+    if version < 3:  # dense Q-values, and version 2 had two counters
+        if "q_values" in fresh:
+            fresh["q_values"] = log.q_values
+        fresh["schema_version"] = version
+        fresh["counters"] = {key: log.counters[key] for key in ("replans", "history_len")}
+    if version == 1:  # version 1 had neither field
         del fresh["schema_version"], fresh["counters"]
     absent = object()  # a field that only one side has differs, even if it is null
     return sorted(k for k in {*logged, *fresh} if logged.get(k, absent) != fresh.get(k, absent))

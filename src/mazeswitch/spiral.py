@@ -42,6 +42,18 @@ arrives on it, and on a detour then settles it: the detour ends at the
 cursor, breaks out, or goes on. Only a first visit calls
 ``KnowledgeMap.arrive``; a revisit would record and sense nothing.
 
+``walker_counts`` gives the walker's steps by phase and its detour
+breakouts, named by ``COUNT_NAMES``. The branch that takes a step names
+its phase, and mop-up is the cursor past the end when the step begins:
+an escape step is ``mopup`` then and ``escape`` otherwise, a ring step
+is ``ring``, and a wall-following step is ``mopup`` then and ``detour``
+otherwise. A detour breakout counts as ``loop`` when the detour
+revisits one of its states and as ``stale`` otherwise. Only ring steps
+and wall-following mop-up steps are counted as they are taken: an
+escape path's cells are counted when it is planned, and a detour step
+is any step that no other phase took, so the two most common steps
+cost nothing to count.
+
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
 reading the layout.
@@ -58,6 +70,9 @@ from .grid import OPEN, KnowledgeMap, MazeGrid, layout, nearest_path, probe
 # A detour hug that only retraces visited cells for this many consecutive
 # steps is abandoned in favour of a direct walk to unvisited ground.
 STALE_DETOUR_LIMIT = 24
+
+# The keys of ``walker_counts``: steps by phase, then detour breakouts.
+COUNT_NAMES = ("ring", "detour", "escape", "mopup", "loop", "stale")
 
 # Wall-following preference from each heading: right, straight, left, back.
 _FOLLOW_ORDER = tuple(tuple((h + turn) % 4 for turn in (1, 0, 3, 2)) for h in range(4))
@@ -113,7 +128,9 @@ class SpiralState:
     unvisited ground finds none. It stays True and the walker searches
     no more: it then only wall-follows over visited cells, so no later
     search could find any. ``tables`` holds ``spiral_route(n)`` and its
-    length from the first step on.
+    length from the first step on. ``counts`` holds the tallies behind
+    ``walker_counts``: ring steps, escape cells, mop-up cells and steps,
+    loop breakouts and stale breakouts.
     """
 
     pos: int
@@ -124,6 +141,7 @@ class SpiralState:
     escape_path: deque = field(init=False, default_factory=deque)
     exhausted: bool = field(init=False, default=False)
     tables: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    counts: list = field(init=False, default_factory=lambda: [0] * 5)
 
 
 def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> int:
@@ -151,6 +169,7 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
             state.exhausted = True
         else:
             escape = state.escape_path = deque(path)
+            state.counts[2] += len(path)  # mop-up cells
 
     if escape:
         # Walk one cell along a committed path through known-free cells.
@@ -163,15 +182,19 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
         nxt = route[next_k]
         state.heading = offsets.index(nxt - pos)
         state.next_k = next_k + 1
+        state.counts[0] += 1  # ring steps
     else:
         # Wall-following: a detour step, or the reachable component is
         # fully visited and the walker keeps moving regardless.
-        if seen is None and next_k < end:
-            # Blocked: hug the obstruction, keeping it on the right.
-            seen = state.detour_seen = set()
-            state.detour_stale = 0
-            approach = offsets.index(route[next_k] - pos)
-            state.heading = (approach + 3) % 4  # turn left
+        if seen is None:
+            if next_k == end:
+                state.counts[2] += 1  # mop-up steps
+            else:
+                # Blocked: hug the obstruction, keeping it on the right.
+                seen = state.detour_seen = set()
+                state.detour_stale = 0
+                approach = offsets.index(route[next_k] - pos)
+                state.heading = (approach + 3) % 4  # turn left
         # Right-hand rule from the four neighbour facts sensed on arrival
         # at ``pos``: prefer a right turn, then straight, left, back.
         known = knowledge.known
@@ -202,6 +225,7 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
             # this way. Break out toward fresh ground: the nearest
             # unvisited cell over known-free cells, whose intermediate
             # cells are all visited already. With none left, mop up.
+            state.counts[3 if key in seen else 4] += 1  # loop, else stale breakouts
             state.detour_seen = None
             path = nearest_path(knowledge.known, knowledge.stride, nxt, knowledge.visited_mask)
             if path is None:
@@ -209,6 +233,24 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
                 state.exhausted = True
             else:
                 state.escape_path = deque(path)
+                state.counts[1] += len(path)  # escape cells
         else:
             seen.add(key)
     return nxt
+
+
+def walker_counts(state: SpiralState, steps: int) -> dict:
+    """The walker's exact counts after ``steps`` calls of ``spiral_next``.
+
+    Keyed by ``COUNT_NAMES``. A path's cells were counted when it was
+    planned, so the cells still ahead on ``escape_path`` come off its
+    phase: mop-up when the cursor is past the end, escape otherwise.
+    """
+    ring, escape, mopup, loop, stale = state.counts
+    ahead = len(state.escape_path)
+    if ahead and state.next_k == state.tables[3]:
+        mopup -= ahead
+    else:
+        escape -= ahead
+    detour = steps - ring - escape - mopup
+    return dict(zip(COUNT_NAMES, (ring, detour, escape, mopup, loop, stale)))

@@ -275,7 +275,11 @@ def seed_with_output(value, t=1):
 
 
 class ReferenceSpiralState:
-    """Walker bookkeeping of ``reference_spiral_next``, with its own detour flag."""
+    """Walker bookkeeping of ``reference_spiral_next``, with its own detour flag.
+
+    ``counts`` maps each name of ``spiral.COUNT_NAMES`` to the steps or
+    breakouts that the reference walker counted under it.
+    """
 
     def __init__(self, pos):
         from collections import deque
@@ -287,6 +291,7 @@ class ReferenceSpiralState:
         self.detour_stale = 0
         self.detour_seen = set()
         self.escape_path = deque()
+        self.counts = dict.fromkeys(("ring", "detour", "escape", "mopup", "loop", "stale"), 0)
 
 
 def reference_spiral_next(state, maze, knowledge):
@@ -295,7 +300,9 @@ def reference_spiral_next(state, maze, knowledge):
     The earlier form of the documented walker, kept as an oracle: four
     branches that each arrive on their own cell, a helper that moves the
     walker itself, and a ``detouring`` flag kept apart from the detour's
-    memory, which outlives the detour.
+    memory, which outlives the detour. It counts each step under its
+    phase as its branch names it: with the cursor past the route's end
+    every step mops up; otherwise it is an escape, ring or detour step.
     """
     from collections import deque
 
@@ -316,6 +323,8 @@ def reference_spiral_next(state, maze, knowledge):
     route, rank, ring = spiral_route(maze.n)
     end = len(route)
 
+    if state.next_k == end:
+        state.counts["mopup"] += 1
     if not state.escape_path and state.next_k == end:
         path = nearest_path(knowledge.known, knowledge.stride, state.pos, knowledge.visited_mask)
         if path is None:
@@ -325,6 +334,8 @@ def reference_spiral_next(state, maze, knowledge):
         state.escape_path = deque(path)
 
     if state.escape_path:
+        if state.next_k < end:
+            state.counts["escape"] += 1
         nxt = state.escape_path.popleft()
         state.heading = knowledge.offsets.index(nxt - state.pos)
         state.pos = nxt
@@ -337,6 +348,7 @@ def reference_spiral_next(state, maze, knowledge):
         pending = route[state.next_k]
         approach = knowledge.offsets.index(pending - state.pos)
         if probe(maze, state.pos, pending) == OPEN:
+            state.counts["ring"] += 1
             state.pos = pending
             state.heading = approach
             state.next_k += 1
@@ -347,6 +359,7 @@ def reference_spiral_next(state, maze, knowledge):
         state.detour_seen = set()
         state.heading = (approach + 3) % 4
 
+    state.counts["detour"] += 1
     wall_follow_move()
     pos = state.pos
     state.detour_stale = 0 if knowledge.arrive(maze, pos) else state.detour_stale + 1
@@ -358,6 +371,7 @@ def reference_spiral_next(state, maze, knowledge):
     else:
         key = (pos, state.heading)
         if key in state.detour_seen or state.detour_stale >= STALE_DETOUR_LIMIT:
+            state.counts["loop" if key in state.detour_seen else "stale"] += 1
             state.detouring = False
             path = nearest_path(knowledge.known, knowledge.stride, pos, knowledge.visited_mask)
             if path is None:
@@ -413,7 +427,7 @@ def reference_episode(cfg, maze=None):
     previous = (0, 0.0)
     switch_step = switch_coverage = None
     path = None  # the waypoints still to walk, next one first
-    plans = 0
+    plans = convergence = 0
 
     steps = 0
     while steps < limit:
@@ -431,6 +445,7 @@ def reference_episode(cfg, maze=None):
                 continue
             pos = path.pop(0)
             knowledge.arrive(maze, pos)
+            convergence += 1
         steps += 1
         trajectory.append(knowledge.cell(pos))
         if pos == target:
@@ -460,7 +475,12 @@ def reference_episode(cfg, maze=None):
         switch_coverage=switch_coverage,
         trajectory=trajectory,
         decisions=decisions,
-        counters={"replans": max(plans - 1, 0), "history_len": len(knowledge.sampled_history)},
+        counters={
+            **walker.counts,
+            "convergence": convergence,
+            "replans": max(plans - 1, 0),
+            "history_len": len(knowledge.sampled_history),
+        },
     )
     if learning:
         final = log.terminal_reward = terminal_reward(steps, limit, final_coverage, switch_coverage)

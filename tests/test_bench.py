@@ -24,7 +24,7 @@ from mazeswitch.bench import (
     write_report_csv,
     write_report_json,
 )
-from mazeswitch.episode import record_to_json
+from mazeswitch.episode import record_to_json, to_record
 from mazeswitch.grid import generate_maze
 
 
@@ -213,6 +213,25 @@ class TestGoldenRecords:
         [
             (
                 "small-all-variants",
+                "e4749fc726a39cb69d019b2b2462aab78275f69e96975b22ac8dbb25d14a68a3",
+            ),
+            (
+                "64-ablation-variants",
+                "6a1587d4887017899d5dc34b14620332687dd66558035e2cd1e07306a856fd0d",
+            ),
+        ],
+        ids=["small-all-variants", "64-ablation-variants"],
+    )
+    def test_record_stream_digest(self, name, digest, tmp_path):
+        path = tmp_path / "episodes.jsonl"
+        write_records(golden_logs(name), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            (
+                "small-all-variants",
                 "262e820fbf9ac8f01c3ca01d127bb8c53fe08f60f2511adc8b59ad5dba451df9",
             ),
             (
@@ -222,10 +241,39 @@ class TestGoldenRecords:
         ],
         ids=["small-all-variants", "64-ablation-variants"],
     )
-    def test_record_stream_digest(self, name, digest, tmp_path):
+    def test_version_2_form_keeps_the_version_2_digest(self, name, digest, tmp_path):
+        # Rewritten in version 2 form (two counters, dense Q-values), the
+        # stream is byte for byte what the version 2 writer pinned.
         path = tmp_path / "episodes.jsonl"
         write_records(golden_logs(name), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        lines = []
+        for record in read_records(path):
+            record["schema_version"] = 2
+            record["counters"] = {k: record["counters"][k] for k in ("replans", "history_len")}
+            if "q_values" in record:
+                dense = [[0.0] * 5 for _ in range(50)]
+                for key, row in record["q_values"].items():
+                    dense[int(key)] = row
+                record["q_values"] = dense
+            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", list(GOLDEN_SUITES))
+    def test_sparse_q_rows_fill_out_to_the_logged_table(self, name):
+        # Only the rows that are not all 0.0 are written, keyed by state
+        # index; 0.0 everywhere else gives back ``log.q_values``.
+        learned = [log for log in golden_logs(name) if log.q_values is not None]
+        assert learned
+        single = 0
+        for log in learned:
+            rows = to_record(log)["q_values"]
+            assert all(any(row) for row in rows.values())
+            dense = [[0.0] * len(row) for row in log.q_values]
+            for key, row in rows.items():
+                dense[int(key)] = row
+            assert dense == log.q_values
+            single += sum(sum(v != 0.0 for v in row) == 1 for row in rows.values())
+        assert single  # a row with one learned value is written, too
 
 
 class TestGoldenLogs:
@@ -383,6 +431,31 @@ class TestSuiteConfigValidation:
         # Repeated sizes or variants would run a cell more than once.
         with pytest.raises(ValueError):
             SuiteConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"sizes": (16.0,)}, "sizes must be int, not 16.0"),
+            ({"sizes": (16, True)}, "sizes must be int, not True"),
+            ({"sizes": ("16",)}, "sizes must be int, not '16'"),
+            ({"mazes_per_size": 1.5}, "mazes_per_size must be int, not 1.5"),
+            ({"mazes_per_size": True}, "mazes_per_size must be int, not True"),
+            ({"base_seed": 0.5}, "base_seed must be int, not 0.5"),
+            ({"base_seed": False}, "base_seed must be int, not False"),
+            ({"jobs": 1.5}, "jobs must be int, not 1.5"),
+            ({"jobs": True}, "jobs must be int, not True"),
+            ({"variants": ("spiral", 3)}, "variants must be str, not 3"),
+        ],
+        ids=[
+            "float-size", "bool-size", "str-size", "float-mazes", "bool-mazes",
+            "float-seed", "bool-seed", "float-jobs", "bool-jobs", "int-variant",
+        ],
+    )
+    def test_rejects_a_value_of_the_wrong_type(self, kwargs, message):
+        # Unchecked, these failed only inside run_suite, or (jobs=1.5) ran.
+        with pytest.raises(ValueError) as raised:
+            SuiteConfig(**{"sizes": (16,), "mazes_per_size": 1, **kwargs})
+        assert str(raised.value) == message
 
     def test_accepts_smallest_size_and_one_job(self):
         assert SuiteConfig(sizes=(8,), jobs=1).sizes == (8,)

@@ -282,6 +282,20 @@ class TestReplay:
             f"record {k}: identical" for k in range(1, len(lines) + 1)
         ]
 
+    def test_version_2_file_replays_identical(self, capsys):
+        # Written by the version 2 writer: two counters, dense Q-values.
+        lines = (DATA / "episodes_v2.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["config"]["variant"] for r in records] == list(VARIANT_ORDER)
+        assert all(r["schema_version"] == 2 for r in records)
+        assert all(set(r["counters"]) == {"replans", "history_len"} for r in records)
+        assert all(len(r["q_values"]) == 50 for r in records if "q_values" in r)
+        code = run_cli(["replay", str(DATA / "episodes_v2.jsonl")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"record {k}: identical" for k in range(1, len(lines) + 1)
+        ]
+
     def test_null_schema_version_is_an_error(self, tmp_path, capsys):
         first = json.loads((DATA / "episodes_v1.jsonl").read_text().splitlines()[0])
         path = tmp_path / "null.jsonl"
@@ -336,7 +350,8 @@ class TestReplay:
              "--seed", "0", "--out", str(out)]
         )
         capsys.readouterr()
-        v2 = json.loads((out / "episodes.jsonl").read_text())
+        v3 = json.loads((out / "episodes.jsonl").read_text())
+        v2 = json.loads((DATA / "episodes_v2.jsonl").read_text().splitlines()[0])
         v1 = json.loads((DATA / "episodes_v1.jsonl").read_text().splitlines()[0])
 
         def variant(record, **changes):
@@ -350,13 +365,15 @@ class TestReplay:
                     variant(v2, trajectory=42),
                     variant(v2, trajectory="ESXW"),
                     variant(v2, trajectory=v1["trajectory"]),
-                    variant(v2, schema_version=3),
+                    variant(v2, schema_version=4),
                     variant(v1, trajectory=jump),
                     variant(v1, trajectory="ES"),
                     variant(v1, trajectory=[[1, 0]] + v1["trajectory"][1:]),
                     variant(v2, trajectory=v2["trajectory"][:-1]),
                     json.dumps(v1),
                     json.dumps(v2),
+                    variant(v3, trajectory=42),
+                    json.dumps(v3),
                 ]
             )
             + "\n"
@@ -368,13 +385,15 @@ class TestReplay:
             "record 1: ERROR a version 2 trajectory must be a move string",
             "record 2: ERROR unknown move letters ['X']",
             "record 3: ERROR a version 2 trajectory must be a move string",
-            "record 4: ERROR unknown schema_version 3",
+            "record 4: ERROR unknown schema_version 4",
             "record 5: ERROR move from [0, 1] to [9, 9] is not a unit step",
             "record 6: ERROR a version 1 trajectory must be a list of positions",
             "record 7: ERROR trajectory does not start at (0, 0)",
             "record 8: MISMATCH in fields ['trajectory']",
             "record 9: identical",
             "record 10: identical",
+            "record 11: ERROR a version 3 trajectory must be a move string",
+            "record 12: identical",
         ]
 
     def test_only_errors_still_exit_nonzero(self, tmp_path, capsys):
@@ -472,7 +491,7 @@ class TestAblate:
         }
         assert digests == {
             "ablation.json": "612d7cccf63dbec12dc86dfe619ab89a1c712e705d8a1d82f248cf57581d904d",
-            "ablation_episodes.jsonl": "6d9aa3da73853cd155823b05ea219e015f0cc4b1333800a7b0b7f01902fb9b8e",
+            "ablation_episodes.jsonl": "47519b3c2ac7fbbfbc8a70ddede48fad928b58205a61362f7d798e44b0574e82",
         }
 
     def test_long_flag_is_not_accepted(self, capsys):

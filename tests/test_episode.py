@@ -265,7 +265,17 @@ class TestCounters:
 
     def test_record_carries_the_counters(self):
         log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))
-        assert to_record(log)["counters"] == log.counters == {"replans": 0, "history_len": 25}
+        assert to_record(log)["counters"] == log.counters == {
+            "ring": 0,
+            "detour": 36,
+            "escape": 0,
+            "mopup": 0,
+            "convergence": 0,
+            "loop": 0,
+            "stale": 0,
+            "replans": 0,
+            "history_len": 25,
+        }
 
 
 class TestConfigRecord:
@@ -308,6 +318,11 @@ class TestConfigRecord:
             EpisodeConfig(**{"n": 16, "maze_seed": 1, "variant": VARIANTS["spiral"], **values})
         assert str(raised.value) == f"config values must be integers: {named}"
 
+    def test_rejects_a_variant_that_is_not_a_variant_spec(self):
+        # Unchecked, a variant name builds and run_episode fails on ``.convergence``.
+        with pytest.raises(ValueError, match=r"^variant must be a VariantSpec, got 'spiral'$"):
+            EpisodeConfig(n=16, maze_seed=0, variant="spiral")
+
     def test_record_with_a_null_step_limit_is_rejected(self):
         # A record holds the resolved limit; only a config built in code may omit it.
         cfg = EpisodeConfig(n=16, maze_seed=2, variant=VARIANTS["spiral"])
@@ -327,7 +342,7 @@ class TestRecordTrajectory:
     def test_version_2_move_string(self):
         log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))
         record = to_record(log)
-        assert record["schema_version"] == 2
+        assert record["schema_version"] == 3
         assert len(record["trajectory"]) == log.total_steps
         assert set(record["trajectory"]) <= set("ESWN")
 
@@ -385,6 +400,24 @@ class TestReplayRecord:
         first = (DATA / "episodes_v1.jsonl").read_text().splitlines()[0]
         assert replay_record(first) == []
 
+    def test_version_2_records_compare_in_their_own_form(self):
+        # The fresh record is rendered as version 2: dense Q-values and
+        # only ``replans`` and ``history_len``. Labelled version 3, the
+        # same lines differ in exactly those fields.
+        lines = (DATA / "episodes_v2.jsonl").read_text().splitlines()
+        assert [replay_record(line) for line in lines] == [[]] * len(lines)
+        relabelled = [{**json.loads(line), "schema_version": 3} for line in lines]
+        assert [replay_record(json.dumps(r)) for r in relabelled] == [
+            ["counters", "q_values"] if "q_values" in r else ["counters"] for r in relabelled
+        ]
+
+    def test_version_3_record_with_dense_q_values_differs(self):
+        log = run_episode(EpisodeConfig(n=16, maze_seed=34, variant=VARIANTS["spiral_rl"]))
+        record = to_record(log)
+        assert record["q_values"] and len(record["q_values"]) < len(log.q_values)
+        assert replay_record(json.dumps(record)) == []
+        assert replay_record(json.dumps({**record, "q_values": log.q_values})) == ["q_values"]
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -398,7 +431,7 @@ class TestReplayRecord:
         with pytest.raises(ValueError, match=message):
             replay_record(text)
 
-    @pytest.mark.parametrize("version", [None, 1, 3])
+    @pytest.mark.parametrize("version", [None, 1, 4])
     def test_unknown_version_raises(self, line, version):
         record = {**json.loads(line), "schema_version": version}
         with pytest.raises(ValueError, match=f"unknown schema_version {version!r}"):

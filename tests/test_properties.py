@@ -4,9 +4,10 @@ Each property draws an even size in [8, 32] (the record codec's in
 [8, 64]) and any 64-bit maze seed, negative ones included, so it reaches
 layouts the fixed-seed tests never see. Every record must equal the one
 ``conftest.reference_episode`` writes, over every variant, odd decision
-periods and short step limits, and also with the target walled in. The
-text round trip also runs over hand-built grids of any size in [2, 24]
-with random walls.
+periods and short step limits, and also with the target walled in, and
+its phase step counters must add up to its steps. The text round trip
+also runs over hand-built grids of any size in [2, 24] with random
+walls.
 """
 
 from unittest import mock
@@ -105,6 +106,27 @@ def test_record_equals_the_reference_episodes_on_a_sealed_target(half, seed, var
     with mock.patch.object(episode, "generate_maze", lambda n, seed: maze):
         record = _record_or_no_path(run_episode, cfg)
     assert record == _record_or_no_path(reference_episode, cfg, maze)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=MAZE_SIZES,
+    seed=SEEDS,
+    variant=st.sampled_from(VARIANT_ORDER),
+    limit=st.none() | st.integers(1, 600),
+)
+def test_phase_step_counters_add_up_to_the_steps(n, seed, variant, limit):
+    cfg = EpisodeConfig(
+        n=n, maze_seed=seed, variant=VARIANTS[variant], rl_seed=seed, step_limit=limit
+    )
+    record = to_record(run_episode(cfg))
+    counters = record["counters"]
+    assert min(counters.values()) >= 0  # a detour count is what the other phases leave
+    phases = ("ring", "detour", "escape", "mopup", "convergence")
+    assert sum(counters[k] for k in phases) == record["total_steps"] == len(record["trajectory"])
+    switch = record["switch"]
+    after = 0 if switch is None else record["total_steps"] - switch["step"]
+    assert counters["convergence"] == after
 
 
 @settings(max_examples=30, deadline=None)

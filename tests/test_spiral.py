@@ -18,7 +18,7 @@ from mazeswitch.grid import (
 )
 from mazeswitch import spiral
 from mazeswitch.episode import encode_moves
-from mazeswitch.spiral import SpiralState, SpiralStuck, spiral_next, spiral_route
+from mazeswitch.spiral import SpiralState, SpiralStuck, spiral_next, spiral_route, walker_counts
 from conftest import (
     bfs_distance,
     bfs_reachable,
@@ -353,7 +353,8 @@ class TestMatchesReferenceWalker:
     @given(maze=walker_mazes(), budget=st.floats(0.0, 1.0), sample_stride=st.sampled_from((1, 4)))
     def test_lockstep_with_reference(self, maze, budget, sample_stride):
         # Each step is compared in full: the walker's fields, its detour
-        # (a set exactly while the reference is detouring), and its map.
+        # (a set exactly while the reference is detouring), its map, and
+        # its counts, which the reference keeps step by step.
         n = maze.n
         new_map, ref_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
         start = new_map.index(0, 0)
@@ -375,6 +376,7 @@ class TestMatchesReferenceWalker:
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.visited_count == ref_map.visited_count, step
             assert new_map.sampled_history == ref_map.sampled_history, step
+            assert walker_counts(new, step + 1) == ref.counts, step
             if new.exhausted:  # no search of the reference could find fresh ground
                 assert ref.next_k == len(spiral_route(n)[0]) and not ref.escape_path, step
                 known, stride, visited = ref_map.known, ref_map.stride, ref_map.visited_mask
