@@ -373,10 +373,16 @@ def config_from_record(record: dict) -> EpisodeConfig:
 
 
 def _schema_version(record: dict) -> int:
-    """The record's schema version; a record without the key is version 1."""
-    if "schema_version" in record and record["schema_version"] not in (2, SCHEMA_VERSION):
-        raise ValueError(f"unknown schema_version {record['schema_version']!r}")
-    return record.get("schema_version", 1)
+    """The record's schema version; a record without the key is version 1.
+
+    A present version must be the int 2 or 3: ``2.0`` and ``True`` are unknown.
+    """
+    if "schema_version" not in record:
+        return 1
+    version = record["schema_version"]
+    if type(version) is not int or version not in (2, SCHEMA_VERSION):
+        raise ValueError(f"unknown schema_version {version!r}")
+    return version
 
 
 def moves_from_record(record: dict) -> str:

@@ -15,22 +15,25 @@ Tie-breaking is pinned for determinism: equal f prefers lower h, equal h
 prefers the earliest-discovered node, and neighbours are expanded in
 east, south, west, north order. That is the pop order of a heap keyed
 ``(f, h, counter)``, with ``counter`` the push order. The planner pops
-cells in exactly that order without a heap, from buckets indexed by f
-and h (Dial 1969). The order is exact because Manhattan ``h`` changes
-by exactly one on every unit move:
+cells in exactly that order from three plain lists. The order is exact
+because Manhattan ``h`` changes by exactly one on every unit move, so a
+push from a cell at level f lands at level f, with ``h`` one below the
+popped cell's, or at level f + 2:
 
-- a push from a cell at level f lands at level f, with ``h`` one below
-  the popped cell's, or at level f + 2, so only two levels ever hold
-  entries;
-- the popped cell has the lowest ``h`` of its level, so a push into the
-  same level goes below every entry there: the lowest non-empty ``h``
-  is a pointer that moves down by one per push and up when its bucket
-  empties;
-- each bucket is first in, first out, which is counter order.
+- a push at level f goes on the stack ``below``. The popped cell had
+  the lowest ``h`` left in level f, so the push's ``h`` is below every
+  other entry there and it pops first. A pop inserts each of its
+  pushes at the index where its first went, so siblings pop in push
+  order and above the earlier groups, whose ``h`` is higher: the stack
+  holds at most one sibling group per ``h``;
+- ``level`` holds the rest of level f in ``(h, counter)`` order, read
+  by an index once ``below`` is empty;
+- ``later`` collects the pushes to level f + 2 in push order. When
+  level f runs out, one stable sort by ``h`` makes it the next
+  ``level``, which keeps push order within an ``h``.
 
-Level f + 2 remembers the lowest and the highest ``h`` pushed into it,
-and takes over when level f empties. Distances to the target come from a table per
-``(n, t)``, as the spiral's route does.
+Distances to the target come from a table per ``(n, t)``, as the
+spiral's route does.
 
 Parents are heading marks in a scratch copy of the knowledge bytes, read
 back by ``grid.marked_path`` as in ``nearest_path``. There is no closed
@@ -41,7 +44,6 @@ Plans start, end and step on flat indices of the grid's ``Layout``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,117 +99,66 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
     seen = known.translate(_ENTERABLE)
     seen[s] = WALL
     g = [0] * len(seen)  # read only at a marked index
-    # The buckets of levels f (``cur``) and f + 2 (``nxt``), indexed by h,
-    # which is below 2n on the grid. Level f holds entries from h ``lo``
-    # to ``top``, and level f + 2 from ``nlo`` to ``ntop``.
-    lo = top = h[s]
-    cur = [None] * (2 * knowledge.n)
-    nxt = [None] * len(cur)
-    cur[lo] = deque((s,))
-    nlo, ntop = len(cur), -1
+    below, level, later = [], [s], []  # level f's downhill stack, level f, level f + 2
+    k = 0  # the next entry of ``level``
 
     while True:
-        bucket = cur[lo]
-        if not bucket:
-            lo += 1
-            while lo <= top and not cur[lo]:
-                lo += 1
-            if lo > top:  # level f is empty, and level f + 2 takes over
-                if ntop < 0:
-                    return None
-                cur, nxt = nxt, cur
-                lo, top, nlo, ntop = nlo, ntop, len(cur), -1
-            bucket = cur[lo]
-        i = bucket.popleft()
+        if below:
+            i = below.pop()
+        elif k < len(level):
+            i = level[k]
+            k += 1
+        elif later:  # level f is empty, and level f + 2 takes over
+            level, later = sorted(later, key=h.__getitem__), []
+            i = level[0]
+            k = 1
+        else:
+            return None
         if i == t:
             return Plan([s, *marked_path(seen, w, s, t)])
         # No closed set: with a consistent heuristic the first pop of ``i``
         # carries its final g, so a stale pop finds every neighbour at a g
         # of at most ``gj`` and pushes nothing.
         gj = g[i] + 1
-        # The h of a same-level push, fixed before a push moves ``lo``.
-        down = lo - 1
+        hi = h[i]
+        base = len(below)  # this pop's downhill pushes go here, in push order
         # The four headings unrolled, E, S, W, N; ``not b`` is an enterable cell not yet pushed.
         j = i + 1
         b = seen[j]
         if not b or b > 3 and g[j] > gj:
             g[j] = gj
             seen[j] = 4
-            hj = h[j]
-            if hj == down:
-                lo = down
-                level = cur
+            if h[j] < hi:
+                below.insert(base, j)
             else:
-                level = nxt
-                if hj < nlo:
-                    nlo = hj
-                if hj > ntop:
-                    ntop = hj
-            bucket = level[hj]
-            if bucket is None:
-                level[hj] = deque((j,))
-            else:
-                bucket.append(j)
+                later.append(j)
         j = i + w
         b = seen[j]
         if not b or b > 3 and g[j] > gj:
             g[j] = gj
             seen[j] = 5
-            hj = h[j]
-            if hj == down:
-                lo = down
-                level = cur
+            if h[j] < hi:
+                below.insert(base, j)
             else:
-                level = nxt
-                if hj < nlo:
-                    nlo = hj
-                if hj > ntop:
-                    ntop = hj
-            bucket = level[hj]
-            if bucket is None:
-                level[hj] = deque((j,))
-            else:
-                bucket.append(j)
+                later.append(j)
         j = i - 1
         b = seen[j]
         if not b or b > 3 and g[j] > gj:
             g[j] = gj
             seen[j] = 6
-            hj = h[j]
-            if hj == down:
-                lo = down
-                level = cur
+            if h[j] < hi:
+                below.insert(base, j)
             else:
-                level = nxt
-                if hj < nlo:
-                    nlo = hj
-                if hj > ntop:
-                    ntop = hj
-            bucket = level[hj]
-            if bucket is None:
-                level[hj] = deque((j,))
-            else:
-                bucket.append(j)
+                later.append(j)
         j = i - w
         b = seen[j]
         if not b or b > 3 and g[j] > gj:
             g[j] = gj
             seen[j] = 7
-            hj = h[j]
-            if hj == down:
-                lo = down
-                level = cur
+            if h[j] < hi:
+                below.insert(base, j)
             else:
-                level = nxt
-                if hj < nlo:
-                    nlo = hj
-                if hj > ntop:
-                    ntop = hj
-            bucket = level[hj]
-            if bucket is None:
-                level[hj] = deque((j,))
-            else:
-                bucket.append(j)
+                later.append(j)
 
 
 def follow_plan(plan: Plan, knowledge: KnowledgeMap) -> int | None:

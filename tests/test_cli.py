@@ -374,6 +374,8 @@ class TestReplay:
                     json.dumps(v2),
                     variant(v3, trajectory=42),
                     json.dumps(v3),
+                    variant(v2, schema_version=2.0),
+                    variant(v3, schema_version=3.0),
                 ]
             )
             + "\n"
@@ -394,6 +396,8 @@ class TestReplay:
             "record 10: identical",
             "record 11: ERROR a version 3 trajectory must be a move string",
             "record 12: identical",
+            "record 13: ERROR unknown schema_version 2.0",
+            "record 14: ERROR unknown schema_version 3.0",
         ]
 
     def test_only_errors_still_exit_nonzero(self, tmp_path, capsys):

@@ -431,7 +431,7 @@ class TestReplayRecord:
         with pytest.raises(ValueError, match=message):
             replay_record(text)
 
-    @pytest.mark.parametrize("version", [None, 1, 4])
+    @pytest.mark.parametrize("version", [None, 1, 4, 2.0, 3.0, True])
     def test_unknown_version_raises(self, line, version):
         record = {**json.loads(line), "schema_version": version}
         with pytest.raises(ValueError, match=f"unknown schema_version {version!r}"):

@@ -19,6 +19,15 @@ from mazeswitch.pathfind import astar_plan, follow_plan
 from conftest import bfs_distance, reference_astar
 
 
+def random_knowledge(n, seed):
+    """A size-``n`` knowledge map of OPEN, WALL and UNKNOWN facts drawn from ``seed``."""
+    facts = random.Random(seed).choices((OPEN, WALL, UNKNOWN), k=n * n)
+    k = KnowledgeMap(n)
+    for c, fact in enumerate(facts):
+        k.known[k.index(*divmod(c, n))] = fact
+    return k
+
+
 def full_knowledge(maze):
     """Knowledge map that already knows every wall; planning oracle setup."""
     k = KnowledgeMap(maze.n)
@@ -81,12 +90,9 @@ class TestAstarPlan:
         # Any knowledge map, any non-wall start, any target: the start
         # itself, a known wall, or a cell walled in on all open sides. The
         # map comes from a seed, so a failure shrinks in seconds.
-        facts = random.Random(seed).choices((OPEN, WALL, UNKNOWN), k=n * n)
         start = data.draw(st.integers(0, n * n - 1))
         target = data.draw(st.integers(0, n * n - 1) | st.just(start))
-        k = KnowledgeMap(n)
-        for c, fact in enumerate(facts):
-            k.known[k.index(*divmod(c, n))] = fact
+        k = random_knowledge(n, seed)
         s, t = k.index(*divmod(start, n)), k.index(*divmod(target, n))
         if data.draw(st.sampled_from((False, False, False, True))):  # seal the target in
             for d in k.offsets:
@@ -98,6 +104,20 @@ class TestAstarPlan:
         plan = astar_plan(s, t, k)
         assert (None if plan is None else plan.waypoints) == reference_astar(s, t, k)
         assert k.known == before
+
+    @pytest.mark.parametrize(
+        "n, seed, start, target",
+        [(14, 131383004, 6, 166), (18, 2487140954, 15, 321), (15, 278583920, 76, 208)],
+    )
+    def test_pop_order_on_fixed_maps(self, n, seed, start, target):
+        # Maps of the property above on which a plan's waypoints depend on
+        # the pop order within a level: downhill siblings pop in push order,
+        # and the next level pops by h, then in push order within an h.
+        k = random_knowledge(n, seed)
+        s, t = k.index(*divmod(start, n)), k.index(*divmod(target, n))
+        if k.known[s] == WALL:
+            k.known[s] = OPEN
+        assert astar_plan(s, t, k).waypoints == reference_astar(s, t, k)
 
     @pytest.mark.parametrize("variant", ["spiral_conv", "spiral_rl"])
     def test_every_plan_of_an_episode_matches_the_reference_planner(self, variant, monkeypatch):
