@@ -41,13 +41,14 @@ entering heading in a scratch copy of the bytes, and ``marked_path``
 reads a path back along the marks.
 
 ``generate_maze`` remembers its last maze, one slot keyed by
-``(n, seed)``. A suite runs every variant of a maze back to back, so a
-serial suite carves each maze once instead of once per variant, and a
-pool worker once per chunk of episodes that holds the maze. Sharing the
-grid is safe because it cannot be changed: ``cells`` is ``bytes`` and
-``walls`` a tuple of ``bytes`` rows. The memo keeps exactly one slot on purpose:
-benchmark rounds never repeat a maze, so a second slot would never hit,
-and a larger cache would turn into a cache across rounds and suites.
+``(n, seed)`` and their types. A suite runs every variant of a maze
+back to back, so a serial suite carves each maze once instead of once
+per variant, and a pool worker once per chunk of episodes that holds
+the maze. Sharing the grid is safe because it cannot be changed:
+``cells`` is ``bytes`` and ``walls`` a tuple of ``bytes`` rows. The
+memo keeps exactly one slot on purpose: benchmark rounds never repeat
+a maze, so a second slot would never hit, and a larger cache would
+turn into a cache across rounds and suites.
 
 Text form (``to_text``/``from_text`` round-trip every ``MazeGrid`` exactly)::
 
@@ -147,10 +148,13 @@ class MazeGrid:
 
     ``walls`` is any ``n`` rows of ``n`` values, truthy meaning wall:
     nested lists, ``bytes`` rows, or an array read row by row. The start
-    and the target must be two open cells, so ``n >= 2``.
+    and the target must be two open cells, so ``n >= 2``. ``n`` and
+    ``seed`` are ints.
     """
 
     def __init__(self, n: int, walls, seed: int) -> None:
+        if type(n) is not int or type(seed) is not int:  # a bool is not an int here
+            raise MazeConfigError(f"maze size and seed must be ints, got {n!r} and {seed!r}")
         try:
             rows = [
                 bytes(row).translate(_BIT)
@@ -226,6 +230,9 @@ class KnowledgeMap:
     sampled_history: list = field(init=False, default_factory=list)
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("sample_stride", self.sample_stride)):
+            if type(value) is not int or value < 1:  # a bool is not an int here
+                raise ValueError(f"KnowledgeMap {name} must be a positive int, got {value!r}")
         n = self.n
         self.layout = shared = layout(n)
         self.stride, self.offsets = shared.stride, shared.offsets
@@ -318,15 +325,18 @@ def cells_for_coverage(n: int, percent: float) -> int:
     return c
 
 
-@lru_cache(maxsize=1)  # one slot: see the module docstring
+@lru_cache(maxsize=1, typed=True)  # one slot: see the module docstring
 def generate_maze(n: int, seed: int) -> MazeGrid:
     """Carve a braided maze; pure function of ``(n, seed)``.
 
-    Requires even ``n >= 8``. The start (0, 0), the target (n/2, n/2),
-    and a path between them are guaranteed. A repeated call with the
-    previous ``(n, seed)`` returns the same (immutable) grid.
+    Requires an even int ``n >= 8`` and an int seed. The start (0, 0),
+    the target (n/2, n/2), and a path between them are guaranteed. A
+    repeated call with the previous ``(n, seed)`` returns the same
+    (immutable) grid.
     """
     check_maze_size(n)
+    if type(seed) is not int:  # a bool is not an int here
+        raise MazeConfigError(f"maze seed must be an int, got {seed!r}")
 
     rng = SplitMix64(seed)
     shared = layout(n)
@@ -349,9 +359,9 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
 
 
 def check_maze_size(n: int) -> None:
-    """Raise MazeConfigError unless ``n`` is an even maze size of at least 8."""
-    if n < 8 or n % 2:
-        raise MazeConfigError(f"maze size must be even and at least 8, got {n}")
+    """Raise MazeConfigError unless ``n`` is an even int maze size of at least 8."""
+    if type(n) is not int or n < 8 or n % 2:  # a bool is not an int here
+        raise MazeConfigError(f"maze size must be even and at least 8 (an int), got {n!r}")
 
 
 # Rejection limit of ``randbelow(k)`` for the carver's k unvisited rooms, k = 1..4.

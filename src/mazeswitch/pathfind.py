@@ -15,22 +15,21 @@ Tie-breaking is pinned for determinism: equal f prefers lower h, equal h
 prefers the earliest-discovered node, and neighbours are expanded in
 east, south, west, north order. That is the pop order of a heap keyed
 ``(f, h, counter)``, with ``counter`` the push order. The planner pops
-cells in exactly that order from three plain lists. The order is exact
+cells in exactly that order from two plain lists. The order is exact
 because Manhattan ``h`` changes by exactly one on every unit move, so a
 push from a cell at level f lands at level f, with ``h`` one below the
 popped cell's, or at level f + 2:
 
-- a push at level f goes on the stack ``below``. The popped cell had
-  the lowest ``h`` left in level f, so the push's ``h`` is below every
-  other entry there and it pops first. A pop inserts each of its
-  pushes at the index where its first went, so siblings pop in push
-  order and above the earlier groups, whose ``h`` is higher: the stack
-  holds at most one sibling group per ``h``;
-- ``level`` holds the rest of level f in ``(h, counter)`` order, read
-  by an index once ``below`` is empty;
+- ``level`` is a stack of level f, next pop on top. A push at level f
+  goes on it: the popped cell had the lowest ``h`` left in level f, so
+  the push's ``h`` is below every other entry there and it pops first.
+  A pop inserts each of its pushes at the index where its first went,
+  so siblings pop in push order and before the rest of the level,
+  whose ``h`` is higher;
 - ``later`` collects the pushes to level f + 2 in push order. When
-  level f runs out, one stable sort by ``h`` makes it the next
-  ``level``, which keeps push order within an ``h``.
+  level f runs out, one stable sort by ``h`` and a reversal make it
+  the next ``level``, with the lowest ``h`` on top and push order kept
+  within an ``h``.
 
 Distances to the target come from a table per ``(n, t)``, as the
 spiral's route does.
@@ -99,19 +98,16 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
     seen = known.translate(_ENTERABLE)
     seen[s] = WALL
     g = [0] * len(seen)  # read only at a marked index
-    below, level, later = [], [s], []  # level f's downhill stack, level f, level f + 2
-    k = 0  # the next entry of ``level``
+    level, later = [s], []  # level f as a stack, next pop on top; level f + 2
 
     while True:
-        if below:
-            i = below.pop()
-        elif k < len(level):
-            i = level[k]
-            k += 1
+        if level:
+            i = level.pop()
         elif later:  # level f is empty, and level f + 2 takes over
-            level, later = sorted(later, key=h.__getitem__), []
-            i = level[0]
-            k = 1
+            later.sort(key=h.__getitem__)
+            later.reverse()
+            level, later = later, []
+            i = level.pop()
         else:
             return None
         if i == t:
@@ -121,7 +117,7 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
         # of at most ``gj`` and pushes nothing.
         gj = g[i] + 1
         hi = h[i]
-        base = len(below)  # this pop's downhill pushes go here, in push order
+        base = len(level)  # this pop's downhill pushes go here, in push order
         # The four headings unrolled, E, S, W, N; ``not b`` is an enterable cell not yet pushed.
         j = i + 1
         b = seen[j]
@@ -129,7 +125,7 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
             g[j] = gj
             seen[j] = 4
             if h[j] < hi:
-                below.insert(base, j)
+                level.insert(base, j)
             else:
                 later.append(j)
         j = i + w
@@ -138,7 +134,7 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
             g[j] = gj
             seen[j] = 5
             if h[j] < hi:
-                below.insert(base, j)
+                level.insert(base, j)
             else:
                 later.append(j)
         j = i - 1
@@ -147,7 +143,7 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
             g[j] = gj
             seen[j] = 6
             if h[j] < hi:
-                below.insert(base, j)
+                level.insert(base, j)
             else:
                 later.append(j)
         j = i - w
@@ -156,7 +152,7 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
             g[j] = gj
             seen[j] = 7
             if h[j] < hi:
-                below.insert(base, j)
+                level.insert(base, j)
             else:
                 later.append(j)
 

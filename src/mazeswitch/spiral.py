@@ -48,11 +48,9 @@ its phase, and mop-up is the cursor past the end when the step begins:
 an escape step is ``mopup`` then and ``escape`` otherwise, a ring step
 is ``ring``, and a wall-following step is ``mopup`` then and ``detour``
 otherwise. A detour breakout counts as ``loop`` when the detour
-revisits one of its states and as ``stale`` otherwise. Only ring steps
-and wall-following mop-up steps are counted as they are taken: an
-escape path's cells are counted when it is planned, and a detour step
-is any step that no other phase took, so the two most common steps
-cost nothing to count.
+revisits one of its states and as ``stale`` otherwise. Ring, escape
+and mop-up steps are counted as they are taken, and a detour step is
+any step that no other phase took.
 
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
@@ -129,8 +127,8 @@ class SpiralState:
     no more: it then only wall-follows over visited cells, so no later
     search could find any. ``tables`` holds ``spiral_route(n)`` and its
     length from the first step on. ``counts`` holds the tallies behind
-    ``walker_counts``: ring steps, escape cells, mop-up cells and steps,
-    loop breakouts and stale breakouts.
+    ``walker_counts``: ring, escape and mop-up steps, loop breakouts and
+    stale breakouts.
     """
 
     pos: int
@@ -169,12 +167,12 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
             state.exhausted = True
         else:
             escape = state.escape_path = deque(path)
-            state.counts[2] += len(path)  # mop-up cells
 
     if escape:
         # Walk one cell along a committed path through known-free cells.
         nxt = escape.popleft()
         state.heading = offsets.index(nxt - pos)
+        state.counts[1 if next_k < end else 2] += 1  # escape, else mop-up steps
         if not escape and next_k < end:
             # Landing on fresh ground: resume the route just past this cell.
             state.next_k = rank[nxt] + 1
@@ -233,7 +231,6 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
                 state.exhausted = True
             else:
                 state.escape_path = deque(path)
-                state.counts[1] += len(path)  # escape cells
         else:
             seen.add(key)
     return nxt
@@ -242,15 +239,9 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
 def walker_counts(state: SpiralState, steps: int) -> dict:
     """The walker's exact counts after ``steps`` calls of ``spiral_next``.
 
-    Keyed by ``COUNT_NAMES``. A path's cells were counted when it was
-    planned, so the cells still ahead on ``escape_path`` come off its
-    phase: mop-up when the cursor is past the end, escape otherwise.
+    Keyed by ``COUNT_NAMES``: ring, escape and mop-up steps as counted,
+    and every other step a detour step.
     """
     ring, escape, mopup, loop, stale = state.counts
-    ahead = len(state.escape_path)
-    if ahead and state.next_k == state.tables[3]:
-        mopup -= ahead
-    else:
-        escape -= ahead
     detour = steps - ring - escape - mopup
     return dict(zip(COUNT_NAMES, (ring, detour, escape, mopup, loop, stale)))

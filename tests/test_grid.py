@@ -365,6 +365,30 @@ class TestHandBuiltGrid:
             MazeGrid(n=n, walls=walls, seed=0)
 
 
+class TestIntSizeAndSeed:
+    """A size or a seed that is not an int (a bool is not one) is a config error."""
+
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(8.0, 0), (8.0, 1), (True, 0), (8, 1.0), (8, 5.5), (8, "5"), (8, True), (8, None)],
+    )
+    def test_rejected_by_every_constructor(self, n, seed):
+        generate_maze(8, 0)  # the memo holds the int call, which must not answer this one
+        with pytest.raises(MazeConfigError, match="an int"):
+            generate_maze(n, seed)
+        with pytest.raises(MazeConfigError, match="maze size and seed must be ints"):
+            MazeGrid(n, [[0] * 8] * 8, seed)
+        if type(n) is not int:
+            with pytest.raises(MazeConfigError, match=r"maze size must be .* \(an int\)"):
+                grid.check_maze_size(n)
+
+    @pytest.mark.parametrize("seed", [0, 5, -1, MASK64 + 1])
+    def test_a_hand_built_grid_round_trips(self, seed):
+        maze = MazeGrid(8, [[0] * 8] * 8, seed)
+        again = from_text(to_text(maze))
+        assert (again.n, again.seed, again.walls) == (8, seed, maze.walls)
+
+
 class TestManhattan:
     def test_identity(self):
         assert manhattan((0, 0), (0, 0)) == 0
@@ -507,6 +531,15 @@ class TestKnowledgeMap:
         # By value: the layout cache holds four sizes, so identity can lapse.
         assert (maze.layout.stride, maze.layout.offsets) == (k.stride, k.offsets)
         assert k.index(1, 2) == maze.layout.index(1, 2)
+
+    @pytest.mark.parametrize(
+        "n, stride, field",
+        [(8, 0, "sample_stride"), (0, 1, "n"), (-3, 1, "n"), (8, -1, "sample_stride"),
+         (8, 1.5, "sample_stride"), (8.0, 1, "n"), (True, 1, "n"), (8, True, "sample_stride")],
+    )
+    def test_size_and_stride_must_be_positive_ints(self, n, stride, field):
+        with pytest.raises(ValueError, match=f"KnowledgeMap {field} must be a positive int"):
+            KnowledgeMap(n, stride)
 
     def test_sensing_a_maze_of_another_size_raises(self):
         k = KnowledgeMap(8)

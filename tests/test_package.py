@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,14 @@ def test_every_public_name_resolves_and_star_import_works():
     namespace = {}
     exec("from mazeswitch import *", namespace)
     assert set(mazeswitch.__all__) <= set(namespace)
+
+
+def test_every_python_block_of_the_readme_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
 
 
 def test_import_needs_only_the_standard_library():
