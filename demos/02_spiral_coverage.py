@@ -8,8 +8,8 @@ cells it has stood on. The walker moves on flat indices of the grid's
 from ``(x, y)``.
 """
 
-from mazeswitch import KnowledgeMap, coverage_percent, generate_maze
-from mazeswitch.grid import WALL, MazeGrid
+from mazeswitch import generate_maze
+from mazeswitch.grid import WALL, KnowledgeMap, MazeGrid, coverage_percent
 from mazeswitch.spiral import SpiralState, spiral_next
 
 # On an open grid the spiral is exact: n*n cells in n*n - 1 moves.

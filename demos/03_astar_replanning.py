@@ -11,7 +11,8 @@ terminates. The planner works on flat indices of the grid's
 from ``(x, y)``.
 """
 
-from mazeswitch import WALL, KnowledgeMap, generate_maze
+from mazeswitch import generate_maze
+from mazeswitch.grid import WALL, KnowledgeMap
 from mazeswitch.pathfind import astar_plan, follow_plan
 
 maze = generate_maze(16, seed=1)

@@ -6,67 +6,20 @@ The switching threshold is either absent, fixed at 40% coverage, or
 chosen by an intra-episode tabular Q-learner over coverage and distance
 buckets. The benchmark harness runs the (size x maze x variant) matrix
 deterministically and reports step-count statistics.
+
+The names below are the whole public API: configure an episode or a
+suite, run it, and read its log or report; carve, print and parse a
+maze. The per-step parts (sensor, walker, planner, Q-learner) live in
+their modules, and each module's docstring documents them.
 """
 
 __version__ = "0.1.0"
 
-from .grid import (
-    KnowledgeMap,
-    MazeGrid,
-    OPEN,
-    OUTSIDE,
-    WALL,
-    coverage_percent,
-    from_text,
-    generate_maze,
-    manhattan,
-    probe,
-    to_text,
-)
-from .spiral import SpiralState, spiral_next
-from .pathfind import Plan, astar_plan, follow_plan
-from .qlearn import (
-    QTable,
-    RewardBreakdown,
-    decision_reward,
-    discretize,
-    q_update,
-    select_action,
-    terminal_reward,
-)
-from .episode import (
-    EpisodeConfig,
-    EpisodeLog,
-    VARIANTS,
-    VariantSpec,
-    run_episode,
-)
+from .grid import MazeGrid, from_text, generate_maze, to_text
+from .episode import EpisodeConfig, EpisodeLog, VARIANTS, VariantSpec, run_episode
 from .bench import SuiteConfig, SuiteReport, ablation, run_suite
 
 __all__ = [
-    "KnowledgeMap",
-    "MazeGrid",
-    "OPEN",
-    "OUTSIDE",
-    "WALL",
-    "coverage_percent",
-    "from_text",
-    "generate_maze",
-    "manhattan",
-    "probe",
-    "to_text",
-    "SpiralState",
-    "spiral_next",
-    "Plan",
-    "astar_plan",
-    "follow_plan",
-    "QTable",
-    "RewardBreakdown",
-    "decision_reward",
-    "discretize",
-    "q_update",
-    "select_action",
-    "terminal_reward",
     "EpisodeConfig",
     "EpisodeLog",
     "VARIANTS",
@@ -74,6 +27,10 @@ __all__ = [
     "run_episode",
     "SuiteConfig",
     "SuiteReport",
-    "ablation",
     "run_suite",
+    "ablation",
+    "MazeGrid",
+    "generate_maze",
+    "to_text",
+    "from_text",
 ]

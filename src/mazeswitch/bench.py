@@ -1,7 +1,8 @@
 """Experiment matrix runner, aggregation, ablation, and report files.
 
 A suite executes every (size, maze index, variant) cell exactly once, so
-``SuiteConfig`` rejects a size or variant listed twice.
+``SuiteConfig`` takes its sizes and variants as tuples and rejects a
+size or variant listed twice.
 Maze ``i`` of a size uses seed ``base_seed + i``; learning variants draw
 their exploration stream from ``base_seed XOR RL_SEED_SALT``. The salt
 depends only on the convergence mode, never on the base policy, so the
@@ -62,10 +63,11 @@ class SuiteConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.sizes:
-            raise ValueError("sizes must not be empty")
-        if not self.variants:
-            raise ValueError("variants must not be empty")
+        for name, values in (("sizes", self.sizes), ("variants", self.variants)):
+            if not isinstance(values, tuple):  # a str would pass as its letters
+                raise ValueError(f"{name} must be a tuple, not {values!r}")
+            if not values:
+                raise ValueError(f"{name} must not be empty")
         for name, values, kind in (
             ("sizes", self.sizes, int),
             ("mazes_per_size", (self.mazes_per_size,), int),

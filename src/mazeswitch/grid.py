@@ -57,12 +57,13 @@ Text form (``to_text``/``from_text`` round-trip every ``MazeGrid`` exactly)::
     ......
 
 with ``#`` wall, ``.`` open, ``S`` start at (0, 0), ``T`` target at
-(n/2, n/2). Body row i holds x == i, column j holds y == j.
+(n/2, n/2). Body row i holds x == i, column j holds y == j. The header
+is exactly ``f"{n} {seed}"``; ``from_text`` rejects any other spelling
+of the two ints, which would not round-trip.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -70,6 +71,12 @@ from functools import cached_property, lru_cache
 from .rng import INCREMENT, MASK64, MIX1, MIX2, SplitMix64, rejection_limit
 
 BRAID_PROBABILITY = 0.10
+
+# The largest maze size. Memory grows with n * n: one seed-0 episode
+# peaked at 91 MB at 512 and at 351 MB at 1024 (Python 3.11, Linux). The
+# cap stops a typo or an edited record from carving a maze that exhausts
+# memory.
+MAX_MAZE_SIZE = 512
 
 OPEN, WALL, OUTSIDE = 0, 1, 2  # bytes of the padded layout
 UNKNOWN = 3  # knowledge byte of a grid cell not yet sensed
@@ -177,10 +184,6 @@ class MazeGrid:
         """The layout as n ``bytes`` rows: ``walls[x][y]`` is 1 at a wall."""
         return self.layout.rows(self.cells)
 
-    def layout_hash(self) -> str:
-        """sha256 of the n*n row-major wall bytes."""
-        return hashlib.sha256(b"".join(self.walls)).hexdigest()
-
 
 def probe(maze: MazeGrid, frm: int, neighbor: int) -> int:
     """Constant-time local wall sensor over flat layout indices: the maze byte.
@@ -206,6 +209,7 @@ def manhattan(a: tuple, b: tuple) -> int:
 class KnowledgeMap:
     """What the agent has learned so far from local probes, on an ``n x n`` grid.
 
+    ``n`` and ``sample_stride`` are positive ints, or ValueError.
     ``known``, in the grid's ``Layout``, holds the agent's view: OPEN,
     WALL or UNKNOWN for grid cells, OUTSIDE for the padding. A fixed maze never
     contradicts itself, so the first fact learned about a cell stands.
@@ -359,9 +363,11 @@ def generate_maze(n: int, seed: int) -> MazeGrid:
 
 
 def check_maze_size(n: int) -> None:
-    """Raise MazeConfigError unless ``n`` is an even int maze size of at least 8."""
-    if type(n) is not int or n < 8 or n % 2:  # a bool is not an int here
-        raise MazeConfigError(f"maze size must be even and at least 8 (an int), got {n!r}")
+    """Raise MazeConfigError unless ``n`` is an even int from 8 to ``MAX_MAZE_SIZE``."""
+    if type(n) is not int or not 8 <= n <= MAX_MAZE_SIZE or n % 2:  # a bool is not an int here
+        raise MazeConfigError(
+            f"maze size must be even and from 8 to {MAX_MAZE_SIZE} (an int), got {n!r}"
+        )
 
 
 # Rejection limit of ``randbelow(k)`` for the carver's k unvisited rooms, k = 1..4.
@@ -518,13 +524,12 @@ def from_text(text: str) -> MazeGrid:
     lines = text.splitlines()
     if not lines:
         raise MazeFormatError("empty maze text")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MazeFormatError(f"bad header line: {lines[0]!r}")
     try:
-        n, seed = int(header[0]), int(header[1])
-    except ValueError as exc:
+        n, seed = map(int, lines[0].split())
+    except ValueError as exc:  # not two ints
         raise MazeFormatError(f"bad header line: {lines[0]!r}") from exc
+    if lines[0] != f"{n} {seed}":  # only the form ``to_text`` writes
+        raise MazeFormatError(f"bad header line: {lines[0]!r}")
     body = lines[1:]
     if len(body) != n:
         raise MazeFormatError(f"expected {n} rows, got {len(body)}")

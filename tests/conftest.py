@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,11 @@ def pytest_terminal_summary(terminalreporter):
     for num, passed, detail in sorted(ACCEPTANCE_RESULTS):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {num:2d}: {status} - {detail}")
+
+
+def layout_digest(maze):
+    """sha256 of the n*n row-major wall bytes (1 = wall), as hex."""
+    return hashlib.sha256(b"".join(maze.walls)).hexdigest()
 
 
 @pytest.fixture

@@ -425,10 +425,13 @@ class TestSuiteConfigValidation:
             {"sizes": (16, 32, 16)},
             {"variants": ("spiral", "spiral")},
             {"variants": ("spiral", "sentinel_rl", "sentinel_rl")},
+            {"sizes": (514,)},
+            {"sizes": (16, 10**9)},
         ],
     )
     def test_rejects_bad_sizes_and_jobs(self, kwargs):
-        # Repeated sizes or variants would run a cell more than once.
+        # Repeated sizes or variants would run a cell more than once, and
+        # a size above 512 could exhaust memory.
         with pytest.raises(ValueError):
             SuiteConfig(**kwargs)
 
@@ -445,14 +448,19 @@ class TestSuiteConfigValidation:
             ({"jobs": 1.5}, "jobs must be int, not 1.5"),
             ({"jobs": True}, "jobs must be int, not True"),
             ({"variants": ("spiral", 3)}, "variants must be str, not 3"),
+            ({"sizes": 16}, "sizes must be a tuple, not 16"),
+            ({"variants": "spiral"}, "variants must be a tuple, not 'spiral'"),
         ],
         ids=[
             "float-size", "bool-size", "str-size", "float-mazes", "bool-mazes",
             "float-seed", "bool-seed", "float-jobs", "bool-jobs", "int-variant",
+            "int-sizes", "str-variants",
         ],
     )
     def test_rejects_a_value_of_the_wrong_type(self, kwargs, message):
-        # Unchecked, these failed only inside run_suite, or (jobs=1.5) ran.
+        # Unchecked, these failed only inside run_suite, or (jobs=1.5) ran;
+        # an int ``sizes`` raised a bare TypeError, and a str ``variants``
+        # was read as its letters.
         with pytest.raises(ValueError) as raised:
             SuiteConfig(**{"sizes": (16,), "mazes_per_size": 1, **kwargs})
         assert str(raised.value) == message

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from mazeswitch import cli
+from mazeswitch import cli, grid
 from mazeswitch.bench import DEFAULT_SIZES, LONG_SIZES, SuiteReport
 from mazeswitch.cli import main
 from mazeswitch.episode import VARIANT_ORDER
 from mazeswitch.grid import from_text, generate_maze, to_text
+from conftest import layout_digest
 
 
 DATA = Path(__file__).parent / "data"
@@ -30,7 +31,7 @@ class TestGenMaze:
         path = tmp_path / "maze.txt"
         assert run_cli(["gen-maze", "--size", "16", "--seed", "2", "--out", str(path)]) == 0
         capsys.readouterr()
-        assert from_text(path.read_text()).layout_hash() == generate_maze(16, 2).layout_hash()
+        assert layout_digest(from_text(path.read_text())) == layout_digest(generate_maze(16, 2))
 
     @pytest.mark.parametrize("size", ["7", "6"])
     def test_bad_size_is_one_line_and_exit_status_2(self, size, capsys):
@@ -576,6 +577,25 @@ class TestSuiteArgumentErrors:
             run_cli(argv)
         assert exc.value.code == 2
         _assert_one_error_line(capsys, "'bogus'", ", ".join(VARIANT_ORDER))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--sizes", "1000000000", "--mazes", "1"],
+            ["gen-maze", "--size", "1000000000", "--seed", "0"],
+        ],
+        ids=["run", "gen-maze"],
+    )
+    def test_oversize_is_one_line_before_any_maze(self, argv, monkeypatch, capsys):
+        def no_maze(*args):
+            raise AssertionError("a maze or a suite started")
+
+        monkeypatch.setattr(cli, "run_suite", no_maze)
+        monkeypatch.setattr(grid, "layout", no_maze)  # the first allocation of any maze
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        _assert_one_error_line(capsys, "maze size must be even", "got 1000000000")
 
     def test_non_integer_size_is_a_usage_error(self, monkeypatch, capsys):
         def no_suite(suite):

@@ -318,6 +318,12 @@ class TestConfigRecord:
             EpisodeConfig(**{"n": 16, "maze_seed": 1, "variant": VARIANTS["spiral"], **values})
         assert str(raised.value) == f"config values must be integers: {named}"
 
+    @pytest.mark.parametrize("n", [514, 2**31])
+    def test_rejects_a_size_above_the_cap(self, n):
+        # Uncapped, n = 2**31 built a config with a step limit of 2**64.
+        with pytest.raises(ValueError, match=r"^maze size must be even .*, got "):
+            EpisodeConfig(n=n, maze_seed=0, variant=VARIANTS["spiral"])
+
     def test_rejects_a_variant_that_is_not_a_variant_spec(self):
         # Unchecked, a variant name builds and run_episode fails on ``.convergence``.
         with pytest.raises(ValueError, match=r"^variant must be a VariantSpec, got 'spiral'$"):
@@ -430,6 +436,17 @@ class TestReplayRecord:
     def test_malformed_line_raises(self, text, message):
         with pytest.raises(ValueError, match=message):
             replay_record(text)
+
+    def test_oversize_record_is_rejected_before_it_runs(self, line, monkeypatch):
+        # Uncapped, a line edited to n = 10**9 did not return within 5 s.
+        def no_episode(cfg):
+            raise AssertionError("an episode started")
+
+        monkeypatch.setattr(episode, "run_episode", no_episode)
+        record = json.loads(line)
+        record["config"]["n"] = 10**9
+        with pytest.raises(ValueError, match=r"^maze size must be even .*, got 1000000000$"):
+            replay_record(json.dumps(record))
 
     @pytest.mark.parametrize("version", [None, 1, 4, 2.0, 3.0, True])
     def test_unknown_version_raises(self, line, version):

@@ -35,6 +35,7 @@ from mazeswitch.rng import MASK64, SplitMix64
 from mazeswitch.spiral import SpiralState, spiral_next
 from conftest import (
     bfs_distance,
+    layout_digest,
     reference_dead_ends,
     reference_observe,
     reference_walls,
@@ -77,7 +78,7 @@ class TestGenerateMaze:
         a = generate_maze(16, 1)
         generate_maze.cache_clear()
         b = generate_maze(16, 1)
-        assert a.layout_hash() == b.layout_hash()
+        assert layout_digest(a) == layout_digest(b)
         assert a.walls == b.walls
 
     @pytest.mark.parametrize(
@@ -90,7 +91,7 @@ class TestGenerateMaze:
     )
     def test_layout_hash_pinned(self, n, seed, digest):
         # sha256 of the n*n row-major wall bytes (1 = wall); must never change.
-        assert generate_maze(n, seed).layout_hash() == digest
+        assert layout_digest(generate_maze(n, seed)) == digest
 
     @pytest.mark.parametrize(
         "n, seeds, digest",
@@ -106,12 +107,12 @@ class TestGenerateMaze:
         ],
     )
     def test_layout_hashes_of_seed_ranges_pinned(self, n, seeds, digest):
-        # sha256 over the hex layout_hash() of seeds 0 .. seeds - 1, in order.
+        # sha256 over the hex layout_digest() of seeds 0 .. seeds - 1, in order.
         # At n = 10, 14 and 18 (n % 4 == 2) the target sits off the room
         # lattice, so the open target area adds passages of its own.
         combined = hashlib.sha256()
         for seed in range(seeds):
-            combined.update(generate_maze(n, seed).layout_hash().encode())
+            combined.update(layout_digest(generate_maze(n, seed)).encode())
         assert combined.hexdigest() == digest
 
     @settings(max_examples=60, deadline=None)
@@ -155,7 +156,7 @@ class TestGenerateMaze:
             generate_maze(16, 1)
 
     def test_different_seeds_differ(self):
-        assert generate_maze(16, 1).layout_hash() != generate_maze(16, 2).layout_hash()
+        assert layout_digest(generate_maze(16, 1)) != layout_digest(generate_maze(16, 2))
 
     def test_bfs_oracle_path_length_frozen(self):
         # Oracle value computed once with the BFS in conftest and frozen.
@@ -202,7 +203,7 @@ class TestMazeMemo:
             maze.cells[maze.layout.index(0, 1)] = 1
         with pytest.raises(TypeError):
             maze.walls[0] = bytes(16)
-        assert generate_maze(16, 1).layout_hash() == generate_maze.__wrapped__(16, 1).layout_hash()
+        assert layout_digest(generate_maze(16, 1)) == layout_digest(generate_maze.__wrapped__(16, 1))
 
     @pytest.mark.parametrize("variant", ["spiral", "spiral_conv", "spiral_rl"])
     def test_episode_on_a_memo_hit_matches_a_fresh_carve(self, variant):
@@ -387,6 +388,19 @@ class TestIntSizeAndSeed:
         maze = MazeGrid(8, [[0] * 8] * 8, seed)
         again = from_text(to_text(maze))
         assert (again.n, again.seed, again.walls) == (8, seed, maze.walls)
+
+
+class TestMaxMazeSize:
+    """Sizes above 512 are rejected before anything is carved."""
+
+    @pytest.mark.parametrize("n", [8, 128, 256, 512])
+    def test_admits_sizes_up_to_512(self, n):
+        grid.check_maze_size(n)
+
+    @pytest.mark.parametrize("n", [514, 1024, 10**9, 2**31, 2**70])
+    def test_rejects_larger_sizes(self, n):
+        with pytest.raises(MazeConfigError, match=r"^maze size must be even .* \(an int\), got "):
+            grid.check_maze_size(n)
 
 
 class TestManhattan:
@@ -714,6 +728,23 @@ class TestTextFormat:
             extra[1 + 4] = extra[1 + 4][:4] + marker + extra[1 + 4][5:]
             with pytest.raises(MazeFormatError, match=re.escape(f"{marker} marker at both {first} and {second}")):
                 from_text("\n".join(extra) + "\n")
+
+    @pytest.mark.parametrize(
+        "header",
+        ["8\t5", "8 5_0", "8 +5", "08 5", "8 \u0665", "8 -0", "8 5 ", " 8 5", "8  5"],
+        ids=[
+            "tab", "underscore", "plus", "leading-zero", "arabic-indic-digit",
+            "minus-zero", "trailing-space", "leading-space", "two-spaces",
+        ],
+    )
+    def test_only_the_written_header_form_loads(self, header):
+        # Each of these parses as two ints, but to_text would write it back
+        # differently, so the text would not round-trip.
+        lines = to_text(generate_maze(8, 5)).splitlines()
+        assert from_text("\n".join(lines) + "\n").seed == 5
+        lines[0] = header
+        with pytest.raises(MazeFormatError, match=re.escape(f"bad header line: {header!r}")):
+            from_text("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
         "k, text, message",

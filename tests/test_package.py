@@ -17,6 +17,26 @@ def test_every_public_name_resolves_and_star_import_works():
     assert set(mazeswitch.__all__) <= set(namespace)
 
 
+def test_the_root_exports_the_contract_only():
+    # Configure and run an episode or a suite, read its log or report, and
+    # carve, print or parse a maze; every per-step part stays in its module.
+    assert mazeswitch.__all__ == [
+        "EpisodeConfig",
+        "EpisodeLog",
+        "VARIANTS",
+        "VariantSpec",
+        "run_episode",
+        "SuiteConfig",
+        "SuiteReport",
+        "run_suite",
+        "ablation",
+        "MazeGrid",
+        "generate_maze",
+        "to_text",
+        "from_text",
+    ]
+
+
 def test_every_python_block_of_the_readme_runs():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
@@ -77,5 +97,5 @@ def test_every_traced_name_resolves():
     # The benchmark's own checks also read the walker's binding of the
     # sensor and the planner's ``Plan.cost``.
     assert mazeswitch.spiral.probe is mazeswitch.grid.probe
-    k = mazeswitch.KnowledgeMap(8)
-    assert mazeswitch.astar_plan(k.index(0, 0), k.index(4, 4), k).cost == 8
+    k = mazeswitch.grid.KnowledgeMap(8)
+    assert mazeswitch.pathfind.astar_plan(k.index(0, 0), k.index(4, 4), k).cost == 8
