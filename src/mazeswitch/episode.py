@@ -25,9 +25,9 @@ walk's last position, step count and knowledge; its replans take no step.
 Both loops track positions as flat layout indices, as the walker and the
 planner do; the trajectory becomes ``(x, y)`` pairs once, when the
 episode ends, by lookup into the maze's ``Layout.cells``. The agent
-learns walls only through ``KnowledgeMap.arrive`` on each cell it enters
-for the first time. A revisit learns nothing, so both loops call
-``arrive`` on a first visit only.
+learns walls only on each cell it enters for the first time, through
+``KnowledgeMap.arrive`` at the start and in the A* loop, and through the
+same work inside ``spiral_next`` on a walk. A revisit learns nothing.
 
 A record (``to_record``, schema version 3) stores the trajectory as a
 move string, one letter per step from the start (0, 0): ``E``, ``S``,

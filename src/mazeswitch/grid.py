@@ -29,8 +29,8 @@ never open and never unknown. A sensed fact is that byte itself:
 ``probe`` returns OPEN, WALL or OUTSIDE, and ``KnowledgeMap.note``
 records OPEN or WALL as read. ``KnowledgeMap.arrive`` senses on a first
 visit only: in a fixed maze the first fact about a cell stands, so a
-revisit would learn nothing. The coverage walker therefore calls
-``arrive`` on a first visit only, and on a revisit reads just
+revisit would learn nothing. The coverage walker does the same work in
+its own frame on a first visit, and on a revisit reads just
 ``visited_mask``. ``coverage_percent`` is the visited share of the
 grid, and ``cells_for_coverage`` the least visited count that reaches a
 given share, so an episode checks its switch by count.
@@ -58,8 +58,9 @@ Text form (``to_text``/``from_text`` round-trip every ``MazeGrid`` exactly)::
 
 with ``#`` wall, ``.`` open, ``S`` start at (0, 0), ``T`` target at
 (n/2, n/2). Body row i holds x == i, column j holds y == j. The header
-is exactly ``f"{n} {seed}"``; ``from_text`` rejects any other spelling
-of the two ints, which would not round-trip.
+is exactly ``f"{n} {seed}"``, and only ``\n`` ends a line (the last
+may be missing); ``from_text`` rejects any other spelling, which would
+not round-trip.
 """
 
 from __future__ import annotations
@@ -466,29 +467,37 @@ def nearest_path(cells, stride: int, start: int, reached) -> list | None:
     OPEN is 0, and a discovered index is marked ``4 + heading`` with the
     heading it was entered by, so ``marked_path`` reads the path back.
     """
+    if not reached[start]:
+        return []
     seen = bytearray(cells)
     seen[start] = WALL  # discovered, and never a mark to step back from
     frontier = [start]
     push = frontier.append
-    for i in frontier:  # a FIFO queue: the loop reaches the appended indices
-        if not reached[i]:
-            return marked_path(seen, stride, start, i)
+    for i in frontier:  # a FIFO queue, so the first unreached push ends the search
         # The four headings unrolled; ``not seen[j]`` is ``seen[j] == OPEN``.
         j = i + 1
         if not seen[j]:
             seen[j] = 4
+            if not reached[j]:
+                return marked_path(seen, stride, start, j)
             push(j)
         j = i + stride
         if not seen[j]:
             seen[j] = 5
+            if not reached[j]:
+                return marked_path(seen, stride, start, j)
             push(j)
         j = i - 1
         if not seen[j]:
             seen[j] = 6
+            if not reached[j]:
+                return marked_path(seen, stride, start, j)
             push(j)
         j = i - stride
         if not seen[j]:
             seen[j] = 7
+            if not reached[j]:
+                return marked_path(seen, stride, start, j)
             push(j)
     return None
 
@@ -521,8 +530,8 @@ def to_text(maze: MazeGrid) -> str:
 
 
 def from_text(text: str) -> MazeGrid:
-    lines = text.splitlines()
-    if not lines:
+    lines = text.removesuffix("\n").split("\n")  # only "\n" ends a line; the last is optional
+    if not text:
         raise MazeFormatError("empty maze text")
     try:
         n, seed = map(int, lines[0].split())

@@ -32,7 +32,7 @@ popped cell's, or at level f + 2:
   within an ``h``.
 
 Distances to the target come from a table per ``(n, t)``, as the
-spiral's route does.
+spiral's route does, and plans of one size share one ``g`` list.
 
 Parents are heading marks in a scratch copy of the knowledge bytes, read
 back by ``grid.marked_path`` as in ``nearest_path``. There is no closed
@@ -68,6 +68,11 @@ class Plan:
         return len(self.waypoints) - 1
 
 
+@lru_cache(maxsize=4)  # one shared ``g`` per layout size: a process plans one path at a time
+def _g_scratch(size: int) -> list:
+    return [0] * size
+
+
 @lru_cache(maxsize=4)  # an episode plans to one target; a suite runs size by size
 def _distances(n: int, t: int) -> tuple:
     """The Manhattan distance from every index of the size-``n`` layout to index ``t``."""
@@ -97,7 +102,8 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
     # Each push marks its index ``4 + heading``; a better push overwrites it.
     seen = known.translate(_ENTERABLE)
     seen[s] = WALL
-    g = [0] * len(seen)  # read only at a marked index
+    g = _g_scratch(len(seen))  # read only at ``s`` and at indices marked by this plan
+    g[s] = 0  # read at the first pop: a stale value would shift every g of this plan
     level, later = [s], []  # level f as a stack, next pop on top; level f + 2
 
     while True:

@@ -39,8 +39,8 @@ Each step chooses the next cell in one ``if/elif`` chain (along an
 escape path, the route's next cell when it probes open, or
 wall-following, on a detour or past a fully visited component),
 arrives on it, and on a detour then settles it: the detour ends at the
-cursor, breaks out, or goes on. Only a first visit calls
-``KnowledgeMap.arrive``; a revisit would record and sense nothing.
+cursor, breaks out, or goes on. Only a first visit learns, as
+``KnowledgeMap.arrive`` would but in the step's own frame.
 
 ``walker_counts`` gives the walker's steps by phase and its detour
 breakouts, named by ``COUNT_NAMES``. The branch that takes a step names
@@ -63,7 +63,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .grid import OPEN, KnowledgeMap, MazeGrid, layout, nearest_path, probe
+from .grid import OPEN, OUTSIDE, UNKNOWN, KnowledgeMap, MazeGrid, layout, nearest_path, probe
 
 # A detour hug that only retraces visited cells for this many consecutive
 # steps is abandoned in favour of a direct walk to unvisited ground.
@@ -146,14 +146,16 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
     """Advance the walker one cell and return its new position.
 
     A step chooses the next cell, arrives on it, then settles the detour
-    when it is part of one. Arriving calls ``knowledge.arrive`` on a
-    first visit only, since a revisit records and senses nothing; the
-    caller must have called it for the starting cell before the first
-    call. Raises SpiralStuck when no neighbour is known to be passable,
-    which cannot happen on a connected maze.
+    when it is part of one. Arriving does the work of ``knowledge.arrive``
+    on a first visit only; the caller must have called ``arrive`` for the
+    starting cell. The first call raises ValueError when the maze and the
+    map differ in size. Raises SpiralStuck when no neighbour is known to
+    be passable, which cannot happen on a connected maze.
     """
     tables = state.tables
     if tables is None:
+        if maze.n != knowledge.n:
+            raise ValueError(f"sensing a size {maze.n} maze into a size {knowledge.n} map")
         route, rank, ring = spiral_route(maze.n)
         tables = state.tables = (route, rank, ring, len(route))
     route, rank, ring, end = tables
@@ -205,7 +207,30 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
         state.heading = heading
 
     state.pos = nxt
-    fresh = not knowledge.visited_mask[nxt] and knowledge.arrive(maze, nxt)
+    fresh = not knowledge.visited_mask[nxt]
+    if fresh:  # ``knowledge.arrive(maze, nxt)``; the first step checked the sizes
+        known = knowledge.known
+        if not 0 <= nxt < len(known) or known[nxt] == OUTSIDE:
+            raise ValueError(f"cannot visit off-grid index {nxt}")
+        knowledge.visited_mask[nxt] = 1
+        if knowledge.visited_count % knowledge.sample_stride == 0:
+            knowledge.sampled_history.append(nxt)
+        knowledge.visited_count += 1
+        cells, w = maze.cells, knowledge.stride
+        if known[nxt] == UNKNOWN:
+            known[nxt] = cells[nxt]
+        j = nxt + 1
+        if known[j] == UNKNOWN:
+            known[j] = cells[j]
+        j = nxt + w
+        if known[j] == UNKNOWN:
+            known[j] = cells[j]
+        j = nxt - 1
+        if known[j] == UNKNOWN:
+            known[j] = cells[j]
+        j = nxt - w
+        if known[j] == UNKNOWN:
+            known[j] = cells[j]
     if seen is None:
         return nxt
 

@@ -231,8 +231,9 @@ class TestCounters:
         assert sentinel.counters["history_len"] < spiral.counters["history_len"]
 
     def test_only_a_first_visit_arrives(self, monkeypatch):
-        # A revisit learns nothing, so the walker skips ``arrive`` there:
-        # one call per distinct cell, the start included.
+        # A revisit learns nothing. The walker learns a first visit in its
+        # own frame, so ``arrive`` runs for the start cell alone, and the
+        # map counts one visit per distinct cell, the start included.
         maps = []
         arrive = KnowledgeMap.arrive
 
@@ -242,12 +243,20 @@ class TestCounters:
 
         monkeypatch.setattr(KnowledgeMap, "arrive", counting_arrive)
         log = run_episode(EpisodeConfig(n=128, maze_seed=0, variant=VARIANTS["spiral"]))
-        assert len(maps) == maps[-1].visited_count == len(set(log.trajectory))
-        assert len(maps) < log.total_steps / 4, (len(maps), log.total_steps)
+        assert len(maps) == 1
+        knowledge = maps[0]
+        assert knowledge.visited_count == len(set(log.trajectory))
+        assert knowledge.sampled_history == [
+            knowledge.index(*cell) for cell in dict.fromkeys(log.trajectory)
+        ]
+        assert knowledge.visited_count < log.total_steps / 4, (
+            knowledge.visited_count,
+            log.total_steps,
+        )
 
     def test_the_a_star_phase_arrives_the_walkers_way(self, monkeypatch):
-        # After the switch, too, a revisit skips ``arrive``: the calls over
-        # the whole episode are the distinct cells it stood on.
+        # After the switch, too, a revisit skips ``arrive``: the calls are
+        # the start and the distinct cells first entered after the switch.
         maps = []
         arrive = KnowledgeMap.arrive
 
@@ -261,7 +270,8 @@ class TestCounters:
         before = set(log.trajectory[: log.switch_step + 1])
         after = log.trajectory[log.switch_step + 1 :]
         assert any(cell in before for cell in after)  # the A* phase does revisit
-        assert len(maps) == maps[-1].visited_count == len(set(log.trajectory))
+        assert len(maps) == 1 + len(set(after) - before)
+        assert maps[-1].visited_count == len(set(log.trajectory))
 
     def test_record_carries_the_counters(self):
         log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))

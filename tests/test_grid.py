@@ -688,6 +688,32 @@ class TestNearestPath:
         assert nearest_path(k.known, k.stride, at(0, 0), k.visited_mask) is None
 
 
+# Characters a mutation writes: the maze glyphs, header characters, and
+# every separator that ``str.splitlines`` treats as a line end.
+MUTATION_CHARS = "#.ST 0123456789-+_x\t\n\r\x0b\f\x1c\x1d\x1e\x85\u2028\u2029\u0665"
+
+
+@st.composite
+def mutated_maze_texts(draw):
+    """The text of a small maze after a few character edits."""
+    n = draw(st.sampled_from((8, 10, 16)))
+    text = to_text(generate_maze(n, draw(st.integers(0, 3))))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "line end")))
+        if kind == "line end":  # a line end in particular: few draws would hit one
+            i = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "\n"]))
+        else:
+            i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(MUTATION_CHARS))
+        if kind == "insert":
+            text = text[:i] + ch + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + ch + text[i + 1 :]
+    return text
+
+
 class TestTextFormat:
     def test_round_trip_bit_exact(self):
         for seed in range(5):
@@ -745,6 +771,33 @@ class TestTextFormat:
         lines[0] = header
         with pytest.raises(MazeFormatError, match=re.escape(f"bad header line: {header!r}")):
             from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "separator",
+        ["\r\n", "\r", "\f", "\x1c", "\x85", "\u2028"],
+        ids=["crlf", "cr", "form-feed", "file-separator", "next-line", "line-separator"],
+    )
+    def test_only_a_newline_ends_a_line(self, separator):
+        # ``str.splitlines`` ends a line at each of these, and ``to_text``
+        # would write it back as "\n", so the text would not round-trip.
+        text = to_text(generate_maze(8, 5))
+        assert to_text(from_text(text[:-1])) == text  # the final "\n" is optional
+        with pytest.raises(MazeFormatError):
+            from_text(text.replace("\n", separator, 1))
+        with pytest.raises(MazeFormatError):
+            from_text(text.replace("\n", separator))
+
+    @settings(max_examples=300, deadline=1000)
+    @given(text=mutated_maze_texts())
+    def test_a_mutated_text_round_trips_or_is_rejected(self, text):
+        # Total reader: any text either loads as the maze whose text it
+        # is, or raises one of the two documented errors, within the
+        # deadline. Any other exception fails the property.
+        try:
+            maze = from_text(text)
+        except (MazeFormatError, MazeConfigError):
+            return
+        assert to_text(maze) == (text if text.endswith("\n") else text + "\n")
 
     @pytest.mark.parametrize(
         "k, text, message",

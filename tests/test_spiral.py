@@ -381,3 +381,37 @@ class TestMatchesReferenceWalker:
                 assert ref.next_k == len(spiral_route(n)[0]) and not ref.escape_path, step
                 known, stride, visited = ref_map.known, ref_map.stride, ref_map.visited_mask
                 assert nearest_path(known, stride, ref.pos, visited) is None, step
+
+    @pytest.mark.parametrize("sample_stride", (1, 4))
+    def test_lockstep_with_reference_at_128(self, sample_stride):
+        # The property above reaches size 32 at most; this walks the
+        # first thousands of steps of a 128 maze and compares, after each
+        # step, everything a first visit writes into the map.
+        maze = generate_maze(128, 0)
+        new_map, ref_map = KnowledgeMap(128, sample_stride), KnowledgeMap(128, sample_stride)
+        start = new_map.index(0, 0)
+        new, ref = SpiralState(start), ReferenceSpiralState(start)
+        new_map.arrive(maze, start)
+        ref_map.arrive(maze, start)
+        for step in range(4000):
+            assert spiral_next(new, maze, new_map) == reference_spiral_next(ref, maze, ref_map), step
+            assert new_map.known == ref_map.known, step
+            assert new_map.visited_mask == ref_map.visited_mask, step
+            assert new_map.visited_count == ref_map.visited_count, step
+            assert new_map.sampled_history == ref_map.sampled_history, step
+        counts = walker_counts(new, 4000)
+        assert counts == ref.counts
+        assert counts["ring"] and counts["detour"] and counts["escape"], counts
+
+
+class TestMapSize:
+    @pytest.mark.parametrize("maze_n, map_n", ((16, 32), (32, 16)))
+    def test_a_map_of_another_size_fails_on_the_first_step(self, maze_n, map_n):
+        maze = generate_maze(maze_n, 0)
+        knowledge = KnowledgeMap(map_n)
+        state = SpiralState(knowledge.index(0, 0))
+        message = f"sensing a size {maze_n} maze into a size {map_n} map"
+        with pytest.raises(ValueError, match=message):
+            spiral_next(state, maze, knowledge)
+        assert state.pos == knowledge.index(0, 0) and state.tables is None
+        assert knowledge.visited_count == 0
