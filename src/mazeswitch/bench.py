@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import csv
 import json
-import statistics
+import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -52,6 +53,8 @@ DEFAULT_SIZES = (16, 32, 64)
 LONG_SIZES = (16, 32, 64, 128)
 
 ABLATION_VARIANTS = ("spiral", "spiral_conv", "spiral_rl")
+
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3  # 109 for a 53-bit float
 
 
 @dataclass(frozen=True)
@@ -204,11 +207,11 @@ def aggregate(suite: SuiteConfig, logs: list) -> list:
                 VariantRow(
                     size=n,
                     variant=vname,
-                    mean_steps=statistics.fmean(steps),
-                    median_steps=float(statistics.median(steps)),
+                    mean_steps=sum(steps) / len(steps),
+                    median_steps=_median(steps),
                     min_steps=min(steps),
                     max_steps=max(steps),
-                    stddev=statistics.pstdev(steps),
+                    stddev=_pstdev(steps),
                     success_rate=100.0
                     * sum(log.outcome == SUCCESS for log in cell)
                     / len(cell),
@@ -217,6 +220,37 @@ def aggregate(suite: SuiteConfig, logs: list) -> list:
                 )
             )
     return rows
+
+
+def _median(steps: list) -> float:
+    """The median of ints as a float, the mean of the middle two for an even count."""
+    ordered = sorted(steps)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return (ordered[half - 1] + ordered[half]) / 2
+
+
+def _pstdev(steps: list) -> float:
+    """Population standard deviation of ints, correctly rounded.
+
+    The variance is the exact fraction ``(k * sum(x * x) - sum(x) ** 2) / k ** 2``,
+    and its square root is rounded once, as ``statistics`` does from
+    Python 3.11: scaled so that the integer root has 109 bits, rounded to
+    odd, then to a float (https://bugs.python.org/msg407078). So the
+    report reads the same on every supported Python; ``statistics.pstdev``
+    in 3.10 rounds twice and can differ in the last digit.
+    """
+    k, total = len(steps), sum(steps)
+    num, den = k * sum(x * x for x in steps) - total * total, k * k
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num  # round to odd
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def ablation(report: SuiteReport) -> list:

@@ -23,16 +23,22 @@ switch. Only a switch with steps left starts the convergence loop, from the
 walk's last position, step count and knowledge; its replans take no step.
 
 Both loops track positions as flat layout indices, as the walker and the
-planner do; the trajectory becomes ``(x, y)`` pairs once, when the
-episode ends, by lookup into the maze's ``Layout.cells``. The agent
-learns walls only on each cell it enters for the first time, through
-``KnowledgeMap.arrive`` at the start and in the A* loop, and through the
-same work inside ``spiral_next`` on a walk. A revisit learns nothing.
+planner do, and record each step as its heading, an index into
+``Layout.offsets``: the walker's ``SpiralState.heading`` after each
+``spiral_next``, and the offset of each A* move. When the episode ends
+the heading bytes become the move string, one letter per step from the
+start (0, 0): ``E``, ``S``, ``W``, ``N`` for (dx, dy) = (0, +1),
+(+1, 0), (0, -1), (-1, 0), the order of ``Layout.offsets``. The log's
+``trajectory`` is a ``Trajectory``, a read-only sequence of the
+``(x, y)`` positions that decodes the move string only when read. The
+agent learns walls only on each cell it enters for the first time,
+through ``KnowledgeMap.arrive`` at the start and in the A* loop, and
+through the same work inside ``spiral_next`` on a walk. A revisit
+learns nothing.
 
-A record (``to_record``, schema version 3) stores the trajectory as a
-move string, one letter per step from the start (0, 0): ``E``, ``S``,
-``W``, ``N`` for (dx, dy) = (0, +1), (+1, 0), (0, -1), (-1, 0), the
-order of ``Layout.offsets``. A learning variant's ``q_values`` hold only
+A record (``to_record``, schema version 3) stores the trajectory as that
+move string, written as it is; a hand-built list of positions goes
+through ``encode_moves``. A learning variant's ``q_values`` hold only
 the Q-table rows that are not all 0.0, keyed by state index as a string;
 ``EpisodeLog.q_values`` stays dense. The record's ``counters`` are
 exact. ``spiral.walker_counts`` gives the walker's steps by phase and
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from itertools import accumulate
 from typing import Optional
 
 from .grid import (
@@ -62,6 +69,7 @@ from .grid import (
     check_maze_size,
     coverage_percent,
     generate_maze,
+    layout,
     manhattan,
 )
 from .pathfind import astar_plan, follow_plan
@@ -165,15 +173,79 @@ class DecisionRecord:
     reward: float
 
 
+# A heading, an index into Layout.offsets, as its move letter.
+_LETTER_OF_HEADING = bytes.maketrans(b"\0\1\2\3", b"ESWN")
+
+
+class Trajectory:
+    """The ``(x, y)`` positions of a walk from (0, 0), read from its move string.
+
+    A read-only sequence of ``len(moves) + 1`` cells on an ``n x n``
+    grid: indexing gives a cell, a slice a list, and iteration the cells
+    in order. It equals a list of the same cells, and another view of
+    the same moves. The cells are decoded on first use, as the shared
+    tuples of ``layout(n).cells``, and kept; a pickle holds only
+    ``(n, moves)``. ``moves`` comes from a walk of unit steps on the
+    grid, as ``run_episode`` records it; it is not checked.
+    """
+
+    __slots__ = ("n", "moves", "_cells")
+    __hash__ = None  # it equals a list, which has no hash
+
+    def __init__(self, n: int, moves: str) -> None:
+        self.n = n
+        self.moves = moves
+        self._cells = None
+
+    def _decoded(self) -> list:
+        if self._cells is None:
+            shared = layout(self.n)
+            w = shared.stride
+            step = {"E": 1, "S": w, "W": -1, "N": -w}.__getitem__
+            path = accumulate(map(step, self.moves), initial=shared.index(0, 0))
+            self._cells = list(map(shared.cells.__getitem__, path))
+        return self._cells
+
+    def __len__(self) -> int:
+        return len(self.moves) + 1
+
+    def __getitem__(self, i):
+        return self._decoded()[i]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Trajectory):  # the same moves from (0, 0) visit the same cells
+            return self.moves == other.moves
+        if isinstance(other, list):
+            return self._decoded() == other
+        return NotImplemented
+
+    def __reduce__(self):
+        return Trajectory, (self.n, self.moves)
+
+    def __repr__(self) -> str:
+        return f"Trajectory({self.n}, {self.moves!r})"
+
+
 @dataclass
 class EpisodeLog:
+    """What one episode did; ``run_episode`` gives it and ``to_record`` writes it.
+
+    ``trajectory`` holds the ``total_steps + 1`` positions from (0, 0)
+    as ``(x, y)`` pairs: a ``Trajectory`` from ``run_episode``, or any
+    list of pairs built by hand, which ``to_record`` checks as it
+    encodes it.
+    """
+
     config: EpisodeConfig
     outcome: str
     total_steps: int
     final_coverage: float
     switch_step: Optional[int]
     switch_coverage: Optional[float]
-    trajectory: list
+    trajectory: Trajectory | list
     decisions: list
     terminal_state_index: Optional[int] = None
     terminal_decision_reward: Optional[float] = None
@@ -199,7 +271,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     pos = knowledge.index(0, 0)
     state = SpiralState(pos)
     knowledge.arrive(maze, pos)
-    trajectory = [pos]
+    headings = bytearray()  # one index into Layout.offsets per step
 
     # The visited count that reaches the active threshold; None never switches.
     switch_count = None
@@ -218,7 +290,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     while steps < limit:
         pos = spiral_next(state, maze, knowledge)  # arrives on the new cell itself
         steps += 1
-        trajectory.append(pos)
+        headings.append(state.heading)  # the heading of the move just made
         if pos == target:
             break
         if switch_count is None:
@@ -241,6 +313,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     walked = steps
     plan = None
     replans = 0
+    offsets = knowledge.offsets
     while steps < limit and pos != target:
         if plan is None:
             plan = astar_plan(pos, target, knowledge)
@@ -255,11 +328,11 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             if replans > n * n:
                 raise AssertionError("replanning failed to make progress")
             continue
+        headings.append(offsets.index(nxt - pos))
         pos = nxt
         if not knowledge.visited_mask[pos]:  # a revisit records and senses nothing
             knowledge.arrive(maze, pos)
         steps += 1
-        trajectory.append(pos)
 
     final_coverage = coverage_percent(knowledge)
     log = EpisodeLog(
@@ -269,7 +342,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         final_coverage=final_coverage,
         switch_step=switch_step,
         switch_coverage=switch_coverage,
-        trajectory=list(map(maze.layout.cells.__getitem__, trajectory)),
+        trajectory=Trajectory(n, headings.translate(_LETTER_OF_HEADING).decode("ascii")),
         decisions=decisions,
         counters=dict(
             walker_counts(state, walked),
@@ -309,12 +382,7 @@ def encode_moves(trajectory) -> str:
 
     Raises ValueError at the first step that is not a unit move.
     """
-    try:  # ``_letter``, inlined
-        return "".join(
-            [_LETTERS[x1 - x0, y1 - y0] for (x0, y0), (x1, y1) in zip(trajectory, trajectory[1:])]
-        )
-    except (KeyError, TypeError, ValueError):
-        return "".join(map(_letter, trajectory, trajectory[1:]))  # raises at the bad move
+    return "".join(map(_letter, trajectory, trajectory[1:]))
 
 
 def to_record(log: EpisodeLog) -> dict:
@@ -338,7 +406,11 @@ def to_record(log: EpisodeLog) -> dict:
             for d in log.decisions
         ],
         "terminal": None,
-        "trajectory": encode_moves(log.trajectory),
+        "trajectory": (
+            log.trajectory.moves
+            if isinstance(log.trajectory, Trajectory)
+            else encode_moves(log.trajectory)
+        ),
         "counters": log.counters,
     }
     if log.terminal_reward is not None:

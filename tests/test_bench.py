@@ -1,10 +1,14 @@
 import hashlib
 import json
+import math
+import statistics
 from array import array
 from dataclasses import asdict, replace
+from fractions import Fraction
 from functools import cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 import mazeswitch.bench as bench
 from mazeswitch.bench import (
@@ -104,6 +108,34 @@ class TestAggregation:
         report, _ = small_suite
         assert report.provenance["config"] == asdict(SMALL)
         assert report.provenance["version"]
+
+
+class TestStatistics:
+    # The report's mean, median and stddev are exact or rounded once, so
+    # they read the same under every Python the package supports.
+    @given(st.lists(st.integers(0, 10**7), min_size=1, max_size=60))
+    def test_stddev_is_the_correctly_rounded_root(self, steps):
+        k = len(steps)
+        variance = Fraction(k * sum(x * x for x in steps) - sum(steps) ** 2, k * k)
+        root = bench._pstdev(steps)
+        # The exact root lies between the midpoints to the neighbouring floats.
+        below, above = math.nextafter(root, 0.0), math.nextafter(root, math.inf)
+        assert ((Fraction(below) + Fraction(root)) / 2) ** 2 <= variance
+        assert variance <= ((Fraction(root) + Fraction(above)) / 2) ** 2
+
+    @given(st.lists(st.integers(0, 10**7), min_size=1, max_size=60))
+    def test_mean_and_median_are_the_statistics_ones(self, steps):
+        assert bench._median(steps) == statistics.median(steps)
+        assert sum(steps) / len(steps) == statistics.fmean(steps)
+
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # ``mazeswitch run --sizes 16,32 --mazes 3``. Python 3.10's
+        # ``statistics.pstdev`` read 385.6088980070639 for 32/spiral.
+        report, _ = run_suite(SuiteConfig(sizes=(16, 32), mazes_per_size=3))
+        assert report.row(32, "spiral").stddev == 385.60889800706394
+        write_report_csv(report, tmp_path / "report.csv")
+        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest()
+        assert digest == "5a2a17a4cf06ba84c0c04c4c4c5e4bbce9d45716b6a786ca07ee98215dc858fa"
 
 
 class TestParallelism:

@@ -1,4 +1,5 @@
 import json
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,8 +21,9 @@ from mazeswitch.episode import (
     to_record,
 )
 from mazeswitch import spiral
-from mazeswitch.grid import KnowledgeMap, MazeGrid, manhattan, nearest_path
+from mazeswitch.grid import KnowledgeMap, MazeGrid, layout, manhattan, nearest_path
 from mazeswitch.qlearn import POTENTIAL_OFFSET, potential, switching_component
+from conftest import decode_moves
 
 DATA = Path(__file__).parent / "data"
 
@@ -394,6 +396,69 @@ class TestRecordTrajectory:
         log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))
         with pytest.raises(ValueError, match="not a unit step"):
             to_record(replace(log, trajectory=[(0, 0), (5, 5)] + log.trajectory[2:]))
+
+
+class TestTrajectoryView:
+    # ``run_episode`` logs its trajectory as the move string it records;
+    # the view reads as the list of (x, y) positions the string encodes.
+    @pytest.fixture(scope="class")
+    def log(self):
+        return run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))
+
+    def test_reads_as_the_positions_of_its_moves(self, log):
+        view = log.trajectory
+        assert type(view) is episode.Trajectory
+        cells = decode_moves(view.moves)
+        assert len(view) == len(cells) == log.total_steps + 1
+        assert view[0] == (0, 0) and view[-1] == cells[-1] == (8, 8)
+        assert view[-len(view)] == view[0] and view[-2] == cells[-2]
+        with pytest.raises(IndexError):
+            view[len(view)]
+        assert type(view[1:4]) is list and view[1:4] == cells[1:4]
+        assert view[::-1] == cells[::-1]
+        assert all(type(cell) is tuple for cell in view)
+        assert list(view) == cells
+
+    def test_cells_are_the_layouts_shared_tuples(self, log):
+        shared = layout(16)
+        assert all(cell is shared.cells[shared.index(*cell)] for cell in log.trajectory)
+
+    def test_equality(self, log):
+        view = log.trajectory
+        assert view == list(view) and list(view) == view
+        assert not view != list(view)
+        assert view == run_episode(log.config).trajectory
+        assert view != list(view)[:-1] and list(view)[:-1] != view
+        other = run_episode(replace(log.config, maze_seed=2)).trajectory
+        assert view != other and other != list(view) and list(view) != other
+        assert view != tuple(view)
+        with pytest.raises(TypeError):
+            hash(view)
+
+    def test_pickles_as_its_moves(self, log):
+        view = log.trajectory
+        list(view)  # decoded and kept; the pickle leaves the cells out
+        data = pickle.dumps(view)
+        assert len(data) < len(view.moves) + 100
+        again = pickle.loads(data)
+        assert again == view and again.moves == view.moves and again.n == 16
+        assert list(again) == list(view)
+
+    def test_a_logged_episode_pickles_in_about_a_byte_per_step(self):
+        # A suite's workers return their logs pickled; at the parent a
+        # 128 log was 5.2 B per step, mostly its list of tuples.
+        log = run_episode(EpisodeConfig(n=128, maze_seed=0, variant=VARIANTS["spiral"]))
+        assert log.total_steps > 10_000
+        assert len(pickle.dumps(log)) <= 1.1 * log.total_steps + 1000
+
+    def test_the_record_writes_the_moves_and_encodes_a_list(self, log, monkeypatch):
+        calls = []
+        monkeypatch.setattr(episode, "encode_moves", lambda t: calls.append(t) or encode_moves(t))
+        moves = to_record(log)["trajectory"]
+        assert moves is log.trajectory.moves and calls == []
+        listed = replace(log, trajectory=list(log.trajectory))
+        assert to_record(listed)["trajectory"] == moves
+        assert calls == [listed.trajectory]
 
 
 class TestReplayRecord:

@@ -45,12 +45,25 @@ def test_every_python_block_of_the_readme_runs():
         exec(compile(block, str(readme), "exec"), {})
 
 
-def test_import_needs_only_the_standard_library():
+def run_in_a_fresh_process(code: str) -> None:
     src = str(Path(mazeswitch.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, mazeswitch, mazeswitch.cli; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_needs_only_the_standard_library():
+    run_in_a_fresh_process("import sys, mazeswitch, mazeswitch.cli; assert 'numpy' not in sys.modules")
+
+
+def test_import_loads_no_numeric_tower():
+    # ``statistics`` pulls in ``fractions`` and ``decimal``: 5-7 ms of every
+    # start-up, worker processes included, for nothing the package needs.
+    run_in_a_fresh_process(
+        "import sys, mazeswitch\n"
+        "loaded = {'statistics', 'fractions', 'decimal'} & set(sys.modules)\n"
+        "assert not loaded, loaded"
+    )
 
 
 def test_no_module_imports_a_name_it_never_uses():

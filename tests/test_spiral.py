@@ -354,7 +354,9 @@ class TestMatchesReferenceWalker:
     def test_lockstep_with_reference(self, maze, budget, sample_stride):
         # Each step is compared in full: the walker's fields, its detour
         # (a set exactly while the reference is detouring), its map, and
-        # its counts, which the reference keeps step by step.
+        # its counts, which the reference keeps step by step. Its heading
+        # is the move it just made, on every branch: ``run_episode``
+        # records that heading as the step's letter.
         n = maze.n
         new_map, ref_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
         start = new_map.index(0, 0)
@@ -362,10 +364,12 @@ class TestMatchesReferenceWalker:
         new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
         for step in range(round(budget * 4 * n * n)):
+            before = new.pos
             got = take_step(spiral_next, new, maze, new_map)
             assert got == take_step(reference_spiral_next, ref, maze, ref_map), step
             if isinstance(got, str):
                 break
+            assert new_map.offsets[new.heading] == got - before, step
             assert (new.pos, new.heading, new.next_k) == (ref.pos, ref.heading, ref.next_k), step
             assert new.escape_path == ref.escape_path, step
             assert (new.detour_seen is not None) == ref.detouring, step
@@ -386,7 +390,8 @@ class TestMatchesReferenceWalker:
     def test_lockstep_with_reference_at_128(self, sample_stride):
         # The property above reaches size 32 at most; this walks the
         # first thousands of steps of a 128 maze and compares, after each
-        # step, everything a first visit writes into the map.
+        # step, everything a first visit writes into the map, and the
+        # heading with the move just made.
         maze = generate_maze(128, 0)
         new_map, ref_map = KnowledgeMap(128, sample_stride), KnowledgeMap(128, sample_stride)
         start = new_map.index(0, 0)
@@ -394,7 +399,9 @@ class TestMatchesReferenceWalker:
         new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
         for step in range(4000):
+            before = new.pos
             assert spiral_next(new, maze, new_map) == reference_spiral_next(ref, maze, ref_map), step
+            assert new_map.offsets[new.heading] == new.pos - before, step
             assert new_map.known == ref_map.known, step
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.visited_count == ref_map.visited_count, step
