@@ -30,7 +30,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_type_hints
@@ -162,6 +161,7 @@ def run_suite(suite: SuiteConfig) -> tuple[SuiteReport, list]:
     workers = min(suite.jobs, len(configs))
     started = time.perf_counter()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled suite pays for it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(pool.map(run_episode, configs, chunksize=4))
     else:
@@ -282,14 +282,22 @@ def ablation(report: SuiteReport) -> list:
 def write_records(logs: list, path) -> None:
     """One JSON object per line, in suite order."""
     with Path(path).open("w") as fh:
-        for log in logs:
-            fh.write(record_to_json(log))
-            fh.write("\n")
+        fh.writelines(record_to_json(log) + "\n" for log in logs)
 
 
 def read_records(path) -> list:
-    with Path(path).open() as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """The JSON object on each non-blank line; ValueError names the file and line of any other."""
+    records = []
+    with Path(path).open("rb") as fh:  # so an undecodable line fails as its own line
+        for k, line in enumerate(fh, 1):
+            try:
+                if line.strip():
+                    records.append(record := json.loads(line))
+                    if type(record) is not dict:
+                        raise ValueError(f"a record is a JSON object, not {record!r:.40}")
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+                raise ValueError(f"{path}, line {k}: {exc}") from None
+    return records
 
 
 def write_report_csv(report: SuiteReport, path) -> None:
@@ -301,12 +309,20 @@ def write_report_csv(report: SuiteReport, path) -> None:
 
 
 def read_report_csv(path) -> list:
-    """Rows as dicts with the same value types the report carries."""
+    """Rows as dicts with the report's value types; ValueError names the file and line at fault."""
     with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_HEADER:
-            raise RuntimeError(f"unexpected CSV header in {path}")
-        return [{k: cast(rec[k]) for k, cast in CSV_COLUMNS.items()} for rec in reader]
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(CSV_HEADER):
+                raise ValueError("unexpected CSV header")
+            rows = []
+            for row in reader:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"a row must have {len(CSV_HEADER)} fields")
+                rows.append({k: cast(v) for (k, cast), v in zip(CSV_COLUMNS.items(), row)})
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def write_report_json(report: SuiteReport, path) -> None:

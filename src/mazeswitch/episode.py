@@ -37,8 +37,7 @@ through the same work inside ``spiral_next`` on a walk. A revisit
 learns nothing.
 
 A record (``to_record``, schema version 3) stores the trajectory as that
-move string, written as it is; a hand-built list of positions goes
-through ``encode_moves``. A learning variant's ``q_values`` hold only
+move string, written as it is. A learning variant's ``q_values`` hold only
 the Q-table rows that are not all 0.0, keyed by state index as a string;
 ``EpisodeLog.q_values`` stays dense. The record's ``counters`` are
 exact. ``spiral.walker_counts`` gives the walker's steps by phase and
@@ -173,8 +172,9 @@ class DecisionRecord:
     reward: float
 
 
-# A heading, an index into Layout.offsets, as its move letter.
-_LETTER_OF_HEADING = bytes.maketrans(b"\0\1\2\3", b"ESWN")
+# The move letters, one per heading: an index into Layout.offsets.
+MOVES = "ESWN"
+_LETTER_OF_HEADING = bytes.maketrans(bytes(range(4)), MOVES.encode())
 
 
 class Trajectory:
@@ -200,8 +200,7 @@ class Trajectory:
     def _decoded(self) -> list:
         if self._cells is None:
             shared = layout(self.n)
-            w = shared.stride
-            step = {"E": 1, "S": w, "W": -1, "N": -w}.__getitem__
+            step = dict(zip(MOVES, shared.offsets)).__getitem__
             path = accumulate(map(step, self.moves), initial=shared.index(0, 0))
             self._cells = list(map(shared.cells.__getitem__, path))
         return self._cells
@@ -234,9 +233,7 @@ class EpisodeLog:
     """What one episode did; ``run_episode`` gives it and ``to_record`` writes it.
 
     ``trajectory`` holds the ``total_steps + 1`` positions from (0, 0)
-    as ``(x, y)`` pairs: a ``Trajectory`` from ``run_episode``, or any
-    list of pairs built by hand, which ``to_record`` checks as it
-    encodes it.
+    as a ``Trajectory``, whose move string ``to_record`` writes.
     """
 
     config: EpisodeConfig
@@ -245,7 +242,7 @@ class EpisodeLog:
     final_coverage: float
     switch_step: Optional[int]
     switch_coverage: Optional[float]
-    trajectory: Trajectory | list
+    trajectory: Trajectory
     decisions: list
     terminal_state_index: Optional[int] = None
     terminal_decision_reward: Optional[float] = None
@@ -362,11 +359,11 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         if decisions:
             last = decisions[-1]
             q_update(q, last.state_index, last.action, final.total, None)
-        log.q_values = [row[:] for row in q.values]
+        log.q_values = q.values  # the table is this episode's own
     return log
 
 
-_LETTERS = {(0, 1): "E", (1, 0): "S", (0, -1): "W", (-1, 0): "N"}
+_LETTERS = dict(zip(((0, 1), (1, 0), (0, -1), (-1, 0)), MOVES))  # by (dx, dy)
 
 
 def _letter(a, b) -> str:
@@ -406,11 +403,7 @@ def to_record(log: EpisodeLog) -> dict:
             for d in log.decisions
         ],
         "terminal": None,
-        "trajectory": (
-            log.trajectory.moves
-            if isinstance(log.trajectory, Trajectory)
-            else encode_moves(log.trajectory)
-        ),
+        "trajectory": log.trajectory.moves,
         "counters": log.counters,
     }
     if log.terminal_reward is not None:
@@ -475,7 +468,7 @@ def moves_from_record(record: dict) -> str:
         return encode_moves(trajectory)
     if not isinstance(trajectory, str):
         raise ValueError(f"a version {version} trajectory must be a move string")
-    unknown = set(trajectory) - set("ESWN")
+    unknown = set(trajectory) - set(MOVES)
     if unknown:
         raise ValueError(f"unknown move letters {sorted(unknown)}")
     return trajectory

@@ -272,11 +272,10 @@ class KnowledgeMap:
         if maze.n != self.n:
             raise ValueError(f"sensing a size {maze.n} maze into a size {self.n} map")
         self.check_cell(i, "sense from")
-        known, cells = self.known, maze.cells
-        w = self.stride
+        known, w = self.known, self.stride
         for j in (i, i + 1, i + w, i - 1, i - w):
             if known[j] == UNKNOWN:
-                known[j] = cells[j]
+                known[j] = maze.cells[j]
 
     def arrive(self, maze: MazeGrid, i: int) -> bool:
         """The agent stands on cell ``i``: count the visit, and sense on a first.
@@ -293,16 +292,13 @@ class KnowledgeMap:
 
     def record(self, i: int) -> bool:
         """Mark cell ``i`` visited, and so sensed; True on a first visit."""
-        visited = self.visited_mask
-        if not 0 <= i < len(visited) or self.known[i] == OUTSIDE:  # ``check_cell``, inlined
-            raise ValueError(f"cannot visit off-grid index {i}")
-        if visited[i]:
+        self.check_cell(i, "visit")
+        if self.visited_mask[i]:
             return False
-        ordinal = self.visited_count
-        visited[i] = 1
-        self.visited_count = ordinal + 1
-        if ordinal % self.sample_stride == 0:
+        self.visited_mask[i] = 1
+        if self.visited_count % self.sample_stride == 0:
             self.sampled_history.append(i)
+        self.visited_count += 1
         return True
 
 

@@ -32,11 +32,13 @@ popped cell's, or at level f + 2:
   within an ``h``.
 
 Distances to the target come from a table per ``(n, t)``, as the
-spiral's route does, and plans of one size share one ``g`` list.
-
-Parents are heading marks in a scratch copy of the knowledge bytes, read
-back by ``grid.marked_path`` as in ``nearest_path``. There is no closed
-set, because Manhattan distance is consistent on unit moves.
+spiral's route does. Parents are heading marks in a scratch copy of the
+knowledge bytes, read back by ``grid.marked_path`` as in
+``nearest_path``: ``4 + heading`` on ``level``, and ``12 + heading`` on
+``later`` until it becomes the level. The marks stand in for g = f - h,
+which a push improves only on a cell in ``later``, and only downhill, to
+level f. There is no closed set, because Manhattan distance is
+consistent on unit moves.
 
 Plans start, end and step on flat indices of the grid's ``Layout``.
 """
@@ -68,11 +70,6 @@ class Plan:
         return len(self.waypoints) - 1
 
 
-@lru_cache(maxsize=4)  # one shared ``g`` per layout size: a process plans one path at a time
-def _g_scratch(size: int) -> list:
-    return [0] * size
-
-
 @lru_cache(maxsize=4)  # an episode plans to one target; a suite runs size by size
 def _distances(n: int, t: int) -> tuple:
     """The Manhattan distance from every index of the size-``n`` layout to index ``t``."""
@@ -99,17 +96,16 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
 
     w = knowledge.stride
     h = _distances(knowledge.n, t)
-    # Each push marks its index ``4 + heading``; a better push overwrites it.
     seen = known.translate(_ENTERABLE)
     seen[s] = WALL
-    g = _g_scratch(len(seen))  # read only at ``s`` and at indices marked by this plan
-    g[s] = 0  # read at the first pop: a stale value would shift every g of this plan
     level, later = [s], []  # level f as a stack, next pop on top; level f + 2
 
     while True:
         if level:
             i = level.pop()
         elif later:  # level f is empty, and level f + 2 takes over
+            for j in later:
+                seen[j] &= 7  # ``12 + heading`` becomes ``4 + heading``
             later.sort(key=h.__getitem__)
             later.reverse()
             level, later = later, []
@@ -118,48 +114,46 @@ def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:
             return None
         if i == t:
             return Plan([s, *marked_path(seen, w, s, t)])
-        # No closed set: with a consistent heuristic the first pop of ``i``
-        # carries its final g, so a stale pop finds every neighbour at a g
-        # of at most ``gj`` and pushes nothing.
-        gj = g[i] + 1
+        # No closed set: the first pop of ``i`` is at its final f, so a
+        # stale pop finds no neighbour waiting in ``later`` and pushes nothing.
         hi = h[i]
         base = len(level)  # this pop's downhill pushes go here, in push order
         # The four headings unrolled, E, S, W, N; ``not b`` is an enterable cell not yet pushed.
         j = i + 1
         b = seen[j]
-        if not b or b > 3 and g[j] > gj:
-            g[j] = gj
-            seen[j] = 4
+        if not b or b > 11 and h[j] < hi:
             if h[j] < hi:
+                seen[j] = 4
                 level.insert(base, j)
             else:
+                seen[j] = 12
                 later.append(j)
         j = i + w
         b = seen[j]
-        if not b or b > 3 and g[j] > gj:
-            g[j] = gj
-            seen[j] = 5
+        if not b or b > 11 and h[j] < hi:
             if h[j] < hi:
+                seen[j] = 5
                 level.insert(base, j)
             else:
+                seen[j] = 13
                 later.append(j)
         j = i - 1
         b = seen[j]
-        if not b or b > 3 and g[j] > gj:
-            g[j] = gj
-            seen[j] = 6
+        if not b or b > 11 and h[j] < hi:
             if h[j] < hi:
+                seen[j] = 6
                 level.insert(base, j)
             else:
+                seen[j] = 14
                 later.append(j)
         j = i - w
         b = seen[j]
-        if not b or b > 3 and g[j] > gj:
-            g[j] = gj
-            seen[j] = 7
+        if not b or b > 11 and h[j] < hi:
             if h[j] < hi:
+                seen[j] = 7
                 level.insert(base, j)
             else:
+                seen[j] = 15
                 later.append(j)
 
 

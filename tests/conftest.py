@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mazeswitch.grid import OPEN, WALL, MazeGrid
 
@@ -19,6 +20,26 @@ def pytest_terminal_summary(terminalreporter):
     for num, passed, detail in sorted(ACCEPTANCE_RESULTS):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {num:2d}: {status} - {detail}")
+
+
+@st.composite
+def edits(draw, text, chars):
+    """``text`` after one to three character edits, each writing one of ``chars``."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("insert", "delete", "replace", "line end")))
+        if kind == "line end":  # a line end in particular: few draws would hit one
+            ends = [i for i, ch in enumerate(text) if ch == "\n"] or [len(text)]  # none left
+            i = draw(st.sampled_from(ends))
+        else:
+            i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(chars))
+        if kind == "insert":
+            text = text[:i] + ch + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + ch + text[i + 1 :]
+    return text
 
 
 def layout_digest(maze):
@@ -401,6 +422,8 @@ def reference_episode(cfg, maze=None):
     float, calls ``arrive`` on every convergence step, revisits
     included, and reads ``known`` for a wall on the next waypoint. It
     runs on ``maze`` when one is given, and on the carved maze otherwise.
+    It lists the ``(x, y)`` cells it walks and logs them as a
+    ``Trajectory`` of their ``encode_moves`` string.
     """
     from mazeswitch.episode import (
         FIXED_THRESHOLD,
@@ -408,6 +431,8 @@ def reference_episode(cfg, maze=None):
         SUCCESS,
         DecisionRecord,
         EpisodeLog,
+        Trajectory,
+        encode_moves,
     )
     from mazeswitch.grid import KnowledgeMap, coverage_percent, generate_maze, manhattan
     from mazeswitch.qlearn import (
@@ -480,7 +505,7 @@ def reference_episode(cfg, maze=None):
         final_coverage=final_coverage,
         switch_step=switch_step,
         switch_coverage=switch_coverage,
-        trajectory=trajectory,
+        trajectory=Trajectory(n, encode_moves(trajectory)),
         decisions=decisions,
         counters={
             **walker.counts,

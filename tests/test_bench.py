@@ -1,6 +1,8 @@
+import concurrent.futures
 import hashlib
 import json
 import math
+import re
 import statistics
 from array import array
 from dataclasses import asdict, replace
@@ -8,11 +10,12 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mazeswitch.bench as bench
 from mazeswitch.bench import (
     ABLATION_VARIANTS,
+    CSV_COLUMNS,
     CSV_HEADER,
     RL_SEED_SALT,
     SuiteConfig,
@@ -30,6 +33,7 @@ from mazeswitch.bench import (
 )
 from mazeswitch.episode import record_to_json, to_record
 from mazeswitch.grid import generate_maze
+from conftest import edits
 
 
 SMALL = SuiteConfig(sizes=(16,), mazes_per_size=3, base_seed=0)
@@ -162,7 +166,7 @@ class TestParallelism:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         single = SuiteConfig(sizes=(16,), mazes_per_size=1, variants=("spiral",), jobs=500)
         run_suite(single)
         assert built == []
@@ -395,8 +399,41 @@ class TestReportFiles:
     def test_csv_with_another_header_is_rejected(self, tmp_path):
         path = tmp_path / "report.csv"
         path.write_text(",".join(reversed(CSV_HEADER)) + "\n")
-        with pytest.raises(RuntimeError, match="unexpected CSV header"):
+        with pytest.raises(ValueError, match="unexpected CSV header"):
             read_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("16,spiral", "a row must have 8 fields"),
+            ("16,spiral,1,1,1,1,0,100,9", "a row must have 8 fields"),
+            ("x,spiral,1,1,1,1,0,100", "invalid literal for int"),
+        ],
+        ids=["short-row", "long-row", "bad-int"],
+    )
+    def test_csv_with_a_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "report.csv"
+        good = "16,spiral,1,1,1,1,0,100"
+        path.write_text("\n".join([",".join(CSV_HEADER), good, row, good]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: {message}")):
+            read_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"[1]", "a record is a JSON object, not [1]"),
+            (b"3", "a record is a JSON object, not 3"),
+            (b'{"a": ', "Expecting value"),
+            (b"[" * 100_000, "maximum recursion depth"),
+            (b'{"a": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["list", "number", "cut-short", "too-deep", "not-utf-8"],
+    )
+    def test_records_with_a_bad_line_name_it(self, tmp_path, line, message):
+        path = tmp_path / "episodes.jsonl"
+        path.write_bytes(b"{}\n\n" + line + b"\n{}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: {message}")):
+            read_records(path)
 
     def test_row_of_a_missing_cell_raises(self, small_suite):
         report, _ = small_suite
@@ -427,6 +464,56 @@ class TestReportFiles:
             write_report_csv(SuiteReport(rows=[]), missing)
         with pytest.raises(OSError, match="nope"):
             read_records(missing)
+
+
+# Characters a mutation writes: the syntax of both formats, digits, a
+# letter and the line ends that universal newlines split on.
+MUTATION_CHARS = '{}[]",:.-+eE0123456789 \tx\n\r\\'
+
+
+class TestReadersAreTotal:
+    # Total readers: a mutated file either reads as values of the types
+    # the reader documents, or raises a ValueError that names the file and
+    # line, within the deadline. Any other exception fails the property.
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """The records and report.csv text of a small suite, a learning variant included."""
+        out = tmp_path_factory.mktemp("written")
+        report, logs = run_suite(
+            SuiteConfig(sizes=(8,), mazes_per_size=1, variants=("spiral", "spiral_rl"))
+        )
+        write_records(logs, out / "episodes.jsonl")
+        write_report_csv(report, out / "report.csv")
+        names = ("episodes.jsonl", "report.csv")
+        return {name: (out / name).read_bytes().decode() for name in names}
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutated") / "output"
+
+    @settings(max_examples=200, deadline=1000)
+    @given(data=st.data())
+    def test_a_mutated_record_stream_reads_or_is_rejected(self, written, path, data):
+        path.write_bytes(data.draw(edits(written["episodes.jsonl"], MUTATION_CHARS)).encode())
+        try:
+            records = read_records(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}, line "), exc
+            return
+        assert all(type(record) is dict for record in records)
+
+    @settings(max_examples=200, deadline=1000)
+    @given(data=st.data())
+    def test_a_mutated_csv_reads_or_is_rejected(self, written, path, data):
+        path.write_bytes(data.draw(edits(written["report.csv"], MUTATION_CHARS)).encode())
+        try:
+            rows = read_report_csv(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}, line "), exc
+            return
+        for row in rows:
+            assert tuple(row) == CSV_HEADER
+            assert all(type(row[k]) is kind for k, kind in CSV_COLUMNS.items())
 
 
 class TestSuiteConfigValidation:

@@ -35,6 +35,7 @@ from mazeswitch.rng import MASK64, SplitMix64
 from mazeswitch.spiral import SpiralState, spiral_next
 from conftest import (
     bfs_distance,
+    edits,
     layout_digest,
     reference_dead_ends,
     reference_observe,
@@ -697,21 +698,7 @@ MUTATION_CHARS = "#.ST 0123456789-+_x\t\n\r\x0b\f\x1c\x1d\x1e\x85\u2028\u2029\u0
 def mutated_maze_texts(draw):
     """The text of a small maze after a few character edits."""
     n = draw(st.sampled_from((8, 10, 16)))
-    text = to_text(generate_maze(n, draw(st.integers(0, 3))))
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("insert", "delete", "replace", "line end")))
-        if kind == "line end":  # a line end in particular: few draws would hit one
-            i = draw(st.sampled_from([i for i, ch in enumerate(text) if ch == "\n"]))
-        else:
-            i = draw(st.integers(0, len(text)))
-        ch = draw(st.sampled_from(MUTATION_CHARS))
-        if kind == "insert":
-            text = text[:i] + ch + text[i:]
-        elif kind == "delete":
-            text = text[:i] + text[i + 1 :]
-        else:
-            text = text[:i] + ch + text[i + 1 :]
-    return text
+    return draw(edits(to_text(generate_maze(n, draw(st.integers(0, 3)))), MUTATION_CHARS))
 
 
 class TestTextFormat:

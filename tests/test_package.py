@@ -66,6 +66,17 @@ def test_import_loads_no_numeric_tower():
     )
 
 
+def test_import_loads_no_process_pool():
+    # Only ``run_suite`` with more than one worker starts a pool, and it
+    # imports one there; the CLI, ``replay`` and a serial suite never do.
+    for module in ("mazeswitch", "mazeswitch.cli"):
+        run_in_a_fresh_process(
+            f"import sys, {module}\n"
+            "loaded = {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)\n"
+            "assert not loaded, loaded"
+        )
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # ``__init__`` imports names only to re-export them.
     package = Path(mazeswitch.__file__).parent
