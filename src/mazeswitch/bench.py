@@ -26,6 +26,7 @@ is the whole suite's, ``provenance["wall_clock_seconds"]`` in
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import sys
@@ -300,28 +301,49 @@ def read_records(path) -> list:
     return records
 
 
+def _csv_line(values) -> str:
+    """One report.csv line: ``values`` as the csv module writes them, ending in ``\\r\\n``."""
+    out = io.StringIO()
+    csv.writer(out).writerow(values)
+    return out.getvalue()
+
+
 def write_report_csv(report: SuiteReport, path) -> None:
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in report.rows:
-            writer.writerow([getattr(r, column) for column in CSV_HEADER])
+        fh.write(_csv_line(CSV_HEADER))
+        fh.writelines(_csv_line(getattr(r, column) for column in CSV_HEADER) for r in report.rows)
 
 
 def read_report_csv(path) -> list:
-    """Rows as dicts with the report's value types; ValueError names the file and line at fault."""
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
+    """Rows as dicts with the report's value types; ValueError names the file and line at fault.
+
+    Only text that ``write_report_csv`` writes is read: every line, the
+    last one too, is its own values written again, and every float is
+    finite.
+    """
+    *lines, rest = Path(path).read_bytes().split(b"\r\n")
+    rows = []
+    for k, line in enumerate(lines, 1):
         try:
-            if next(reader, None) != list(CSV_HEADER):
-                raise ValueError("unexpected CSV header")
-            rows = []
-            for row in reader:
-                if len(row) != len(CSV_HEADER):
-                    raise ValueError(f"a row must have {len(CSV_HEADER)} fields")
-                rows.append({k: cast(v) for (k, cast), v in zip(CSV_COLUMNS.items(), row)})
-        except (ValueError, csv.Error) as exc:
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            text = line.decode()
+            fields = text.split(",")
+            if k == 1:
+                if fields != list(CSV_HEADER):
+                    raise ValueError("unexpected CSV header")
+                continue
+            if len(fields) != len(CSV_HEADER):
+                raise ValueError(f"a row must have {len(CSV_HEADER)} fields")
+            row = {key: cast(v) for (key, cast), v in zip(CSV_COLUMNS.items(), fields)}
+            if _csv_line(row.values()) != text + "\r\n":
+                raise ValueError(f"the report writes this row otherwise: {text!r:.60}")
+            if not all(math.isfinite(v) for v in row.values() if type(v) is float):
+                raise ValueError("a report value must be finite")
+        except ValueError as exc:  # UnicodeDecodeError too
+            raise ValueError(f"{path}, line {k}: {exc}") from None
+        rows.append(row)
+    if rest or not lines:  # the writer ends every line, the header too, in \r\n
+        message = "the last line does not end in \\r\\n" if lines else "unexpected CSV header"
+        raise ValueError(f"{path}, line {len(lines) + 1}: {message}")
     return rows
 
 
@@ -330,7 +352,14 @@ def write_report_json(report: SuiteReport, path) -> None:
 
 
 def read_report_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The report as a dict; ValueError naming the file unless it is JSON with a ``rows`` list."""
+    try:
+        report = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"{path}: {exc}") from None
+    if type(report) is not dict or type(report.get("rows")) is not list:
+        raise ValueError(f"{path}: a report is a JSON object with a rows list, not {report!r:.40}")
+    return report
 
 
 def format_report(report: SuiteReport) -> str:

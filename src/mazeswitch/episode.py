@@ -36,30 +36,39 @@ through ``KnowledgeMap.arrive`` at the start and in the A* loop, and
 through the same work inside ``spiral_next`` on a walk. A revisit
 learns nothing.
 
-A record (``to_record``, schema version 3) stores the trajectory as that
-move string, written as it is. A learning variant's ``q_values`` hold only
-the Q-table rows that are not all 0.0, keyed by state index as a string;
-``EpisodeLog.q_values`` stays dense. The record's ``counters`` are
-exact. ``spiral.walker_counts`` gives the walker's steps by phase and
-its detour breakouts, ``convergence`` counts the A* steps, and the five
-step counts add up to ``total_steps``. ``replans`` counts the A* plans
-after the first, and ``history_len`` is the length of the stored visit
-history, the one output in which a sentinel agent differs from its
-spiral twin. Version 2 records have dense ``q_values`` and only those
-last two counters; version 1 records, which have no ``schema_version``
-and list every position as ``[x, y]``, have no counters.
+A record (``to_record``, schema version 4) stores the trajectory as that
+move string packed two bits per move (``pack_moves``): E, S, W, N are
+0-3, four moves to a byte with the first move in the high bits. It is
+written as one ASCII digit, the number of padding moves (0-3, all bits
+0) that fill the last byte, then the bytes in standard base64: ``ESWNE``
+packs to 0x1b 0x00 with 3 padding moves and is written ``3GwA=``. Only
+that exact form reads back (``unpack_moves``). A learning variant's
+``q_values`` hold only the Q-table rows that are not all 0.0, keyed by
+state index as a string; ``EpisodeLog.q_values`` stays dense. The
+record's ``counters`` are exact. ``spiral.walker_counts`` gives the
+walker's steps by phase and its detour breakouts, ``convergence`` counts
+the A* steps, and the five step counts add up to ``total_steps``.
+``replans`` counts the A* plans after the first, and ``history_len`` is
+the length of the stored visit history, the one output in which a
+sentinel agent differs from its spiral twin. Version 3 records write the
+move string as it is. Version 2 records do too, and have dense
+``q_values`` and only those last two counters; version 1 records, which
+have no ``schema_version`` and list every position as ``[x, y]``, have
+no counters.
 
 Everything is a pure function of the config, so suites may execute
 episodes concurrently and records are replayed here: ``replay_record``
-runs a record line's episode again, renders it in the logged record's
-version and names the fields that differ.
+runs a record line's episode again, compares the trajectories as move
+strings, renders the other fields in the logged record's version and
+names the fields that differ.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 from dataclasses import asdict, dataclass, field, fields
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Optional
 
 from .grid import (
@@ -86,7 +95,7 @@ from .spiral import SpiralState, spiral_next, walker_counts
 FIXED_THRESHOLD = 40.0
 DEFAULT_DECISION_PERIOD = 50
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 SUCCESS = "success"
 STEP_LIMIT_EXCEEDED = "step_limit_exceeded"
@@ -175,6 +184,9 @@ class DecisionRecord:
 # The move letters, one per heading: an index into Layout.offsets.
 MOVES = "ESWN"
 _LETTER_OF_HEADING = bytes.maketrans(bytes(range(4)), MOVES.encode())
+_HEADING_OF_LETTER = bytes.maketrans(MOVES.encode(), bytes(range(4)))
+# The four moves of each packed byte, the first in the high bits.
+_QUADS = tuple(map("".join, product(MOVES, repeat=4)))
 
 
 class Trajectory:
@@ -382,6 +394,43 @@ def encode_moves(trajectory) -> str:
     return "".join(map(_letter, trajectory, trajectory[1:]))
 
 
+def pack_moves(moves: str) -> str:
+    """The version 4 form of a move string: a padding digit, then base64.
+
+    The moves become their headings, 0-3, four to a byte with the first
+    in the high bits; the last byte is filled with 0-3 padding moves of
+    heading 0, and their count is the leading digit.
+    """
+    pad = -len(moves) % 4
+    headings = (moves + MOVES[0] * pad).encode().translate(_HEADING_OF_LETTER)
+    packed = 0
+    for k in range(4):  # each byte's bits shift within the byte: a value stays below 64
+        packed = packed << 2 | int.from_bytes(headings[k::4], "big")
+    data = packed.to_bytes(len(headings) // 4, "big")
+    return str(pad) + binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
+def unpack_moves(text: str) -> str:
+    """The move string of a version 4 trajectory; ValueError unless ``pack_moves`` writes it so.
+
+    Only the exact form is read: a bad padding digit, text that is not
+    base64, padding bits that are not 0 and characters that base64
+    decoding would skip are all rejected.
+    """
+    if text[:1] not in ("0", "1", "2", "3"):
+        digit = text[:1]
+        raise ValueError(f"a version 4 trajectory starts with its padding digit 0-3, not {digit!r}")
+    try:
+        data = binascii.a2b_base64(text[1:])
+    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+        raise ValueError(f"a version 4 trajectory is not base64: {exc}") from None
+    moves = "".join(map(_QUADS.__getitem__, data))
+    moves = moves[: len(moves) - int(text[0])]
+    if pack_moves(moves) != text:
+        raise ValueError("a version 4 trajectory is not in the packed form its moves write")
+    return moves
+
+
 def to_record(log: EpisodeLog) -> dict:
     """JSON-ready dict; one of these per line makes an episode record stream."""
     config = {key: getattr(log.config, key) for key in _CONFIG_KEYS}
@@ -403,7 +452,7 @@ def to_record(log: EpisodeLog) -> dict:
             for d in log.decisions
         ],
         "terminal": None,
-        "trajectory": log.trajectory.moves,
+        "trajectory": pack_moves(log.trajectory.moves),
         "counters": log.counters,
     }
     if log.terminal_reward is not None:
@@ -440,23 +489,24 @@ def config_from_record(record: dict) -> EpisodeConfig:
 def _schema_version(record: dict) -> int:
     """The record's schema version; a record without the key is version 1.
 
-    A present version must be the int 2 or 3: ``2.0`` and ``True`` are unknown.
+    A present version must be the int 2, 3 or 4: ``2.0`` and ``True`` are unknown.
     """
     if "schema_version" not in record:
         return 1
     version = record["schema_version"]
-    if type(version) is not int or version not in (2, SCHEMA_VERSION):
+    if type(version) is not int or version not in (2, 3, SCHEMA_VERSION):
         raise ValueError(f"unknown schema_version {version!r}")
     return version
 
 
 def moves_from_record(record: dict) -> str:
-    """The move string of a version 1, 2 or 3 record; ValueError if malformed.
+    """The move string of a version 1-4 record; ValueError if malformed.
 
     A version 1 trajectory, a list of ``[x, y]`` positions from (0, 0),
-    goes through ``encode_moves``. A trajectory of the wrong length is
-    well formed; it differs from the episode's, which is for the caller
-    to find.
+    goes through ``encode_moves``, and a version 4 one through
+    ``unpack_moves``; versions 2 and 3 hold the move string. A
+    trajectory of the wrong length is well formed; it differs from the
+    episode's, which is for the caller to find.
     """
     trajectory = record.get("trajectory")
     version = _schema_version(record)
@@ -468,6 +518,8 @@ def moves_from_record(record: dict) -> str:
         return encode_moves(trajectory)
     if not isinstance(trajectory, str):
         raise ValueError(f"a version {version} trajectory must be a move string")
+    if version == 4:
+        return unpack_moves(trajectory)
     unknown = set(trajectory) - set(MOVES)
     if unknown:
         raise ValueError(f"unknown move letters {sorted(unknown)}")
@@ -477,19 +529,20 @@ def moves_from_record(record: dict) -> str:
 def replay_record(line: str) -> list:
     """Run a record line's episode again; the sorted names of the fields that differ.
 
-    ValueError if the line is not a well-formed version 1, 2 or 3 record.
-    The fresh record is rendered in the logged record's version.
+    ValueError if the line is not a well-formed version 1-4 record. The
+    trajectories are compared as move strings, and the fresh record's
+    other fields are rendered in the logged record's version.
     """
     logged = json.loads(line)
     cfg = config_from_record(logged)  # checked before the trajectory
     logged["trajectory"] = moves_from_record(logged)
     log = run_episode(cfg)
     fresh = to_record(log)
-    version = _schema_version(logged)
+    fresh["trajectory"] = log.trajectory.moves
+    version = fresh["schema_version"] = _schema_version(logged)
     if version < 3:  # dense Q-values, and version 2 had two counters
         if "q_values" in fresh:
             fresh["q_values"] = log.q_values
-        fresh["schema_version"] = version
         fresh["counters"] = {key: log.counters[key] for key in ("replans", "history_len")}
     if version == 1:  # version 1 had neither field
         del fresh["schema_version"], fresh["counters"]

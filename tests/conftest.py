@@ -1,9 +1,12 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from mazeswitch.bench import read_records
+from mazeswitch.episode import moves_from_record
 from mazeswitch.grid import OPEN, WALL, MazeGrid
 
 ACCEPTANCE_RESULTS = []
@@ -125,6 +128,17 @@ def bfs_reachable(maze, start=(0, 0)):
                 seen.add(nbr)
                 queue.append(nbr)
     return seen
+
+
+def in_version_3_form(path) -> bytes:
+    """A version 4 record stream as the version 3 writer wrote it, the move string as it is."""
+    lines = []
+    for record in read_records(path):
+        assert record["schema_version"] == 4
+        record["trajectory"] = moves_from_record(record)
+        record["schema_version"] = 3
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines).encode()
 
 
 def decode_moves(moves):

@@ -1,5 +1,7 @@
 import concurrent.futures
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -31,9 +33,9 @@ from mazeswitch.bench import (
     write_report_csv,
     write_report_json,
 )
-from mazeswitch.episode import record_to_json, to_record
+from mazeswitch.episode import moves_from_record, record_to_json, to_record
 from mazeswitch.grid import generate_maze
-from conftest import edits
+from conftest import edits, in_version_3_form
 
 
 SMALL = SuiteConfig(sizes=(16,), mazes_per_size=3, base_seed=0)
@@ -249,6 +251,25 @@ class TestGoldenRecords:
         [
             (
                 "small-all-variants",
+                "f551ad9ed3e45a681b9af30b7f0ef93697cef4bf255d4a684b1919f5c47bbbeb",
+            ),
+            (
+                "64-ablation-variants",
+                "f1e5d84455f1ea9a61bb162b8acca152e6ecdfad181c11b8a5dd167e68d0b70e",
+            ),
+        ],
+        ids=["small-all-variants", "64-ablation-variants"],
+    )
+    def test_record_stream_digest(self, name, digest, tmp_path):
+        path = tmp_path / "episodes.jsonl"
+        write_records(golden_logs(name), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            (
+                "small-all-variants",
                 "e4749fc726a39cb69d019b2b2462aab78275f69e96975b22ac8dbb25d14a68a3",
             ),
             (
@@ -258,10 +279,12 @@ class TestGoldenRecords:
         ],
         ids=["small-all-variants", "64-ablation-variants"],
     )
-    def test_record_stream_digest(self, name, digest, tmp_path):
+    def test_version_3_form_keeps_the_version_3_digest(self, name, digest, tmp_path):
+        # Rewritten in version 3 form (the move string as it is), the
+        # stream is byte for byte what the version 3 writer pinned.
         path = tmp_path / "episodes.jsonl"
         write_records(golden_logs(name), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(in_version_3_form(path)).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "name, digest",
@@ -278,12 +301,14 @@ class TestGoldenRecords:
         ids=["small-all-variants", "64-ablation-variants"],
     )
     def test_version_2_form_keeps_the_version_2_digest(self, name, digest, tmp_path):
-        # Rewritten in version 2 form (two counters, dense Q-values), the
-        # stream is byte for byte what the version 2 writer pinned.
+        # Rewritten in version 2 form (the move string as it is, two
+        # counters, dense Q-values), the stream is byte for byte what the
+        # version 2 writer pinned.
         path = tmp_path / "episodes.jsonl"
         write_records(golden_logs(name), path)
         lines = []
         for record in read_records(path):
+            record["trajectory"] = moves_from_record(record)
             record["schema_version"] = 2
             record["counters"] = {k: record["counters"][k] for k in ("replans", "history_len")}
             if "q_values" in record:
@@ -407,16 +432,62 @@ class TestReportFiles:
         [
             ("16,spiral", "a row must have 8 fields"),
             ("16,spiral,1,1,1,1,0,100,9", "a row must have 8 fields"),
-            ("x,spiral,1,1,1,1,0,100", "invalid literal for int"),
+            ("x,spiral,1.0,1.0,1,1,0.0,100.0", "invalid literal for int"),
+            # Text the writer never writes: int() and float() would read each.
+            ('"16\n",spiral,1.0,1.0,1,1,0.0,100.0', "invalid literal for int"),
+            ('"16",spiral,1.0,1.0,1,1,0.0,100.0', "invalid literal for int"),
+            ("016,spiral,1.0,1.0,1,1,0.0,100.0", "the report writes this row otherwise"),
+            ("16,spiral,1,1.0,1,1,0.0,100.0", "the report writes this row otherwise"),
+            ("16,spiral,1.0,1.0,1,1,nan,100.0", "a report value must be finite"),
+            ("16,spiral,1.0,1.0,1,1,0.0,inf", "a report value must be finite"),
+            ('16,"spi""ral",1.0,1.0,1,1,0.0,100.0', "the report writes this row otherwise"),
+            ("16,spiral,1.0,1.0,1,1,0.0,100.0\n", "the report writes this row otherwise"),
         ],
-        ids=["short-row", "long-row", "bad-int"],
+        ids=[
+            "short-row", "long-row", "bad-int", "quoted-size-and-line-end", "quoted-size",
+            "leading-zero", "int-as-mean", "nan", "inf", "quoted-variant", "bare-line-end",
+        ],
     )
     def test_csv_with_a_bad_row_names_its_line(self, tmp_path, row, message):
         path = tmp_path / "report.csv"
-        good = "16,spiral,1,1,1,1,0,100"
-        path.write_text("\n".join([",".join(CSV_HEADER), good, row, good]) + "\n")
+        good = "16,spiral,1.0,1.0,1,1,0.0,100.0"
+        lines = [",".join(CSV_HEADER), good, row, good]
+        path.write_bytes("".join(f"{line}\r\n" for line in lines).encode())
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: {message}")):
             read_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: unexpected CSV header"),
+            (",".join(CSV_HEADER), "line 1: unexpected CSV header"),
+            (",".join(CSV_HEADER) + "\r\n16,spiral,1.0,1.0,1,1,0.0,100.0", "line 2: the last line"),
+            (",".join(CSV_HEADER) + "\r\n\r\n", "line 2: a row must have 8 fields"),
+        ],
+        ids=["empty", "header-without-line-end", "row-without-line-end", "blank-line"],
+    )
+    def test_csv_lines_end_as_written(self, tmp_path, text, message):
+        path = tmp_path / "report.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=re.escape(f"{path}, {message}")):
+            read_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1]", "a report is a JSON object with a rows list, not [1]"),
+            ('{"rows": 3}', "a report is a JSON object with a rows list, not {'rows': 3}"),
+            ("{}", "a report is a JSON object with a rows list, not {}"),
+            ('{"rows": [', "Expecting value"),
+            ("[" * 100_000, "maximum recursion depth"),
+        ],
+        ids=["list", "rows-not-a-list", "no-rows", "cut-short", "too-deep"],
+    )
+    def test_json_that_is_not_a_report_is_rejected(self, tmp_path, text, message):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_report_json(path)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -473,18 +544,20 @@ MUTATION_CHARS = '{}[]",:.-+eE0123456789 \tx\n\r\\'
 
 class TestReadersAreTotal:
     # Total readers: a mutated file either reads as values of the types
-    # the reader documents, or raises a ValueError that names the file and
-    # line, within the deadline. Any other exception fails the property.
+    # the reader documents (report.csv: the values it was written from),
+    # or raises a ValueError that names the file, and the line where there
+    # is one, within the deadline. Any other exception fails the property.
     @pytest.fixture(scope="class")
     def written(self, tmp_path_factory):
-        """The records and report.csv text of a small suite, a learning variant included."""
+        """The records and report text of a small suite, a learning variant included."""
         out = tmp_path_factory.mktemp("written")
         report, logs = run_suite(
             SuiteConfig(sizes=(8,), mazes_per_size=1, variants=("spiral", "spiral_rl"))
         )
         write_records(logs, out / "episodes.jsonl")
         write_report_csv(report, out / "report.csv")
-        names = ("episodes.jsonl", "report.csv")
+        write_report_json(report, out / "report.json")
+        names = ("episodes.jsonl", "report.csv", "report.json")
         return {name: (out / name).read_bytes().decode() for name in names}
 
     @pytest.fixture(scope="class")
@@ -505,7 +578,8 @@ class TestReadersAreTotal:
     @settings(max_examples=200, deadline=1000)
     @given(data=st.data())
     def test_a_mutated_csv_reads_or_is_rejected(self, written, path, data):
-        path.write_bytes(data.draw(edits(written["report.csv"], MUTATION_CHARS)).encode())
+        text = data.draw(edits(written["report.csv"], MUTATION_CHARS))
+        path.write_bytes(text.encode())
         try:
             rows = read_report_csv(path)
         except ValueError as exc:
@@ -514,6 +588,22 @@ class TestReadersAreTotal:
         for row in rows:
             assert tuple(row) == CSV_HEADER
             assert all(type(row[k]) is kind for k, kind in CSV_COLUMNS.items())
+        out = io.StringIO()
+        csv.writer(out).writerows([CSV_HEADER, *(row.values() for row in rows)])
+        assert out.getvalue() == text  # the rows write back as the text they were read from
+
+    @settings(max_examples=200, deadline=1000)
+    @given(data=st.data())
+    def test_a_mutated_report_json_reads_or_is_rejected(self, written, path, data):
+        # A report's own text, or the least one, so edits reach its outline too.
+        text = data.draw(st.sampled_from((written["report.json"], '{"rows": []}\n')))
+        path.write_bytes(data.draw(edits(text, MUTATION_CHARS)).encode())
+        try:
+            report = read_report_json(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
+            return
+        assert type(report) is dict and type(report["rows"]) is list
 
 
 class TestSuiteConfigValidation:

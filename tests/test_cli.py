@@ -7,9 +7,9 @@ import pytest
 from mazeswitch import cli, grid
 from mazeswitch.bench import DEFAULT_SIZES, LONG_SIZES, SuiteReport
 from mazeswitch.cli import main
-from mazeswitch.episode import VARIANT_ORDER
+from mazeswitch.episode import VARIANT_ORDER, moves_from_record, pack_moves
 from mazeswitch.grid import from_text, generate_maze, to_text
-from conftest import layout_digest
+from conftest import in_version_3_form, layout_digest
 
 
 DATA = Path(__file__).parent / "data"
@@ -297,6 +297,23 @@ class TestReplay:
             f"record {k}: identical" for k in range(1, len(lines) + 1)
         ]
 
+    def test_version_3_file_replays_identical(self, capsys):
+        # Written by the version 3 writer: the move string as it is, with
+        # sparse Q-values and all nine counters.
+        lines = (DATA / "episodes_v3.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [r["config"]["variant"] for r in records] == list(VARIANT_ORDER)
+        assert all(r["schema_version"] == 3 for r in records)
+        assert all(set(r["trajectory"]) <= set("ESWN") for r in records)
+        assert all(len(r["counters"]) == 9 for r in records)
+        assert any(r["counters"]["replans"] for r in records)
+        assert all(0 < len(r["q_values"]) < 50 for r in records if "q_values" in r)
+        code = run_cli(["replay", str(DATA / "episodes_v3.jsonl")])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"record {k}: identical" for k in range(1, len(lines) + 1)
+        ]
+
     def test_null_schema_version_is_an_error(self, tmp_path, capsys):
         first = json.loads((DATA / "episodes_v1.jsonl").read_text().splitlines()[0])
         path = tmp_path / "null.jsonl"
@@ -336,9 +353,9 @@ class TestReplay:
         capsys.readouterr()
         path = out / "episodes.jsonl"
         record = json.loads(path.read_text())
-        moves = record["trajectory"]
+        moves = moves_from_record(record)
         k = next(k for k in range(len(moves) - 1) if moves[k] != moves[k + 1])
-        record["trajectory"] = moves[:k] + moves[k + 1] + moves[k] + moves[k + 2 :]
+        record["trajectory"] = pack_moves(moves[:k] + moves[k + 1] + moves[k] + moves[k + 2 :])
         path.write_text(json.dumps(record) + "\n")
         code = run_cli(["replay", str(path)])
         assert code == 1
@@ -351,7 +368,8 @@ class TestReplay:
              "--seed", "0", "--out", str(out)]
         )
         capsys.readouterr()
-        v3 = json.loads((out / "episodes.jsonl").read_text())
+        v4 = json.loads((out / "episodes.jsonl").read_text())
+        v3 = json.loads((DATA / "episodes_v3.jsonl").read_text().splitlines()[0])
         v2 = json.loads((DATA / "episodes_v2.jsonl").read_text().splitlines()[0])
         v1 = json.loads((DATA / "episodes_v1.jsonl").read_text().splitlines()[0])
 
@@ -366,17 +384,23 @@ class TestReplay:
                     variant(v2, trajectory=42),
                     variant(v2, trajectory="ESXW"),
                     variant(v2, trajectory=v1["trajectory"]),
-                    variant(v2, schema_version=4),
+                    variant(v2, schema_version=5),
                     variant(v1, trajectory=jump),
                     variant(v1, trajectory="ES"),
                     variant(v1, trajectory=[[1, 0]] + v1["trajectory"][1:]),
                     variant(v2, trajectory=v2["trajectory"][:-1]),
                     json.dumps(v1),
                     json.dumps(v2),
-                    variant(v3, trajectory=42),
-                    json.dumps(v3),
+                    variant(v4, trajectory=42),
+                    json.dumps(v4),
                     variant(v2, schema_version=2.0),
                     variant(v3, schema_version=3.0),
+                    variant(v3, trajectory=42),
+                    json.dumps(v3),
+                    variant(v4, schema_version=3),
+                    variant(v3, schema_version=4),
+                    variant(v4, trajectory=v4["trajectory"] + "\n"),
+                    variant(v4, schema_version=4.0),
                 ]
             )
             + "\n"
@@ -388,17 +412,24 @@ class TestReplay:
             "record 1: ERROR a version 2 trajectory must be a move string",
             "record 2: ERROR unknown move letters ['X']",
             "record 3: ERROR a version 2 trajectory must be a move string",
-            "record 4: ERROR unknown schema_version 4",
+            "record 4: ERROR unknown schema_version 5",
             "record 5: ERROR move from [0, 1] to [9, 9] is not a unit step",
             "record 6: ERROR a version 1 trajectory must be a list of positions",
             "record 7: ERROR trajectory does not start at (0, 0)",
             "record 8: MISMATCH in fields ['trajectory']",
             "record 9: identical",
             "record 10: identical",
-            "record 11: ERROR a version 3 trajectory must be a move string",
+            "record 11: ERROR a version 4 trajectory must be a move string",
             "record 12: identical",
             "record 13: ERROR unknown schema_version 2.0",
             "record 14: ERROR unknown schema_version 3.0",
+            "record 15: ERROR a version 3 trajectory must be a move string",
+            "record 16: identical",
+            f"record 17: ERROR unknown move letters {sorted(set(v4['trajectory']) - set('ESWN'))}",
+            "record 18: ERROR a version 4 trajectory starts with its padding digit 0-3, "
+            f"not {v3['trajectory'][0]!r}",
+            "record 19: ERROR a version 4 trajectory is not in the packed form its moves write",
+            "record 20: ERROR unknown schema_version 4.0",
         ]
 
     def test_only_errors_still_exit_nonzero(self, tmp_path, capsys):
@@ -496,8 +527,13 @@ class TestAblate:
         }
         assert digests == {
             "ablation.json": "612d7cccf63dbec12dc86dfe619ab89a1c712e705d8a1d82f248cf57581d904d",
-            "ablation_episodes.jsonl": "47519b3c2ac7fbbfbc8a70ddede48fad928b58205a61362f7d798e44b0574e82",
+            "ablation_episodes.jsonl": "d44affcfac4aaa2dd837a52daac8902814e3e3048ceb239def114e02e2f394e6",
         }
+        # Rewritten in version 3 form, the records are what the version 3 writer pinned.
+        v3 = in_version_3_form(out / "ablation_episodes.jsonl")
+        assert hashlib.sha256(v3).hexdigest() == (
+            "47519b3c2ac7fbbfbc8a70ddede48fad928b58205a61362f7d798e44b0574e82"
+        )
 
     def test_long_flag_is_not_accepted(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,13 @@
+import base64
+import itertools
 import json
 import pickle
+import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mazeswitch.episode as episode
 from mazeswitch.episode import (
@@ -15,6 +19,7 @@ from mazeswitch.episode import (
     config_from_record,
     encode_moves,
     moves_from_record,
+    pack_moves,
     record_to_json,
     replay_record,
     run_episode,
@@ -23,7 +28,7 @@ from mazeswitch.episode import (
 from mazeswitch import spiral
 from mazeswitch.grid import KnowledgeMap, MazeGrid, layout, manhattan, nearest_path
 from mazeswitch.qlearn import POTENTIAL_OFFSET, potential, switching_component
-from conftest import decode_moves
+from conftest import decode_moves, edits
 
 DATA = Path(__file__).parent / "data"
 
@@ -360,9 +365,10 @@ class TestRecordTrajectory:
     def test_version_2_move_string(self):
         log = run_episode(EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"]))
         record = to_record(log)
-        assert record["schema_version"] == 3
-        assert len(record["trajectory"]) == log.total_steps
-        assert set(record["trajectory"]) <= set("ESWN")
+        assert record["schema_version"] == 4
+        moves = moves_from_record(record)
+        assert len(moves) == log.total_steps
+        assert set(moves) <= set("ESWN")
 
     def test_letters(self):
         assert encode_moves([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]) == "ESWN"
@@ -391,6 +397,66 @@ class TestRecordTrajectory:
             moves_from_record({**v1, "schema_version": None})
         with pytest.raises(ValueError, match="unknown schema_version None"):
             moves_from_record({"trajectory": "E", "schema_version": None})
+
+
+def reference_pack(moves):
+    """Independent version 4 packer: the moves as 2-bit numbers, high bits first, padded with 0."""
+    pad = -len(moves) % 4
+    bits = "".join(f"{'ESWN'.index(move):02b}" for move in moves) + "00" * pad
+    data = bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+    return str(pad) + base64.b64encode(data).decode()
+
+
+def packed_record(trajectory):
+    return {"schema_version": 4, "trajectory": trajectory}
+
+
+class TestPackedMoves:
+    def test_worked_example(self):
+        # E S W N = 00 01 10 11 = 0x1b; E and three padding moves = 0x00.
+        assert pack_moves("ESWNE") == "3GwA="
+        assert moves_from_record(packed_record("3GwA=")) == "ESWNE"
+        assert pack_moves("") == "0" and moves_from_record(packed_record("0")) == ""
+
+    def test_every_short_string_round_trips(self):
+        # Every move string of length 0-6, and random ones of 7-13 and 17,515.
+        rng = random.Random(4)
+        strings = ["".join(p) for k in range(7) for p in itertools.product("ESWN", repeat=k)]
+        lengths = [k for k in (*range(7, 14), 17_515) for _ in range(50)]
+        strings += ["".join(rng.choices("ESWN", k=k)) for k in lengths]
+        for moves in strings:
+            text = pack_moves(moves)
+            assert text == reference_pack(moves)
+            assert moves_from_record(packed_record(text)) == moves
+        assert len(pack_moves(strings[-1])) == 1 + 4 * ((17_515 + 11) // 12)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "starts with its padding digit 0-3, not ''"),
+            ("4AA==", "starts with its padding digit 0-3, not '4'"),
+            ("\u0663AA==", "starts with its padding digit 0-3, not '\u0663'"),
+            ("0Gw=", "is not base64: Incorrect padding"),
+            ("0G", "is not base64"),
+            ("0Gé==", "is not base64"),
+            ("3Aw==", "is not in the packed form its moves write"),
+            ("2Gw==", "is not in the packed form its moves write"),
+            ("3", "is not in the packed form its moves write"),
+            ("0G w==", "is not in the packed form its moves write"),
+            ("0G!w==", "is not in the packed form its moves write"),
+            ("0G-w==", "is not in the packed form its moves write"),
+            ("0Gw==\n", "is not in the packed form its moves write"),
+            ("0Gw===", "is not in the packed form its moves write"),
+        ],
+        ids=[
+            "no-digit", "digit-4", "arabic-indic-digit", "short-padding", "one-char-over",
+            "not-ascii", "padding-bits-set", "pad-count-too-low", "pad-without-bytes",
+            "space-skipped", "bang-skipped", "urlsafe-skipped", "newline-skipped", "extra-padding",
+        ],
+    )
+    def test_anything_but_the_packed_form_raises(self, text, message):
+        with pytest.raises(ValueError, match=f"^a version 4 trajectory {message}"):
+            moves_from_record(packed_record(text))
 
 
 class TestTrajectoryView:
@@ -449,8 +515,12 @@ class TestTrajectoryView:
     def test_the_record_writes_the_moves_as_they_are(self, log, monkeypatch):
         calls = []
         monkeypatch.setattr(episode, "encode_moves", lambda t: calls.append(t) or encode_moves(t))
-        moves = to_record(log)["trajectory"]
-        assert moves is log.trajectory.moves and calls == []
+        moves = moves_from_record(to_record(log))
+        assert moves == log.trajectory.moves and calls == []
+
+
+# Characters a trajectory mutation writes: base64, move letters, digits and a few others.
+TRAJECTORY_CHARS = "AZaz09+/=ESWN123 \n-_!é"
 
 
 class TestReplayRecord:
@@ -458,6 +528,13 @@ class TestReplayRecord:
     def line(self):
         cfg = EpisodeConfig(n=16, maze_seed=1, variant=VARIANTS["spiral"])
         return record_to_json(run_episode(cfg))
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        """Version 3 lines of the fixture and the same episodes as version 4 lines."""
+        v3 = (DATA / "episodes_v3.jsonl").read_text().splitlines()[:3]
+        v4 = [record_to_json(run_episode(config_from_record(json.loads(line)))) for line in v3]
+        return v3 + v4
 
     def test_own_record_has_no_differing_field(self, line):
         assert replay_record(line) == []
@@ -515,7 +592,34 @@ class TestReplayRecord:
         with pytest.raises(ValueError, match=r"^maze size must be even .*, got 1000000000$"):
             replay_record(json.dumps(record))
 
-    @pytest.mark.parametrize("version", [None, 1, 4, 2.0, 3.0, True])
+    @settings(max_examples=150, deadline=1000)
+    @given(data=st.data())
+    def test_a_mutated_line_replays_or_is_rejected(self, lines, data):
+        # Total reader: a version 3 or 4 line with its trajectory text, its
+        # padding digit or its version changed either replays to the names
+        # of the fields that differ, none only for the line as written, or
+        # raises ValueError, within the deadline.
+        written = json.loads(data.draw(st.sampled_from(lines)))
+        record = dict(written)
+        kind = data.draw(st.sampled_from(("trajectory", "digit", "version")))
+        if kind == "trajectory":
+            record["trajectory"] = data.draw(edits(record["trajectory"], TRAJECTORY_CHARS))
+        elif kind == "digit":
+            digit = data.draw(st.sampled_from("0123456789x"))
+            record["trajectory"] = digit + record["trajectory"][1:]
+        else:
+            record["schema_version"] = data.draw(st.sampled_from((1, 2, 3, 4, 5, None, 4.0, "4")))
+        try:
+            fields = replay_record(json.dumps(record))
+        except ValueError:
+            return
+        assert fields == sorted(set(fields)) and set(fields) <= set(record)
+        if kind != "version":
+            assert fields in ([], ["trajectory"])
+        if not fields:  # only the line as it was written replays identical
+            assert record == written
+
+    @pytest.mark.parametrize("version", [None, 1, 5, 2.0, 3.0, 4.0, True])
     def test_unknown_version_raises(self, line, version):
         record = {**json.loads(line), "schema_version": version}
         with pytest.raises(ValueError, match=f"unknown schema_version {version!r}"):

@@ -20,6 +20,7 @@ from mazeswitch.episode import (
     VARIANT_ORDER,
     VARIANTS,
     EpisodeConfig,
+    moves_from_record,
     record_to_json,
     run_episode,
     to_record,
@@ -123,7 +124,8 @@ def test_phase_step_counters_add_up_to_the_steps(n, seed, variant, limit):
     counters = record["counters"]
     assert min(counters.values()) >= 0  # a detour count is what the other phases leave
     phases = ("ring", "detour", "escape", "mopup", "convergence")
-    assert sum(counters[k] for k in phases) == record["total_steps"] == len(record["trajectory"])
+    moves = moves_from_record(record)
+    assert sum(counters[k] for k in phases) == record["total_steps"] == len(moves)
     switch = record["switch"]
     after = 0 if switch is None else record["total_steps"] - switch["step"]
     assert counters["convergence"] == after
@@ -137,7 +139,7 @@ def test_phase_step_counters_add_up_to_the_steps(n, seed, variant, limit):
 )
 def test_record_move_string_decodes_to_the_trajectory(n, seed, variant):
     log = run_episode(EpisodeConfig(n=n, maze_seed=seed, variant=VARIANTS[variant], rl_seed=seed))
-    moves = to_record(log)["trajectory"]
+    moves = moves_from_record(to_record(log))
     assert len(moves) == log.total_steps
     assert decode_moves(moves) == log.trajectory
 
