@@ -68,11 +68,13 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv: list) -> argparse.
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(interpolation=None)  # a "%" is a plain character
     try:
-        found = ini.read(args.config)
+        found = ini.read(args.config, encoding="utf-8")
     except configparser.Error as exc:  # no section header, a duplicate key, ...
         parser.error(f"config file {args.config}: {exc}")
+    except UnicodeDecodeError as exc:
+        parser.error(f"config file {args.config} is not UTF-8: {exc.reason} at byte {exc.start}")
     if not found:
         parser.error(f"config file not found: {args.config}")
     if not ini.has_section("suite"):
@@ -182,7 +184,7 @@ def _cmd_replay(args) -> int:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         _fail(f"record file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}")
-    lines = text.splitlines()
+    lines = text.removesuffix("\n").split("\n")  # only "\n" ends a line, as in read_records
     records = [(k, line) for k, line in enumerate(lines, start=1) if line.strip()]
     if not records:
         _fail(f"record file {path} holds no records")

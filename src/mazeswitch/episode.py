@@ -25,16 +25,17 @@ walk's last position, step count and knowledge; its replans take no step.
 Both loops track positions as flat layout indices, as the walker and the
 planner do, and record each step as its heading, an index into
 ``Layout.offsets``: the walker's ``SpiralState.heading`` after each
-``spiral_next``, and the offset of each A* move. When the episode ends
-the heading bytes become the move string, one letter per step from the
-start (0, 0): ``E``, ``S``, ``W``, ``N`` for (dx, dy) = (0, +1),
-(+1, 0), (0, -1), (-1, 0), the order of ``Layout.offsets``. The log's
-``trajectory`` is a ``Trajectory``, a read-only sequence of the
-``(x, y)`` positions that decodes the move string only when read. The
-agent learns walls only on each cell it enters for the first time,
+``spiral_next``, and the offset of each A* move. The first call binds
+the walk to this maze and map; it reads ``SpiralState`` only then,
+writes the fields after each step, and ends with the coverage loop. When
+the episode ends the heading bytes become the move string, one letter
+per step from the start (0, 0): ``E``, ``S``, ``W``, ``N`` for (dx, dy)
+= (0, +1), (+1, 0), (0, -1), (-1, 0), the order of ``Layout.offsets``.
+The log's ``trajectory`` is a ``Trajectory``, a read-only sequence of
+the ``(x, y)`` positions that decodes the move string only when read.
+The agent learns walls only on each cell it enters for the first time,
 through ``KnowledgeMap.arrive`` at the start and in the A* loop, and
-through the same work inside ``spiral_next`` on a walk. A revisit
-learns nothing.
+through the same work inside the walk. A revisit learns nothing.
 
 A record (``to_record``, schema version 4) stores the trajectory as that
 move string packed two bits per move (``pack_moves``): E, S, W, N are
@@ -320,6 +321,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             break
 
     walked = steps
+    state.walk = None  # ends the walk: its frame holds ``state``, a cycle for the collector
     plan = None
     replans = 0
     offsets = knowledge.offsets

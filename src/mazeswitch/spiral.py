@@ -7,8 +7,7 @@ right, west along the bottom, north up the left, then one step east into
 ring ``r + 1``. On an open grid this visits every cell exactly once.
 ``spiral_route(n)`` stores that route once per size as three tables: the
 tuple of all n*n cells in walking order, and each cell's rank in it and
-ring, both indexed by the cell. A walker looks them up on its first
-step and holds them in ``SpiralState.tables`` from then on.
+ring, both indexed by the cell.
 
 Positions are flat indices into the grid's ``Layout`` and headings are
 indices into ``Layout.offsets``. Only the route builder and an error
@@ -35,22 +34,22 @@ past the end, so it mops up too. The first search that finds no
 unvisited cell is the last: the walker then only wall-follows over
 visited cells, learns nothing, and so could find none later.
 
-Each step chooses the next cell in one ``if/elif`` chain (along an
-escape path, the route's next cell when it probes open, or
-wall-following, on a detour or past a fully visited component),
-arrives on it, and on a detour then settles it: the detour ends at the
-cursor, breaks out, or goes on. Only a first visit learns, as
-``KnowledgeMap.arrive`` would but in the step's own frame.
+The walk runs in one frame. The first ``spiral_next`` call starts it,
+bound to that call's maze and map; it reads ``SpiralState`` only then
+and keeps the walker in locals. Each call resumes it for one step,
+after which the fields are a view that the walk writes. A step chooses
+the next cell in one ``if/elif`` chain (escape path, the route's next
+cell when it probes open, or wall-following), arrives on it, and on a
+detour then settles it: the detour ends at the cursor, breaks out, or
+goes on. Only a first visit learns, as ``KnowledgeMap.arrive`` would.
 
 ``walker_counts`` gives the walker's steps by phase and its detour
 breakouts, named by ``COUNT_NAMES``. The branch that takes a step names
 its phase, and mop-up is the cursor past the end when the step begins:
-an escape step is ``mopup`` then and ``escape`` otherwise, a ring step
-is ``ring``, and a wall-following step is ``mopup`` then and ``detour``
-otherwise. A detour breakout counts as ``loop`` when the detour
-revisits one of its states and as ``stale`` otherwise. Ring, escape
-and mop-up steps are counted as they are taken, and a detour step is
-any step that no other phase took.
+then an escape or wall-following step is ``mopup``, else ``escape`` or
+``detour``; a ring step is ``ring``. A breakout is ``loop`` when the
+detour revisits one of its states, else ``stale``. A detour step is
+any step that no other phase counted as it took it.
 
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
@@ -60,6 +59,7 @@ reading the layout.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -113,22 +113,19 @@ def spiral_route(n: int) -> tuple[tuple, tuple, tuple]:
 
 @dataclass
 class SpiralState:
-    """Walker bookkeeping; single owner, mutated in place by spiral_next.
+    """Walker bookkeeping: the walk's start, then a view that the walk writes.
 
     Only ``pos``, the flat index of the occupied cell, is set on
-    construction. ``next_k`` is the place in the route of the next cell
-    to walk onto, and ``len(route)`` once the walker mops up.
-    ``detour_seen`` is ``None`` outside a detour and a fresh set of its
-    (position, heading) states inside one; a detour ends at the cursor
-    and counts its steps on visited cells in ``detour_stale``.
-    ``escape_path`` holds the cells of a committed walk to unvisited
-    ground, next cell first. ``exhausted`` turns True when a search for
-    unvisited ground finds none. It stays True and the walker searches
-    no more: it then only wall-follows over visited cells, so no later
-    search could find any. ``tables`` holds ``spiral_route(n)`` and its
-    length from the first step on. ``counts`` holds the tallies behind
-    ``walker_counts``: ring, escape and mop-up steps, loop breakouts and
-    stale breakouts.
+    construction. The first ``spiral_next`` call stores in ``walk`` the
+    walk bound to its maze and map, which reads the fields only then and
+    writes them after each step. ``next_k`` is the cursor, ``detour_seen``
+    is ``None`` outside a detour and the set of its (position, heading)
+    states inside one, and ``detour_stale`` counts its latest steps on
+    visited cells. ``escape_path`` holds the cells of a committed walk to
+    unvisited ground, next cell first. ``exhausted`` turns True, for good,
+    when a search for unvisited ground finds none. ``counts`` holds the
+    tallies behind ``walker_counts``: ring, escape and mop-up steps, loop
+    breakouts and stale breakouts.
     """
 
     pos: int
@@ -138,135 +135,134 @@ class SpiralState:
     detour_seen: set | None = field(init=False, default=None)
     escape_path: deque = field(init=False, default_factory=deque)
     exhausted: bool = field(init=False, default=False)
-    tables: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    walk: Iterator[int] | None = field(init=False, default=None, repr=False, compare=False)
     counts: list = field(init=False, default_factory=lambda: [0] * 5)
 
 
 def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> int:
     """Advance the walker one cell and return its new position.
 
-    A step chooses the next cell, arrives on it, then settles the detour
-    when it is part of one. Arriving does the work of ``knowledge.arrive``
-    on a first visit only; the caller must have called ``arrive`` for the
-    starting cell. The first call raises ValueError when the maze and the
-    map differ in size. Raises SpiralStuck when no neighbour is known to
-    be passable, which cannot happen on a connected maze.
+    The first call raises ValueError when the maze and the map differ in
+    size, and otherwise starts the walk; each call resumes it for one
+    step. The caller must have called ``knowledge.arrive`` for the
+    starting cell. Raises SpiralStuck when no neighbour is known to be
+    passable, which cannot happen on a connected maze. A walk that raised
+    has ended: the next call starts another from the fields.
     """
-    tables = state.tables
-    if tables is None:
+    if state.walk is None:
         if maze.n != knowledge.n:
             raise ValueError(f"sensing a size {maze.n} maze into a size {knowledge.n} map")
-        route, rank, ring = spiral_route(maze.n)
-        tables = state.tables = (route, rank, ring, len(route))
-    route, rank, ring, end = tables
-    offsets = knowledge.offsets
-    pos, next_k, seen, escape = state.pos, state.next_k, state.detour_seen, state.escape_path
+        state.walk = _walk(state, maze, knowledge)
+    return next(state.walk)
 
-    if not escape and next_k == end and not state.exhausted:
-        # Mopping up: walk to the nearest unvisited cell.
-        path = nearest_path(knowledge.known, knowledge.stride, pos, knowledge.visited_mask)
-        if path is None:
-            state.exhausted = True
-        else:
-            escape = state.escape_path = deque(path)
 
-    if escape:
-        # Walk one cell along a committed path through known-free cells.
-        nxt = escape.popleft()
-        state.heading = offsets.index(nxt - pos)
-        state.counts[1 if next_k < end else 2] += 1  # escape, else mop-up steps
-        if not escape and next_k < end:
-            # Landing on fresh ground: resume the route just past this cell.
-            state.next_k = rank[nxt] + 1
-    elif seen is None and next_k < end and probe(maze, pos, route[next_k]) == OPEN:
-        nxt = route[next_k]
-        state.heading = offsets.index(nxt - pos)
-        state.next_k = next_k + 1
-        state.counts[0] += 1  # ring steps
-    else:
-        # Wall-following: a detour step, or the reachable component is
-        # fully visited and the walker keeps moving regardless.
-        if seen is None:
-            if next_k == end:
-                state.counts[2] += 1  # mop-up steps
-            else:
-                # Blocked: hug the obstruction, keeping it on the right.
-                seen = state.detour_seen = set()
-                state.detour_stale = 0
-                approach = offsets.index(route[next_k] - pos)
-                state.heading = (approach + 3) % 4  # turn left
-        # Right-hand rule from the four neighbour facts sensed on arrival
-        # at ``pos``: prefer a right turn, then straight, left, back.
-        known = knowledge.known
-        for heading in _FOLLOW_ORDER[state.heading]:
-            nxt = pos + offsets[heading]
-            if known[nxt] == OPEN:
-                break
-        else:
-            raise SpiralStuck(f"no passable neighbour known at {knowledge.cell(pos)}")
-        state.heading = heading
+def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterator[int]:
+    """Yield each new position; write back ``pos``, ``heading`` and what else changed."""
+    route, rank, ring = spiral_route(maze.n)
+    end, offsets, cells = len(route), knowledge.offsets, maze.cells
+    heading_of = {d: h for h, d in enumerate(offsets)}
+    known, visited, w = knowledge.known, knowledge.visited_mask, knowledge.stride
+    history, sample_stride = knowledge.sampled_history, knowledge.sample_stride
+    pos, heading, next_k, counts = state.pos, state.heading, state.next_k, state.counts
+    seen, stale, escape = state.detour_seen, state.detour_stale, state.escape_path
+    exhausted = state.exhausted
 
-    state.pos = nxt
-    fresh = not knowledge.visited_mask[nxt]
-    if fresh:  # ``knowledge.arrive(maze, nxt)``; the first step checked the sizes
-        known = knowledge.known
-        if not 0 <= nxt < len(known) or known[nxt] == OUTSIDE:
-            raise ValueError(f"cannot visit off-grid index {nxt}")
-        knowledge.visited_mask[nxt] = 1
-        if knowledge.visited_count % knowledge.sample_stride == 0:
-            knowledge.sampled_history.append(nxt)
-        knowledge.visited_count += 1
-        cells, w = maze.cells, knowledge.stride
-        if known[nxt] == UNKNOWN:
-            known[nxt] = cells[nxt]
-        j = nxt + 1
-        if known[j] == UNKNOWN:
-            known[j] = cells[j]
-        j = nxt + w
-        if known[j] == UNKNOWN:
-            known[j] = cells[j]
-        j = nxt - 1
-        if known[j] == UNKNOWN:
-            known[j] = cells[j]
-        j = nxt - w
-        if known[j] == UNKNOWN:
-            known[j] = cells[j]
-    if seen is None:
-        return nxt
-
-    # A detour step; the cursor ``next_k`` has not moved.
-    stale = state.detour_stale = 0 if fresh else state.detour_stale + 1
-    k = rank[nxt]
-    if k >= next_k and ring[nxt] == ring[route[next_k]]:
-        state.detour_seen = None
-        state.next_k = k + 1
-    else:
-        key = (nxt, state.heading)
-        if key in seen or stale >= STALE_DETOUR_LIMIT:
-            # Orbiting a loop, or retracing old ground without finding
-            # anything new: the pending segment is not worth chasing
-            # this way. Break out toward fresh ground: the nearest
-            # unvisited cell over known-free cells, whose intermediate
-            # cells are all visited already. With none left, mop up.
-            state.counts[3 if key in seen else 4] += 1  # loop, else stale breakouts
-            state.detour_seen = None
-            path = nearest_path(knowledge.known, knowledge.stride, nxt, knowledge.visited_mask)
+    while True:
+        if not escape and next_k == end and not exhausted:
+            # Mopping up: walk to the nearest unvisited cell.
+            path = nearest_path(known, w, pos, visited)
             if path is None:
-                state.next_k = end
-                state.exhausted = True
+                exhausted = state.exhausted = True
             else:
-                state.escape_path = deque(path)
+                escape.extend(path)
+
+        if escape:
+            # Walk one cell along a committed path through known-free cells.
+            nxt = escape.popleft()
+            heading = heading_of[nxt - pos]
+            counts[1 if next_k < end else 2] += 1  # escape, else mop-up steps
+            if not escape and next_k < end:
+                # Landing on fresh ground: resume the route just past this cell.
+                next_k = state.next_k = rank[nxt] + 1
+        elif seen is None and next_k < end and probe(maze, pos, route[next_k]) == OPEN:
+            nxt = route[next_k]
+            heading = heading_of[nxt - pos]
+            next_k = state.next_k = next_k + 1
+            counts[0] += 1  # ring steps
         else:
-            seen.add(key)
-    return nxt
+            # Wall-following: a detour step, or past a fully visited component.
+            if seen is None:
+                if next_k == end:
+                    counts[2] += 1  # mop-up steps
+                else:
+                    # Blocked: hug the obstruction, keeping it on the right.
+                    seen = state.detour_seen = set()
+                    stale = state.detour_stale = 0
+                    heading = (heading_of[route[next_k] - pos] + 3) % 4  # turn left
+            # The right-hand rule over the facts sensed on arrival at ``pos``.
+            for h in _FOLLOW_ORDER[heading]:
+                nxt = pos + offsets[h]
+                if known[nxt] == OPEN:
+                    break
+            else:
+                state.heading, state.walk = heading, None
+                raise SpiralStuck(f"no passable neighbour known at {knowledge.cell(pos)}")
+            heading = h
+
+        state.pos = pos = nxt
+        state.heading = heading
+        fresh = not visited[nxt]
+        if fresh:  # ``knowledge.arrive(maze, nxt)``; the first call checked the sizes
+            if not 0 <= nxt < len(known) or known[nxt] == OUTSIDE:
+                state.walk = None
+                raise ValueError(f"cannot visit off-grid index {nxt}")
+            visited[nxt] = 1
+            if knowledge.visited_count % sample_stride == 0:
+                history.append(nxt)
+            knowledge.visited_count += 1
+            if known[nxt] == UNKNOWN:
+                known[nxt] = cells[nxt]
+            j = nxt + 1
+            if known[j] == UNKNOWN:
+                known[j] = cells[j]
+            j = nxt + w
+            if known[j] == UNKNOWN:
+                known[j] = cells[j]
+            j = nxt - 1
+            if known[j] == UNKNOWN:
+                known[j] = cells[j]
+            j = nxt - w
+            if known[j] == UNKNOWN:
+                known[j] = cells[j]
+
+        if seen is not None:
+            # A detour step; the cursor ``next_k`` has not moved.
+            stale = state.detour_stale = 0 if fresh else stale + 1
+            k = rank[nxt]
+            if k >= next_k and ring[nxt] == ring[route[next_k]]:
+                seen = state.detour_seen = None
+                next_k = state.next_k = k + 1
+            else:
+                key = (nxt, heading)
+                if key in seen or stale >= STALE_DETOUR_LIMIT:
+                    # Orbiting a loop, or retracing old ground: break out to the
+                    # nearest unvisited cell over known-free cells, whose
+                    # intermediate cells are all visited. With none left, mop up.
+                    counts[3 if key in seen else 4] += 1  # loop, else stale breakouts
+                    seen = state.detour_seen = None
+                    path = nearest_path(known, w, nxt, visited)
+                    if path is None:
+                        next_k = state.next_k = end
+                        exhausted = state.exhausted = True
+                    else:
+                        escape.extend(path)
+                else:
+                    seen.add(key)
+        yield nxt
 
 
 def walker_counts(state: SpiralState, steps: int) -> dict:
-    """The walker's exact counts after ``steps`` calls of ``spiral_next``.
-
-    Keyed by ``COUNT_NAMES``: ring, escape and mop-up steps as counted,
-    and every other step a detour step.
-    """
+    """The walker's exact counts, by ``COUNT_NAMES``, after ``steps`` calls of ``spiral_next``."""
     ring, escape, mopup, loop, stale = state.counts
     detour = steps - ring - escape - mopup
     return dict(zip(COUNT_NAMES, (ring, detour, escape, mopup, loop, stale)))

@@ -1,15 +1,19 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mazeswitch import cli, grid
 from mazeswitch.bench import DEFAULT_SIZES, LONG_SIZES, SuiteReport
 from mazeswitch.cli import main
 from mazeswitch.episode import VARIANT_ORDER, moves_from_record, pack_moves
 from mazeswitch.grid import from_text, generate_maze, to_text
-from conftest import in_version_3_form, layout_digest
+from conftest import edits, in_version_3_form, layout_digest
 
 
 DATA = Path(__file__).parent / "data"
@@ -475,6 +479,33 @@ class TestReplay:
         assert run_cli(["replay", str(path), "--line", "4"]) == 0
         assert capsys.readouterr().out == "record 4: identical\n"
 
+    def test_only_a_newline_ends_a_record(self, tmp_path, capsys):
+        # A raw U+2028 in a JSON string is legal JSON. Split at it, the
+        # first record would print two ERROR lines and the second would
+        # be numbered 3.
+        out = tmp_path / "results"
+        run_cli(
+            ["run", "--sizes", "16", "--mazes", "2", "--variants", "spiral",
+             "--seed", "0", "--out", str(out)]
+        )
+        capsys.readouterr()
+        first, second = (out / "episodes.jsonl").read_text().split("\n")[:2]
+        record = json.loads(first)
+        record["config"]["note\u2028"] = 1  # a config key the fresh record lacks
+        path = tmp_path / "separator.jsonl"
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\n" + second + "\n", "utf-8")
+        assert "\u2028" in path.read_text("utf-8").split("\n")[0]
+        assert run_cli(["replay", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "record 1: MISMATCH in fields ['config']",
+            "record 2: identical",
+        ]
+        assert run_cli(["replay", str(path), "--line", "2"]) == 0
+        assert capsys.readouterr().out == "record 2: identical\n"
+        with pytest.raises(SystemExit):
+            run_cli(["replay", str(path), "--line", "3"])
+        _assert_one_error_line(capsys, "--line must be in 1..2, got 3")
+
     @pytest.mark.parametrize(
         "line, message", [("3", "line 3 of "), ("5", "--line must be in 1..4, got 5")]
     )
@@ -540,6 +571,14 @@ class TestAblate:
             run_cli(["ablate", "--size", "16", "--long"])
         assert exc.value.code == 2
         assert "--long" in capsys.readouterr().err
+
+
+# A config file that sets every flag of ``run``, and what its mutations write.
+GOOD_CONFIG = (
+    "[suite]\nsizes = 16,32\nmazes = 2\nseed = 7\njobs = 1\n"
+    "variants = spiral,spiral_rl\nlong = true\nout = results\n"
+)
+CONFIG_CHARS = "[]=:;#%()$ \t\n\r\x0b\f\u2028\x85\x00,-_.0123456789aelnorstuy\udcff\u00e9"
 
 
 class TestSuiteArgumentErrors:
@@ -707,6 +746,8 @@ class TestSuiteArgumentErrors:
             (["ablate", "--size", "16"], "variants = spiral"),
             (["run"], "config = c.ini"),
             (["ablate", "--size", "16"], "config = c.ini"),
+            (["run"], "mazes = 1%"),  # was an InterpolationSyntaxError traceback
+            (["run"], "variants = spiral\udcff"),  # a raw 0xff byte: was a UnicodeDecodeError
         ],
     )
     def test_bad_config_file_is_a_usage_error(self, command, line, tmp_path, monkeypatch, capsys):
@@ -716,13 +757,32 @@ class TestSuiteArgumentErrors:
         monkeypatch.setattr(cli, "run_suite", no_suite)
         monkeypatch.setattr(cli, "ablation", no_suite)
         cfg = tmp_path / "suite.ini"
-        cfg.write_text(f"[suite]\nsizes = 16\n{line}\n")
+        cfg.write_bytes(f"[suite]\nsizes = 16\n{line}\n".encode("utf-8", "surrogateescape"))
         with pytest.raises(SystemExit) as exc:
             run_cli(command + ["--config", str(cfg)])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert ": error: " in captured.err
+
+    @settings(max_examples=200, deadline=1000)
+    @given(text=edits(GOOD_CONFIG, CONFIG_CHARS))
+    def test_a_mutated_config_file_parses_or_is_a_usage_error(self, text, tmp_path_factory):
+        # Total reader: any [suite] file either parses to the namespace of
+        # a run, or exits with status 2 and one usage error, within the
+        # deadline. Parsing starts no suite; any other exception fails.
+        cfg = tmp_path_factory.mktemp("config") / "suite.ini"
+        cfg.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is a raw 0xff
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = cli._parse_with_config(cli.build_parser(), ["run", "--config", str(cfg)])
+        except SystemExit as exc:
+            assert exc.code == 2 and out.getvalue() == ""
+            assert ": error: " in err.getvalue()
+            return
+        assert isinstance(args, argparse.Namespace) and args.command == "run"
+        assert out.getvalue() == err.getvalue() == ""
 
     def test_bad_jobs_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "suite.ini"

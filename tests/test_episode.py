@@ -1,8 +1,10 @@
 import base64
+import gc
 import itertools
 import json
 import pickle
 import random
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -222,6 +224,27 @@ class TestCounters:
             assert log.switch_step == log.total_steps == cfg.step_limit
             assert log.outcome == STEP_LIMIT_EXCEEDED
             assert calls["astar_plan"] == replans == 0
+
+    @pytest.mark.parametrize("variant", ["spiral", "spiral_conv"])
+    def test_the_walk_ends_with_the_episode(self, monkeypatch, variant):
+        # A walk's frame holds its SpiralState, so a walk left running
+        # would keep the state and both maps alive in a reference cycle
+        # until the cyclic collector ran. With the collector off, the
+        # state must be freed when run_episode returns.
+        states = []
+
+        def tracked(pos):
+            state = spiral.SpiralState(pos)
+            states.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(episode, "SpiralState", tracked)
+        gc.disable()
+        try:
+            run_episode(EpisodeConfig(n=32, maze_seed=3, variant=VARIANTS[variant]))
+            assert len(states) == 1 and states[0]() is None
+        finally:
+            gc.enable()
 
     def test_no_plans_without_a_switch(self):
         log = run_episode(EpisodeConfig(n=32, maze_seed=4, variant=VARIANTS["spiral_conv"]))
@@ -519,8 +542,10 @@ class TestTrajectoryView:
         assert moves == log.trajectory.moves and calls == []
 
 
-# Characters a trajectory mutation writes: base64, move letters, digits and a few others.
+# Characters a trajectory mutation writes: base64, move letters, digits and a few others,
+# and in the JSON text of a version 1 list of positions, its punctuation.
 TRAJECTORY_CHARS = "AZaz09+/=ESWN123 \n-_!é"
+POSITIONS_CHARS = "[],.-0123456789 "
 
 
 class TestReplayRecord:
@@ -531,10 +556,10 @@ class TestReplayRecord:
 
     @pytest.fixture(scope="class")
     def lines(self):
-        """Version 3 lines of the fixture and the same episodes as version 4 lines."""
-        v3 = (DATA / "episodes_v3.jsonl").read_text().splitlines()[:3]
+        """Version 1-3 lines of the fixtures, and the v3 episodes as version 4 lines."""
+        v1, v2, v3 = ((DATA / f"episodes_v{k}.jsonl").read_text().split("\n")[:3] for k in (1, 2, 3))
         v4 = [record_to_json(run_episode(config_from_record(json.loads(line)))) for line in v3]
-        return v3 + v4
+        return v1 + v2 + v3 + v4
 
     def test_own_record_has_no_differing_field(self, line):
         assert replay_record(line) == []
@@ -595,19 +620,28 @@ class TestReplayRecord:
     @settings(max_examples=150, deadline=1000)
     @given(data=st.data())
     def test_a_mutated_line_replays_or_is_rejected(self, lines, data):
-        # Total reader: a version 3 or 4 line with its trajectory text, its
-        # padding digit or its version changed either replays to the names
-        # of the fields that differ, none only for the line as written, or
-        # raises ValueError, within the deadline.
+        # Total reader: a version 1-4 line with its trajectory text, its
+        # first character (a version 4 padding digit) or its version
+        # changed either replays to the names of the fields that differ,
+        # none only for the line as written, or raises ValueError, within
+        # the deadline. A version 1 list of positions is edited as JSON
+        # text and read back, or stays text when that is not JSON.
         written = json.loads(data.draw(st.sampled_from(lines)))
         record = dict(written)
+        text = record["trajectory"]
+        positions = isinstance(text, list)
+        if positions:
+            text = json.dumps(text, separators=(",", ":"))
         kind = data.draw(st.sampled_from(("trajectory", "digit", "version")))
         if kind == "trajectory":
-            record["trajectory"] = data.draw(edits(record["trajectory"], TRAJECTORY_CHARS))
+            text = data.draw(edits(text, POSITIONS_CHARS if positions else TRAJECTORY_CHARS))
         elif kind == "digit":
-            digit = data.draw(st.sampled_from("0123456789x"))
-            record["trajectory"] = digit + record["trajectory"][1:]
-        else:
+            text = data.draw(st.sampled_from("0123456789x")) + text[1:]
+        try:
+            record["trajectory"] = json.loads(text) if positions else text
+        except ValueError:  # edited positions that are no longer JSON stay text
+            record["trajectory"] = text
+        if kind == "version":
             record["schema_version"] = data.draw(st.sampled_from((1, 2, 3, 4, 5, None, 4.0, "4")))
         try:
             fields = replay_record(json.dumps(record))

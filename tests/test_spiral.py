@@ -195,6 +195,21 @@ class TestMazeSpiral:
         with pytest.raises(SpiralStuck):
             spiral_next(state, maze, knowledge)
 
+    def test_a_call_after_stuck_is_stuck_again(self):
+        # A walk that raised has ended; the next call must raise the same
+        # SpiralStuck from the fields, not end the walk with StopIteration.
+        maze = sealed_pocket_grid()
+        knowledge = KnowledgeMap(maze.n)
+        state = SpiralState(knowledge.index(0, 0))
+        knowledge.record(state.pos)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(SpiralStuck) as exc:
+                spiral_next(state, maze, knowledge)
+            messages.append(str(exc.value))
+        assert messages == ["no passable neighbour known at (0, 0)"] * 3
+        assert state.pos == knowledge.index(0, 0) and knowledge.visited_count == 1
+
 
 MAZE_SIZES = st.integers(4, 32).map(lambda half: 2 * half)
 SEEDS = st.integers(-(2**63), 2**64 - 1)
@@ -390,14 +405,16 @@ class TestMatchesReferenceWalker:
     def test_lockstep_with_reference_at_128(self, sample_stride):
         # The property above reaches size 32 at most; this walks the
         # first thousands of steps of a 128 maze and compares, after each
-        # step, everything a first visit writes into the map, and the
-        # heading with the move just made.
+        # step, everything a first visit writes into the map, the heading
+        # with the move just made, and every field that the walk writes
+        # back from its own frame.
         maze = generate_maze(128, 0)
         new_map, ref_map = KnowledgeMap(128, sample_stride), KnowledgeMap(128, sample_stride)
         start = new_map.index(0, 0)
         new, ref = SpiralState(start), ReferenceSpiralState(start)
         new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
+        escape_path = new.escape_path
         for step in range(4000):
             before = new.pos
             assert spiral_next(new, maze, new_map) == reference_spiral_next(ref, maze, ref_map), step
@@ -406,6 +423,12 @@ class TestMatchesReferenceWalker:
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.visited_count == ref_map.visited_count, step
             assert new_map.sampled_history == ref_map.sampled_history, step
+            assert new.next_k == ref.next_k, step
+            assert new.escape_path is escape_path and new.escape_path == ref.escape_path, step
+            assert (new.detour_seen is None) == (not ref.detouring), step
+            if ref.detouring:
+                assert new.detour_stale == ref.detour_stale, step
+            assert walker_counts(new, step + 1) == ref.counts, step
         counts = walker_counts(new, 4000)
         assert counts == ref.counts
         assert counts["ring"] and counts["detour"] and counts["escape"], counts
@@ -420,5 +443,5 @@ class TestMapSize:
         message = f"sensing a size {maze_n} maze into a size {map_n} map"
         with pytest.raises(ValueError, match=message):
             spiral_next(state, maze, knowledge)
-        assert state.pos == knowledge.index(0, 0) and state.tables is None
+        assert state.pos == knowledge.index(0, 0) and state.walk is None
         assert knowledge.visited_count == 0
