@@ -17,7 +17,10 @@ leaves of the search (plus the origin when it has one child), collected
 as the search runs and taken in index order; no rescan is needed. The
 target cell and its four in-bounds neighbours are always carved open.
 All randomness comes from one SplitMix64 stream, so ``(n, seed)`` pins
-the layout bit for bit.
+the layout bit for bit. The search takes one draw per room it enters
+and the braid one per dead end, each set computed in bulk by
+``SplitMix64.block``: the same outputs, in the same order, as drawing
+them one at a time.
 
 Every grid stores its walls once, as the padded flat bytes
 ``MazeGrid.cells`` (``walls`` is a read-only row view). The agent's
@@ -69,7 +72,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .rng import INCREMENT, MASK64, MIX1, MIX2, SplitMix64, rejection_limit
+from .rng import MASK64, SplitMix64
 
 BRAID_PROBABILITY = 0.10
 
@@ -115,9 +118,15 @@ class Layout:
 
     @cached_property
     def room_choices(self) -> tuple:
-        """Per 4-bit mask (bit h: heading h), the room strides ``2 * offsets[h]`` it sets."""
+        """The room strides ``2 * offsets[h]`` that lead to a WALL, by the four bytes there.
+
+        Indexed by ``b0 | b1 << 2 | b2 << 4 | b3 << 6``, where ``bh`` is
+        the byte (OPEN, WALL or OUTSIDE) one room stride away at heading h.
+        """
         strides = [2 * d for d in self.offsets]
-        return tuple(tuple(d for h, d in enumerate(strides) if m >> h & 1) for m in range(16))
+        return tuple(
+            tuple(d for h, d in enumerate(strides) if m >> 2 * h & 3 == WALL) for m in range(256)
+        )
 
     def index(self, x: int, y: int) -> int:
         """Flat index of grid cell ``(x, y)``; raises if it is off the grid."""
@@ -367,55 +376,58 @@ def check_maze_size(n: int) -> None:
         )
 
 
-# Rejection limit of ``randbelow(k)`` for the carver's k unvisited rooms, k = 1..4.
-_LIMITS = (None,) + tuple(map(rejection_limit, range(1, 5)))
-
-
 def _carve_tree(shared: Layout, rng: SplitMix64) -> tuple:
     """Carve a perfect maze: ``(cells, dead_ends)`` on the padded layout.
 
     A depth-first backtracker over rooms at even coordinates. A room is
     still a wall exactly until it is visited, and a room stride off the
-    grid lands on padding, so bit 0 of a byte (WALL is 1, OUTSIDE 2)
-    says "unvisited room". At each room it draws one of the unvisited
-    neighbours, in E, S, W, N order, with ``rng.randbelow`` inlined on a
-    local copy of the state. The passages form a spanning tree over the
-    rooms, so the dead ends, rooms with exactly one OPEN neighbour, are
-    the leaves of the search plus the origin when it has one child.
-    ``dead_ends`` holds ``(room, offset of its opening)`` in index order.
+    grid lands on padding (OUTSIDE), so the four bytes one room stride
+    away pick the unvisited neighbours from ``Layout.room_choices``.
+    Each room entered after the origin takes one draw, k = 1 included,
+    as ``rng.randbelow(k)`` would among its k unvisited neighbours in
+    E, S, W, N order: ``options[z % k]``. The draws come from one
+    ``rng.block`` of one per room but the origin. Of k = 1..4,
+    ``randbelow`` rejects only the output 2**64 - 1 under k = 3; the
+    carver skips it the same way and appends one output to the block,
+    so ``rng.state`` ends where ``randbelow`` leaves it.
+
+    A room is pushed only when it is left with more than one unvisited
+    neighbour. Rooms are never unvisited again, so a room left by its
+    only exit has none left when the search backs up to it, and popping
+    it would only recompute its mask. The passages form a spanning tree
+    over the rooms, so the dead ends, rooms with exactly one OPEN
+    neighbour, are the leaves of the search plus the origin when it has
+    one child. ``dead_ends`` holds ``(room, offset of its opening)`` in
+    index order.
     """
     n, w2 = shared.n, 2 * shared.stride
     choices = shared.room_choices
     cells = shared.pad([bytes([WALL]) * n] * n)
     i = origin = shared.index(0, 0)
     cells[i] = OPEN
-    stack = []  # the rooms below ``i`` on the search path
+    stack = []  # the rooms below ``i`` on the search path that may still have options
     dead_ends = []
     entered = 0  # the room stride that entered ``i``, until ``i`` has a child
-    s = rng.state
+    draws = rng.block(((n + 1) // 2) ** 2 - 1)
+    t = 0  # the next draw
     while True:
         options = choices[
-            (cells[i + 2] & 1)
-            | (cells[i + w2] & 1) << 1
-            | (cells[i - 2] & 1) << 2
-            | (cells[i - w2] & 1) << 3
+            cells[i + 2] | cells[i + w2] << 2 | cells[i - 2] << 4 | cells[i - w2] << 6
         ]
         if options:
             k = len(options)
-            while True:  # ``rng.randbelow(k)``: one step per draw, k = 1 too
-                s = (s + INCREMENT) & MASK64
-                if k == 1:
-                    pick = 0
-                    break
-                z = ((s ^ (s >> 30)) * MIX1) & MASK64
-                z = ((z ^ (z >> 27)) * MIX2) & MASK64
-                z ^= z >> 31
-                if z < _LIMITS[k]:
-                    pick = z % k
-                    break
-            d2 = options[pick]
+            if k > 1:
+                z = draws[t]
+                while z == MASK64 and k == 3:  # ``randbelow(3)`` rejects it
+                    draws.append(rng.next_u64())
+                    t += 1
+                    z = draws[t]
+                stack.append(i)
+                d2 = options[z % k]
+            else:
+                d2 = options[0]
+            t += 1
             cells[i + d2 // 2] = OPEN
-            stack.append(i)
             i += d2
             cells[i] = OPEN
             entered = d2
@@ -426,7 +438,6 @@ def _carve_tree(shared: Layout, rng: SplitMix64) -> tuple:
         if not stack:
             break
         i = stack.pop()
-    rng.state = s
 
     first = [d for d in shared.offsets if cells[origin + d] == OPEN]
     if len(first) == 1:
@@ -440,11 +451,12 @@ def _braid_dead_ends(cells: bytearray, dead_ends: list, steps: tuple, rng: Split
 
     Works in place on the padded layout, taking the dead ends of the
     carved tree in index order. Each one independently braids with
-    probability BRAID_PROBABILITY. The opened wall prefers the direction
-    opposite the room's single opening.
+    probability BRAID_PROBABILITY: its uniform is ``rng.random()``'s
+    formula on its output of one ``rng.block`` of one per dead end. The
+    opened wall prefers the direction opposite the room's single opening.
     """
-    for i, open_step in dead_ends:
-        if rng.random() >= BRAID_PROBABILITY:
+    for (i, open_step), z in zip(dead_ends, rng.block(len(dead_ends))):
+        if (z >> 11) * 2.0**-53 >= BRAID_PROBABILITY:
             continue
         # Never empty: only the origin's braid can reach a dead end, which keeps a wall.
         candidates = [d for d in steps if cells[i + d] == WALL and cells[i + 2 * d] == OPEN]

@@ -105,6 +105,8 @@ class TestGenerateMaze:
             (32, 50, "6daf3b41e702bb805915edff1186425b77763f573e2e52ae520671e6c28e1314"),
             (64, 50, "e8f70042278507d037d54ef800068613c60f05b7485e1c57fc0d98d701648bc5"),
             (128, 5, "a176163474701b2095ad606f3a9dec40402bb406fde0c462524a1e2b65c24fde"),
+            (256, 5, "3091b3726194a96c46ee2318f7dc9dcc4ec266ff806295f38316c83f1dbac773"),
+            (512, 2, "1a5b6e6603bc0cea3a12d762e0a7609a8c79fa9611bd909b6355963bee47648c"),
         ],
     )
     def test_layout_hashes_of_seed_ranges_pinned(self, n, seeds, digest):
@@ -121,6 +123,10 @@ class TestGenerateMaze:
     def test_matches_the_reference_carver(self, half, seed):
         n = 2 * half
         assert generate_maze(n, seed).walls == reference_walls(n, seed)
+
+    def test_matches_the_reference_carver_at_512(self):
+        # The largest maze draws the largest blocks: 65,535 for its tree.
+        assert generate_maze(512, 20261020).walls == reference_walls(512, 20261020)
 
     @settings(max_examples=80, deadline=None)
     @given(half=st.integers(4, 33), seed=st.integers(-(2**63), 2**64 - 1))

@@ -77,6 +77,15 @@ def test_import_loads_no_process_pool():
         )
 
 
+def test_random_blocks_build_their_constants_on_first_use():
+    run_in_a_fresh_process(
+        "from mazeswitch import generate_maze, rng\n"
+        "assert rng._lane_constants.cache_info().currsize == 0\n"
+        "generate_maze(16, 0)\n"
+        "assert rng._lane_constants.cache_info().currsize == 1"
+    )
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # ``__init__`` imports names only to re-export them.
     package = Path(mazeswitch.__file__).parent

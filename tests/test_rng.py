@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mazeswitch.rng import MASK64, SplitMix64
+from mazeswitch.rng import INCREMENT, MASK64, SplitMix64
 from conftest import seed_with_output
 
 
@@ -72,3 +73,30 @@ def test_randbelow_rejects_the_draw_above_its_limit():
     assert g.randbelow(3) == second % 3
     assert g.state == ref.state
     assert SplitMix64(seed).randbelow(2) == 1  # bound 2 never rejects
+
+
+def assert_block_is_the_next_outputs(seed, count):
+    g, ref = SplitMix64(seed), SplitMix64(seed)
+    assert list(g.block(count)) == [ref.next_u64() for _ in range(count)]
+    assert g.state == ref.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(-(2**63), 2**64 - 1), count=st.integers(0, 600))
+def test_a_block_is_the_next_outputs(seed, count):
+    assert_block_is_the_next_outputs(seed, count)
+
+
+@pytest.mark.parametrize(
+    "seed, count",
+    [
+        (20261018, 65535),  # the tree of a 512 maze
+        ((-3 * INCREMENT) & MASK64, 8),  # the third state wraps to 0
+        ((MASK64 - 5 * INCREMENT) & MASK64, 8),  # the fifth state is 2**64 - 1
+        (seed_with_output(MASK64, 4), 8),  # the fourth output has every bit set
+        (7, 1024),  # one whole chunk of lanes
+        (seed_with_output(MASK64, 1025), 1025),  # the second chunk's one output has every bit set
+    ],
+)
+def test_a_block_is_the_next_outputs_at_the_edges(seed, count):
+    assert_block_is_the_next_outputs(seed, count)
