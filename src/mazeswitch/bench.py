@@ -9,6 +9,12 @@ depends only on the convergence mode, never on the base policy, so the
 spiral and sentinel flavours of the learning agent share one stream and
 stay step-for-step comparable.
 
+The variants of one base on one maze walk the same coverage route, so
+a suite runs its episodes in tasks of one ``(n, maze_seed, base)``
+group each, in one process: each episode replays the walk the ones
+before it recorded (see ``episode``). A pool gets one task at a time
+and returns the logs, which go back into config order.
+
 Reports aggregate steps per (size, variant): mean, median, min, max,
 population standard deviation, success rate, plus a histogram of the
 coverage level at which switches happened and, for learning variants, a
@@ -32,6 +38,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -153,21 +160,33 @@ def episode_configs(suite: SuiteConfig) -> list:
 def run_suite(suite: SuiteConfig) -> tuple[SuiteReport, list]:
     """Execute the matrix and aggregate; returns (report, episode logs).
 
-    Worker count changes wall-clock only: logs are collected in config
+    A task is one ``(n, maze_seed, base)`` group: the episodes that share
+    a coverage walk, in config order, run one after another in one
+    process, so each replays the walk that the ones before it recorded.
+    Worker count changes wall-clock only: logs are put back in config
     order and reduced sequentially, so results match ``jobs=1`` exactly.
-    The pool never has more workers than episodes (it starts them all at
-    once), and a single worker runs the episodes in this process.
+    The pool never has more workers than tasks (it starts them all at
+    once), and a single worker runs the tasks in this process.
     """
     configs = episode_configs(suite)
-    workers = min(suite.jobs, len(configs))
+    groups = {}  # (n, maze_seed, base) -> the places of its configs
+    for k, cfg in enumerate(configs):
+        groups.setdefault((cfg.n, cfg.maze_seed, cfg.variant.base), []).append(k)
+    tasks = [[configs[k] for k in places] for places in groups.values()]
+    run = partial(_run_group, run_episode)  # this module's binding, read at call time
+    workers = min(suite.jobs, len(tasks))
     started = time.perf_counter()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled suite pays for it
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            logs = list(pool.map(run_episode, configs, chunksize=4))
+            done = list(pool.map(run, tasks))
     else:
-        logs = [run_episode(cfg) for cfg in configs]
+        done = [run(task) for task in tasks]
     elapsed = time.perf_counter() - started
+    logs = [None] * len(configs)
+    for places, group_logs in zip(groups.values(), done):
+        for k, log in zip(places, group_logs):
+            logs[k] = log
 
     report = SuiteReport(
         rows=aggregate(suite, logs),
@@ -178,6 +197,11 @@ def run_suite(suite: SuiteConfig) -> tuple[SuiteReport, list]:
         },
     )
     return report, logs
+
+
+def _run_group(run_episode, configs: list) -> list:
+    """The logs of one task's episodes, run in order."""
+    return [run_episode(cfg) for cfg in configs]
 
 
 def aggregate(suite: SuiteConfig, logs: list) -> list:

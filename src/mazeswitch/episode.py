@@ -23,19 +23,36 @@ switch. Only a switch with steps left starts the convergence loop, from the
 walk's last position, step count and knowledge; its replans take no step.
 
 Both loops track positions as flat layout indices, as the walker and the
-planner do, and record each step as its heading, an index into
-``Layout.offsets``: the walker's ``SpiralState.heading`` after each
-``spiral_next``, and the offset of each A* move. The first call binds
-the walk to this maze and map; it reads ``SpiralState`` only then,
-writes the fields after each step, and ends with the coverage loop. When
-the episode ends the heading bytes become the move string, one letter
-per step from the start (0, 0): ``E``, ``S``, ``W``, ``N`` for (dx, dy)
-= (0, +1), (+1, 0), (0, -1), (-1, 0), the order of ``Layout.offsets``.
+planner do, and record each step as one code byte in
+``SpiralState.codes``, ``heading | phase``, with the heading an index
+into ``Layout.offsets``: the walker codes each ``spiral_next`` step
+itself, and the A* loop appends each move's heading with phase
+``ASTAR``. The first call binds the walk to this maze and map; it reads
+``SpiralState`` only then, writes the fields after each step, and ends
+with the coverage loop. When the episode ends the codes become the move
+string in one ``translate``, one letter per step from the start (0, 0):
+``E``, ``S``, ``W``, ``N`` for (dx, dy) = (0, +1), (+1, 0), (0, -1),
+(-1, 0), the order of ``Layout.offsets``.
 The log's ``trajectory`` is a ``Trajectory``, a read-only sequence of
 the ``(x, y)`` positions that decodes the move string only when read.
 The agent learns walls only on each cell it enters for the first time,
 through ``KnowledgeMap.arrive`` at the start and in the A* loop, and
 through the same work inside the walk. A revisit learns nothing.
+
+Variants of one base walk the same route until they stop, so an
+episode's coverage walk is a prefix of its ``none`` twin's. A one-slot
+memo, like ``generate_maze``'s, keeps the longest walk of the last
+``(n, maze_seed, base)`` as a ``spiral.RecordedWalk``: the codes and
+the walker's fields at its end, with a weak reference to the maze,
+which must be the very maze this episode carved. It holds no maze, map
+or ``SpiralState``. An episode that finds it there hands it to its
+fresh ``SpiralState``, so each ``spiral_next`` call takes the next
+recorded move, and past the record's end walks on live; an episode that
+walked further replaces it. ``base`` stays in the key, because
+criterion 5 compares a spiral walk with its sentinel twin's; sharing a
+walk across bases would compare it with itself. Records do not change:
+a replayed step writes the same code and learns the same map as the
+walk, which then goes on from the same fields.
 
 A record (``to_record``, schema version 4) stores the trajectory as that
 move string packed two bits per move (``pack_moves``): E, S, W, N are
@@ -68,12 +85,14 @@ from __future__ import annotations
 
 import binascii
 import json
+import weakref
 from dataclasses import asdict, dataclass, field, fields
 from itertools import accumulate, product
 from typing import Optional
 
 from .grid import (
     KnowledgeMap,
+    MazeGrid,
     cells_for_coverage,
     check_maze_size,
     coverage_percent,
@@ -91,7 +110,7 @@ from .qlearn import (
     select_action,
     terminal_reward,
 )
-from .spiral import SpiralState, spiral_next, walker_counts
+from .spiral import ASTAR, SpiralState, recorded_walk, spiral_next, walker_counts
 
 FIXED_THRESHOLD = 40.0
 DEFAULT_DECISION_PERIOD = 50
@@ -184,7 +203,7 @@ class DecisionRecord:
 
 # The move letters, one per heading: an index into Layout.offsets.
 MOVES = "ESWN"
-_LETTER_OF_HEADING = bytes.maketrans(bytes(range(4)), MOVES.encode())
+_LETTER_OF_CODE = bytes(MOVES.encode()[code & 3] for code in range(256))  # a step's code
 _HEADING_OF_LETTER = bytes.maketrans(MOVES.encode(), bytes(range(4)))
 # The four moves of each packed byte, the first in the high bits.
 _QUADS = tuple(map("".join, product(MOVES, repeat=4)))
@@ -269,6 +288,17 @@ class EpisodeLog:
         return 0 if self.switch_step is None else 1
 
 
+# The one memo of coverage walks: the longest walk of the last
+# ``(n, maze_seed, base)``, with a weak reference to its maze.
+_WALKS: dict = {}
+
+
+def _walk_of(key: tuple, maze: MazeGrid):
+    """The recorded walk of ``key`` on this very maze, or None."""
+    hit = _WALKS.get(key)
+    return hit[1] if hit is not None and hit[0]() is maze else None
+
+
 def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     maze = generate_maze(cfg.n, cfg.maze_seed)
     n = cfg.n
@@ -280,8 +310,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     target = knowledge.index(*maze.target)
     pos = knowledge.index(0, 0)
     state = SpiralState(pos)
+    walk_key = (n, cfg.maze_seed, cfg.variant.base)
+    state.replay = recorded = _walk_of(walk_key, maze)
     knowledge.arrive(maze, pos)
-    headings = bytearray()  # one index into Layout.offsets per step
 
     # The visited count that reaches the active threshold; None never switches.
     switch_count = None
@@ -298,9 +329,8 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     steps = 0
 
     while steps < limit:
-        pos = spiral_next(state, maze, knowledge)  # arrives on the new cell itself
+        pos = spiral_next(state, maze, knowledge)  # arrives on the new cell and codes the step
         steps += 1
-        headings.append(state.heading)  # the heading of the move just made
         if pos == target:
             break
         if switch_count is None:
@@ -322,9 +352,13 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
 
     walked = steps
     state.walk = None  # ends the walk: its frame holds ``state``, a cycle for the collector
+    if recorded is None or walked > len(recorded.codes):
+        _WALKS.clear()
+        _WALKS[walk_key] = (weakref.ref(maze), recorded_walk(state))
     plan = None
     replans = 0
     offsets = knowledge.offsets
+    codes = state.codes
     while steps < limit and pos != target:
         if plan is None:
             plan = astar_plan(pos, target, knowledge)
@@ -339,7 +373,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             if replans > n * n:
                 raise AssertionError("replanning failed to make progress")
             continue
-        headings.append(offsets.index(nxt - pos))
+        codes.append(offsets.index(nxt - pos) | ASTAR)
         pos = nxt
         if not knowledge.visited_mask[pos]:  # a revisit records and senses nothing
             knowledge.arrive(maze, pos)
@@ -353,7 +387,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         final_coverage=final_coverage,
         switch_step=switch_step,
         switch_coverage=switch_coverage,
-        trajectory=Trajectory(n, headings.translate(_LETTER_OF_HEADING).decode("ascii")),
+        trajectory=Trajectory(n, codes.translate(_LETTER_OF_CODE).decode("ascii")),
         decisions=decisions,
         counters=dict(
             walker_counts(state, walked),

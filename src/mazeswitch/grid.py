@@ -46,8 +46,8 @@ reads a path back along the marks.
 ``generate_maze`` remembers its last maze, one slot keyed by
 ``(n, seed)`` and their types. A suite runs every variant of a maze
 back to back, so a serial suite carves each maze once instead of once
-per variant, and a pool worker once per chunk of episodes that holds
-the maze. Sharing the grid is safe because it cannot be changed:
+per variant, and a pool worker once per task (one base's variants of
+the maze) at most. Sharing the grid is safe because it cannot be changed:
 ``cells`` is ``bytes`` and ``walls`` a tuple of ``bytes`` rows. The
 memo keeps exactly one slot on purpose: benchmark rounds never repeat
 a maze, so a second slot would never hit, and a larger cache would
@@ -105,16 +105,19 @@ class Layout:
     1 south, 2 west, 3 north; clockwise, so heading + 1 turns right).
     A step from any grid cell lands in the buffer, and so does the
     carver's two-cell room stride. Maze bytes are 0 (open), 1 (wall) or
-    2 (outside the grid); knowledge bytes add 3 (unknown). ``cells`` is
-    the ``(x, y)`` of every index, and ``pad``/``rows`` convert between
-    n rows of cell bytes and a layout.
+    2 (outside the grid); knowledge bytes add 3 (unknown). ``pad``/``rows``
+    convert between n rows of cell bytes and a layout.
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.stride = w = n + 2
         self.offsets = (1, w, -1, -w)
-        self.cells = tuple(map(self.cell, range((n + 4) * w)))
+
+    @cached_property
+    def cells(self) -> tuple:
+        """The ``(x, y)`` of every index, built on first use: carving and walking never read it."""
+        return tuple(map(self.cell, range((self.n + 4) * self.stride)))
 
     @cached_property
     def room_choices(self) -> tuple:

@@ -38,18 +38,34 @@ The walk runs in one frame. The first ``spiral_next`` call starts it,
 bound to that call's maze and map; it reads ``SpiralState`` only then
 and keeps the walker in locals. Each call resumes it for one step,
 after which the fields are a view that the walk writes. A step chooses
-the next cell in one ``if/elif`` chain (escape path, the route's next
-cell when it probes open, or wall-following), arrives on it, and on a
-detour then settles it: the detour ends at the cursor, breaks out, or
-goes on. Only a first visit learns, as ``KnowledgeMap.arrive`` would.
+the next cell in one ``if/elif`` chain (a recorded move, escape path,
+the route's next cell when it probes open, or wall-following), arrives
+on it, and on a detour then settles it: the detour ends at the cursor,
+breaks out, or goes on. Only a first visit learns, as
+``KnowledgeMap.arrive`` would.
 
-``walker_counts`` gives the walker's steps by phase and its detour
-breakouts, named by ``COUNT_NAMES``. The branch that takes a step names
-its phase, and mop-up is the cursor past the end when the step begins:
-then an escape or wall-following step is ``mopup``, else ``escape`` or
-``detour``; a ring step is ``ring``. A breakout is ``loop`` when the
-detour revisits one of its states, else ``stale``. A detour step is
-any step that no other phase counted as it took it.
+Each step appends one code byte to ``SpiralState.codes``: its heading,
+an index into ``Layout.offsets``, in the low two bits and its phase in
+the bits above, ``heading | phase``. The phases are ``RING``,
+``DETOUR``, ``LOOP`` and ``STALE`` (a detour step that breaks out,
+because the detour revisits one of its states or else because it went
+stale), ``ESCAPE`` and ``MOPUP``; ``ASTAR`` is left for the steps that
+an episode's planner appends after the walk. The branch that takes a
+step names its phase, and mop-up is the cursor past the end when the
+step begins: then an escape or wall-following step is ``MOPUP``, else
+``ESCAPE`` or ``DETOUR``. ``walker_counts`` counts the phases of the
+first steps, named by ``COUNT_NAMES``: a ``detour`` step is any of the
+three detour phases, and ``loop`` and ``stale`` are the breakouts.
+
+A walk replays another: ``SpiralState.replay``, set on a fresh state
+before its first step, holds a ``RecordedWalk``, the codes of an
+earlier walk over the same maze and a map of the same sample stride,
+and that walk's fields at its end. Each call then takes the next
+recorded move and appends its code, arriving on the cell as the walk
+does; it neither probes nor searches. The record's moves are the same walk
+from the same start, so they leave the same map; past the record's end
+the walk goes on from the recorded fields, as the recording walk would
+have.
 
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
@@ -62,12 +78,17 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .grid import OPEN, OUTSIDE, UNKNOWN, KnowledgeMap, MazeGrid, layout, nearest_path, probe
 
 # A detour hug that only retraces visited cells for this many consecutive
 # steps is abandoned in favour of a direct walk to unvisited ground.
 STALE_DETOUR_LIMIT = 24
+
+# The phase bits of a step's code, ``heading | phase``.
+RING, DETOUR, LOOP, STALE, ESCAPE, MOPUP, ASTAR = (phase << 2 for phase in range(7))
+_PHASE_OF_CODE = bytes(code >> 2 for code in range(256))  # a translate table
 
 # The keys of ``walker_counts``: steps by phase, then detour breakouts.
 COUNT_NAMES = ("ring", "detour", "escape", "mopup", "loop", "stale")
@@ -92,7 +113,7 @@ def spiral_route(n: int) -> tuple[tuple, tuple, tuple]:
     """
     shared = layout(n)
     route = []
-    ring = [-1] * len(shared.cells)
+    ring = [-1] * ((n + 4) * shared.stride)
     for r in range((n + 1) // 2):
         i = shared.index(r, r)
         side = n - 1 - 2 * r
@@ -111,6 +132,17 @@ def spiral_route(n: int) -> tuple[tuple, tuple, tuple]:
     return tuple(route), tuple(rank), tuple(ring)
 
 
+class RecordedWalk(NamedTuple):
+    """A walk to replay: its codes, then its fields at the end of its last step."""
+
+    codes: bytes
+    next_k: int
+    detour_seen: frozenset | None
+    detour_stale: int
+    escape_path: tuple
+    exhausted: bool
+
+
 @dataclass
 class SpiralState:
     """Walker bookkeeping: the walk's start, then a view that the walk writes.
@@ -123,9 +155,11 @@ class SpiralState:
     states inside one, and ``detour_stale`` counts its latest steps on
     visited cells. ``escape_path`` holds the cells of a committed walk to
     unvisited ground, next cell first. ``exhausted`` turns True, for good,
-    when a search for unvisited ground finds none. ``counts`` holds the
-    tallies behind ``walker_counts``: ring, escape and mop-up steps, loop
-    breakouts and stale breakouts.
+    when a search for unvisited ground finds none. ``codes`` holds one
+    code per step, ``heading | phase``. ``replay`` is a ``RecordedWalk``
+    that the walk replays before it goes on, until its codes run out.
+    While it replays, the fields other than ``pos``, ``heading`` and
+    ``codes`` keep their start values.
     """
 
     pos: int
@@ -136,7 +170,8 @@ class SpiralState:
     escape_path: deque = field(init=False, default_factory=deque)
     exhausted: bool = field(init=False, default=False)
     walk: Iterator[int] | None = field(init=False, default=None, repr=False, compare=False)
-    counts: list = field(init=False, default_factory=lambda: [0] * 5)
+    codes: bytearray = field(init=False, default_factory=bytearray, repr=False)
+    replay: RecordedWalk | None = field(init=False, default=None, repr=False, compare=False)
 
 
 def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> int:
@@ -163,12 +198,13 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
     heading_of = {d: h for h, d in enumerate(offsets)}
     known, visited, w = knowledge.known, knowledge.visited_mask, knowledge.stride
     history, sample_stride = knowledge.sampled_history, knowledge.sample_stride
-    pos, heading, next_k, counts = state.pos, state.heading, state.next_k, state.counts
+    pos, heading, next_k, push = state.pos, state.heading, state.next_k, state.codes.append
     seen, stale, escape = state.detour_seen, state.detour_stale, state.escape_path
-    exhausted = state.exhausted
+    exhausted, recorded = state.exhausted, state.replay
+    replay = None if recorded is None else iter(recorded.codes)
 
     while True:
-        if not escape and next_k == end and not exhausted:
+        if next_k == end and not escape and not exhausted:
             # Mopping up: walk to the nearest unvisited cell.
             path = nearest_path(known, w, pos, visited)
             if path is None:
@@ -176,11 +212,26 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
             else:
                 escape.extend(path)
 
-        if escape:
+        if replay is not None:
+            code = next(replay, None)
+            if code is None:
+                # The record has run out, on the map that its walk left:
+                # go on from that walk's fields.
+                next_k = state.next_k = recorded.next_k
+                seen = recorded.detour_seen
+                seen = state.detour_seen = None if seen is None else set(seen)
+                stale = state.detour_stale = recorded.detour_stale
+                escape.extend(recorded.escape_path)
+                exhausted = state.exhausted = recorded.exhausted
+                replay = state.replay = None
+                continue
+            heading = code & 3
+            nxt = pos + offsets[heading]
+        elif escape:
             # Walk one cell along a committed path through known-free cells.
             nxt = escape.popleft()
             heading = heading_of[nxt - pos]
-            counts[1 if next_k < end else 2] += 1  # escape, else mop-up steps
+            code = heading | (ESCAPE if next_k < end else MOPUP)
             if not escape and next_k < end:
                 # Landing on fresh ground: resume the route just past this cell.
                 next_k = state.next_k = rank[nxt] + 1
@@ -188,17 +239,14 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
             nxt = route[next_k]
             heading = heading_of[nxt - pos]
             next_k = state.next_k = next_k + 1
-            counts[0] += 1  # ring steps
+            code = heading  # RING is 0
         else:
             # Wall-following: a detour step, or past a fully visited component.
-            if seen is None:
-                if next_k == end:
-                    counts[2] += 1  # mop-up steps
-                else:
-                    # Blocked: hug the obstruction, keeping it on the right.
-                    seen = state.detour_seen = set()
-                    stale = state.detour_stale = 0
-                    heading = (heading_of[route[next_k] - pos] + 3) % 4  # turn left
+            if seen is None and next_k < end:
+                # Blocked: hug the obstruction, keeping it on the right.
+                seen = state.detour_seen = set()
+                stale = state.detour_stale = 0
+                heading = (heading_of[route[next_k] - pos] + 3) % 4  # turn left
             # The right-hand rule over the facts sensed on arrival at ``pos``.
             for h in _FOLLOW_ORDER[heading]:
                 nxt = pos + offsets[h]
@@ -208,6 +256,7 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
                 state.heading, state.walk = heading, None
                 raise SpiralStuck(f"no passable neighbour known at {knowledge.cell(pos)}")
             heading = h
+            code = h | (MOPUP if seen is None else DETOUR)
 
         state.pos = pos = nxt
         state.heading = heading
@@ -248,7 +297,7 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
                     # Orbiting a loop, or retracing old ground: break out to the
                     # nearest unvisited cell over known-free cells, whose
                     # intermediate cells are all visited. With none left, mop up.
-                    counts[3 if key in seen else 4] += 1  # loop, else stale breakouts
+                    code = heading | (LOOP if key in seen else STALE)
                     seen = state.detour_seen = None
                     path = nearest_path(known, w, nxt, visited)
                     if path is None:
@@ -258,11 +307,28 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
                         escape.extend(path)
                 else:
                     seen.add(key)
+        push(code)
         yield nxt
+
+
+def recorded_walk(state: SpiralState) -> RecordedWalk:
+    """What a walk that replays this one needs: its codes so far, and its fields.
+
+    The fields are the walk's own only once a replay of its state has run out.
+    """
+    seen = state.detour_seen
+    return RecordedWalk(
+        bytes(state.codes),
+        state.next_k,
+        None if seen is None else frozenset(seen),
+        state.detour_stale,
+        tuple(state.escape_path),
+        state.exhausted,
+    )
 
 
 def walker_counts(state: SpiralState, steps: int) -> dict:
     """The walker's exact counts, by ``COUNT_NAMES``, after ``steps`` calls of ``spiral_next``."""
-    ring, escape, mopup, loop, stale = state.counts
-    detour = steps - ring - escape - mopup
-    return dict(zip(COUNT_NAMES, (ring, detour, escape, mopup, loop, stale)))
+    phases = state.codes[:steps].translate(_PHASE_OF_CODE)
+    ring, detour, loop, stale, escape, mopup = map(phases.count, range(6))
+    return dict(zip(COUNT_NAMES, (ring, detour + loop + stale, escape, mopup, loop, stale)))

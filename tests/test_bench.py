@@ -153,9 +153,11 @@ class TestParallelism:
         ]
 
     def test_pool_is_no_larger_than_the_suite(self, monkeypatch):
+        # A task is one (n, maze_seed, base) group, so one maze with all
+        # six variants makes two tasks and a pool of two workers.
         built = []
 
-        class FakePool:  # records its size and runs the episodes in this process
+        class FakePool:  # records its size and runs the tasks in this process
             def __init__(self, max_workers):
                 built.append(max_workers)
 
@@ -174,10 +176,40 @@ class TestParallelism:
         assert built == []
         six = SuiteConfig(sizes=(16,), mazes_per_size=1, jobs=500)
         pooled = run_suite(six)[1]
-        assert built == [6]
+        assert built == [2]
         serial = run_suite(replace(six, jobs=1))[1]
-        assert built == [6]
+        assert built == [2]
         assert [record_to_json(l) for l in pooled] == [record_to_json(l) for l in serial]
+
+    def test_a_task_is_one_walk_group_and_logs_come_back_in_config_order(self, monkeypatch):
+        tasks = []
+
+        class FakePool:  # keeps the tasks and runs them in this process, last first
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                tasks.extend(items)
+                return reversed([fn(task) for task in reversed(tasks)])
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        suite = SuiteConfig(
+            sizes=(16, 32), mazes_per_size=2, variants=("sentinel_rl", "spiral", "sentinel"), jobs=2
+        )
+        _, logs = run_suite(suite)
+        assert [[cfg.variant.name for cfg in task] for task in tasks] == [
+            ["sentinel_rl", "sentinel"], ["spiral"]
+        ] * 4
+        assert [{(cfg.n, cfg.maze_seed, cfg.variant.base) for cfg in task} for task in tasks] == [
+            {(n, seed, base)} for n in (16, 32) for seed in (0, 1) for base in ("sentinel", "spiral")
+        ]
+        assert [log.config for log in logs] == episode_configs(suite)
 
 
 class TestMazeReuse:

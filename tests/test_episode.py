@@ -318,6 +318,64 @@ class TestCounters:
         }
 
 
+class TestWalkMemo:
+    def test_a_sentinel_episode_after_its_spiral_twin_is_a_miss(self, monkeypatch):
+        # Criterion 5 compares a spiral walk with its sentinel twin's, so
+        # the memo never hands one base's walk to the other. A hit still
+        # takes one ``spiral_next`` call per step of the walk.
+        found, calls = [], [0]
+        walk_of, step = episode._walk_of, episode.spiral_next
+
+        def finding(key, maze):
+            found.append(walk_of(key, maze))
+            return found[-1]
+
+        def counting(*args):
+            calls[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(episode, "_walk_of", finding)
+        monkeypatch.setattr(episode, "spiral_next", counting)
+        episode._WALKS.clear()
+        logs = {}
+        for name in ("spiral", "spiral_conv", "sentinel", "sentinel_conv"):
+            calls[0] = 0
+            log = logs[name] = run_episode(EpisodeConfig(n=32, maze_seed=7, variant=VARIANTS[name]))
+            assert calls[0] == log.total_steps - log.counters["convergence"], name
+        assert [walk is not None for walk in found] == [False, True, False, True]
+        assert found[1].codes == found[3].codes  # the same walk, recorded once per base
+        assert list(episode._WALKS) == [(32, 7, "sentinel")]
+        assert logs["sentinel"].trajectory == logs["spiral"].trajectory
+
+    def test_the_memo_holds_no_maze_map_or_state(self):
+        episode._WALKS.clear()
+        run_episode(EpisodeConfig(n=32, maze_seed=3, variant=VARIANTS["spiral_conv"]))
+        [(maze_ref, walk)] = episode._WALKS.values()
+        assert isinstance(maze_ref, weakref.ref) and isinstance(walk, spiral.RecordedWalk)
+        assert type(walk.codes) is bytes and type(walk.escape_path) is tuple
+        assert walk.detour_seen is None or type(walk.detour_seen) is frozenset
+        assert {type(v) for v in walk[1:]} <= {int, bool, tuple, frozenset, type(None)}
+
+    def test_an_episode_on_another_maze_of_the_same_seed_is_a_miss(self, monkeypatch):
+        # The memo's key is (n, maze_seed, base), and its walk is of the
+        # very maze that was carved; a hand-built maze is another maze.
+        def spiral_record():
+            return record_to_json(run_episode(EpisodeConfig(16, 0, VARIANTS["spiral"])))
+
+        episode._WALKS.clear()
+        carved = spiral_record()
+        walls = [bytearray(row) for row in episode.generate_maze(16, 0).walls]
+        walls[0][1] ^= 1
+        maze = MazeGrid(n=16, walls=walls, seed=0)
+        monkeypatch.setattr(episode, "generate_maze", lambda n, seed: maze)
+        edited = spiral_record()
+        assert edited != carved
+        episode._WALKS.clear()
+        assert spiral_record() == edited
+        monkeypatch.undo()
+        assert spiral_record() == carved
+
+
 class TestConfigRecord:
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_config_round_trips_through_the_record(self, variant):

@@ -86,6 +86,22 @@ def test_random_blocks_build_their_constants_on_first_use():
     )
 
 
+def test_layout_cells_are_built_on_first_use():
+    # Carving and walking never read ``Layout.cells``, so a process's
+    # first carve does not build it; decoding a trajectory does.
+    run_in_a_fresh_process(
+        "from mazeswitch import generate_maze, run_episode, EpisodeConfig, VARIANTS\n"
+        "from mazeswitch.grid import layout\n"
+        "from mazeswitch.episode import Trajectory\n"
+        "generate_maze(128, 0)\n"
+        "assert 'cells' not in vars(layout(128))\n"
+        "run_episode(EpisodeConfig(n=32, maze_seed=0, variant=VARIANTS['spiral']))\n"
+        "assert 'cells' not in vars(layout(32))\n"
+        "assert Trajectory(128, 'ES')[2] == (1, 1)\n"
+        "assert 'cells' in vars(layout(128))"
+    )
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # ``__init__`` imports names only to re-export them.
     package = Path(mazeswitch.__file__).parent

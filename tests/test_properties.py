@@ -81,6 +81,45 @@ def test_record_equals_the_reference_episodes(variant, n, seed, rl_seed, period,
     assert record_to_json(run_episode(cfg)) == record_to_json(reference_episode(cfg))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=MAZE_SIZES,
+    seed=SEEDS,
+    names=st.permutations(VARIANT_ORDER).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda k: order[:k])
+    ),
+    short=st.integers(1, 400),
+)
+def test_replayed_walks_give_the_records_of_cold_ones(n, seed, names, short):
+    # The first episode is a recorder with a short step limit, so the
+    # first variant of its base after it walks on past the record live.
+    # Each episode after a variant of its base on this maze replays the
+    # walk that the memo holds; run cold, with the memo cleared before
+    # each episode, every record must read the same.
+    recorder = EpisodeConfig(n=n, maze_seed=seed, variant=VARIANTS[names[0]], step_limit=short)
+    configs = [recorder] + [
+        EpisodeConfig(n=n, maze_seed=seed, variant=VARIANTS[name], rl_seed=seed) for name in names
+    ]
+    found = []
+    walk_of = episode._walk_of
+
+    def counting(key, maze):
+        found.append(walk_of(key, maze))
+        return found[-1]
+
+    episode._WALKS.clear()
+    with mock.patch.object(episode, "_walk_of", counting):
+        warm = [record_to_json(run_episode(cfg)) for cfg in configs]
+    cold = []
+    for cfg in configs:
+        episode._WALKS.clear()
+        cold.append(record_to_json(run_episode(cfg)))
+    assert warm == cold
+    # One slot: an episode finds the walk of the episode before it, if of its base.
+    bases = [None] + [cfg.variant.base for cfg in configs]
+    assert [walk is not None for walk in found] == [a == b for a, b in zip(bases, bases[1:])]
+
+
 def _record_or_no_path(run, *args):
     try:
         return record_to_json(run(*args))

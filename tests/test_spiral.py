@@ -434,6 +434,55 @@ class TestMatchesReferenceWalker:
         assert counts["ring"] and counts["detour"] and counts["escape"], counts
 
 
+class TestReplay:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        maze=walker_mazes(),
+        budget=st.floats(0.0, 1.0),
+        cut=st.floats(0.0, 1.0),
+        sample_stride=st.sampled_from((1, 4)),
+    )
+    def test_a_replayed_walk_is_the_walk(self, maze, budget, cut, sample_stride):
+        # A walk records its first ``cut`` of ``steps`` steps; a fresh
+        # walk replays them and then walks on live. Step by step it moves
+        # as the reference does, writes the same codes and map, and once
+        # past the record it holds the reference's fields too.
+        n = maze.n
+        steps = round(budget * 4 * n * n)
+        recorded_steps = round(cut * steps)
+        start = KnowledgeMap(n).index(0, 0)
+        recorder, recorder_map = SpiralState(start), KnowledgeMap(n, sample_stride)
+        recorder_map.arrive(maze, start)
+        for _ in range(recorded_steps):
+            if isinstance(take_step(spiral_next, recorder, maze, recorder_map), str):
+                return  # a sealed pocket: a walk that raised has nothing to replay
+        new_map, ref_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
+        new, ref = SpiralState(start), ReferenceSpiralState(start)
+        new.replay = record = spiral.recorded_walk(recorder)
+        new_map.arrive(maze, start)
+        ref_map.arrive(maze, start)
+        for step in range(steps):
+            got = take_step(spiral_next, new, maze, new_map)
+            assert got == take_step(reference_spiral_next, ref, maze, ref_map), step
+            if isinstance(got, str):
+                break
+            assert new_map.known == ref_map.known, step
+            assert new_map.visited_mask == ref_map.visited_mask, step
+            assert new_map.sampled_history == ref_map.sampled_history, step
+            assert walker_counts(new, step + 1) == ref.counts, step
+            if step < recorded_steps:
+                assert new.codes[step] == record.codes[step], step
+                continue
+            assert new.replay is None, step
+            assert (new.pos, new.heading, new.next_k) == (ref.pos, ref.heading, ref.next_k), step
+            assert new.escape_path == ref.escape_path, step
+            assert (new.detour_seen is not None) == ref.detouring, step
+            if ref.detouring:
+                assert (new.detour_seen, new.detour_stale) == (ref.detour_seen, ref.detour_stale), step
+            if new.exhausted:  # no search of the reference could find fresh ground
+                assert ref.next_k == len(spiral_route(n)[0]) and not ref.escape_path, step
+
+
 class TestMapSize:
     @pytest.mark.parametrize("maze_n, map_n", ((16, 32), (32, 16)))
     def test_a_map_of_another_size_fails_on_the_first_step(self, maze_n, map_n):
