@@ -11,9 +11,10 @@ stay step-for-step comparable.
 
 The variants of one base on one maze walk the same coverage route, so
 a suite runs its episodes in tasks of one ``(n, maze_seed, base)``
-group each, in one process: each episode replays the walk the ones
-before it recorded (see ``episode``). A pool gets one task at a time
-and returns the logs, which go back into config order.
+group each, in one process: each episode replays the last whole walk
+that one before it stored, one that ended without a switch (see
+``episode``). A pool gets one task at a time and returns the logs,
+which go back into config order.
 
 Reports aggregate steps per (size, variant): mean, median, min, max,
 population standard deviation, success rate, plus a histogram of the
@@ -162,7 +163,7 @@ def run_suite(suite: SuiteConfig) -> tuple[SuiteReport, list]:
 
     A task is one ``(n, maze_seed, base)`` group: the episodes that share
     a coverage walk, in config order, run one after another in one
-    process, so each replays the walk that the ones before it recorded.
+    process, so each replays the whole walk that one before it stored.
     Worker count changes wall-clock only: logs are put back in config
     order and reduced sequentially, so results match ``jobs=1`` exactly.
     The pool never has more workers than tasks (it starts them all at

@@ -39,20 +39,18 @@ The agent learns walls only on each cell it enters for the first time,
 through ``KnowledgeMap.arrive`` at the start and in the A* loop, and
 through the same work inside the walk. A revisit learns nothing.
 
-Variants of one base walk the same route until they stop, so an
-episode's coverage walk is a prefix of its ``none`` twin's. A one-slot
-memo, like ``generate_maze``'s, keeps the longest walk of the last
-``(n, maze_seed, base)`` as a ``spiral.RecordedWalk``: the codes and
-the walker's fields at its end, with a weak reference to the maze,
-which must be the very maze this episode carved. It holds no maze, map
-or ``SpiralState``. An episode that finds it there hands it to its
-fresh ``SpiralState``, so each ``spiral_next`` call takes the next
-recorded move, and past the record's end walks on live; an episode that
-walked further replaces it. ``base`` stays in the key, because
-criterion 5 compares a spiral walk with its sentinel twin's; sharing a
-walk across bases would compare it with itself. Records do not change:
-a replayed step writes the same code and learns the same map as the
-walk, which then goes on from the same fields.
+Variants of one base walk the same route until they stop, so a
+one-slot memo, like ``generate_maze``'s, keeps the codes of the last
+whole walk, one whose episode ended without a switch, keyed by
+``(n, maze_seed, base, step_limit)`` and with a weak reference to the
+maze, which must be the very maze this episode carved. Any episode of
+that key stops on the same route at the target, at the limit or at its
+switch, so its walk is a prefix of the whole one: it hands the codes to
+its fresh ``SpiralState``, and each ``spiral_next`` call takes the next
+recorded move. ``base`` stays in the key, because criterion 5 compares
+a spiral walk with its sentinel twin's; sharing a walk across bases
+would compare it with itself. Records do not change: a replayed step
+writes the same code and learns the same map as the walk.
 
 A record (``to_record``, schema version 4) stores the trajectory as that
 move string packed two bits per move (``pack_moves``): E, S, W, N are
@@ -110,7 +108,7 @@ from .qlearn import (
     select_action,
     terminal_reward,
 )
-from .spiral import ASTAR, SpiralState, recorded_walk, spiral_next, walker_counts
+from .spiral import ASTAR, SpiralState, spiral_next, walker_counts
 
 FIXED_THRESHOLD = 40.0
 DEFAULT_DECISION_PERIOD = 50
@@ -288,13 +286,13 @@ class EpisodeLog:
         return 0 if self.switch_step is None else 1
 
 
-# The one memo of coverage walks: the longest walk of the last
-# ``(n, maze_seed, base)``, with a weak reference to its maze.
+# The one memo of coverage walks: the codes of the last whole walk, by
+# ``(n, maze_seed, base, step_limit)``, with a weak reference to its maze.
 _WALKS: dict = {}
 
 
 def _walk_of(key: tuple, maze: MazeGrid):
-    """The recorded walk of ``key`` on this very maze, or None."""
+    """The codes of the whole walk of ``key`` on this very maze, or None."""
     hit = _WALKS.get(key)
     return hit[1] if hit is not None and hit[0]() is maze else None
 
@@ -310,7 +308,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     target = knowledge.index(*maze.target)
     pos = knowledge.index(0, 0)
     state = SpiralState(pos)
-    walk_key = (n, cfg.maze_seed, cfg.variant.base)
+    walk_key = (n, cfg.maze_seed, cfg.variant.base, limit)
     state.replay = recorded = _walk_of(walk_key, maze)
     knowledge.arrive(maze, pos)
 
@@ -352,9 +350,9 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
 
     walked = steps
     state.walk = None  # ends the walk: its frame holds ``state``, a cycle for the collector
-    if recorded is None or walked > len(recorded.codes):
+    if recorded is None and switch_step is None:  # a whole walk, at the target or the limit
         _WALKS.clear()
-        _WALKS[walk_key] = (weakref.ref(maze), recorded_walk(state))
+        _WALKS[walk_key] = (weakref.ref(maze), bytes(state.codes))
     plan = None
     replans = 0
     offsets = knowledge.offsets
@@ -390,7 +388,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         trajectory=Trajectory(n, codes.translate(_LETTER_OF_CODE).decode("ascii")),
         decisions=decisions,
         counters=dict(
-            walker_counts(state, walked),
+            walker_counts(state),
             convergence=steps - walked,
             replans=replans,
             history_len=len(knowledge.sampled_history),

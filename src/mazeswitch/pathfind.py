@@ -73,9 +73,10 @@ class Plan:
 @lru_cache(maxsize=4)  # an episode plans to one target; a suite runs size by size
 def _distances(n: int, t: int) -> tuple:
     """The Manhattan distance from every index of the size-``n`` layout to index ``t``."""
-    shared = layout(n)
-    tx, ty = shared.cell(t)
-    return tuple(abs(x - tx) + abs(y - ty) for x, y in shared.cells)
+    w = layout(n).stride
+    tx, ty = divmod(t, w)  # index i is at divmod(i, w); no ``Layout.cells`` is built
+    across = [abs(y - ty) for y in range(w)]
+    return tuple(abs(x - tx) + dy for x in range(n + 4) for dy in across)
 
 
 def astar_plan(s: int, t: int, knowledge: KnowledgeMap) -> Plan | None:

@@ -53,19 +53,16 @@ stale), ``ESCAPE`` and ``MOPUP``; ``ASTAR`` is left for the steps that
 an episode's planner appends after the walk. The branch that takes a
 step names its phase, and mop-up is the cursor past the end when the
 step begins: then an escape or wall-following step is ``MOPUP``, else
-``ESCAPE`` or ``DETOUR``. ``walker_counts`` counts the phases of the
-first steps, named by ``COUNT_NAMES``: a ``detour`` step is any of the
+``ESCAPE`` or ``DETOUR``. ``walker_counts`` counts the walker's steps
+by phase, named by ``COUNT_NAMES``: a ``detour`` step is any of the
 three detour phases, and ``loop`` and ``stale`` are the breakouts.
 
 A walk replays another: ``SpiralState.replay``, set on a fresh state
-before its first step, holds a ``RecordedWalk``, the codes of an
-earlier walk over the same maze and a map of the same sample stride,
-and that walk's fields at its end. Each call then takes the next
-recorded move and appends its code, arriving on the cell as the walk
-does; it neither probes nor searches. The record's moves are the same walk
-from the same start, so they leave the same map; past the record's end
-the walk goes on from the recorded fields, as the recording walk would
-have.
+before its first step, holds the codes of an earlier walk over the same
+maze and a map of the same sample stride. Each call then takes the next
+recorded move, which leaves the map that the walk left, and appends its
+code; it neither probes nor searches. A step past the record raises
+IndexError, and the walk cannot go on.
 
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
@@ -78,7 +75,6 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 from .grid import OPEN, OUTSIDE, UNKNOWN, KnowledgeMap, MazeGrid, layout, nearest_path, probe
 
@@ -132,17 +128,6 @@ def spiral_route(n: int) -> tuple[tuple, tuple, tuple]:
     return tuple(route), tuple(rank), tuple(ring)
 
 
-class RecordedWalk(NamedTuple):
-    """A walk to replay: its codes, then its fields at the end of its last step."""
-
-    codes: bytes
-    next_k: int
-    detour_seen: frozenset | None
-    detour_stale: int
-    escape_path: tuple
-    exhausted: bool
-
-
 @dataclass
 class SpiralState:
     """Walker bookkeeping: the walk's start, then a view that the walk writes.
@@ -156,10 +141,9 @@ class SpiralState:
     visited cells. ``escape_path`` holds the cells of a committed walk to
     unvisited ground, next cell first. ``exhausted`` turns True, for good,
     when a search for unvisited ground finds none. ``codes`` holds one
-    code per step, ``heading | phase``. ``replay`` is a ``RecordedWalk``
-    that the walk replays before it goes on, until its codes run out.
-    While it replays, the fields other than ``pos``, ``heading`` and
-    ``codes`` keep their start values.
+    code per step, ``heading | phase``. ``replay`` holds the codes of a
+    walk that this one replays; the fields other than ``pos``,
+    ``heading`` and ``codes`` then keep their start values.
     """
 
     pos: int
@@ -171,7 +155,7 @@ class SpiralState:
     exhausted: bool = field(init=False, default=False)
     walk: Iterator[int] | None = field(init=False, default=None, repr=False, compare=False)
     codes: bytearray = field(init=False, default_factory=bytearray, repr=False)
-    replay: RecordedWalk | None = field(init=False, default=None, repr=False, compare=False)
+    replay: bytes | None = field(init=False, default=None, repr=False, compare=False)
 
 
 def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> int:
@@ -182,7 +166,8 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
     step. The caller must have called ``knowledge.arrive`` for the
     starting cell. Raises SpiralStuck when no neighbour is known to be
     passable, which cannot happen on a connected maze. A walk that raised
-    has ended: the next call starts another from the fields.
+    has ended: the next call starts another from the fields, except past
+    a replay's record, where it raises IndexError and cannot go on.
     """
     if state.walk is None:
         if maze.n != knowledge.n:
@@ -200,8 +185,7 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
     history, sample_stride = knowledge.sampled_history, knowledge.sample_stride
     pos, heading, next_k, push = state.pos, state.heading, state.next_k, state.codes.append
     seen, stale, escape = state.detour_seen, state.detour_stale, state.escape_path
-    exhausted, recorded = state.exhausted, state.replay
-    replay = None if recorded is None else iter(recorded.codes)
+    exhausted, replay = state.exhausted, state.replay
 
     while True:
         if next_k == end and not escape and not exhausted:
@@ -213,18 +197,7 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
                 escape.extend(path)
 
         if replay is not None:
-            code = next(replay, None)
-            if code is None:
-                # The record has run out, on the map that its walk left:
-                # go on from that walk's fields.
-                next_k = state.next_k = recorded.next_k
-                seen = recorded.detour_seen
-                seen = state.detour_seen = None if seen is None else set(seen)
-                stale = state.detour_stale = recorded.detour_stale
-                escape.extend(recorded.escape_path)
-                exhausted = state.exhausted = recorded.exhausted
-                replay = state.replay = None
-                continue
+            code = replay[len(state.codes)]  # IndexError past the record: it never walks on
             heading = code & 3
             nxt = pos + offsets[heading]
         elif escape:
@@ -311,24 +284,8 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
         yield nxt
 
 
-def recorded_walk(state: SpiralState) -> RecordedWalk:
-    """What a walk that replays this one needs: its codes so far, and its fields.
-
-    The fields are the walk's own only once a replay of its state has run out.
-    """
-    seen = state.detour_seen
-    return RecordedWalk(
-        bytes(state.codes),
-        state.next_k,
-        None if seen is None else frozenset(seen),
-        state.detour_stale,
-        tuple(state.escape_path),
-        state.exhausted,
-    )
-
-
-def walker_counts(state: SpiralState, steps: int) -> dict:
-    """The walker's exact counts, by ``COUNT_NAMES``, after ``steps`` calls of ``spiral_next``."""
-    phases = state.codes[:steps].translate(_PHASE_OF_CODE)
+def walker_counts(state: SpiralState) -> dict:
+    """The walker's exact counts, by ``COUNT_NAMES``; an ``ASTAR`` code counts in none."""
+    phases = state.codes.translate(_PHASE_OF_CODE)
     ring, detour, loop, stale, escape, mopup = map(phases.count, range(6))
     return dict(zip(COUNT_NAMES, (ring, detour + loop + stale, escape, mopup, loop, stale)))

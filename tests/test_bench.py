@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mazeswitch.bench as bench
+import mazeswitch.episode as episode
 from mazeswitch.bench import (
     ABLATION_VARIANTS,
     CSV_COLUMNS,
@@ -220,6 +221,45 @@ class TestMazeReuse:
         run_suite(SuiteConfig(sizes=(16, 32), mazes_per_size=2, variants=self.VARIANTS))
         info = generate_maze.cache_info()
         assert (info.misses, info.hits) == (4, 4 * (len(self.VARIANTS) - 1))
+
+
+class TestReplayTraffic:
+    @pytest.mark.parametrize(
+        "suite",
+        (
+            SuiteConfig(sizes=(16, 32), mazes_per_size=2),
+            SuiteConfig(sizes=(64,), mazes_per_size=2, variants=ABLATION_VARIANTS),
+        ),
+        ids=("six-variants", "ablation-variants"),
+    )
+    def test_learned_variants_replay_the_walk_of_their_none_twin(self, suite, monkeypatch):
+        # The benchmarks' replays come from this: in a suite that lists a
+        # base's ``none`` variant first, each ``_conv`` and ``_rl`` episode
+        # replays the one walk that its ``none`` twin stored, and each
+        # ``none`` episode walks live.
+        ran, found, walk_of = [], [], episode._walk_of
+
+        def running(cfg):
+            ran.append(cfg)
+            return episode.run_episode(cfg)
+
+        def finding(key, maze):
+            found.append(walk_of(key, maze))
+            return found[-1]
+
+        monkeypatch.setattr(bench, "run_episode", running)
+        monkeypatch.setattr(episode, "_walk_of", finding)
+        episode._WALKS.clear()
+        run_suite(suite)
+        assert sorted(ran, key=episode_configs(suite).index) == episode_configs(suite)
+        assert [walk is not None for walk in found] == [
+            cfg.variant.convergence != "none" for cfg in ran
+        ]
+        walks = {}  # (n, maze_seed, base) -> the ids of the walks its episodes found
+        for cfg, walk in zip(ran, found):
+            if walk is not None:
+                walks.setdefault((cfg.n, cfg.maze_seed, cfg.variant.base), set()).add(id(walk))
+        assert all(len(ids) == 1 for ids in walks.values())
 
 
 GOLDEN_SUITES = {

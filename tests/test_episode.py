@@ -343,22 +343,61 @@ class TestWalkMemo:
             log = logs[name] = run_episode(EpisodeConfig(n=32, maze_seed=7, variant=VARIANTS[name]))
             assert calls[0] == log.total_steps - log.counters["convergence"], name
         assert [walk is not None for walk in found] == [False, True, False, True]
-        assert found[1].codes == found[3].codes  # the same walk, recorded once per base
-        assert list(episode._WALKS) == [(32, 7, "sentinel")]
+        assert found[1] == found[3]  # the same walk, recorded once per base
+        assert list(episode._WALKS) == [(32, 7, "sentinel", 4096)]
         assert logs["sentinel"].trajectory == logs["spiral"].trajectory
 
     def test_the_memo_holds_no_maze_map_or_state(self):
+        # It holds a whole walk's codes as bytes, keyed with the step limit.
         episode._WALKS.clear()
-        run_episode(EpisodeConfig(n=32, maze_seed=3, variant=VARIANTS["spiral_conv"]))
-        [(maze_ref, walk)] = episode._WALKS.values()
-        assert isinstance(maze_ref, weakref.ref) and isinstance(walk, spiral.RecordedWalk)
-        assert type(walk.codes) is bytes and type(walk.escape_path) is tuple
-        assert walk.detour_seen is None or type(walk.detour_seen) is frozenset
-        assert {type(v) for v in walk[1:]} <= {int, bool, tuple, frozenset, type(None)}
+        log = run_episode(EpisodeConfig(n=32, maze_seed=3, variant=VARIANTS["spiral"]))
+        [(key, (maze_ref, walk))] = episode._WALKS.items()
+        assert key == (32, 3, "spiral", 4096)
+        assert isinstance(maze_ref, weakref.ref) and type(walk) is bytes
+        assert walk.translate(episode._LETTER_OF_CODE).decode() == log.trajectory.moves
+
+    @pytest.mark.parametrize("name", ["spiral_conv", "spiral_rl"])
+    def test_a_switching_episode_leaves_the_memo_as_it_was(self, name):
+        # Only a whole walk is stored: a switching episode stores nothing,
+        # whether its walk was a miss or replayed the memo's.
+        cfg = EpisodeConfig(n=32, maze_seed=7, variant=VARIANTS[name])
+        episode._WALKS.clear()
+        assert run_episode(cfg).switch_step is not None and episode._WALKS == {}
+        for seed in (0, 7):  # the memo holds another maze's walk, then this maze's
+            run_episode(EpisodeConfig(n=32, maze_seed=seed, variant=VARIANTS["spiral"]))
+            memo = dict(episode._WALKS)
+            hit = episode._walk_of((32, 7, "spiral", 4096), episode.generate_maze(32, 7))
+            assert (hit is not None) == (seed == 7)
+            assert run_episode(cfg).switch_step is not None
+            assert episode._WALKS == memo
+            assert all(a is b for a, b in zip(episode._WALKS.values(), memo.values()))
+
+    def test_a_walk_ended_by_its_step_limit_is_kept_under_that_limit(self, monkeypatch):
+        # A walk cut short by its limit is whole for that limit alone: an
+        # episode with a longer limit walks its own, and all read as cold.
+        configs = [
+            EpisodeConfig(n=32, maze_seed=3, variant=VARIANTS[name], step_limit=limit)
+            for name, limit in (("spiral", 300), ("spiral_rl", 300), ("spiral_rl", None))
+        ]
+        cold = []
+        for cfg in configs:
+            episode._WALKS.clear()
+            cold.append(record_to_json(run_episode(cfg)))
+        found, walk_of = [], episode._walk_of
+
+        def finding(key, maze):
+            found.append(walk_of(key, maze))
+            return found[-1]
+
+        monkeypatch.setattr(episode, "_walk_of", finding)
+        episode._WALKS.clear()
+        assert [record_to_json(run_episode(cfg)) for cfg in configs] == cold
+        assert [walk is not None for walk in found] == [False, True, False]
+        assert len(found[1]) == 300
 
     def test_an_episode_on_another_maze_of_the_same_seed_is_a_miss(self, monkeypatch):
-        # The memo's key is (n, maze_seed, base), and its walk is of the
-        # very maze that was carved; a hand-built maze is another maze.
+        # The memo's key is (n, maze_seed, base, step_limit), and its walk
+        # is of the very maze that was carved; a hand-built maze is another.
         def spiral_record():
             return record_to_json(run_episode(EpisodeConfig(16, 0, VARIANTS["spiral"])))
 

@@ -87,8 +87,9 @@ def test_random_blocks_build_their_constants_on_first_use():
 
 
 def test_layout_cells_are_built_on_first_use():
-    # Carving and walking never read ``Layout.cells``, so a process's
-    # first carve does not build it; decoding a trajectory does.
+    # Carving, walking and planning never read ``Layout.cells``, so a
+    # process's first carve and first plan do not build it; decoding a
+    # trajectory does.
     run_in_a_fresh_process(
         "from mazeswitch import generate_maze, run_episode, EpisodeConfig, VARIANTS\n"
         "from mazeswitch.grid import layout\n"
@@ -97,6 +98,9 @@ def test_layout_cells_are_built_on_first_use():
         "assert 'cells' not in vars(layout(128))\n"
         "run_episode(EpisodeConfig(n=32, maze_seed=0, variant=VARIANTS['spiral']))\n"
         "assert 'cells' not in vars(layout(32))\n"
+        "log = run_episode(EpisodeConfig(n=128, maze_seed=1, variant=VARIANTS['spiral_conv']))\n"
+        "assert log.switch_step is not None and log.counters['convergence'] > 0\n"
+        "assert 'cells' not in vars(layout(128))\n"
         "assert Trajectory(128, 'ES')[2] == (1, 1)\n"
         "assert 'cells' in vars(layout(128))"
     )

@@ -89,16 +89,24 @@ def test_record_equals_the_reference_episodes(variant, n, seed, rl_seed, period,
         lambda order: st.integers(1, len(order)).map(lambda k: order[:k])
     ),
     short=st.integers(1, 400),
+    cut=st.lists(st.booleans(), min_size=len(VARIANT_ORDER), max_size=len(VARIANT_ORDER)),
 )
-def test_replayed_walks_give_the_records_of_cold_ones(n, seed, names, short):
-    # The first episode is a recorder with a short step limit, so the
-    # first variant of its base after it walks on past the record live.
-    # Each episode after a variant of its base on this maze replays the
-    # walk that the memo holds; run cold, with the memo cleared before
-    # each episode, every record must read the same.
+def test_replayed_walks_give_the_records_of_cold_ones(n, seed, names, short, cut):
+    # The first episode is a recorder with a short step limit, and each
+    # episode after it takes that limit where ``cut`` says so. An episode
+    # whose key, (n, maze_seed, base, step_limit), is that of the last
+    # whole walk replays it; run cold, with the memo cleared before each
+    # episode, every record must read the same.
     recorder = EpisodeConfig(n=n, maze_seed=seed, variant=VARIANTS[names[0]], step_limit=short)
     configs = [recorder] + [
-        EpisodeConfig(n=n, maze_seed=seed, variant=VARIANTS[name], rl_seed=seed) for name in names
+        EpisodeConfig(
+            n=n,
+            maze_seed=seed,
+            variant=VARIANTS[name],
+            rl_seed=seed,
+            step_limit=short if shortened else None,
+        )
+        for name, shortened in zip(names, cut)
     ]
     found = []
     walk_of = episode._walk_of
@@ -109,15 +117,22 @@ def test_replayed_walks_give_the_records_of_cold_ones(n, seed, names, short):
 
     episode._WALKS.clear()
     with mock.patch.object(episode, "_walk_of", counting):
-        warm = [record_to_json(run_episode(cfg)) for cfg in configs]
+        warm_logs = [run_episode(cfg) for cfg in configs]
+    warm = [record_to_json(log) for log in warm_logs]
     cold = []
     for cfg in configs:
         episode._WALKS.clear()
         cold.append(record_to_json(run_episode(cfg)))
     assert warm == cold
-    # One slot: an episode finds the walk of the episode before it, if of its base.
-    bases = [None] + [cfg.variant.base for cfg in configs]
-    assert [walk is not None for walk in found] == [a == b for a, b in zip(bases, bases[1:])]
+    # One slot, holding the last walk that ended without a switch, and
+    # never filled by a replay: an episode finds it if it has its key.
+    expected, whole = [], None
+    for cfg, log in zip(configs, warm_logs):
+        key = (cfg.variant.base, cfg.step_limit)
+        expected.append(key == whole)
+        if key != whole and log.switch_step is None:
+            whole = key
+    assert [walk is not None for walk in found] == expected
 
 
 def _record_or_no_path(run, *args):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -395,7 +396,7 @@ class TestMatchesReferenceWalker:
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.visited_count == ref_map.visited_count, step
             assert new_map.sampled_history == ref_map.sampled_history, step
-            assert walker_counts(new, step + 1) == ref.counts, step
+            assert walker_counts(new) == ref.counts, step
             if new.exhausted:  # no search of the reference could find fresh ground
                 assert ref.next_k == len(spiral_route(n)[0]) and not ref.escape_path, step
                 known, stride, visited = ref_map.known, ref_map.stride, ref_map.visited_mask
@@ -428,13 +429,24 @@ class TestMatchesReferenceWalker:
             assert (new.detour_seen is None) == (not ref.detouring), step
             if ref.detouring:
                 assert new.detour_stale == ref.detour_stale, step
-            assert walker_counts(new, step + 1) == ref.counts, step
-        counts = walker_counts(new, 4000)
+            assert walker_counts(new) == ref.counts, step
+        counts = walker_counts(new)
         assert counts == ref.counts
         assert counts["ring"] and counts["detour"] and counts["escape"], counts
 
 
 class TestReplay:
+    @staticmethod
+    def record(maze, steps, sample_stride):
+        """The codes of a walk of ``steps`` steps from (0, 0), or None if it raised."""
+        recorder_map = KnowledgeMap(maze.n, sample_stride)
+        recorder = SpiralState(recorder_map.index(0, 0))
+        recorder_map.arrive(maze, recorder.pos)
+        for _ in range(steps):
+            if isinstance(take_step(spiral_next, recorder, maze, recorder_map), str):
+                return None  # a sealed pocket: a walk that raised has nothing to replay
+        return bytes(recorder.codes)
+
     @settings(max_examples=60, deadline=None)
     @given(
         maze=walker_mazes(),
@@ -443,44 +455,50 @@ class TestReplay:
         sample_stride=st.sampled_from((1, 4)),
     )
     def test_a_replayed_walk_is_the_walk(self, maze, budget, cut, sample_stride):
-        # A walk records its first ``cut`` of ``steps`` steps; a fresh
-        # walk replays them and then walks on live. Step by step it moves
-        # as the reference does, writes the same codes and map, and once
-        # past the record it holds the reference's fields too.
+        # A whole walk records ``steps`` steps; a fresh walk replays its
+        # first ``cut`` of them. Step by step it moves as the reference
+        # does and writes the same codes and map, and the fields that
+        # only a live walk writes keep their start values.
         n = maze.n
         steps = round(budget * 4 * n * n)
-        recorded_steps = round(cut * steps)
-        start = KnowledgeMap(n).index(0, 0)
-        recorder, recorder_map = SpiralState(start), KnowledgeMap(n, sample_stride)
-        recorder_map.arrive(maze, start)
-        for _ in range(recorded_steps):
-            if isinstance(take_step(spiral_next, recorder, maze, recorder_map), str):
-                return  # a sealed pocket: a walk that raised has nothing to replay
+        record = self.record(maze, steps, sample_stride)
+        if record is None:
+            return
         new_map, ref_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
+        start = new_map.index(0, 0)
         new, ref = SpiralState(start), ReferenceSpiralState(start)
-        new.replay = record = spiral.recorded_walk(recorder)
+        new.replay = record
         new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
-        for step in range(steps):
-            got = take_step(spiral_next, new, maze, new_map)
-            assert got == take_step(reference_spiral_next, ref, maze, ref_map), step
-            if isinstance(got, str):
-                break
+        for step in range(round(cut * steps)):
+            got = spiral_next(new, maze, new_map)
+            assert got == reference_spiral_next(ref, maze, ref_map), step
+            assert (new.pos, new.heading) == (ref.pos, ref.heading), step
             assert new_map.known == ref_map.known, step
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.sampled_history == ref_map.sampled_history, step
-            assert walker_counts(new, step + 1) == ref.counts, step
-            if step < recorded_steps:
-                assert new.codes[step] == record.codes[step], step
-                continue
-            assert new.replay is None, step
-            assert (new.pos, new.heading, new.next_k) == (ref.pos, ref.heading, ref.next_k), step
-            assert new.escape_path == ref.escape_path, step
-            assert (new.detour_seen is not None) == ref.detouring, step
-            if ref.detouring:
-                assert (new.detour_seen, new.detour_stale) == (ref.detour_seen, ref.detour_stale), step
-            if new.exhausted:  # no search of the reference could find fresh ground
-                assert ref.next_k == len(spiral_route(n)[0]) and not ref.escape_path, step
+            assert walker_counts(new) == ref.counts, step
+            assert new.codes[step] == record[step], step
+            assert (new.next_k, new.detour_seen, new.escape_path) == (1, None, deque()), step
+            assert (new.detour_stale, new.exhausted) == (0, False), step
+
+    def test_a_step_past_the_record_raises_instead_of_walking_on(self):
+        maze = generate_maze(32, 0)
+        record = self.record(maze, 200, 1)
+        knowledge = KnowledgeMap(32)
+        state = SpiralState(knowledge.index(0, 0))
+        state.replay = record
+        knowledge.arrive(maze, state.pos)
+        for _ in record:
+            spiral_next(state, maze, knowledge)
+        pos, visited, known = state.pos, knowledge.visited_count, bytes(knowledge.known)
+        with pytest.raises(IndexError):
+            spiral_next(state, maze, knowledge)
+        assert state.codes == record and state.pos == pos
+        assert knowledge.visited_count == visited and knowledge.known == known
+        with pytest.raises(StopIteration):  # the walk has ended and does not restart
+            spiral_next(state, maze, knowledge)
+        assert state.codes == record and knowledge.visited_count == visited
 
 
 class TestMapSize:
