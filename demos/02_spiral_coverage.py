@@ -17,8 +17,8 @@ open_grid = MazeGrid(n=6, walls=[[0] * 6] * 6, seed=0)
 
 knowledge = KnowledgeMap(6)
 state = SpiralState(knowledge.index(0, 0))
-knowledge.arrive(open_grid, state.pos)
-trace = [state.pos]
+knowledge.arrive(open_grid, state.start)
+trace = [state.start]
 for _ in range(35):
     trace.append(spiral_next(state, open_grid, knowledge))
 cells = map(knowledge.cell, trace[:12])
@@ -30,7 +30,7 @@ print(f"covered {knowledge.visited_count}/36 cells in {len(trace) - 1} moves\n")
 maze = generate_maze(16, seed=1)
 knowledge = KnowledgeMap(maze.n)
 state = SpiralState(knowledge.index(0, 0))
-knowledge.arrive(maze, state.pos)
+knowledge.arrive(maze, state.start)
 for step in range(1, 4 * 16 * 16 + 1):
     spiral_next(state, maze, knowledge)
     if step % 64 == 0:

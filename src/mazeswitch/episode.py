@@ -27,9 +27,9 @@ planner do, and record each step as one code byte in
 ``SpiralState.codes``, ``heading | phase``, with the heading an index
 into ``Layout.offsets``: the walker codes each ``spiral_next`` step
 itself, and the A* loop appends each move's heading with phase
-``ASTAR``. The first call binds the walk to this maze and map; it reads
-``SpiralState`` only then, writes the fields after each step, and ends
-with the coverage loop. When the episode ends the codes become the move
+``ASTAR``. The first call binds the walk to this maze and map; its
+frame, which holds no ``SpiralState``, is freed with the state when the
+episode returns. When the episode ends the codes become the move
 string in one ``translate``, one letter per step from the start (0, 0):
 ``E``, ``S``, ``W``, ``N`` for (dx, dy) = (0, +1), (+1, 0), (0, -1),
 (-1, 0), the order of ``Layout.offsets``.
@@ -349,7 +349,6 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
             break
 
     walked = steps
-    state.walk = None  # ends the walk: its frame holds ``state``, a cycle for the collector
     if recorded is None and switch_step is None:  # a whole walk, at the target or the limit
         _WALKS.clear()
         _WALKS[walk_key] = (weakref.ref(maze), bytes(state.codes))
@@ -563,11 +562,15 @@ def moves_from_record(record: dict) -> str:
 def replay_record(line: str) -> list:
     """Run a record line's episode again; the sorted names of the fields that differ.
 
-    ValueError if the line is not a well-formed version 1-4 record. The
-    trajectories are compared as move strings, and the fresh record's
-    other fields are rendered in the logged record's version.
+    ValueError if the line is not a well-formed version 1-4 record, or is
+    JSON nested too deep to parse. The trajectories are compared as move
+    strings, and the fresh record's other fields are rendered in the
+    logged record's version.
     """
-    logged = json.loads(line)
+    try:
+        logged = json.loads(line)
+    except RecursionError as exc:
+        raise ValueError(f"record nested too deep: {exc}") from None
     cfg = config_from_record(logged)  # checked before the trajectory
     logged["trajectory"] = moves_from_record(logged)
     log = run_episode(cfg)

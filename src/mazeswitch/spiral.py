@@ -34,15 +34,14 @@ past the end, so it mops up too. The first search that finds no
 unvisited cell is the last: the walker then only wall-follows over
 visited cells, learns nothing, and so could find none later.
 
-The walk runs in one frame. The first ``spiral_next`` call starts it,
-bound to that call's maze and map; it reads ``SpiralState`` only then
-and keeps the walker in locals. Each call resumes it for one step,
-after which the fields are a view that the walk writes. A step chooses
-the next cell in one ``if/elif`` chain (a recorded move, escape path,
-the route's next cell when it probes open, or wall-following), arrives
-on it, and on a detour then settles it: the detour ends at the cursor,
-breaks out, or goes on. Only a first visit learns, as
-``KnowledgeMap.arrive`` would.
+The walk runs in one frame, the only place the walker's state lives.
+The first ``spiral_next`` call starts it, bound to that call's maze and
+map; each call resumes it for one step, and a walk that raises has ended.
+A step chooses the next cell in one ``if/elif`` chain (a recorded move,
+escape path, the route's next cell when it probes open, or
+wall-following), arrives on it, and on a detour then settles it: the
+detour ends at the cursor, breaks out, or goes on. Only a first visit
+learns, as ``KnowledgeMap.arrive`` would.
 
 Each step appends one code byte to ``SpiralState.codes``: its heading,
 an index into ``Layout.offsets``, in the low two bits and its phase in
@@ -62,7 +61,7 @@ before its first step, holds the codes of an earlier walk over the same
 maze and a map of the same sample stride. Each call then takes the next
 recorded move, which leaves the map that the walk left, and appends its
 code; it neither probes nor searches. A step past the record raises
-IndexError, and the walk cannot go on.
+IndexError, which ends the walk.
 
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
@@ -130,32 +129,19 @@ def spiral_route(n: int) -> tuple[tuple, tuple, tuple]:
 
 @dataclass
 class SpiralState:
-    """Walker bookkeeping: the walk's start, then a view that the walk writes.
+    """A walk: the cell it starts on, the codes of its steps, and the walk itself.
 
-    Only ``pos``, the flat index of the occupied cell, is set on
-    construction. The first ``spiral_next`` call stores in ``walk`` the
-    walk bound to its maze and map, which reads the fields only then and
-    writes them after each step. ``next_k`` is the cursor, ``detour_seen``
-    is ``None`` outside a detour and the set of its (position, heading)
-    states inside one, and ``detour_stale`` counts its latest steps on
-    visited cells. ``escape_path`` holds the cells of a committed walk to
-    unvisited ground, next cell first. ``exhausted`` turns True, for good,
-    when a search for unvisited ground finds none. ``codes`` holds one
-    code per step, ``heading | phase``. ``replay`` holds the codes of a
-    walk that this one replays; the fields other than ``pos``,
-    ``heading`` and ``codes`` then keep their start values.
+    Only ``start``, a flat index, is set on construction. ``codes`` holds
+    one code per step, ``heading | phase``, and ``replay``, set before the
+    first step, the codes of a walk that this one replays. The first
+    ``spiral_next`` call stores in ``walk`` the walk bound to its maze
+    and map, whose frame keeps the walker.
     """
 
-    pos: int
-    heading: int = field(init=False, default=0)  # index into Layout.offsets: east
-    next_k: int = field(init=False, default=1)
-    detour_stale: int = field(init=False, default=0)
-    detour_seen: set | None = field(init=False, default=None)
-    escape_path: deque = field(init=False, default_factory=deque)
-    exhausted: bool = field(init=False, default=False)
-    walk: Iterator[int] | None = field(init=False, default=None, repr=False, compare=False)
+    start: int
     codes: bytearray = field(init=False, default_factory=bytearray, repr=False)
     replay: bytes | None = field(init=False, default=None, repr=False, compare=False)
+    walk: Iterator[int] | None = field(init=False, default=None, repr=False, compare=False)
 
 
 def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> int:
@@ -165,39 +151,50 @@ def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> 
     size, and otherwise starts the walk; each call resumes it for one
     step. The caller must have called ``knowledge.arrive`` for the
     starting cell. Raises SpiralStuck when no neighbour is known to be
-    passable, which cannot happen on a connected maze. A walk that raised
-    has ended: the next call starts another from the fields, except past
-    a replay's record, where it raises IndexError and cannot go on.
+    passable, which cannot happen on a connected maze, and IndexError on
+    a step past a replay's record. A walk that raised has ended: the next
+    call raises StopIteration.
     """
     if state.walk is None:
         if maze.n != knowledge.n:
             raise ValueError(f"sensing a size {maze.n} maze into a size {knowledge.n} map")
-        state.walk = _walk(state, maze, knowledge)
+        state.walk = _walk(maze, knowledge, state.start, state.codes, state.replay)
     return next(state.walk)
 
 
-def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterator[int]:
-    """Yield each new position; write back ``pos``, ``heading`` and what else changed."""
+def _walk(
+    maze: MazeGrid, knowledge: KnowledgeMap, start: int, codes: bytearray, replay: bytes | None
+) -> Iterator[int]:
+    """Yield each new position and append its code; these locals are the walker.
+
+    ``pos`` is its cell, ``heading`` its last move and ``next_k`` the
+    cursor. ``seen`` is None outside a detour and the set of its
+    (position, heading) states inside one; ``stale`` counts the detour's
+    latest steps on visited cells. ``escape`` holds a committed path to
+    unvisited ground, next cell first; ``exhausted`` turns True, for
+    good, when a search finds none. A replay changes only ``pos`` and
+    ``heading``.
+    """
     route, rank, ring = spiral_route(maze.n)
     end, offsets, cells = len(route), knowledge.offsets, maze.cells
     heading_of = {d: h for h, d in enumerate(offsets)}
     known, visited, w = knowledge.known, knowledge.visited_mask, knowledge.stride
     history, sample_stride = knowledge.sampled_history, knowledge.sample_stride
-    pos, heading, next_k, push = state.pos, state.heading, state.next_k, state.codes.append
-    seen, stale, escape = state.detour_seen, state.detour_stale, state.escape_path
-    exhausted, replay = state.exhausted, state.replay
+    push = codes.append
+    pos, heading, next_k = start, 0, 1  # heading east, onto the route's second cell
+    seen, stale, escape, exhausted = None, 0, deque(), False
 
     while True:
         if next_k == end and not escape and not exhausted:
             # Mopping up: walk to the nearest unvisited cell.
             path = nearest_path(known, w, pos, visited)
             if path is None:
-                exhausted = state.exhausted = True
+                exhausted = True
             else:
                 escape.extend(path)
 
         if replay is not None:
-            code = replay[len(state.codes)]  # IndexError past the record: it never walks on
+            code = replay[len(codes)]  # IndexError past the record ends the walk
             heading = code & 3
             nxt = pos + offsets[heading]
         elif escape:
@@ -207,18 +204,17 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
             code = heading | (ESCAPE if next_k < end else MOPUP)
             if not escape and next_k < end:
                 # Landing on fresh ground: resume the route just past this cell.
-                next_k = state.next_k = rank[nxt] + 1
+                next_k = rank[nxt] + 1
         elif seen is None and next_k < end and probe(maze, pos, route[next_k]) == OPEN:
             nxt = route[next_k]
             heading = heading_of[nxt - pos]
-            next_k = state.next_k = next_k + 1
+            next_k += 1
             code = heading  # RING is 0
         else:
             # Wall-following: a detour step, or past a fully visited component.
             if seen is None and next_k < end:
                 # Blocked: hug the obstruction, keeping it on the right.
-                seen = state.detour_seen = set()
-                stale = state.detour_stale = 0
+                seen, stale = set(), 0
                 heading = (heading_of[route[next_k] - pos] + 3) % 4  # turn left
             # The right-hand rule over the facts sensed on arrival at ``pos``.
             for h in _FOLLOW_ORDER[heading]:
@@ -226,17 +222,14 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
                 if known[nxt] == OPEN:
                     break
             else:
-                state.heading, state.walk = heading, None
                 raise SpiralStuck(f"no passable neighbour known at {knowledge.cell(pos)}")
             heading = h
             code = h | (MOPUP if seen is None else DETOUR)
 
-        state.pos = pos = nxt
-        state.heading = heading
+        pos = nxt
         fresh = not visited[nxt]
         if fresh:  # ``knowledge.arrive(maze, nxt)``; the first call checked the sizes
             if not 0 <= nxt < len(known) or known[nxt] == OUTSIDE:
-                state.walk = None
                 raise ValueError(f"cannot visit off-grid index {nxt}")
             visited[nxt] = 1
             if knowledge.visited_count % sample_stride == 0:
@@ -259,11 +252,11 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
 
         if seen is not None:
             # A detour step; the cursor ``next_k`` has not moved.
-            stale = state.detour_stale = 0 if fresh else stale + 1
+            stale = 0 if fresh else stale + 1
             k = rank[nxt]
             if k >= next_k and ring[nxt] == ring[route[next_k]]:
-                seen = state.detour_seen = None
-                next_k = state.next_k = k + 1
+                seen = None
+                next_k = k + 1
             else:
                 key = (nxt, heading)
                 if key in seen or stale >= STALE_DETOUR_LIMIT:
@@ -271,11 +264,10 @@ def _walk(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> Iterat
                     # nearest unvisited cell over known-free cells, whose
                     # intermediate cells are all visited. With none left, mop up.
                     code = heading | (LOOP if key in seen else STALE)
-                    seen = state.detour_seen = None
+                    seen = None
                     path = nearest_path(known, w, nxt, visited)
                     if path is None:
-                        next_k = state.next_k = end
-                        exhausted = state.exhausted = True
+                        next_k, exhausted = end, True
                     else:
                         escape.extend(path)
                 else:

@@ -316,6 +316,17 @@ def seed_with_output(value, t=1):
     return (unshift(z, 30) - t * INCREMENT) & MASK64
 
 
+def walker_locals(state):
+    """The locals of a started walk's frame, where the walker keeps its state.
+
+    Read after a step, they hold ``pos`` (the walker's cell), ``heading``,
+    ``next_k`` (the cursor), ``seen`` (the detour's states, or None
+    outside a detour), ``stale``, ``escape`` (the committed path) and
+    ``exhausted``.
+    """
+    return state.walk.gi_frame.f_locals
+
+
 class ReferenceSpiralState:
     """Walker bookkeeping of ``reference_spiral_next``, with its own detour flag.
 

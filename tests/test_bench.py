@@ -267,6 +267,7 @@ GOLDEN_SUITES = {
     "64-ablation-variants": SuiteConfig(
         sizes=(64,), mazes_per_size=10, variants=("spiral", "spiral_conv", "spiral_rl")
     ),
+    "128-all-variants": SuiteConfig(sizes=(128,), mazes_per_size=10),
 }
 
 
@@ -312,10 +313,13 @@ def log_digest(logs):
 
 
 class TestGoldenRecords:
-    """The exact record stream of two fixed suites, pinned by sha256.
+    """The exact record stream of three fixed suites, pinned by sha256.
 
     The values were measured once and must never be regenerated to make
     a change pass: a mismatch means episodes or record bytes changed.
+    The 128 stream is the paper's largest row, all six variants; past
+    128, the maze-seed-0 records of the three spiral variants are pinned
+    one by one, at 256 and at 512.
     """
 
     @pytest.mark.parametrize(
@@ -329,13 +333,46 @@ class TestGoldenRecords:
                 "64-ablation-variants",
                 "f1e5d84455f1ea9a61bb162b8acca152e6ecdfad181c11b8a5dd167e68d0b70e",
             ),
+            (
+                "128-all-variants",
+                "cbcf54b4fafe67ebd1aaa8f3718f65541dbff87714404787b1bd92cfe01fd7a4",
+            ),
         ],
-        ids=["small-all-variants", "64-ablation-variants"],
+        ids=["small-all-variants", "64-ablation-variants", "128-all-variants"],
     )
     def test_record_stream_digest(self, name, digest, tmp_path):
         path = tmp_path / "episodes.jsonl"
         write_records(golden_logs(name), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n, digests",
+        [
+            (
+                256,
+                [
+                    "190f6697f682529e3954c6da88663c9fb234da80993dffc0eac941df4a100730",
+                    "7594191d8d6610750895011bfe004fe3edbbf40da6633262e7834b198322fabc",
+                    "ee28d8f8a18987e8dd7613e624e74f7c76a99f17fd77bddf888d179f08970338",
+                ],
+            ),
+            (
+                512,
+                [
+                    "e19318e2488246cda0b4c5ea65ae9131e594957ef30b7f82b5181736cca8c0dc",
+                    "1d7dfc5742c169283af4268a7a4e4da3fc00a3a4b237ff2b534109f7649d68e9",
+                    "09724cfcb178331507b1f9cd009d4321daa34cefd68d784ccf4760ccb594fe4b",
+                ],
+            ),
+        ],
+        ids=["256", "512"],
+    )
+    def test_record_digests_past_128(self, n, digests):
+        # spiral, spiral_conv and spiral_rl on maze seed 0: no other test
+        # walks or plans above 128. spiral_rl switches to A* at both sizes.
+        suite = SuiteConfig(sizes=(n,), mazes_per_size=1, variants=ABLATION_VARIANTS)
+        records = [record_to_json(log) for log in run_suite(suite)[1]]
+        assert [hashlib.sha256(r.encode()).hexdigest() for r in records] == digests
 
     @pytest.mark.parametrize(
         "name, digest",
@@ -410,7 +447,7 @@ class TestGoldenRecords:
 
 
 class TestGoldenLogs:
-    """The episodes of the two golden suites, pinned apart from the record format.
+    """The episodes of the first two golden suites, pinned apart from the record format.
 
     A change of record schema re-pins ``TestGoldenRecords`` but never
     these: a mismatch here means the episodes themselves changed.

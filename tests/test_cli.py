@@ -277,6 +277,16 @@ class TestReplay:
         assert printed[6] == "record 7: identical"
         assert len(printed) == 7
 
+    def test_a_line_nested_too_deep_is_an_error(self, tmp_path, capsys):
+        # json.loads raises RecursionError, not ValueError, on deep nesting.
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100_000 + "\n")
+        code = run_cli(["replay", str(path)])
+        printed = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert len(printed) == 1 and printed[0].startswith("record 1: ERROR ")
+        assert "nested too deep" in printed[0]
+
     def test_version_1_file_replays_identical(self, capsys):
         # Written by the version 1 writer: [x, y] positions, no schema_version.
         lines = (DATA / "episodes_v1.jsonl").read_text().splitlines()

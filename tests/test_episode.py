@@ -227,10 +227,10 @@ class TestCounters:
 
     @pytest.mark.parametrize("variant", ["spiral", "spiral_conv"])
     def test_the_walk_ends_with_the_episode(self, monkeypatch, variant):
-        # A walk's frame holds its SpiralState, so a walk left running
-        # would keep the state and both maps alive in a reference cycle
-        # until the cyclic collector ran. With the collector off, the
-        # state must be freed when run_episode returns.
+        # A walk's frame holds the codes and both maps but not its
+        # SpiralState, so no reference cycle exists: with the collector
+        # off, the state and the walk it holds, still suspended, must be
+        # freed when run_episode returns.
         states = []
 
         def tracked(pos):

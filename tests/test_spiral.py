@@ -28,6 +28,7 @@ from conftest import (
     ReferenceSpiralState,
     reference_spiral_next,
     sealed_pocket_grid,
+    walker_locals,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -114,7 +115,7 @@ class TestOpenGridSpiral:
         monkeypatch.setattr(spiral, "nearest_path", counting_search)
         _, state, knowledge = walk(open_grid(n), 3 * n * n)
         assert results == [None]
-        assert state.exhausted and knowledge.visited_count == n * n
+        assert walker_locals(state)["exhausted"] and knowledge.visited_count == n * n
 
 
 class TestRecordVisit:
@@ -146,7 +147,7 @@ class TestMazeSpiral:
         reachable = bfs_reachable(maze)
         knowledge = KnowledgeMap(maze.n)
         state = SpiralState(knowledge.index(0, 0))
-        knowledge.arrive(maze, state.pos)
+        knowledge.arrive(maze, state.start)
         for _ in range(4 * 16 * 16):
             if knowledge.visited_count == len(reachable):
                 break
@@ -172,7 +173,7 @@ class TestMazeSpiral:
         maze = generate_maze(16, 2)
         knowledge = KnowledgeMap(maze.n)
         state = SpiralState(knowledge.index(0, 0))
-        knowledge.arrive(maze, state.pos)
+        knowledge.arrive(maze, state.start)
         last = coverage_percent(knowledge)
         for _ in range(400):
             spiral_next(state, maze, knowledge)
@@ -192,24 +193,35 @@ class TestMazeSpiral:
         maze = sealed_pocket_grid()
         knowledge = KnowledgeMap(maze.n)
         state = SpiralState(knowledge.index(0, 0))
-        knowledge.record(state.pos)
+        knowledge.record(state.start)
         with pytest.raises(SpiralStuck):
             spiral_next(state, maze, knowledge)
 
-    def test_a_call_after_stuck_is_stuck_again(self):
-        # A walk that raised has ended; the next call must raise the same
-        # SpiralStuck from the fields, not end the walk with StopIteration.
+    @pytest.mark.parametrize(
+        "replay, error, message",
+        [
+            (None, SpiralStuck, r"no passable neighbour known at \(0, 0\)"),
+            (bytes([2]), ValueError, "cannot visit off-grid index"),  # west of (0, 0)
+        ],
+        ids=["stuck", "off-grid"],
+    )
+    def test_a_walk_that_raised_has_ended(self, replay, error, message):
+        # Every raise ends the walk: the next call raises StopIteration,
+        # and neither call writes a code or changes the map. Only a
+        # hand-built record leads off the grid, so the off-grid case
+        # replays one move west from (0, 0).
         maze = sealed_pocket_grid()
         knowledge = KnowledgeMap(maze.n)
         state = SpiralState(knowledge.index(0, 0))
-        knowledge.record(state.pos)
-        messages = []
-        for _ in range(3):
-            with pytest.raises(SpiralStuck) as exc:
-                spiral_next(state, maze, knowledge)
-            messages.append(str(exc.value))
-        assert messages == ["no passable neighbour known at (0, 0)"] * 3
-        assert state.pos == knowledge.index(0, 0) and knowledge.visited_count == 1
+        state.replay = replay
+        knowledge.record(state.start)
+        known, visited = bytes(knowledge.known), bytes(knowledge.visited_mask)
+        with pytest.raises(error, match=message):
+            spiral_next(state, maze, knowledge)
+        with pytest.raises(StopIteration):
+            spiral_next(state, maze, knowledge)
+        assert state.codes == b"" and knowledge.visited_count == 1
+        assert knowledge.known == known and knowledge.visited_mask == visited
 
 
 MAZE_SIZES = st.integers(4, 32).map(lambda half: 2 * half)
@@ -250,12 +262,13 @@ class TestPastFullCoverage:
         end = len(spiral_route(n)[0])
         knowledge = KnowledgeMap(n)
         state = SpiralState(knowledge.index(0, 0))
-        knowledge.arrive(maze, state.pos)
+        knowledge.arrive(maze, state.start)
         for step in range(2 * n * n):
-            assert 1 <= state.next_k <= end, step
-            if state.detour_seen is not None:
-                assert state.next_k < end and not state.escape_path, step
             spiral_next(state, maze, knowledge)
+            walker = walker_locals(state)
+            assert 1 <= walker["next_k"] <= end, step
+            if walker["seen"] is not None:
+                assert walker["next_k"] < end and not walker["escape"], step
 
 
 class TestFlatSearchesMatchReferences:
@@ -328,16 +341,17 @@ class TestFlatSearchesMatchReferences:
         maze = generate_maze(n, seed)
         knowledge = KnowledgeMap(n)
         state = SpiralState(knowledge.index(0, 0))
-        knowledge.arrive(maze, state.pos)
+        knowledge.arrive(maze, state.start)
+        pos = state.start
         for _ in range(min(steps, 2 * n * n)):
-            x, y = knowledge.cell(state.pos)
+            x, y = knowledge.cell(pos)
             assert not maze.walls[x][y]
             for cell in ((x, y), (x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y)):
                 if 0 <= cell[0] < n and 0 <= cell[1] < n:
                     fact = knowledge.known[knowledge.index(*cell)]
                     assert fact != UNKNOWN, ((x, y), cell)
                     assert fact == (WALL if maze.walls[cell[0]][cell[1]] else OPEN), ((x, y), cell)
-            spiral_next(state, maze, knowledge)
+            pos = spiral_next(state, maze, knowledge)
 
 
 @st.composite
@@ -368,10 +382,10 @@ class TestMatchesReferenceWalker:
     @settings(max_examples=60, deadline=None)
     @given(maze=walker_mazes(), budget=st.floats(0.0, 1.0), sample_stride=st.sampled_from((1, 4)))
     def test_lockstep_with_reference(self, maze, budget, sample_stride):
-        # Each step is compared in full: the walker's fields, its detour
-        # (a set exactly while the reference is detouring), its map, and
-        # its counts, which the reference keeps step by step. Its heading
-        # is the move it just made, on every branch: ``run_episode``
+        # Each step is compared in full: the walker's state in its frame,
+        # its detour (a set exactly while the reference is detouring), its
+        # map, and its counts, which the reference keeps step by step. Its
+        # heading is the move it just made, on every branch: ``run_episode``
         # records that heading as the step's letter.
         n = maze.n
         new_map, ref_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
@@ -379,57 +393,62 @@ class TestMatchesReferenceWalker:
         new, ref = SpiralState(start), ReferenceSpiralState(start)
         new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
+        before = start
         for step in range(round(budget * 4 * n * n)):
-            before = new.pos
             got = take_step(spiral_next, new, maze, new_map)
             assert got == take_step(reference_spiral_next, ref, maze, ref_map), step
             if isinstance(got, str):
                 break
-            assert new_map.offsets[new.heading] == got - before, step
-            assert (new.pos, new.heading, new.next_k) == (ref.pos, ref.heading, ref.next_k), step
-            assert new.escape_path == ref.escape_path, step
-            assert (new.detour_seen is not None) == ref.detouring, step
+            walker = walker_locals(new)
+            assert new_map.offsets[walker["heading"]] == got - before, step
+            assert (walker["pos"], walker["heading"]) == (ref.pos, ref.heading), step
+            assert walker["next_k"] == ref.next_k, step
+            assert walker["escape"] == ref.escape_path, step
+            assert (walker["seen"] is not None) == ref.detouring, step
             if ref.detouring:
-                assert new.detour_stale == ref.detour_stale, step
-                assert new.detour_seen == ref.detour_seen, step
+                assert walker["stale"] == ref.detour_stale, step
+                assert walker["seen"] == ref.detour_seen, step
             assert new_map.known == ref_map.known, step
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.visited_count == ref_map.visited_count, step
             assert new_map.sampled_history == ref_map.sampled_history, step
             assert walker_counts(new) == ref.counts, step
-            if new.exhausted:  # no search of the reference could find fresh ground
+            if walker["exhausted"]:  # no search of the reference could find fresh ground
                 assert ref.next_k == len(spiral_route(n)[0]) and not ref.escape_path, step
                 known, stride, visited = ref_map.known, ref_map.stride, ref_map.visited_mask
                 assert nearest_path(known, stride, ref.pos, visited) is None, step
+            before = got
 
     @pytest.mark.parametrize("sample_stride", (1, 4))
     def test_lockstep_with_reference_at_128(self, sample_stride):
         # The property above reaches size 32 at most; this walks the
         # first thousands of steps of a 128 maze and compares, after each
         # step, everything a first visit writes into the map, the heading
-        # with the move just made, and every field that the walk writes
-        # back from its own frame.
+        # with the move just made, and the walker's state in its frame.
         maze = generate_maze(128, 0)
         new_map, ref_map = KnowledgeMap(128, sample_stride), KnowledgeMap(128, sample_stride)
         start = new_map.index(0, 0)
         new, ref = SpiralState(start), ReferenceSpiralState(start)
         new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
-        escape_path = new.escape_path
+        before, escape_path = start, None
         for step in range(4000):
-            before = new.pos
             assert spiral_next(new, maze, new_map) == reference_spiral_next(ref, maze, ref_map), step
-            assert new_map.offsets[new.heading] == new.pos - before, step
+            walker = walker_locals(new)
+            assert new_map.offsets[walker["heading"]] == walker["pos"] - before, step
             assert new_map.known == ref_map.known, step
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.visited_count == ref_map.visited_count, step
             assert new_map.sampled_history == ref_map.sampled_history, step
-            assert new.next_k == ref.next_k, step
-            assert new.escape_path is escape_path and new.escape_path == ref.escape_path, step
-            assert (new.detour_seen is None) == (not ref.detouring), step
+            assert walker["next_k"] == ref.next_k, step
+            if escape_path is None:  # the one deque of the walk, extended and emptied in place
+                escape_path = walker["escape"]
+            assert walker["escape"] is escape_path and escape_path == ref.escape_path, step
+            assert (walker["seen"] is None) == (not ref.detouring), step
             if ref.detouring:
-                assert new.detour_stale == ref.detour_stale, step
+                assert walker["stale"] == ref.detour_stale, step
             assert walker_counts(new) == ref.counts, step
+            before = walker["pos"]
         counts = walker_counts(new)
         assert counts == ref.counts
         assert counts["ring"] and counts["detour"] and counts["escape"], counts
@@ -441,7 +460,7 @@ class TestReplay:
         """The codes of a walk of ``steps`` steps from (0, 0), or None if it raised."""
         recorder_map = KnowledgeMap(maze.n, sample_stride)
         recorder = SpiralState(recorder_map.index(0, 0))
-        recorder_map.arrive(maze, recorder.pos)
+        recorder_map.arrive(maze, recorder.start)
         for _ in range(steps):
             if isinstance(take_step(spiral_next, recorder, maze, recorder_map), str):
                 return None  # a sealed pocket: a walk that raised has nothing to replay
@@ -457,8 +476,8 @@ class TestReplay:
     def test_a_replayed_walk_is_the_walk(self, maze, budget, cut, sample_stride):
         # A whole walk records ``steps`` steps; a fresh walk replays its
         # first ``cut`` of them. Step by step it moves as the reference
-        # does and writes the same codes and map, and the fields that
-        # only a live walk writes keep their start values.
+        # does and writes the same codes and map, and the locals that
+        # only a live walk changes keep their start values.
         n = maze.n
         steps = round(budget * 4 * n * n)
         record = self.record(maze, steps, sample_stride)
@@ -473,14 +492,15 @@ class TestReplay:
         for step in range(round(cut * steps)):
             got = spiral_next(new, maze, new_map)
             assert got == reference_spiral_next(ref, maze, ref_map), step
-            assert (new.pos, new.heading) == (ref.pos, ref.heading), step
+            walker = walker_locals(new)
+            assert (walker["pos"], walker["heading"]) == (ref.pos, ref.heading), step
             assert new_map.known == ref_map.known, step
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.sampled_history == ref_map.sampled_history, step
             assert walker_counts(new) == ref.counts, step
             assert new.codes[step] == record[step], step
-            assert (new.next_k, new.detour_seen, new.escape_path) == (1, None, deque()), step
-            assert (new.detour_stale, new.exhausted) == (0, False), step
+            assert (walker["next_k"], walker["seen"], walker["escape"]) == (1, None, deque()), step
+            assert (walker["stale"], walker["exhausted"]) == (0, False), step
 
     def test_a_step_past_the_record_raises_instead_of_walking_on(self):
         maze = generate_maze(32, 0)
@@ -488,13 +508,14 @@ class TestReplay:
         knowledge = KnowledgeMap(32)
         state = SpiralState(knowledge.index(0, 0))
         state.replay = record
-        knowledge.arrive(maze, state.pos)
+        knowledge.arrive(maze, state.start)
         for _ in record:
+            pos = spiral_next(state, maze, knowledge)
+        visited, known = knowledge.visited_count, bytes(knowledge.known)
+        with pytest.raises(IndexError) as raised:
             spiral_next(state, maze, knowledge)
-        pos, visited, known = state.pos, knowledge.visited_count, bytes(knowledge.known)
-        with pytest.raises(IndexError):
-            spiral_next(state, maze, knowledge)
-        assert state.codes == record and state.pos == pos
+        walker = raised.traceback[-1]  # the walk's frame, as the raise left it
+        assert state.codes == record and walker.name == "_walk" and walker.locals["pos"] == pos
         assert knowledge.visited_count == visited and knowledge.known == known
         with pytest.raises(StopIteration):  # the walk has ended and does not restart
             spiral_next(state, maze, knowledge)
@@ -510,5 +531,5 @@ class TestMapSize:
         message = f"sensing a size {maze_n} maze into a size {map_n} map"
         with pytest.raises(ValueError, match=message):
             spiral_next(state, maze, knowledge)
-        assert state.pos == knowledge.index(0, 0) and state.walk is None
+        assert state.start == knowledge.index(0, 0) and state.walk is None
         assert knowledge.visited_count == 0
