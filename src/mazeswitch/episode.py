@@ -23,12 +23,11 @@ switch. Only a switch with steps left starts the convergence loop, from the
 walk's last position, step count and knowledge; its replans take no step.
 
 Both loops track positions as flat layout indices, as the walker and the
-planner do, and record each step as one code byte in
-``SpiralState.codes``, ``heading | phase``, with the heading an index
-into ``Layout.offsets``: the walker codes each ``spiral_next`` step
-itself, and the A* loop appends each move's heading with phase
-``ASTAR``. The first call binds the walk to this maze and map; its
-frame, which holds no ``SpiralState``, is freed with the state when the
+planner do, and record each step as one code byte in the episode's
+``codes``, ``heading | phase``, with the heading an index into
+``Layout.offsets``: the walk, ``spiral_walk`` on this maze and map,
+codes each ``spiral_next`` step itself, and the A* loop appends each
+move's heading with phase ``ASTAR``. The walk's frame is freed when the
 episode returns. When the episode ends the codes become the move
 string in one ``translate``, one letter per step from the start (0, 0):
 ``E``, ``S``, ``W``, ``N`` for (dx, dy) = (0, +1), (+1, 0), (0, -1),
@@ -46,7 +45,7 @@ whole walk, one whose episode ended without a switch, keyed by
 maze, which must be the very maze this episode carved. Any episode of
 that key stops on the same route at the target, at the limit or at its
 switch, so its walk is a prefix of the whole one: it hands the codes to
-its fresh ``SpiralState``, and each ``spiral_next`` call takes the next
+its walk as ``replay``, and each ``spiral_next`` call takes the next
 recorded move. ``base`` stays in the key, because criterion 5 compares
 a spiral walk with its sentinel twin's; sharing a walk across bases
 would compare it with itself. Records do not change: a replayed step
@@ -108,7 +107,7 @@ from .qlearn import (
     select_action,
     terminal_reward,
 )
-from .spiral import ASTAR, SpiralState, spiral_next, walker_counts
+from .spiral import ASTAR, spiral_next, spiral_walk, walker_counts
 
 FIXED_THRESHOLD = 40.0
 DEFAULT_DECISION_PERIOD = 50
@@ -307,10 +306,11 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     knowledge = KnowledgeMap(n, sample_stride=1 if cfg.variant.base == "spiral" else 4)
     target = knowledge.index(*maze.target)
     pos = knowledge.index(0, 0)
-    state = SpiralState(pos)
     walk_key = (n, cfg.maze_seed, cfg.variant.base, limit)
-    state.replay = recorded = _walk_of(walk_key, maze)
+    recorded = _walk_of(walk_key, maze)
     knowledge.arrive(maze, pos)
+    codes = bytearray()
+    walk = spiral_walk(maze, knowledge, codes, recorded)
 
     # The visited count that reaches the active threshold; None never switches.
     switch_count = None
@@ -327,7 +327,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     steps = 0
 
     while steps < limit:
-        pos = spiral_next(state, maze, knowledge)  # arrives on the new cell and codes the step
+        pos = spiral_next(walk)  # arrives on the new cell and codes the step
         steps += 1
         if pos == target:
             break
@@ -351,11 +351,10 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     walked = steps
     if recorded is None and switch_step is None:  # a whole walk, at the target or the limit
         _WALKS.clear()
-        _WALKS[walk_key] = (weakref.ref(maze), bytes(state.codes))
+        _WALKS[walk_key] = (weakref.ref(maze), bytes(codes))
     plan = None
     replans = 0
     offsets = knowledge.offsets
-    codes = state.codes
     while steps < limit and pos != target:
         if plan is None:
             plan = astar_plan(pos, target, knowledge)
@@ -387,7 +386,7 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
         trajectory=Trajectory(n, codes.translate(_LETTER_OF_CODE).decode("ascii")),
         decisions=decisions,
         counters=dict(
-            walker_counts(state),
+            walker_counts(codes),
             convergence=steps - walked,
             replans=replans,
             history_len=len(knowledge.sampled_history),

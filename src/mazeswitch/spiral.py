@@ -34,16 +34,17 @@ past the end, so it mops up too. The first search that finds no
 unvisited cell is the last: the walker then only wall-follows over
 visited cells, learns nothing, and so could find none later.
 
-The walk runs in one frame, the only place the walker's state lives.
-The first ``spiral_next`` call starts it, bound to that call's maze and
-map; each call resumes it for one step, and a walk that raises has ended.
-A step chooses the next cell in one ``if/elif`` chain (a recorded move,
-escape path, the route's next cell when it probes open, or
-wall-following), arrives on it, and on a detour then settles it: the
-detour ends at the cursor, breaks out, or goes on. Only a first visit
-learns, as ``KnowledgeMap.arrive`` would.
+The walk is a generator, ``spiral_walk(maze, knowledge, codes)``, whose
+frame is the only place the walker's state lives. It starts on the
+route's first cell, (0, 0), heading east. Each ``spiral_next(walk)``,
+which is ``next(walk)``, resumes it for one step, and a walk that raises
+has ended: the next call raises StopIteration. A step chooses the next
+cell in one ``if/elif`` chain (a recorded move, escape path, the route's
+next cell when it probes open, or wall-following), arrives on it, and on
+a detour then settles it: the detour ends at the cursor, breaks out, or
+goes on. Only a first visit learns, as ``KnowledgeMap.arrive`` would.
 
-Each step appends one code byte to ``SpiralState.codes``: its heading,
+Each step appends one code byte to the caller's ``codes``: its heading,
 an index into ``Layout.offsets``, in the low two bits and its phase in
 the bits above, ``heading | phase``. The phases are ``RING``,
 ``DETOUR``, ``LOOP`` and ``STALE`` (a detour step that breaks out,
@@ -56,12 +57,11 @@ step begins: then an escape or wall-following step is ``MOPUP``, else
 by phase, named by ``COUNT_NAMES``: a ``detour`` step is any of the
 three detour phases, and ``loop`` and ``stale`` are the breakouts.
 
-A walk replays another: ``SpiralState.replay``, set on a fresh state
-before its first step, holds the codes of an earlier walk over the same
-maze and a map of the same sample stride. Each call then takes the next
-recorded move, which leaves the map that the walk left, and appends its
-code; it neither probes nor searches. A step past the record raises
-IndexError, which ends the walk.
+A walk replays another when its ``replay`` argument holds the codes of
+an earlier walk over the same maze and a map of the same sample stride.
+Each step then takes the next recorded move, which leaves the map that
+the walk left, and appends its code; it neither probes nor searches. A
+step past the record raises IndexError, which ends the walk.
 
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
@@ -72,7 +72,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .grid import OPEN, OUTSIDE, UNKNOWN, KnowledgeMap, MazeGrid, layout, nearest_path, probe
@@ -127,61 +126,40 @@ def spiral_route(n: int) -> tuple[tuple, tuple, tuple]:
     return tuple(route), tuple(rank), tuple(ring)
 
 
-@dataclass
-class SpiralState:
-    """A walk: the cell it starts on, the codes of its steps, and the walk itself.
-
-    Only ``start``, a flat index, is set on construction. ``codes`` holds
-    one code per step, ``heading | phase``, and ``replay``, set before the
-    first step, the codes of a walk that this one replays. The first
-    ``spiral_next`` call stores in ``walk`` the walk bound to its maze
-    and map, whose frame keeps the walker.
-    """
-
-    start: int
-    codes: bytearray = field(init=False, default_factory=bytearray, repr=False)
-    replay: bytes | None = field(init=False, default=None, repr=False, compare=False)
-    walk: Iterator[int] | None = field(init=False, default=None, repr=False, compare=False)
+def spiral_next(walk: Iterator[int]) -> int:
+    """Advance a ``spiral_walk`` one cell and return its new position: one call per step."""
+    return next(walk)
 
 
-def spiral_next(state: SpiralState, maze: MazeGrid, knowledge: KnowledgeMap) -> int:
-    """Advance the walker one cell and return its new position.
-
-    The first call raises ValueError when the maze and the map differ in
-    size, and otherwise starts the walk; each call resumes it for one
-    step. The caller must have called ``knowledge.arrive`` for the
-    starting cell. Raises SpiralStuck when no neighbour is known to be
-    passable, which cannot happen on a connected maze, and IndexError on
-    a step past a replay's record. A walk that raised has ended: the next
-    call raises StopIteration.
-    """
-    if state.walk is None:
-        if maze.n != knowledge.n:
-            raise ValueError(f"sensing a size {maze.n} maze into a size {knowledge.n} map")
-        state.walk = _walk(maze, knowledge, state.start, state.codes, state.replay)
-    return next(state.walk)
-
-
-def _walk(
-    maze: MazeGrid, knowledge: KnowledgeMap, start: int, codes: bytearray, replay: bytes | None
+def spiral_walk(
+    maze: MazeGrid, knowledge: KnowledgeMap, codes: bytearray, replay: bytes | None = None
 ) -> Iterator[int]:
-    """Yield each new position and append its code; these locals are the walker.
+    """The walk from (0, 0): yield each new position and append its code to ``codes``.
 
-    ``pos`` is its cell, ``heading`` its last move and ``next_k`` the
-    cursor. ``seen`` is None outside a detour and the set of its
-    (position, heading) states inside one; ``stale`` counts the detour's
-    latest steps on visited cells. ``escape`` holds a committed path to
-    unvisited ground, next cell first; ``exhausted`` turns True, for
-    good, when a search finds none. A replay changes only ``pos`` and
-    ``heading``.
+    The caller must have called ``knowledge.arrive`` for (0, 0), the
+    route's first cell. ``replay`` holds the codes of a walk that this
+    one replays. The first step raises ValueError when the maze and the
+    map differ in size; a step raises SpiralStuck when no neighbour is
+    known to be passable, which cannot happen on a connected maze, and
+    IndexError past a replay's record. A walk that raised has ended.
+
+    These locals are the walker. ``pos`` is its cell, ``heading`` its
+    last move and ``next_k`` the cursor. ``seen`` is None outside a
+    detour and the set of its (position, heading) states inside one;
+    ``stale`` counts the detour's latest steps on visited cells.
+    ``escape`` holds a committed path to unvisited ground, next cell
+    first; ``exhausted`` turns True, for good, when a search finds none.
+    A replay changes only ``pos`` and ``heading``.
     """
+    if maze.n != knowledge.n:
+        raise ValueError(f"sensing a size {maze.n} maze into a size {knowledge.n} map")
     route, rank, ring = spiral_route(maze.n)
     end, offsets, cells = len(route), knowledge.offsets, maze.cells
     heading_of = {d: h for h, d in enumerate(offsets)}
     known, visited, w = knowledge.known, knowledge.visited_mask, knowledge.stride
     history, sample_stride = knowledge.sampled_history, knowledge.sample_stride
     push = codes.append
-    pos, heading, next_k = start, 0, 1  # heading east, onto the route's second cell
+    pos, heading, next_k = route[0], 0, 1  # heading east, onto the route's second cell
     seen, stale, escape, exhausted = None, 0, deque(), False
 
     while True:
@@ -228,7 +206,7 @@ def _walk(
 
         pos = nxt
         fresh = not visited[nxt]
-        if fresh:  # ``knowledge.arrive(maze, nxt)``; the first call checked the sizes
+        if fresh:  # ``knowledge.arrive(maze, nxt)``; the first step checked the sizes
             if not 0 <= nxt < len(known) or known[nxt] == OUTSIDE:
                 raise ValueError(f"cannot visit off-grid index {nxt}")
             visited[nxt] = 1
@@ -276,8 +254,8 @@ def _walk(
         yield nxt
 
 
-def walker_counts(state: SpiralState) -> dict:
-    """The walker's exact counts, by ``COUNT_NAMES``; an ``ASTAR`` code counts in none."""
-    phases = state.codes.translate(_PHASE_OF_CODE)
+def walker_counts(codes: bytes) -> dict:
+    """The walker's exact counts in ``codes``, by ``COUNT_NAMES``; ``ASTAR`` codes count in none."""
+    phases = codes.translate(_PHASE_OF_CODE)
     ring, detour, loop, stale, escape, mopup = map(phases.count, range(6))
     return dict(zip(COUNT_NAMES, (ring, detour + loop + stale, escape, mopup, loop, stale)))

@@ -316,18 +316,18 @@ def seed_with_output(value, t=1):
     return (unshift(z, 30) - t * INCREMENT) & MASK64
 
 
-def walker_locals(state):
-    """The locals of a started walk's frame, where the walker keeps its state.
+def walker_locals(walk):
+    """The locals of a started ``spiral_walk``'s frame, where the walker keeps its state.
 
     Read after a step, they hold ``pos`` (the walker's cell), ``heading``,
     ``next_k`` (the cursor), ``seen`` (the detour's states, or None
     outside a detour), ``stale``, ``escape`` (the committed path) and
     ``exhausted``.
     """
-    return state.walk.gi_frame.f_locals
+    return walk.gi_frame.f_locals
 
 
-class ReferenceSpiralState:
+class ReferenceWalker:
     """Walker bookkeeping of ``reference_spiral_next``, with its own detour flag.
 
     ``counts`` maps each name of ``spiral.COUNT_NAMES`` to the steps or
@@ -476,7 +476,7 @@ def reference_episode(cfg, maze=None):
     knowledge = KnowledgeMap(n, sample_stride=1 if cfg.variant.base == "spiral" else 4)
     pos, target = knowledge.index(0, 0), knowledge.index(*maze.target)
     knowledge.arrive(maze, pos)
-    walker = ReferenceSpiralState(pos)
+    walker = ReferenceWalker(pos)
     trajectory = [(0, 0)]
     threshold = None if cfg.variant.convergence == "none" else FIXED_THRESHOLD
     q = QTable(cfg.rl_seed) if learning else None

@@ -319,7 +319,8 @@ class TestGoldenRecords:
     a change pass: a mismatch means episodes or record bytes changed.
     The 128 stream is the paper's largest row, all six variants; past
     128, the maze-seed-0 records of the three spiral variants are pinned
-    one by one, at 256 and at 512.
+    one by one, at 256 and at 512. The plans of the 128 suite's A*
+    episodes are pinned whole, beyond the prefixes that records hold.
     """
 
     @pytest.mark.parametrize(
@@ -373,6 +374,29 @@ class TestGoldenRecords:
         suite = SuiteConfig(sizes=(n,), mazes_per_size=1, variants=ABLATION_VARIANTS)
         records = [record_to_json(log) for log in run_suite(suite)[1]]
         assert [hashlib.sha256(r.encode()).hexdigest() for r in records] == digests
+
+    def test_plan_corpus_digest(self, monkeypatch):
+        # Records hold only the prefix of each plan that the agent walks.
+        # This pins every waypoint of every ``astar_plan`` call, as its
+        # ``(s, t, waypoints)`` in call order, made by the spiral_conv and
+        # spiral_rl episodes of the 128 suite with the suite's rl seed.
+        digest, calls = hashlib.sha256(), [0]
+        astar_plan = episode.astar_plan
+
+        def hashing(s, t, knowledge):
+            plan = astar_plan(s, t, knowledge)
+            digest.update(f"{s} {t} {plan.waypoints}\n".encode())
+            calls[0] += 1
+            return plan
+
+        monkeypatch.setattr(episode, "astar_plan", hashing)
+        for cfg in episode_configs(GOLDEN_SUITES["128-all-variants"]):
+            if cfg.variant.name in ("spiral_conv", "spiral_rl"):
+                episode.run_episode(cfg)
+        assert calls[0] == 3485
+        assert digest.hexdigest() == (
+            "63f95dbc033df36563ca38be49ad3f35a5c9d6a2b4c58dd9bc3b3ecc81234dcf"
+        )
 
     @pytest.mark.parametrize(
         "name, digest",

@@ -227,22 +227,21 @@ class TestCounters:
 
     @pytest.mark.parametrize("variant", ["spiral", "spiral_conv"])
     def test_the_walk_ends_with_the_episode(self, monkeypatch, variant):
-        # A walk's frame holds the codes and both maps but not its
-        # SpiralState, so no reference cycle exists: with the collector
-        # off, the state and the walk it holds, still suspended, must be
-        # freed when run_episode returns.
-        states = []
+        # A walk's frame holds the codes and both maps but not the walk
+        # itself, so no reference cycle exists: with the collector off,
+        # the walk, still suspended, must be freed when run_episode returns.
+        walks = []
 
-        def tracked(pos):
-            state = spiral.SpiralState(pos)
-            states.append(weakref.ref(state))
-            return state
+        def tracked(*args):
+            walk = spiral.spiral_walk(*args)
+            walks.append(weakref.ref(walk))
+            return walk
 
-        monkeypatch.setattr(episode, "SpiralState", tracked)
+        monkeypatch.setattr(episode, "spiral_walk", tracked)
         gc.disable()
         try:
             run_episode(EpisodeConfig(n=32, maze_seed=3, variant=VARIANTS[variant]))
-            assert len(states) == 1 and states[0]() is None
+            assert len(walks) == 1 and walks[0]() is None
         finally:
             gc.enable()
 

@@ -32,7 +32,7 @@ from mazeswitch.grid import (
 from mazeswitch.pathfind import astar_plan, follow_plan
 from mazeswitch.qlearn import THRESHOLDS
 from mazeswitch.rng import MASK64, SplitMix64
-from mazeswitch.spiral import SpiralState, spiral_next
+from mazeswitch.spiral import spiral_next, spiral_walk
 from conftest import (
     bfs_distance,
     edits,
@@ -635,9 +635,9 @@ class TestSensingOnce:
                 assert k.known[j] == maze.cells[j]
 
         check(pos)
-        state = SpiralState(pos)
+        walk = spiral_walk(maze, k, bytearray())
         for _ in range(explore):
-            pos = spiral_next(state, maze, k)
+            pos = spiral_next(walk)
             check(pos)
             if pos == target:
                 return

@@ -19,13 +19,13 @@ from mazeswitch.grid import (
 )
 from mazeswitch import spiral
 from mazeswitch.episode import encode_moves
-from mazeswitch.spiral import SpiralState, SpiralStuck, spiral_next, spiral_route, walker_counts
+from mazeswitch.spiral import SpiralStuck, spiral_next, spiral_route, spiral_walk, walker_counts
 from conftest import (
     bfs_distance,
     bfs_reachable,
     reference_escape_path,
     decode_moves,
-    ReferenceSpiralState,
+    ReferenceWalker,
     reference_spiral_next,
     sealed_pocket_grid,
     walker_locals,
@@ -35,15 +35,15 @@ DATA = Path(__file__).parent / "data"
 
 
 def walk(maze, steps, sample_stride=1):
-    """Drive the spiral and return (trajectory as (x, y) cells, state, knowledge)."""
+    """Drive the spiral and return (trajectory as (x, y) cells, the walk, knowledge)."""
     knowledge = KnowledgeMap(maze.n, sample_stride)
     start = knowledge.index(0, 0)
-    state = SpiralState(start)
     knowledge.arrive(maze, start)
+    walker = spiral_walk(maze, knowledge, bytearray())
     trajectory = [start]
     for _ in range(steps):
-        trajectory.append(spiral_next(state, maze, knowledge))
-    return list(map(knowledge.cell, trajectory)), state, knowledge
+        trajectory.append(spiral_next(walker))
+    return list(map(knowledge.cell, trajectory)), walker, knowledge
 
 
 def cell_layer(n, cell):
@@ -113,9 +113,9 @@ class TestOpenGridSpiral:
             return results[-1]
 
         monkeypatch.setattr(spiral, "nearest_path", counting_search)
-        _, state, knowledge = walk(open_grid(n), 3 * n * n)
+        _, walker, knowledge = walk(open_grid(n), 3 * n * n)
         assert results == [None]
-        assert walker_locals(state)["exhausted"] and knowledge.visited_count == n * n
+        assert walker_locals(walker)["exhausted"] and knowledge.visited_count == n * n
 
 
 class TestRecordVisit:
@@ -146,12 +146,12 @@ class TestMazeSpiral:
         maze = generate_maze(16, 1)
         reachable = bfs_reachable(maze)
         knowledge = KnowledgeMap(maze.n)
-        state = SpiralState(knowledge.index(0, 0))
-        knowledge.arrive(maze, state.start)
+        knowledge.arrive(maze, knowledge.index(0, 0))
+        walker = spiral_walk(maze, knowledge, bytearray())
         for _ in range(4 * 16 * 16):
             if knowledge.visited_count == len(reachable):
                 break
-            spiral_next(state, maze, knowledge)
+            spiral_next(walker)
         assert knowledge.visited_count == len(reachable)
         assert all(knowledge.visited_mask[knowledge.index(*cell)] for cell in reachable)
 
@@ -172,11 +172,11 @@ class TestMazeSpiral:
     def test_coverage_monotone(self):
         maze = generate_maze(16, 2)
         knowledge = KnowledgeMap(maze.n)
-        state = SpiralState(knowledge.index(0, 0))
-        knowledge.arrive(maze, state.start)
+        knowledge.arrive(maze, knowledge.index(0, 0))
+        walker = spiral_walk(maze, knowledge, bytearray())
         last = coverage_percent(knowledge)
         for _ in range(400):
-            spiral_next(state, maze, knowledge)
+            spiral_next(walker)
             cov = coverage_percent(knowledge)
             assert cov >= last
             last = cov
@@ -192,35 +192,36 @@ class TestMazeSpiral:
     def test_stuck_in_sealed_pocket(self):
         maze = sealed_pocket_grid()
         knowledge = KnowledgeMap(maze.n)
-        state = SpiralState(knowledge.index(0, 0))
-        knowledge.record(state.start)
+        knowledge.record(knowledge.index(0, 0))
         with pytest.raises(SpiralStuck):
-            spiral_next(state, maze, knowledge)
+            spiral_next(spiral_walk(maze, knowledge, bytearray()))
 
     @pytest.mark.parametrize(
-        "replay, error, message",
+        "map_n, replay, error, message",
         [
-            (None, SpiralStuck, r"no passable neighbour known at \(0, 0\)"),
-            (bytes([2]), ValueError, "cannot visit off-grid index"),  # west of (0, 0)
+            (8, None, SpiralStuck, r"no passable neighbour known at \(0, 0\)"),
+            (8, bytes([2]), ValueError, "cannot visit off-grid index"),  # west of (0, 0)
+            (16, None, ValueError, "sensing a size 8 maze into a size 16 map"),
         ],
-        ids=["stuck", "off-grid"],
+        ids=["stuck", "off-grid", "size"],
     )
-    def test_a_walk_that_raised_has_ended(self, replay, error, message):
+    def test_a_walk_that_raised_has_ended(self, map_n, replay, error, message):
         # Every raise ends the walk: the next call raises StopIteration,
         # and neither call writes a code or changes the map. Only a
         # hand-built record leads off the grid, so the off-grid case
-        # replays one move west from (0, 0).
+        # replays one move west from (0, 0). The size case walks the
+        # 8 x 8 pocket on a map of size 16.
         maze = sealed_pocket_grid()
-        knowledge = KnowledgeMap(maze.n)
-        state = SpiralState(knowledge.index(0, 0))
-        state.replay = replay
-        knowledge.record(state.start)
+        knowledge = KnowledgeMap(map_n)
+        codes = bytearray()
+        walker = spiral_walk(maze, knowledge, codes, replay)
+        knowledge.record(knowledge.index(0, 0))
         known, visited = bytes(knowledge.known), bytes(knowledge.visited_mask)
         with pytest.raises(error, match=message):
-            spiral_next(state, maze, knowledge)
+            spiral_next(walker)
         with pytest.raises(StopIteration):
-            spiral_next(state, maze, knowledge)
-        assert state.codes == b"" and knowledge.visited_count == 1
+            spiral_next(walker)
+        assert codes == b"" and knowledge.visited_count == 1
         assert knowledge.known == known and knowledge.visited_mask == visited
 
 
@@ -261,11 +262,11 @@ class TestPastFullCoverage:
         maze = generate_maze(n, seed)
         end = len(spiral_route(n)[0])
         knowledge = KnowledgeMap(n)
-        state = SpiralState(knowledge.index(0, 0))
-        knowledge.arrive(maze, state.start)
+        knowledge.arrive(maze, knowledge.index(0, 0))
+        new = spiral_walk(maze, knowledge, bytearray())
         for step in range(2 * n * n):
-            spiral_next(state, maze, knowledge)
-            walker = walker_locals(state)
+            spiral_next(new)
+            walker = walker_locals(new)
             assert 1 <= walker["next_k"] <= end, step
             if walker["seen"] is not None:
                 assert walker["next_k"] < end and not walker["escape"], step
@@ -340,9 +341,9 @@ class TestFlatSearchesMatchReferences:
     def test_walker_knows_its_neighbours_before_each_move(self, n, seed, steps):
         maze = generate_maze(n, seed)
         knowledge = KnowledgeMap(n)
-        state = SpiralState(knowledge.index(0, 0))
-        knowledge.arrive(maze, state.start)
-        pos = state.start
+        pos = knowledge.index(0, 0)
+        knowledge.arrive(maze, pos)
+        walker = spiral_walk(maze, knowledge, bytearray())
         for _ in range(min(steps, 2 * n * n)):
             x, y = knowledge.cell(pos)
             assert not maze.walls[x][y]
@@ -351,7 +352,7 @@ class TestFlatSearchesMatchReferences:
                     fact = knowledge.known[knowledge.index(*cell)]
                     assert fact != UNKNOWN, ((x, y), cell)
                     assert fact == (WALL if maze.walls[cell[0]][cell[1]] else OPEN), ((x, y), cell)
-            pos = spiral_next(state, maze, knowledge)
+            pos = spiral_next(walker)
 
 
 @st.composite
@@ -370,10 +371,10 @@ def walker_mazes(draw):
     return MazeGrid(n=n, walls=walls, seed=0)
 
 
-def take_step(walker, state, maze, knowledge):
-    """The walker's new position, or the message of its SpiralStuck."""
+def take_step(step, *args):
+    """The walker's new position, ``step(*args)``, or the message of its SpiralStuck."""
     try:
-        return walker(state, maze, knowledge)
+        return step(*args)
     except SpiralStuck as exc:
         return str(exc)
 
@@ -390,12 +391,13 @@ class TestMatchesReferenceWalker:
         n = maze.n
         new_map, ref_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
         start = new_map.index(0, 0)
-        new, ref = SpiralState(start), ReferenceSpiralState(start)
         new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
+        codes = bytearray()
+        new, ref = spiral_walk(maze, new_map, codes), ReferenceWalker(start)
         before = start
         for step in range(round(budget * 4 * n * n)):
-            got = take_step(spiral_next, new, maze, new_map)
+            got = take_step(spiral_next, new)
             assert got == take_step(reference_spiral_next, ref, maze, ref_map), step
             if isinstance(got, str):
                 break
@@ -412,7 +414,7 @@ class TestMatchesReferenceWalker:
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.visited_count == ref_map.visited_count, step
             assert new_map.sampled_history == ref_map.sampled_history, step
-            assert walker_counts(new) == ref.counts, step
+            assert walker_counts(codes) == ref.counts, step
             if walker["exhausted"]:  # no search of the reference could find fresh ground
                 assert ref.next_k == len(spiral_route(n)[0]) and not ref.escape_path, step
                 known, stride, visited = ref_map.known, ref_map.stride, ref_map.visited_mask
@@ -428,12 +430,13 @@ class TestMatchesReferenceWalker:
         maze = generate_maze(128, 0)
         new_map, ref_map = KnowledgeMap(128, sample_stride), KnowledgeMap(128, sample_stride)
         start = new_map.index(0, 0)
-        new, ref = SpiralState(start), ReferenceSpiralState(start)
         new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
+        codes = bytearray()
+        new, ref = spiral_walk(maze, new_map, codes), ReferenceWalker(start)
         before, escape_path = start, None
         for step in range(4000):
-            assert spiral_next(new, maze, new_map) == reference_spiral_next(ref, maze, ref_map), step
+            assert spiral_next(new) == reference_spiral_next(ref, maze, ref_map), step
             walker = walker_locals(new)
             assert new_map.offsets[walker["heading"]] == walker["pos"] - before, step
             assert new_map.known == ref_map.known, step
@@ -447,9 +450,9 @@ class TestMatchesReferenceWalker:
             assert (walker["seen"] is None) == (not ref.detouring), step
             if ref.detouring:
                 assert walker["stale"] == ref.detour_stale, step
-            assert walker_counts(new) == ref.counts, step
+            assert walker_counts(codes) == ref.counts, step
             before = walker["pos"]
-        counts = walker_counts(new)
+        counts = walker_counts(codes)
         assert counts == ref.counts
         assert counts["ring"] and counts["detour"] and counts["escape"], counts
 
@@ -459,12 +462,13 @@ class TestReplay:
     def record(maze, steps, sample_stride):
         """The codes of a walk of ``steps`` steps from (0, 0), or None if it raised."""
         recorder_map = KnowledgeMap(maze.n, sample_stride)
-        recorder = SpiralState(recorder_map.index(0, 0))
-        recorder_map.arrive(maze, recorder.start)
+        recorder_map.arrive(maze, recorder_map.index(0, 0))
+        codes = bytearray()
+        recorder = spiral_walk(maze, recorder_map, codes)
         for _ in range(steps):
-            if isinstance(take_step(spiral_next, recorder, maze, recorder_map), str):
+            if isinstance(take_step(spiral_next, recorder), str):
                 return None  # a sealed pocket: a walk that raised has nothing to replay
-        return bytes(recorder.codes)
+        return bytes(codes)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -485,20 +489,20 @@ class TestReplay:
             return
         new_map, ref_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
         start = new_map.index(0, 0)
-        new, ref = SpiralState(start), ReferenceSpiralState(start)
-        new.replay = record
         new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
+        codes = bytearray()
+        new, ref = spiral_walk(maze, new_map, codes, record), ReferenceWalker(start)
         for step in range(round(cut * steps)):
-            got = spiral_next(new, maze, new_map)
+            got = spiral_next(new)
             assert got == reference_spiral_next(ref, maze, ref_map), step
             walker = walker_locals(new)
             assert (walker["pos"], walker["heading"]) == (ref.pos, ref.heading), step
             assert new_map.known == ref_map.known, step
             assert new_map.visited_mask == ref_map.visited_mask, step
             assert new_map.sampled_history == ref_map.sampled_history, step
-            assert walker_counts(new) == ref.counts, step
-            assert new.codes[step] == record[step], step
+            assert walker_counts(codes) == ref.counts, step
+            assert codes[step] == record[step], step
             assert (walker["next_k"], walker["seen"], walker["escape"]) == (1, None, deque()), step
             assert (walker["stale"], walker["exhausted"]) == (0, False), step
 
@@ -506,20 +510,20 @@ class TestReplay:
         maze = generate_maze(32, 0)
         record = self.record(maze, 200, 1)
         knowledge = KnowledgeMap(32)
-        state = SpiralState(knowledge.index(0, 0))
-        state.replay = record
-        knowledge.arrive(maze, state.start)
+        knowledge.arrive(maze, knowledge.index(0, 0))
+        codes = bytearray()
+        new = spiral_walk(maze, knowledge, codes, record)
         for _ in record:
-            pos = spiral_next(state, maze, knowledge)
+            pos = spiral_next(new)
         visited, known = knowledge.visited_count, bytes(knowledge.known)
         with pytest.raises(IndexError) as raised:
-            spiral_next(state, maze, knowledge)
+            spiral_next(new)
         walker = raised.traceback[-1]  # the walk's frame, as the raise left it
-        assert state.codes == record and walker.name == "_walk" and walker.locals["pos"] == pos
+        assert codes == record and walker.name == "spiral_walk" and walker.locals["pos"] == pos
         assert knowledge.visited_count == visited and knowledge.known == known
         with pytest.raises(StopIteration):  # the walk has ended and does not restart
-            spiral_next(state, maze, knowledge)
-        assert state.codes == record and knowledge.visited_count == visited
+            spiral_next(new)
+        assert codes == record and knowledge.visited_count == visited
 
 
 class TestMapSize:
@@ -527,9 +531,13 @@ class TestMapSize:
     def test_a_map_of_another_size_fails_on_the_first_step(self, maze_n, map_n):
         maze = generate_maze(maze_n, 0)
         knowledge = KnowledgeMap(map_n)
-        state = SpiralState(knowledge.index(0, 0))
+        codes = bytearray()
+        walker = spiral_walk(maze, knowledge, codes)
+        known = bytes(knowledge.known)
         message = f"sensing a size {maze_n} maze into a size {map_n} map"
         with pytest.raises(ValueError, match=message):
-            spiral_next(state, maze, knowledge)
-        assert state.start == knowledge.index(0, 0) and state.walk is None
+            spiral_next(walker)
+        with pytest.raises(StopIteration):  # the raise ended the walk
+            spiral_next(walker)
+        assert codes == b"" and knowledge.known == known
         assert knowledge.visited_count == 0
