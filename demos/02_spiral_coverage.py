@@ -1,11 +1,12 @@
 """Spiral coverage: concentric rings, local sensing, wall detours.
 
 The walker starts at the corner heading east and sweeps the grid ring by
-ring toward the center. It only ever senses its four neighbours; walls
-push it into right-hand detours, and coverage is the share of distinct
-cells it has stood on. The walker moves on flat indices of the grid's
-``Layout``; ``knowledge.index`` and ``knowledge.cell`` convert to and
-from ``(x, y)``.
+ring toward the center. It arrives on the corner itself, so a fresh
+``KnowledgeMap`` is all a walk needs. It only ever senses its four
+neighbours; walls push it into right-hand detours, and coverage is the
+share of distinct cells it has stood on. The walker moves on flat
+indices of the grid's ``Layout``; ``knowledge.index`` and
+``knowledge.cell`` convert to and from ``(x, y)``.
 """
 
 from mazeswitch import generate_maze
@@ -16,10 +17,8 @@ from mazeswitch.spiral import spiral_next, spiral_walk
 open_grid = MazeGrid(n=6, walls=[[0] * 6] * 6, seed=0)
 
 knowledge = KnowledgeMap(6)
-start = knowledge.index(0, 0)
-knowledge.arrive(open_grid, start)
 walk = spiral_walk(open_grid, knowledge, bytearray())  # appends each step's code
-trace = [start]
+trace = [knowledge.index(0, 0)]  # the walk arrives on (0, 0) itself, at its first step
 for _ in range(35):
     trace.append(spiral_next(walk))
 cells = map(knowledge.cell, trace[:12])
@@ -30,7 +29,6 @@ print(f"covered {knowledge.visited_count}/36 cells in {len(trace) - 1} moves\n")
 # coverage growing anyway.
 maze = generate_maze(16, seed=1)
 knowledge = KnowledgeMap(maze.n)
-knowledge.arrive(maze, knowledge.index(0, 0))
 walk = spiral_walk(maze, knowledge, bytearray())
 for step in range(1, 4 * 16 * 16 + 1):
     spiral_next(walk)

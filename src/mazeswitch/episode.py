@@ -31,12 +31,11 @@ move's heading with phase ``ASTAR``. The walk's frame is freed when the
 episode returns. When the episode ends the codes become the move
 string in one ``translate``, one letter per step from the start (0, 0):
 ``E``, ``S``, ``W``, ``N`` for (dx, dy) = (0, +1), (+1, 0), (0, -1),
-(-1, 0), the order of ``Layout.offsets``.
-The log's ``trajectory`` is a ``Trajectory``, a read-only sequence of
-the ``(x, y)`` positions that decodes the move string only when read.
-The agent learns walls only on each cell it enters for the first time,
-through ``KnowledgeMap.arrive`` at the start and in the A* loop, and
-through the same work inside the walk. A revisit learns nothing.
+(-1, 0), the order of ``Layout.offsets``. The log's ``trajectory`` is a
+``Trajectory``, a read-only sequence of the ``(x, y)`` positions that
+decodes the move string only when read. The agent learns walls only
+on a first visit: the walk senses (0, 0) and each cell it enters, and
+the A* loop calls ``KnowledgeMap.arrive``. A revisit learns nothing.
 
 Variants of one base walk the same route until they stop, so a
 one-slot memo, like ``generate_maze``'s, keeps the codes of the last
@@ -305,10 +304,8 @@ def run_episode(cfg: EpisodeConfig) -> EpisodeLog:
     # Sentinel agents store every fourth first visit; coverage is exact for both.
     knowledge = KnowledgeMap(n, sample_stride=1 if cfg.variant.base == "spiral" else 4)
     target = knowledge.index(*maze.target)
-    pos = knowledge.index(0, 0)
     walk_key = (n, cfg.maze_seed, cfg.variant.base, limit)
     recorded = _walk_of(walk_key, maze)
-    knowledge.arrive(maze, pos)
     codes = bytearray()
     walk = spiral_walk(maze, knowledge, codes, recorded)
 

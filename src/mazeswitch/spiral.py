@@ -42,7 +42,8 @@ has ended: the next call raises StopIteration. A step chooses the next
 cell in one ``if/elif`` chain (a recorded move, escape path, the route's
 next cell when it probes open, or wall-following), arrives on it, and on
 a detour then settles it: the detour ends at the cursor, breaks out, or
-goes on. Only a first visit learns, as ``KnowledgeMap.arrive`` would.
+goes on. Only a first visit learns, as in ``KnowledgeMap.arrive``, which
+the first step calls on (0, 0).
 
 Each step appends one code byte to the caller's ``codes``: its heading,
 an index into ``Layout.offsets``, in the low two bits and its phase in
@@ -136,12 +137,12 @@ def spiral_walk(
 ) -> Iterator[int]:
     """The walk from (0, 0): yield each new position and append its code to ``codes``.
 
-    The caller must have called ``knowledge.arrive`` for (0, 0), the
-    route's first cell. ``replay`` holds the codes of a walk that this
-    one replays. The first step raises ValueError when the maze and the
-    map differ in size; a step raises SpiralStuck when no neighbour is
-    known to be passable, which cannot happen on a connected maze, and
-    IndexError past a replay's record. A walk that raised has ended.
+    The first step raises ValueError when the maze and the map differ in
+    size, and else arrives on (0, 0) before it moves, a revisit on a map
+    that has been there. ``replay`` holds the codes of a walk that this one
+    replays. A step raises SpiralStuck when no neighbour is known to be
+    passable, which cannot happen on a connected maze, and IndexError
+    past a replay's record. A walk that raised has ended.
 
     These locals are the walker. ``pos`` is its cell, ``heading`` its
     last move and ``next_k`` the cursor. ``seen`` is None outside a
@@ -154,6 +155,7 @@ def spiral_walk(
     if maze.n != knowledge.n:
         raise ValueError(f"sensing a size {maze.n} maze into a size {knowledge.n} map")
     route, rank, ring = spiral_route(maze.n)
+    knowledge.arrive(maze, route[0])
     end, offsets, cells = len(route), knowledge.offsets, maze.cells
     heading_of = {d: h for h, d in enumerate(offsets)}
     known, visited, w = knowledge.known, knowledge.visited_mask, knowledge.stride

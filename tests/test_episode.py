@@ -1,4 +1,5 @@
 import base64
+import copy
 import gc
 import itertools
 import json
@@ -28,7 +29,14 @@ from mazeswitch.episode import (
     to_record,
 )
 from mazeswitch import spiral
-from mazeswitch.grid import KnowledgeMap, MazeGrid, layout, manhattan, nearest_path
+from mazeswitch.grid import (
+    KnowledgeMap,
+    MazeGrid,
+    generate_maze,
+    layout,
+    manhattan,
+    nearest_path,
+)
 from mazeswitch.qlearn import POTENTIAL_OFFSET, potential, switching_component
 from conftest import decode_moves, edits
 
@@ -261,8 +269,9 @@ class TestCounters:
 
     def test_only_a_first_visit_arrives(self, monkeypatch):
         # A revisit learns nothing. The walker learns a first visit in its
-        # own frame, so ``arrive`` runs for the start cell alone, and the
-        # map counts one visit per distinct cell, the start included.
+        # own frame, so ``arrive`` runs for the start cell alone, from the
+        # walk's first step, and the map counts one visit per distinct
+        # cell, the start included.
         maps = []
         arrive = KnowledgeMap.arrive
 
@@ -315,6 +324,82 @@ class TestCounters:
             "replans": 0,
             "history_len": 25,
         }
+
+
+class SensedCells(bytes):
+    """A maze's bytes that log each index read, with the episode's step count then.
+
+    ``codes`` is the episode's code buffer, one byte per step taken, and
+    ``reads`` collects ``(len(codes), index)`` pairs. ``codes`` is None
+    until the episode starts its walk, so a read before then raises.
+    """
+
+    def __getitem__(self, i):
+        self.reads.append((len(self.codes), i))
+        return super().__getitem__(i)
+
+
+class TestWallsOnlyThroughTheSensor:
+    """The agent needs no prior knowledge of wall positions (the abstract).
+
+    Each maze's ``cells`` logs every read. While the episode's codes hold
+    ``c`` moves, the agent stands on trajectory cell ``c`` and may sense
+    only that cell, the one it steps onto, ``c + 1``, and their four
+    neighbours: the walk's probe and first-visit sensing, and ``arrive``
+    at the start and in the A* loop.
+    """
+
+    @pytest.fixture
+    def sensed(self, monkeypatch):
+        """Patch the episode to sensed mazes, one per (n, seed) so the walk memo hits.
+
+        Gives the mazes by (n, seed), and a list that tells for each
+        episode whether its walk replayed a recorded one.
+        """
+        mazes, replayed = {}, []
+
+        def sensed_maze(n, seed):
+            if (n, seed) not in mazes:
+                maze = copy.copy(generate_maze(n, seed))
+                maze.cells = SensedCells(maze.cells)
+                mazes[n, seed] = maze
+            mazes[n, seed].cells.codes, mazes[n, seed].cells.reads = None, []
+            return mazes[n, seed]
+
+        def logged_walk(maze, knowledge, codes, replay=None):
+            maze.cells.codes = codes
+            replayed.append(replay is not None)
+            return spiral.spiral_walk(maze, knowledge, codes, replay)
+
+        monkeypatch.setattr(episode, "generate_maze", sensed_maze)
+        monkeypatch.setattr(episode, "spiral_walk", logged_walk)
+        return mazes, replayed
+
+    @staticmethod
+    def assert_reads_are_local(log, maze):
+        at, offsets = maze.layout.index, maze.layout.offsets
+        path = [at(*cell) for cell in log.trajectory]
+        near = [
+            {i + d for i in path[c : c + 2] for d in (0, *offsets)} for c in range(len(path))
+        ]
+        assert maze.cells.reads
+        for count, i in maze.cells.reads:
+            assert i in near[count], (log.config, count, i)
+
+    @pytest.mark.parametrize("n, seed", itertools.product((16, 32), range(5)))
+    def test_every_read_is_next_to_the_agent(self, sensed, n, seed):
+        # In suite order, so the learned variants replay their base's walk.
+        mazes, replayed = sensed
+        for name in episode.VARIANT_ORDER:
+            log = run_episode(EpisodeConfig(n, seed, VARIANTS[name]))
+            self.assert_reads_are_local(log, mazes[n, seed])
+        assert replayed == [False, True, True] * 2
+
+    def test_every_read_is_next_to_the_agent_at_128_through_a_switch(self, sensed):
+        mazes, _ = sensed
+        log = run_episode(EpisodeConfig(128, 1, VARIANTS["spiral_conv"]))
+        assert log.switch_step is not None and log.counters["convergence"] > 0
+        self.assert_reads_are_local(log, mazes[128, 1])
 
 
 class TestWalkMemo:

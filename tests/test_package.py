@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -152,3 +153,24 @@ def test_every_traced_name_resolves():
     assert mazeswitch.spiral.probe is mazeswitch.grid.probe
     k = mazeswitch.grid.KnowledgeMap(8)
     assert mazeswitch.pathfind.astar_plan(k.index(0, 0), k.index(4, 4), k).cost == 8
+
+
+def test_the_line_counter_splits_docstrings_comments_and_code():
+    # tools/src_lines.py, which CI runs on src/: a docstring spans its
+    # lines, blank lines inside it included; a comment after code is code.
+    spec = importlib.util.spec_from_file_location(
+        "src_lines", Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+    )
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    source = (
+        '"""Module.\n\nMore."""\n'
+        "\n"
+        "# a comment\n"
+        "def f():\n"
+        "    '''One line.'''\n"
+        "    x = '''not a\n"
+        "    docstring'''\n"
+        "    return x  # trailing\n"
+    )
+    assert src_lines.line_counts(source) == (10, 4, 4)

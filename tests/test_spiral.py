@@ -37,10 +37,8 @@ DATA = Path(__file__).parent / "data"
 def walk(maze, steps, sample_stride=1):
     """Drive the spiral and return (trajectory as (x, y) cells, the walk, knowledge)."""
     knowledge = KnowledgeMap(maze.n, sample_stride)
-    start = knowledge.index(0, 0)
-    knowledge.arrive(maze, start)
     walker = spiral_walk(maze, knowledge, bytearray())
-    trajectory = [start]
+    trajectory = [knowledge.index(0, 0)]
     for _ in range(steps):
         trajectory.append(spiral_next(walker))
     return list(map(knowledge.cell, trajectory)), walker, knowledge
@@ -146,7 +144,6 @@ class TestMazeSpiral:
         maze = generate_maze(16, 1)
         reachable = bfs_reachable(maze)
         knowledge = KnowledgeMap(maze.n)
-        knowledge.arrive(maze, knowledge.index(0, 0))
         walker = spiral_walk(maze, knowledge, bytearray())
         for _ in range(4 * 16 * 16):
             if knowledge.visited_count == len(reachable):
@@ -172,7 +169,6 @@ class TestMazeSpiral:
     def test_coverage_monotone(self):
         maze = generate_maze(16, 2)
         knowledge = KnowledgeMap(maze.n)
-        knowledge.arrive(maze, knowledge.index(0, 0))
         walker = spiral_walk(maze, knowledge, bytearray())
         last = coverage_percent(knowledge)
         for _ in range(400):
@@ -262,7 +258,6 @@ class TestPastFullCoverage:
         maze = generate_maze(n, seed)
         end = len(spiral_route(n)[0])
         knowledge = KnowledgeMap(n)
-        knowledge.arrive(maze, knowledge.index(0, 0))
         new = spiral_walk(maze, knowledge, bytearray())
         for step in range(2 * n * n):
             spiral_next(new)
@@ -391,7 +386,6 @@ class TestMatchesReferenceWalker:
         n = maze.n
         new_map, ref_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
         start = new_map.index(0, 0)
-        new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
         codes = bytearray()
         new, ref = spiral_walk(maze, new_map, codes), ReferenceWalker(start)
@@ -430,7 +424,6 @@ class TestMatchesReferenceWalker:
         maze = generate_maze(128, 0)
         new_map, ref_map = KnowledgeMap(128, sample_stride), KnowledgeMap(128, sample_stride)
         start = new_map.index(0, 0)
-        new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
         codes = bytearray()
         new, ref = spiral_walk(maze, new_map, codes), ReferenceWalker(start)
@@ -462,7 +455,6 @@ class TestReplay:
     def record(maze, steps, sample_stride):
         """The codes of a walk of ``steps`` steps from (0, 0), or None if it raised."""
         recorder_map = KnowledgeMap(maze.n, sample_stride)
-        recorder_map.arrive(maze, recorder_map.index(0, 0))
         codes = bytearray()
         recorder = spiral_walk(maze, recorder_map, codes)
         for _ in range(steps):
@@ -489,7 +481,6 @@ class TestReplay:
             return
         new_map, ref_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
         start = new_map.index(0, 0)
-        new_map.arrive(maze, start)
         ref_map.arrive(maze, start)
         codes = bytearray()
         new, ref = spiral_walk(maze, new_map, codes, record), ReferenceWalker(start)
@@ -510,7 +501,6 @@ class TestReplay:
         maze = generate_maze(32, 0)
         record = self.record(maze, 200, 1)
         knowledge = KnowledgeMap(32)
-        knowledge.arrive(maze, knowledge.index(0, 0))
         codes = bytearray()
         new = spiral_walk(maze, knowledge, codes, record)
         for _ in record:
@@ -524,6 +514,43 @@ class TestReplay:
         with pytest.raises(StopIteration):  # the walk has ended and does not restart
             spiral_next(new)
         assert codes == record and knowledge.visited_count == visited
+
+
+class TestStartArrival:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        maze=walker_mazes(),
+        budget=st.floats(0.0, 1.0),
+        sample_stride=st.sampled_from((1, 4)),
+        replayed=st.booleans(),
+    )
+    def test_a_walk_needs_no_prepared_map(self, maze, budget, sample_stride, replayed):
+        # The walk arrives on (0, 0) itself, so on a fresh map it takes
+        # the cells and codes, and leaves the map, that it does on a map
+        # that arrived there first: that arrival makes the walk's own a
+        # revisit, which learns nothing. The walk's first step is its
+        # arrival, so every walk here takes at least one.
+        n = maze.n
+        steps = max(1, round(budget * 4 * n * n))
+        record = TestReplay.record(maze, steps, sample_stride) if replayed else None
+        if replayed and record is None:
+            return
+        fresh, prepared = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
+        prepared.arrive(maze, prepared.index(0, 0))
+        runs = []
+        for knowledge in (fresh, prepared):
+            codes, cells = bytearray(), []
+            walk = spiral_walk(maze, knowledge, codes, record)
+            for _ in range(steps):
+                cells.append(take_step(spiral_next, walk))
+                if isinstance(cells[-1], str):  # SpiralStuck ended the walk
+                    break
+            runs.append((cells, bytes(codes)))
+        assert runs[0] == runs[1]
+        assert fresh.known == prepared.known
+        assert fresh.visited_mask == prepared.visited_mask
+        assert fresh.visited_count == prepared.visited_count
+        assert fresh.sampled_history == prepared.sampled_history
 
 
 class TestMapSize:
