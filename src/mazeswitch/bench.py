@@ -373,7 +373,8 @@ def read_report_csv(path) -> list:
 
 
 def write_report_json(report: SuiteReport, path) -> None:
-    Path(path).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
+    data = {"rows": [vars(r) for r in report.rows], "provenance": report.provenance}
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def read_report_json(path) -> dict:

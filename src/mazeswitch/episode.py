@@ -82,7 +82,7 @@ from __future__ import annotations
 import binascii
 import json
 import weakref
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import accumulate, product
 from typing import Optional
 
@@ -488,7 +488,7 @@ def to_record(log: EpisodeLog) -> dict:
         record["terminal"] = {
             "state": log.terminal_state_index,
             "decision_reward": log.terminal_decision_reward,
-            **asdict(log.terminal_reward),
+            **vars(log.terminal_reward),  # its four float fields, with no deep copy
         }
         record["q_values"] = {str(i): row for i, row in enumerate(log.q_values) if any(row)}
     return record

@@ -38,12 +38,12 @@ The walk is a generator, ``spiral_walk(maze, knowledge, codes)``, whose
 frame is the only place the walker's state lives. It starts on the
 route's first cell, (0, 0), heading east. Each ``spiral_next(walk)``,
 which is ``next(walk)``, resumes it for one step, and a walk that raises
-has ended: the next call raises StopIteration. A step chooses the next
-cell in one ``if/elif`` chain (a recorded move, escape path, the route's
-next cell when it probes open, or wall-following), arrives on it, and on
-a detour then settles it: the detour ends at the cursor, breaks out, or
-goes on. Only a first visit learns, as in ``KnowledgeMap.arrive``, which
-the first step calls on (0, 0).
+has ended: the next call raises StopIteration. A live step chooses the
+next cell in one ``if/elif`` chain (escape path, the route's next cell
+when it probes open, or wall-following), arrives on it, and on a detour
+then settles it: the detour ends at the cursor, breaks out, or goes on.
+Only a first visit learns, as in ``KnowledgeMap.arrive``, which the
+first step calls on (0, 0).
 
 Each step appends one code byte to the caller's ``codes``: its heading,
 an index into ``Layout.offsets``, in the low two bits and its phase in
@@ -60,9 +60,11 @@ three detour phases, and ``loop`` and ``stale`` are the breakouts.
 
 A walk replays another when its ``replay`` argument holds the codes of
 an earlier walk over the same maze and a map of the same sample stride.
-Each step then takes the next recorded move, which leaves the map that
-the walk left, and appends its code; it neither probes nor searches. A
-step past the record raises IndexError, which ends the walk.
+It then runs its own loop, ``for code in replay``, not the live one:
+each step takes the next recorded move, learns a first visit with a
+copy of the live arrival, which leaves the map that the walk left, and
+appends its code; it neither probes nor searches. When the record runs
+out the loop raises IndexError, which ends the walk on its last cell.
 
 Every move rests on local probes alone; the walker learns the maze only
 through the wall sensor and its own accumulated knowledge, never by
@@ -140,9 +142,11 @@ def spiral_walk(
     The first step raises ValueError when the maze and the map differ in
     size, and else arrives on (0, 0) before it moves, a revisit on a map
     that has been there. ``replay`` holds the codes of a walk that this one
-    replays. A step raises SpiralStuck when no neighbour is known to be
-    passable, which cannot happen on a connected maze, and IndexError
-    past a replay's record. A walk that raised has ended.
+    replays, in a loop of its own before the live one. A step raises
+    SpiralStuck when no neighbour is known to be passable, which cannot
+    happen on a connected maze, and IndexError past a replay's record,
+    raised here after its last move, with ``pos`` on its last cell. A walk
+    that raised has ended.
 
     These locals are the walker. ``pos`` is its cell, ``heading`` its
     last move and ``next_k`` the cursor. ``seen`` is None outside a
@@ -164,6 +168,37 @@ def spiral_walk(
     pos, heading, next_k = route[0], 0, 1  # heading east, onto the route's second cell
     seen, stale, escape, exhausted = None, 0, deque(), False
 
+    if replay is not None:
+        # Each step takes the next recorded move and learns a first visit
+        # as the live arrival below does, check for check.
+        for code in replay:
+            heading = code & 3
+            pos = nxt = pos + offsets[heading]
+            if not visited[nxt]:
+                if not 0 <= nxt < len(known) or known[nxt] == OUTSIDE:
+                    raise ValueError(f"cannot visit off-grid index {nxt}")
+                visited[nxt] = 1
+                if knowledge.visited_count % sample_stride == 0:
+                    history.append(nxt)
+                knowledge.visited_count += 1
+                if known[nxt] == UNKNOWN:
+                    known[nxt] = cells[nxt]
+                j = nxt + 1
+                if known[j] == UNKNOWN:
+                    known[j] = cells[j]
+                j = nxt + w
+                if known[j] == UNKNOWN:
+                    known[j] = cells[j]
+                j = nxt - 1
+                if known[j] == UNKNOWN:
+                    known[j] = cells[j]
+                j = nxt - w
+                if known[j] == UNKNOWN:
+                    known[j] = cells[j]
+            push(code)
+            yield nxt
+        raise IndexError(f"the replayed record ends after {len(replay)} steps")
+
     while True:
         if next_k == end and not escape and not exhausted:
             # Mopping up: walk to the nearest unvisited cell.
@@ -173,11 +208,7 @@ def spiral_walk(
             else:
                 escape.extend(path)
 
-        if replay is not None:
-            code = replay[len(codes)]  # IndexError past the record ends the walk
-            heading = code & 3
-            nxt = pos + offsets[heading]
-        elif escape:
+        if escape:
             # Walk one cell along a committed path through known-free cells.
             nxt = escape.popleft()
             heading = heading_of[nxt - pos]

@@ -272,9 +272,14 @@ GOLDEN_SUITES = {
 
 
 @cache
+def golden_run(name):
+    """The report and episode logs of one golden suite, run once per test session."""
+    return run_suite(GOLDEN_SUITES[name])
+
+
 def golden_logs(name):
-    """The episode logs of one golden suite, run once per test session."""
-    return run_suite(GOLDEN_SUITES[name])[1]
+    """The episode logs of one golden suite."""
+    return golden_run(name)[1]
 
 
 def log_digest(logs):
@@ -651,6 +656,16 @@ class TestReportFiles:
         write_report_json(report, path)
         loaded = read_report_json(path)
         assert loaded == json.loads(json.dumps(asdict(report)))
+
+    def test_json_bytes_are_those_of_the_dataclass_dump(self, tmp_path):
+        # The writer reads each row's fields as they are, with no deep
+        # copy; a 16+32 report of all six variants, with learning rows'
+        # threshold counts, writes the bytes that ``asdict`` gives.
+        report, _ = golden_run("small-all-variants")
+        path = tmp_path / "report.json"
+        write_report_json(report, path)
+        expected = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode()
 
     def test_records_round_trip(self, small_suite, tmp_path):
         _, logs = small_suite

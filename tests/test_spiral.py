@@ -516,6 +516,46 @@ class TestReplay:
         assert codes == record and knowledge.visited_count == visited
 
 
+class TestReplayNeitherProbesNorSearches:
+    @pytest.mark.parametrize(
+        "n, seed, sample_stride",
+        [(16, 0, 1), (32, 5, 4), (128, 0, 1)],
+        ids=["16-mopup", "32-mopup-sampled", "128-to-the-target"],
+    )
+    def test_a_whole_replay_reads_only_its_record(self, monkeypatch, n, seed, sample_stride):
+        # A live walk records 2 * n * n steps at 16 and 32, where it
+        # escapes and mops up, and at 128 the steps to the target, the
+        # whole walk that an episode stores. With the sensor and the
+        # search raising, a fresh walk replays every recorded step to
+        # the same cells, codes and map.
+        maze = generate_maze(n, seed)
+        target = KnowledgeMap(n).index(*maze.target)
+        live_map, replay_map = KnowledgeMap(n, sample_stride), KnowledgeMap(n, sample_stride)
+        codes, cells = bytearray(), []
+        live = spiral_walk(maze, live_map, codes)
+        for _ in range(2 * n * n):
+            cells.append(spiral_next(live))
+            if n == 128 and cells[-1] == target:
+                break
+        record = bytes(codes)
+        counts = walker_counts(record)
+        assert counts["detour"] and counts["escape"] and (n == 128 or counts["mopup"]), counts
+
+        def forbidden(*args):
+            raise AssertionError("a replayed step probed or searched")
+
+        monkeypatch.setattr(spiral, "probe", forbidden)
+        monkeypatch.setattr(spiral, "nearest_path", forbidden)
+        replayed = bytearray()
+        replay = spiral_walk(maze, replay_map, replayed, record)
+        assert [spiral_next(replay) for _ in record] == cells
+        assert replayed == record
+        assert replay_map.known == live_map.known
+        assert replay_map.visited_mask == live_map.visited_mask
+        assert replay_map.visited_count == live_map.visited_count
+        assert replay_map.sampled_history == live_map.sampled_history
+
+
 class TestStartArrival:
     @settings(max_examples=60, deadline=None)
     @given(
